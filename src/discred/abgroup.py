@@ -24,7 +24,6 @@ from .exactlin import IntMatrix, cokernel_presentation
 class FGAbelianGroup:
     free_rank: int
     invariant_factors: tuple  # each > 1, f_i | f_{i+1}
-    basis_map: IntMatrix | None = None  # optional ambient-coordinate data
 
     def __post_init__(self):
         f = tuple(int(x) for x in self.invariant_factors)
@@ -171,10 +170,6 @@ class AbHom:
     @classmethod
     def identity(cls, G: FGAbelianGroup):
         return cls(G, G, IntMatrix.identity(G.ncoords))
-
-
-def hom_apply(f: AbHom, x):
-    return f.apply(x)
 
 
 @dataclass(frozen=True)

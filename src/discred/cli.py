@@ -47,6 +47,23 @@ def load_problem(path):
     return data
 
 
+def _positive_int(value, field):
+    """``value`` when it is an integer >= 1; JSON bools and floats are
+    rejected, never coerced."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValidationError(f"{field} must be an integer >= 1, got {value!r}")
+    return value
+
+
+def _positive_int_option(text, flag):
+    """A command-line integer option >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValidationError(f"{flag} must be an integer >= 1, got {text!r}")
+    return _positive_int(value, flag)
+
+
 def _parse_based(data) -> BasedRootDatum:
     try:
         d = data["datum"]
@@ -68,7 +85,7 @@ def _parse_gamma(data) -> FiniteGroup:
         g = data["gamma"]
         kind = g["type"]
         if kind == "cyclic":
-            return cyclic(int(g["n"]))
+            return cyclic(_positive_int(g["n"], "gamma.n"))
         if kind == "permutations":
             return from_generators(int(g["degree"]), g["generators"])
         if kind == "table":
@@ -200,7 +217,10 @@ def cmd_classify(args):
     based = _parse_based(data)
     gamma = _parse_gamma(data)
     ad = _parse_ad(data, based, gamma)
-    max_k = args.max_k if args.max_k is not None else int(data.get("max_k", 4))
+    if args.max_k is not None:
+        max_k = _positive_int_option(args.max_k, "--max-k")
+    else:
+        max_k = _positive_int(data.get("max_k", 4), "max_k")
     cls = classify(based, ad, max_k=max_k, budget=args.budget)
     report = {"command": "classify", "problem": data.get("name"),
               "seed": args.seed}
@@ -242,8 +262,8 @@ def build_parser():
                         help="recorded in reports; all computations are "
                              "deterministic")
         if name == "classify":
-            sp.add_argument("--max-k", type=int, default=None,
-                            help="torsion tower depth limit")
+            sp.add_argument("--max-k", default=None,
+                            help="torsion tower depth limit (integer >= 1)")
         sp.set_defaults(fn=fn)
     return p
 

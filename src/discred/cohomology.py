@@ -19,7 +19,8 @@ from math import prod
 from .abgroup import AbHom, DiagonalizableGroup, FGAbelianGroup
 from .errors import BudgetExceededError, InternalCheckError, ValidationError
 from .exactlin import (IntMatrix, cokernel_presentation,
-                       congruence_kernel_basis, smith_normal_form)
+                       congruence_kernel_basis, echelon_reduce,
+                       modular_echelon, smith_normal_form)
 from .grouptable import FiniteGroup
 
 
@@ -213,18 +214,26 @@ class CohomologyGroup:
     """H^p as a finite abelian group with normalized representative
     cocycles per canonical generator."""
 
-    def __init__(self, module, degree, group, generators, space,
-                 zbasis, zsolver, pres, bnd_solver, bnd_cols):
+    def __init__(self, module, degree, group, space, zbasis, zsolver,
+                 pres, bnd_solver, bnd_cols, d_prev):
         self.module = module
         self.degree = degree
         self.group = group
-        self.generators = generators
         self._space = space
         self._zbasis = zbasis
         self._zsolver = zsolver
         self._pres = pres
         self._bnd_solver = bnd_solver
         self._bnd_cols = bnd_cols
+        self._d_prev = d_prev
+        self._echelon = None
+        self._set_generators(())
+
+    def _set_generators(self, vecs):
+        """Generator cocycles, one per invariant factor, as flat vectors
+        and as cochains."""
+        self._gen_vecs = tuple(vecs)
+        self.generators = tuple(self._space.to_cochain(v) for v in vecs)
 
     def order(self):
         return self.group.order()
@@ -264,72 +273,70 @@ class CohomologyGroup:
 
     def _normalize_vec(self, vec):
         """Normalized cocycle vector in the same class (degree 2: subtract
-        the coboundary of the constant map at c(1,1))."""
+        the coboundary of the constant map at c(1,1), which is
+        (g1, g2) -> g1.c(1,1))."""
         space = self._space
         vec = space.reduce(vec)
         if self.degree != 2 or space.dim == 0:
             return vec
         M = self.module
-        ident = M.gamma.identity
         t = space.t
-        c11 = vec[space.flat((ident, ident), 0) : space.flat((ident, ident), 0) + t]
-        if all(v == 0 for v in c11):
+        start = space.flat((M.gamma.identity, M.gamma.identity), 0)
+        c11 = vec[start:start + t]
+        if not any(c11):
             return vec
-        b = Cochain.from_map(1, {(g,): tuple(c11)
-                                 for g in range(M.gamma.order)})
-        db = space.from_cochain(differential(M, b))
-        return space.reduce([a - d for a, d in zip(vec, db)])
+        for g1 in range(M.gamma.order):
+            gc = M.act(g1, c11)
+            for g2 in range(M.gamma.order):
+                base = space.flat((g1, g2), 0)
+                for k in range(t):
+                    vec[base + k] -= gc[k]
+        return space.reduce(vec)
 
-    def _lex_minimize_vec(self, vec, budget=50000):
-        """Lexicographically minimal normalized representative of the class
-        of ``vec`` (tool convention); skipped when the coboundary count
-        exceeds the budget."""
-        if self.degree != 2 or self._space.dim == 0:
-            return vec
-        M = self.module
-        n = M.gamma.order
-        others = [g for g in range(n) if g != M.gamma.identity]
-        count = M.coeff.order() ** len(others)
-        if count > budget:
-            return vec
+    def _canonical_vec(self, vec):
+        """Lexicographically smallest normalized cocycle vector in the
+        class of the normalized cocycle ``vec``: greedy reduction against
+        a triangular basis of the lattice L spanned by the coboundaries of
+        normalized 1-cochains and the modulus relations, built on first
+        use."""
         space = self._space
-        best = tuple(space.reduce(vec))
-        for combo in itertools.product(M.coeff.elements(), repeat=len(others)):
-            bmap = {(M.gamma.identity,): M.coeff.zero()}
-            for g, v in zip(others, combo):
-                bmap[(g,)] = v
-            db = space.from_cochain(differential(M, Cochain.from_map(1, bmap)))
-            cand = tuple(space.reduce([a + d for a, d in zip(vec, db)]))
-            if cand < best:
-                best = cand
-        return list(best)
+        if self.degree != 2 or space.dim == 0:
+            return space.reduce(vec)
+        if self._echelon is None:
+            ident = self.module.gamma.identity
+            d1 = self._d_prev
+            self._echelon = modular_echelon(
+                (d1.col(j) for j in range(d1.cols) if j // space.t != ident),
+                space.mods)
+        return echelon_reduce(self._echelon, vec, space.mods)
 
-    def normalize(self, c: Cochain, lex_budget=50000) -> Cochain:
-        """Normalized (and, within budget, lexicographically minimal)
-        cocycle in the class of ``c``."""
-        vec = self._space.from_cochain(c)
-        vec = self._normalize_vec(vec)
-        vec = self._lex_minimize_vec(vec, budget=lex_budget)
-        return self._space.to_cochain(vec)
-
-    def class_representative(self, coords, lex_budget=50000) -> Cochain:
-        """Normalized representative cocycle for the class with the given
-        coordinates."""
-        space = self._space
-        vec = [0] * space.dim
-        for c, gen in zip(coords, self.generators):
-            gv = space.from_cochain(gen)
+    def _class_vector(self, coords):
+        """Unreduced combination of the generator cocycles."""
+        vec = [0] * self._space.dim
+        for c, gv in zip(coords, self._gen_vecs):
             vec = [a + c * b for a, b in zip(vec, gv)]
-        vec = self._normalize_vec(vec)
-        vec = self._lex_minimize_vec(vec, budget=lex_budget)
-        return space.to_cochain(vec)
+        return vec
 
-    def classes(self, lex_budget=50000):
-        """Every cohomology class with a normalized representative."""
+    def normalize(self, c: Cochain) -> Cochain:
+        """The canonical representative of the class of ``c``: the
+        lexicographically smallest normalized cocycle in that class (in
+        flat coordinates, entries in [0, q)), for every input."""
+        vec = self._normalize_vec(self._space.from_cochain(c))
+        return self._space.to_cochain(self._canonical_vec(vec))
+
+    def class_representative(self, coords) -> Cochain:
+        """The lexicographically smallest normalized cocycle in the class
+        with the given coordinates."""
+        vec = self._normalize_vec(self._class_vector(coords))
+        return self._space.to_cochain(self._canonical_vec(vec))
+
+    def classes(self):
+        """Every cohomology class with its canonical (lexicographically
+        smallest normalized) representative."""
         out = []
         for coords in itertools.product(
                 *(range(f) for f in self.group.invariant_factors)):
-            rep = self.class_representative(coords, lex_budget=lex_budget)
+            rep = self.class_representative(coords)
             out.append(CohomologyClass(self.module, self.degree, rep,
                                        coords, self.group))
         return out
@@ -363,8 +370,8 @@ def cohomology_group(M: GammaModule, p: int, budget: int = 2_000_000) -> Cohomol
         raise BudgetExceededError(
             f"cochain problem size {space.dim}x{nxt.dim} exceeds budget {budget}")
     if space.dim == 0 or M.coeff.order() == 1:
-        return CohomologyGroup(M, p, FGAbelianGroup(0, ()), (), space,
-                               None, None, None, None, 0)
+        return CohomologyGroup(M, p, FGAbelianGroup(0, ()), space,
+                               None, None, None, None, 0, None)
     Q = M.coeff.exponent()
     d_p = _diff_matrix(M, p)
     scaled = IntMatrix.from_rows(
@@ -408,16 +415,11 @@ def cohomology_group(M: GammaModule, p: int, budget: int = 2_000_000) -> Cohomol
             rows.append(tuple(left) + right)
         bnd_solver = _CachedSolver(IntMatrix.from_rows(rows, cols=cols))
 
-    H = CohomologyGroup(M, p, group, (), space, zbasis, zsolver, pres,
-                        bnd_solver, bnd_cols)
-    gens = []
-    gen_positions = [i for i, m in enumerate(pres.moduli) if m > 1]
-    for pos in gen_positions:
-        w = pres.from_presented.col(pos)
-        vec = zbasis.apply(w)
-        vec = H._normalize_vec(vec)
-        gens.append(space.to_cochain(vec))
-    H.generators = tuple(gens)
+    H = CohomologyGroup(M, p, group, space, zbasis, zsolver, pres,
+                        bnd_solver, bnd_cols, d_prev)
+    H._set_generators([
+        H._normalize_vec(zbasis.apply(pres.from_presented.col(pos)))
+        for pos, m in enumerate(pres.moduli) if m > 1])
     return H
 
 
@@ -553,9 +555,12 @@ def stabilized_h2(gamma: FiniteGroup, Z: DiagonalizableGroup, module_at,
         Hk1, Hk2 = level(k + 1), level(k + 2)
         inc = inclusion(k + 1)
         pushed_gens = []
+        t = Hk1._space.t
         for coord in g1:
-            rep = Hk1.class_representative(coord, lex_budget=0)
-            pushed_gens.append(Hk2.coordinates_of(push_cochain(inc, rep)))
+            vec = Hk1._class_vector(coord)
+            pushed = [x for i in range(0, len(vec), t)
+                      for x in inc.matrix.apply(vec[i:i + t])]
+            pushed_gens.append(Hk2._coords_of_vec(pushed))
         tf = Hk2.group.invariant_factors
         if not pushed_gens:
             return True

@@ -234,6 +234,10 @@ def smith_normal_form(A: IntMatrix, want_u: bool = True) -> SmithDecomposition:
                 clear(i)
                 clear(i + 1)
                 changed = True
+    # clear(i + 1) may pivot on a later row and leave its diagonal negative
+    for i in range(r):
+        if D[i][i] < 0:
+            negate_row(i)
 
     if U is None:
         U = [[int(i == j) for j in range(m)] for i in range(m)]
@@ -339,6 +343,63 @@ def cokernel_presentation(A: IntMatrix) -> CokernelPresentation:
         from_presented=inverse_unimodular(snf.U),
         moduli=moduli,
     )
+
+
+def modular_echelon(generators, moduli):
+    """Upper-triangular basis of the lattice L spanned by ``generators``
+    and the modulus relations q_i e_i (q_i = moduli[i] >= 1).
+
+    Row i is zero before position i, has pivot h_i = row[i] > 0 with
+    h_i | q_i, and keeps every later entry j reduced mod q_j, so
+    coefficients never grow (Cohen, GTM 138, §2.4).  Starting from the
+    pivots q_i e_i, each generator is folded in by unimodular gcd steps.
+    """
+    n = len(moduli)
+    rows = [[0] * i + [q] + [0] * (n - i - 1) for i, q in enumerate(moduli)]
+    for gen in generators:
+        if len(gen) != n:
+            raise ValidationError("generator length does not match moduli")
+        v = [x % q for x, q in zip(gen, moduli)]
+        for i in range(n):
+            a = v[i]
+            if not a:
+                continue
+            row = rows[i]
+            d, s, t = _xgcd(row[i], a)
+            u, w = a // d, row[i] // d
+            # [s t; u -w] has determinant -1, so the span is unchanged
+            new_row, rest = [0] * n, [0] * n
+            new_row[i] = d
+            for j in range(i + 1, n):
+                x, y, q = row[j], v[j], moduli[j]
+                new_row[j] = (s * x + t * y) % q
+                rest[j] = (u * x - w * y) % q
+            rows[i], v = new_row, rest
+    return rows
+
+
+def echelon_reduce(rows, vec, moduli):
+    """Lexicographically smallest vector of (vec + L) with every entry
+    in [0, q_i), for ``rows`` from ``modular_echelon``: entry i is fixed
+    mod h_i, which lattice vectors vanishing before i cannot improve."""
+    v = [x % q for x, q in zip(vec, moduli)]
+    for i, row in enumerate(rows):
+        k = v[i] // row[i]
+        if k:
+            for j in range(i, len(v)):
+                v[j] = (v[j] - k * row[j]) % moduli[j]
+    return v
+
+
+def _xgcd(a, b):
+    """(d, s, t) with d = gcd(a, b) = s*a + t*b, for a, b >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        k = a // b
+        a, b = b, a - k * b
+        s0, s1 = s1, s0 - k * s1
+        t0, t1 = t1, t0 - k * t1
+    return a, s0, t0
 
 
 def column_lattice_basis(A: IntMatrix):

@@ -60,11 +60,6 @@ class ExtensionModel:
     project: tuple   # group index -> gamma element
     section: tuple   # gamma element -> group index (canonical section)
 
-    def element_index(self, a, g):
-        """Index of the pair (a, g)."""
-        pos = self.module.coeff.elements().index(self.module.coeff.reduce(a))
-        return pos * self.module.gamma.order + g
-
 
 def build_extension(M: GammaModule, c: Cochain) -> ExtensionModel:
     """Group law on A x Gamma from a normalized 2-cocycle.
@@ -286,9 +281,12 @@ class Classification:
 
 
 def classify(based: BasedRootDatum, ad: AdHom, max_k: int = 4,
-             budget: int = 2_000_000, lex_budget: int = 50000) -> Classification:
+             budget: int = 2_000_000) -> Classification:
     """All classes of disconnected groups over the based root datum with
-    component group gamma acting by ad."""
+    component group gamma acting by ad.
+
+    Each descriptor carries the canonical cocycle of its class: the
+    lexicographically smallest normalized cocycle, for every input."""
     from .autbrd import require_valid_ad
 
     msg = _validate_based(based)
@@ -325,7 +323,7 @@ def classify(based: BasedRootDatum, ad: AdHom, max_k: int = 4,
             rep = Cochain.from_map(2, {
                 (g1, g2): res.module.coeff.zero()
                 for g1 in range(gamma.order) for g2 in range(gamma.order)})
-        rep = H.normalize(rep, lex_budget=lex_budget)
+        rep = H.normalize(rep)
         descriptors.append(DisconnectedGroupDescriptor(
             coordinates=coords,
             cocycle=rep,

@@ -103,12 +103,6 @@ def validate(datum: RootDatum):
     return None
 
 
-def require_valid(datum: RootDatum):
-    msg = validate(datum)
-    if msg is not None:
-        raise ValidationError(msg)
-
-
 def validate_based(based: BasedRootDatum):
     """None when the based-datum invariants hold, else a message."""
     msg = validate(based.datum)

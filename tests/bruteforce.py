@@ -6,7 +6,8 @@ group generators s: the cocycle identity at (s, x, y) rewrites
 c(sx, y) in terms of the row of s and the row of x, so rows propagate
 down a left-Cayley BFS.  Enumerating the free generator-row values and
 keeping the candidates that satisfy every instance of the identity
-gives the full set of normalized cocycles; coboundaries are enumerated
+gives the full set of normalized cocycles (depth-first, each instance
+checked as soon as its values are known); coboundaries are enumerated
 directly from 1-cochains.  Everything here is sets of value tuples --
 no matrices, no Smith forms -- so a disagreement with the main code
 cannot share a root cause with it.
@@ -52,7 +53,15 @@ def _left_bfs(G: FiniteGroup, gens):
 
 
 def normalized_cocycles(M: GammaModule):
-    """All normalized 2-cocycles, as dicts on Gamma x Gamma."""
+    """All normalized 2-cocycles, as dicts on Gamma x Gamma.
+
+    Depth-first over the generator-row slots, one value at a time.  After
+    each assignment every value the row propagation can reach is filled
+    in, and every instance of the cocycle identity whose four values are
+    all known is checked at once, so a bad prefix is cut before its
+    subtree is enumerated.  A leaf is a total map satisfying all |Gamma|^3
+    instances.
+    """
     G = M.gamma
     A = M.coeff
     n = G.order
@@ -60,48 +69,58 @@ def normalized_cocycles(M: GammaModule):
     parent, bfs = _left_bfs(G, gens)
     others = [g for g in G.elements() if g != G.identity]
     slots = [(s, d) for s in gens for d in others]
+    # (key, s, y, d), key = (s y, d): c(s y, d) = s.c(y, d) + c(s, y d) - c(s, y)
+    derive = [((x, d), parent[x][0], parent[x][1], d)
+              for x in bfs if parent[x] is not None for d in others]
+    # the identity instances each value takes part in
+    watch = {}
+    for g1, g2, g3 in itertools.product(G.elements(), repeat=3):
+        keys = ((g2, g3), (g1, G.mul(g2, g3)), (g1, g2), (G.mul(g1, g2), g3))
+        for key in set(keys):
+            watch.setdefault(key, []).append((g1,) + keys)
+
+    def settle(c, new):
+        """Propagate rows from the known values, then check the identity
+        instances touching each new value; False on a violation."""
+        changed = True
+        while changed:
+            changed = False
+            for key, s, y, d in derive:
+                if key in c:
+                    continue
+                yd, sy, syd = (y, d), (s, y), (s, G.mul(y, d))
+                if yd in c and sy in c and syd in c:
+                    c[key] = A.add(A.sub(M.act(s, c[yd]), c[sy]), c[syd])
+                    new.append(key)
+                    changed = True
+        for key in new:
+            for g1, k1, k2, k3, k4 in watch[key]:
+                if k1 in c and k2 in c and k3 in c and k4 in c:
+                    if (A.add(M.act(g1, c[k1]), c[k2])
+                            != A.add(c[k3], c[k4])):
+                        return False
+        return True
+
+    start = {(G.identity, d): A.zero() for d in G.elements()}
+    for g in G.elements():
+        start[(g, G.identity)] = A.zero()
     found = []
-    for combo in itertools.product(A.elements(), repeat=len(slots)):
-        c = {(G.identity, d): A.zero() for d in G.elements()}
-        for g in G.elements():
-            c[(g, G.identity)] = A.zero()
-        for (s, d), v in zip(slots, combo):
-            c[(s, d)] = v
-        # propagate: c(s y, d) = s.c(y, d) + c(s, y d) - c(s, y)
-        ok = True
-        for x in bfs:
-            if parent[x] is None:
-                continue
-            s, y = parent[x]
-            for d in others:
-                val = A.add(A.sub(M.act(s, c[(y, d)]), c[(s, y)]),
-                            c[(s, G.mul(y, d))])
-                if (x, d) in c:
-                    if c[(x, d)] != val:
-                        ok = False
-                        break
-                else:
-                    c[(x, d)] = val
-            if not ok:
-                break
-        if not ok or len(c) != n * n:
-            continue
-        # full verification of the cocycle identity
-        for g1 in G.elements():
-            for g2 in G.elements():
-                for g3 in G.elements():
-                    lhs = A.add(M.act(g1, c[(g2, g3)]),
-                                c[(g1, G.mul(g2, g3))])
-                    rhs = A.add(c[(g1, g2)], c[(G.mul(g1, g2), g3)])
-                    if lhs != rhs:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(c)
+    if not settle(start, list(start)):
+        return found
+
+    def extend(c, i):
+        if i == len(slots):
+            if len(c) == n * n:
+                found.append(c)
+            return
+        key = slots[i]
+        for v in A.elements():
+            child = dict(c)
+            child[key] = v
+            if settle(child, [key]):
+                extend(child, i + 1)
+
+    extend(start, 0)
     return found
 
 

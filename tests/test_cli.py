@@ -149,3 +149,39 @@ class TestRoundTrip:
             for pair, value in cls["cocycle"]:
                 assert len(pair) == 2
                 assert all(0 <= v < f for v, f in zip(value, factors))
+
+
+def _problem_with(tmp_path, **overrides):
+    with open(problem("sl2_z2_trivial.json")) as fh:
+        data = json.load(fh)
+    data.update(overrides)
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps(data))
+    return str(p)
+
+
+class TestStrictIntegers:
+    @pytest.mark.parametrize("value", ["abc", 0, -1, True, 2.5, 4.0, None])
+    def test_bad_max_k(self, capsys, tmp_path, value):
+        code, _, err = run(capsys, "classify", "--input",
+                           _problem_with(tmp_path, max_k=value))
+        assert code == 1 and "max_k" in err
+        assert "Traceback" not in err
+
+    def test_good_max_k(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "classify", "--input",
+                           _problem_with(tmp_path, max_k=5))
+        assert code == 0 and "classes: 2" in out
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "2.5", ""])
+    def test_bad_max_k_option(self, capsys, value):
+        code, _, err = run(capsys, "classify", "--input",
+                           problem("sl2_z2_trivial.json"), "--max-k", value)
+        assert code == 1 and "--max-k" in err
+
+    @pytest.mark.parametrize("value", [0, -2, 2.5, 2.0, True, "2", None])
+    def test_bad_cyclic_order(self, capsys, tmp_path, value):
+        path = _problem_with(tmp_path, gamma={"type": "cyclic", "n": value})
+        for command in ("check", "classify"):
+            code, _, err = run(capsys, command, "--input", path)
+            assert code == 1 and "gamma.n" in err

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from discred.errors import ValidationError
 from discred.exactlin import (IntMatrix, cokernel_presentation,
                               column_lattice_basis, congruence_kernel_basis,
-                              inverse_unimodular, kernel_basis,
+                              echelon_reduce, inverse_unimodular,
+                              kernel_basis, modular_echelon,
                               smith_normal_form, solve_integer)
 
 small_matrices = st.integers(1, 4).flatmap(
@@ -150,3 +151,62 @@ class TestCokernel:
     def test_column_lattice_basis(self):
         basis = column_lattice_basis(mat([[2, 4], [0, 0]]))
         assert basis == [(2, 0)]
+
+
+def _span_mod(gens, moduli):
+    """The subgroup of (+)_i Z/q_i generated by ``gens``, by closure."""
+    zero = tuple(0 for _ in moduli)
+    span, frontier = {zero}, [zero]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = tuple((a + b) % q for a, b, q in zip(x, g, moduli))
+                if y not in span:
+                    span.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return span
+
+
+echelon_inputs = st.lists(st.sampled_from([2, 3, 4, 6, 8]), min_size=1,
+                          max_size=4).flatmap(
+    lambda qs: st.tuples(
+        st.just(qs),
+        st.lists(st.lists(st.integers(-20, 20), min_size=len(qs),
+                          max_size=len(qs)), max_size=3),
+        st.lists(st.integers(-20, 20), min_size=len(qs), max_size=len(qs))))
+
+
+class TestModularEchelon:
+    def test_small_example(self):
+        # L = <(2, 1)> + 4Z^2: pivots 2 and 2, (3, 3) reduces to (1, 0)
+        rows = modular_echelon([(2, 1)], (4, 4))
+        assert rows == [[2, 1], [0, 2]]
+        assert echelon_reduce(rows, (3, 3), (4, 4)) == [1, 0]
+
+    def test_no_generators(self):
+        rows = modular_echelon([], (3, 5))
+        assert rows == [[3, 0], [0, 5]]
+        assert echelon_reduce(rows, (7, -1), (3, 5)) == [1, 4]
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValidationError):
+            modular_echelon([(1,)], (2, 2))
+
+    @settings(max_examples=150, deadline=None)
+    @given(echelon_inputs)
+    def test_triangular_and_lex_minimal(self, args):
+        moduli, gens, vec = args
+        n = len(moduli)
+        rows = modular_echelon(gens, moduli)
+        for i, row in enumerate(rows):
+            assert all(x == 0 for x in row[:i])
+            assert row[i] > 0 and moduli[i] % row[i] == 0
+            assert all(0 <= row[j] < moduli[j] for j in range(i + 1, n))
+        span = _span_mod([tuple(g) for g in gens], moduli)
+        # the rows span the same subgroup of (+) Z/q_i as the generators
+        assert _span_mod([tuple(r) for r in rows], moduli) == span
+        coset = sorted(tuple((v + s) % q for v, s, q in zip(vec, x, moduli))
+                       for x in span)
+        assert tuple(echelon_reduce(rows, vec, moduli)) == coset[0]
