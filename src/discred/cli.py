@@ -47,12 +47,26 @@ def load_problem(path):
     return data
 
 
-def _positive_int(value, field):
-    """``value`` when it is an integer >= 1; JSON bools and floats are
-    rejected, never coerced."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValidationError(f"{field} must be an integer >= 1, got {value!r}")
+def _integer(value, field, minimum=None):
+    """``value`` when it is an integer (>= ``minimum`` if given); JSON
+    bools and floats are rejected, never coerced."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValidationError(f"{field} must be an integer{bound}, "
+                              f"got {value!r}")
     return value
+
+
+def _int_array(value, field, depth):
+    """``value`` as nested tuples of integers, ``depth`` list levels deep;
+    JSON bools, floats and strings are rejected, never coerced."""
+    if depth == 0:
+        return _integer(value, field)
+    if not isinstance(value, list):
+        raise ValidationError(f"{field} must be a nested list of integers, "
+                              f"got {value!r}")
+    return tuple(_int_array(v, field, depth - 1) for v in value)
 
 
 def _positive_int_option(text, flag):
@@ -61,19 +75,22 @@ def _positive_int_option(text, flag):
         value = int(text)
     except ValueError:
         raise ValidationError(f"{flag} must be an integer >= 1, got {text!r}")
-    return _positive_int(value, flag)
+    return _integer(value, flag, 1)
 
 
 def _parse_based(data) -> BasedRootDatum:
     try:
         d = data["datum"]
-        rank = int(d["rank"])
+        rank = _integer(d["rank"], "datum.rank", 0)
         if "roots" in d:
-            datum = RootDatum(rank, tuple(map(tuple, d["roots"])),
-                              tuple(map(tuple, d["coroots"])))
-            based = BasedRootDatum(datum, tuple(d["simple_indices"]))
+            datum = RootDatum(rank, _int_array(d["roots"], "datum.roots", 2),
+                              _int_array(d["coroots"], "datum.coroots", 2))
+            based = BasedRootDatum(datum, _int_array(
+                d["simple_indices"], "datum.simple_indices", 1))
         else:
-            based = from_simple(rank, d["simple_roots"], d["simple_coroots"])
+            based = from_simple(
+                rank, _int_array(d["simple_roots"], "datum.simple_roots", 2),
+                _int_array(d["simple_coroots"], "datum.simple_coroots", 2))
     except (KeyError, TypeError, ValueError) as e:
         raise ValidationError(f"malformed datum section: {e}")
     require_valid_based(based)
@@ -85,11 +102,13 @@ def _parse_gamma(data) -> FiniteGroup:
         g = data["gamma"]
         kind = g["type"]
         if kind == "cyclic":
-            return cyclic(_positive_int(g["n"], "gamma.n"))
+            return cyclic(_integer(g["n"], "gamma.n", 1))
         if kind == "permutations":
-            return from_generators(int(g["degree"]), g["generators"])
+            return from_generators(
+                _integer(g["degree"], "gamma.degree", 0),
+                _int_array(g["generators"], "gamma.generators", 2))
         if kind == "table":
-            return validate_table(g["table"])
+            return validate_table(_int_array(g["table"], "gamma.table", 2))
     except (KeyError, TypeError, ValueError) as e:
         raise ValidationError(f"malformed gamma section: {e}")
     raise ValidationError(f"unknown gamma type {kind!r}")
@@ -102,9 +121,11 @@ def _parse_ad(data, based, gamma) -> AdHom:
         if kind == "trivial":
             ad = trivial_ad(based, gamma)
         elif kind == "generators":
-            ad = ad_from_generator_images(based, gamma, a["matrices"])
+            ad = ad_from_generator_images(
+                based, gamma, _int_array(a["matrices"], "ad.matrices", 3))
         elif kind == "elements":
-            ad = ad_from_element_images(based, gamma, a["matrices"])
+            ad = ad_from_element_images(
+                based, gamma, _int_array(a["matrices"], "ad.matrices", 3))
         else:
             raise ValidationError(f"unknown ad type {kind!r}")
     except (KeyError, TypeError, ValueError) as e:
@@ -220,7 +241,7 @@ def cmd_classify(args):
     if args.max_k is not None:
         max_k = _positive_int_option(args.max_k, "--max-k")
     else:
-        max_k = _positive_int(data.get("max_k", 4), "max_k")
+        max_k = _integer(data.get("max_k", 4), "max_k", 1)
     cls = classify(based, ad, max_k=max_k, budget=args.budget)
     report = {"command": "classify", "problem": data.get("name"),
               "seed": args.seed}

@@ -1,11 +1,22 @@
-"""Bar-resolution group cohomology H^p(Gamma, A), p <= 2, A finite.
+"""Group cohomology H^p(Gamma, A), p <= 2, A finite, on normalized
+cochains.
 
-Cochain spaces are finite modules; kernels and images are computed by
-exact integer linear algebra.  A degree-p cochain is a total map
-Gamma^p -> A, stored flat as an integer vector with one block of
-coefficient coordinates per p-tuple (tuples in lexicographic order), so
-the whole calculus reduces to Smith normal forms of the differential
-matrices lifted to Z with explicit modulus relations.
+A cochain, as the public ``Cochain``, is a total map Gamma^p -> A.
+Internally only normalized cochains are stored (Brown, Cohomology of
+Groups, GTM 87, section I.5): maps that vanish on every tuple containing
+the identity, kept flat as an integer vector with one block of ``t``
+coefficient coordinates per p-tuple over Gamma minus the identity
+(tuples in lexicographic order).  Every class has a normalized
+representative, and a 2-cocycle c becomes one by subtracting the
+coboundary of the constant map at c(1, 1).
+
+Cocycles are cut out by a reduced set of rows: by Light's associativity
+test the conditions at (g, s, h) with s in a generating set S already
+imply the rest, so the cocycle matrix has (n-1)^2 |S| t rows in degree 2
+instead of n^3 t.  Kernels and images are computed by exact integer
+linear algebra: Smith normal forms of the differential matrices lifted to
+Z with explicit modulus relations.  The full bar ``differential`` stays
+as the public checker.
 
 Degree 3 cochains exist only as differential targets.
 """
@@ -14,14 +25,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import prod
 
 from .abgroup import AbHom, DiagonalizableGroup, FGAbelianGroup
 from .errors import BudgetExceededError, InternalCheckError, ValidationError
-from .exactlin import (IntMatrix, cokernel_presentation,
-                       congruence_kernel_basis, echelon_reduce,
-                       modular_echelon, smith_normal_form)
-from .grouptable import FiniteGroup
+from .exactlin import (IntegerSolver, IntMatrix, cokernel_presentation,
+                       congruence_kernel_basis, echelon_reduce, kernel_basis,
+                       modular_echelon)
+from .grouptable import FiniteGroup, subgroup_closure
 
 
 @dataclass(frozen=True)
@@ -87,43 +97,71 @@ class Cochain:
 
 
 class _Space:
-    """Flat coordinates for the cochain module C^p(Gamma, A)."""
+    """Flat coordinates for normalized p-cochains: one block of ``t``
+    coefficient coordinates per p-tuple over Gamma minus the identity,
+    tuples in lexicographic order."""
 
     def __init__(self, module: GammaModule, p: int):
         self.module = module
         self.p = p
         self.t = module.coeff.ncoords
-        self.tuples = list(itertools.product(range(module.gamma.order),
-                                             repeat=p))
+        gamma = module.gamma
+        others = [g for g in range(gamma.order) if g != gamma.identity]
+        self.tuples = list(itertools.product(others, repeat=p))
         self.index = {tup: i for i, tup in enumerate(self.tuples)}
         self.dim = len(self.tuples) * self.t
         self.mods = tuple(module.coeff.invariant_factors[i % self.t]
                           for i in range(self.dim)) if self.t else ()
 
-    def flat(self, tup, k):
-        return self.index[tup] * self.t + k
-
     def reduce(self, vec):
         return [v % q for v, q in zip(vec, self.mods)]
 
     def to_cochain(self, vec) -> Cochain:
+        """The total cochain with these normalized coordinates: zero on
+        every tuple containing the identity."""
         vec = self.reduce(vec)
-        mapping = {tup: tuple(vec[i * self.t:(i + 1) * self.t])
-                   for i, tup in enumerate(self.tuples)}
+        gamma = self.module.gamma
+        zero = self.module.coeff.zero()
+        mapping = {tup: zero for tup in itertools.product(range(gamma.order),
+                                                          repeat=self.p)}
+        for i, tup in enumerate(self.tuples):
+            mapping[tup] = tuple(vec[i * self.t:(i + 1) * self.t])
         return Cochain.from_map(self.p, mapping)
 
     def from_cochain(self, c: Cochain):
+        """(vec, shift): the normalized coordinates of c - d(const shift),
+        where shift = c(1, 1) in degree 2 and zero below.  ``vec`` is None
+        when that difference is not normalized, which no cocycle allows:
+        a 2-cocycle has c(1, g) = c(1, 1) and c(g, 1) = g.c(1, 1), and a
+        1-cocycle has c(1) = 0."""
         if c.degree != self.p:
             raise ValidationError("cochain degree mismatch")
+        M = self.module
+        coeff = M.coeff
+        ident = M.gamma.identity
         d = c.as_dict()
-        vec = [0] * self.dim
-        for tup in self.tuples:
+        full = list(itertools.product(range(M.gamma.order), repeat=self.p))
+        for tup in full:
             if tup not in d:
                 raise ValidationError(f"cochain is not total: missing {tup}")
-            val = self.module.coeff.reduce(d[tup])
-            for k in range(self.t):
-                vec[self.flat(tup, k)] = val[k]
-        return vec
+        shift = coeff.zero()
+        if self.p == 2:
+            shift = coeff.reduce(d[(ident, ident)])
+        acted = [M.act(g, shift) for g in range(M.gamma.order)] \
+            if any(shift) else None
+        vec = [0] * self.dim
+        normalized = True
+        for tup in full:
+            val = d[tup]
+            if acted is not None:
+                val = [x - y for x, y in zip(val, acted[tup[0]])]
+            val = coeff.reduce(val)
+            i = self.index.get(tup)
+            if i is None:
+                normalized = normalized and not any(val)
+            else:
+                vec[i * self.t:(i + 1) * self.t] = val
+        return (vec if normalized else None), shift
 
 
 def _bar_terms(gamma: FiniteGroup, tup):
@@ -164,68 +202,78 @@ def is_cocycle(M: GammaModule, c: Cochain) -> bool:
     return all(v == zero for _, v in dc.values)
 
 
-def _diff_matrix(M: GammaModule, p: int) -> IntMatrix:
-    """Integer matrix of the differential C^p -> C^{p+1} on flat coords."""
+def _diff_matrix(M: GammaModule, p: int, rows) -> IntMatrix:
+    """Integer matrix of the differential from normalized p-cochains to
+    the (p+1)-tuples ``rows`` (none containing the identity), on flat
+    coordinates.  Bar terms on a tuple containing the identity vanish on
+    normalized cochains and are dropped."""
     src = _Space(M, p)
-    dst = _Space(M, p + 1)
     t = src.t
-    rows = [[0] * src.dim for _ in range(dst.dim)]
-    for tup in dst.tuples:
+    out = [[0] * src.dim for _ in range(len(rows) * t)]
+    for i, tup in enumerate(rows):
         for sign, stup, actor in _bar_terms(M.gamma, tup):
+            j = src.index.get(stup)
+            if j is None:
+                continue
             if actor is None:
                 for k in range(t):
-                    rows[dst.flat(tup, k)][src.flat(stup, k)] += sign
+                    out[i * t + k][j * t + k] += sign
             else:
                 amat = M.action[actor].matrix
                 for r in range(t):
-                    row = rows[dst.flat(tup, r)]
+                    row = out[i * t + r]
                     for k in range(t):
                         a = amat[r, k]
                         if a:
-                            row[src.flat(stup, k)] += sign * a
-    return IntMatrix.from_rows(rows, cols=src.dim)
+                            row[j * t + k] += sign * a
+    return IntMatrix.from_rows(out, cols=src.dim)
 
 
-class _CachedSolver:
-    """Integer solver around one precomputed Smith decomposition."""
+def _generating_set(gamma: FiniteGroup):
+    """Greedy generating set: each element not yet in the span of the
+    earlier ones, in index order."""
+    gens = []
+    span = subgroup_closure(gamma, [])
+    for x in range(gamma.order):
+        if len(span) == gamma.order:
+            break
+        if x not in span:
+            gens.append(x)
+            span = subgroup_closure(gamma, gens)
+    return gens
 
-    def __init__(self, A: IntMatrix):
-        self.A = A
-        self.snf = smith_normal_form(A)
 
-    def solve(self, b):
-        snf = self.snf
-        c = snf.U.apply(b)
-        diag = snf.diagonal
-        y = [0] * self.A.cols
-        for i in range(self.A.rows):
-            d = diag[i] if i < len(diag) else 0
-            if d == 0:
-                if c[i] != 0:
-                    return None
-            else:
-                if c[i] % d:
-                    return None
-                y[i] = c[i] // d
-        return snf.V.apply(y)
+def _cocycle_rows(gamma: FiniteGroup, p: int):
+    """The (p+1)-tuples whose cocycle condition, on normalized cochains,
+    implies all the others: (s,), (g, s) and (g, s, h) with s in a
+    generating set S and g, h != 1.  In degree 2 the conditions at
+    (g, s, h) for all g, h say that the section element of s associates
+    in the extension A x_c Gamma, and such elements are closed under
+    products (Light's associativity test).  Likewise an element fixed by
+    S is fixed by Gamma, and f(gs) = f(g) + g.f(s) for all g and all s in
+    S makes f a crossed homomorphism."""
+    gens = _generating_set(gamma)
+    others = [g for g in range(gamma.order) if g != gamma.identity]
+    if p == 0:
+        return [(s,) for s in gens]
+    if p == 1:
+        return [(g, s) for g in others for s in gens]
+    return [(g, s, h) for g in others for s in gens for h in others]
 
 
 class CohomologyGroup:
     """H^p as a finite abelian group with normalized representative
     cocycles per canonical generator."""
 
-    def __init__(self, module, degree, group, space, zbasis, zsolver,
-                 pres, bnd_solver, bnd_cols, d_prev):
+    def __init__(self, module, degree, group, space, zsolver, pres, d_prev):
         self.module = module
         self.degree = degree
         self.group = group
         self._space = space
-        self._zbasis = zbasis
         self._zsolver = zsolver
         self._pres = pres
-        self._bnd_solver = bnd_solver
-        self._bnd_cols = bnd_cols
         self._d_prev = d_prev
+        self._bnd_solver = None
         self._echelon = None
         self._set_generators(())
 
@@ -238,10 +286,17 @@ class CohomologyGroup:
     def order(self):
         return self.group.order()
 
+    def _normalized(self, c: Cochain):
+        """Normalized coordinates of the cocycle ``c`` (shifted by the
+        coboundary of the constant map at c(1, 1) in degree 2)."""
+        vec, _ = self._space.from_cochain(c)
+        if vec is None:
+            raise ValidationError("cochain is not a cocycle")
+        return vec
+
     def coordinates_of(self, c: Cochain):
         """Class coordinates of a cocycle in the canonical generators."""
-        vec = self._space.from_cochain(c)
-        return self._coords_of_vec(vec)
+        return self._coords_of_vec(self._normalized(c))
 
     def _coords_of_vec(self, vec):
         if self._space.dim == 0:
@@ -260,38 +315,30 @@ class CohomologyGroup:
         coboundary."""
         if self.degree == 0:
             return None
-        vec = self._space.from_cochain(c)
-        if self._space.dim == 0:
-            return Cochain.from_map(self.degree - 1, {
-                tup: self.module.coeff.zero()
-                for tup in _Space(self.module, self.degree - 1).tuples})
-        sol = self._bnd_solver.solve(vec)
-        if sol is None:
+        space = self._space
+        vec, shift = space.from_cochain(c)
+        if vec is None:
             return None
         prev = _Space(self.module, self.degree - 1)
-        return prev.to_cochain(list(sol[: self._bnd_cols]))
-
-    def _normalize_vec(self, vec):
-        """Normalized cocycle vector in the same class (degree 2: subtract
-        the coboundary of the constant map at c(1,1), which is
-        (g1, g2) -> g1.c(1,1))."""
-        space = self._space
-        vec = space.reduce(vec)
-        if self.degree != 2 or space.dim == 0:
-            return vec
-        M = self.module
-        t = space.t
-        start = space.flat((M.gamma.identity, M.gamma.identity), 0)
-        c11 = vec[start:start + t]
-        if not any(c11):
-            return vec
-        for g1 in range(M.gamma.order):
-            gc = M.act(g1, c11)
-            for g2 in range(M.gamma.order):
-                base = space.flat((g1, g2), 0)
-                for k in range(t):
-                    vec[base + k] -= gc[k]
-        return space.reduce(vec)
+        sol = [0] * prev.dim
+        if space.dim:
+            if self._bnd_solver is None:
+                # [d_{p-1} | diag(mods_p)] x = cocycle
+                d = self._d_prev
+                self._bnd_solver = IntegerSolver(IntMatrix.from_rows(
+                    [d.row(r) + tuple(q if k == r else 0
+                                      for k in range(space.dim))
+                     for r, q in enumerate(space.mods)],
+                    cols=d.cols + space.dim))
+            sol = self._bnd_solver.solve(vec)
+            if sol is None:
+                return None
+        w = prev.to_cochain(list(sol[:prev.dim]))
+        if not any(shift):
+            return w
+        coeff = self.module.coeff
+        return Cochain.from_map(self.degree - 1, {
+            tup: coeff.add(v, shift) for tup, v in w.values})
 
     def _canonical_vec(self, vec):
         """Lexicographically smallest normalized cocycle vector in the
@@ -303,11 +350,9 @@ class CohomologyGroup:
         if self.degree != 2 or space.dim == 0:
             return space.reduce(vec)
         if self._echelon is None:
-            ident = self.module.gamma.identity
             d1 = self._d_prev
             self._echelon = modular_echelon(
-                (d1.col(j) for j in range(d1.cols) if j // space.t != ident),
-                space.mods)
+                (d1.col(j) for j in range(d1.cols)), space.mods)
         return echelon_reduce(self._echelon, vec, space.mods)
 
     def _class_vector(self, coords):
@@ -320,15 +365,17 @@ class CohomologyGroup:
     def normalize(self, c: Cochain) -> Cochain:
         """The canonical representative of the class of ``c``: the
         lexicographically smallest normalized cocycle in that class (in
-        flat coordinates, entries in [0, q)), for every input."""
-        vec = self._normalize_vec(self._space.from_cochain(c))
+        flat coordinates, entries in [0, q)), for every cocycle; raises
+        ValidationError on any other cochain."""
+        vec = self._normalized(c)
+        self._coords_of_vec(vec)  # raises unless vec is a cocycle
         return self._space.to_cochain(self._canonical_vec(vec))
 
     def class_representative(self, coords) -> Cochain:
         """The lexicographically smallest normalized cocycle in the class
         with the given coordinates."""
-        vec = self._normalize_vec(self._class_vector(coords))
-        return self._space.to_cochain(self._canonical_vec(vec))
+        return self._space.to_cochain(
+            self._canonical_vec(self._class_vector(coords)))
 
     def classes(self):
         """Every cohomology class with its canonical (lexicographically
@@ -356,37 +403,40 @@ class CohomologyClass:
 
 
 def cohomology_group(M: GammaModule, p: int, budget: int = 2_000_000) -> CohomologyGroup:
-    """H^p(Gamma, A) by exact integer linear algebra.
+    """H^p(Gamma, A) by exact integer linear algebra on normalized
+    cochains.
 
     The cochain modules are lifted to Z with explicit modulus relations;
-    cocycles are a congruence kernel, coboundaries an image lattice, and
-    the quotient a cokernel presentation.
+    cocycles are a congruence kernel cut out by the rows of
+    ``_cocycle_rows``, coboundaries the image lattice of the normalized
+    d_{p-1}, and the quotient a cokernel presentation.  ``budget`` caps
+    the size of the full bar differential, n^p t x n^(p+1) t.
     """
     if p not in (0, 1, 2):
         raise ValidationError("cohomology supported only in degrees 0..2")
-    space = _Space(M, p)
-    nxt = _Space(M, p + 1)
-    if space.dim * max(nxt.dim, 1) > budget:
+    n, t = M.gamma.order, M.coeff.ncoords
+    cols, rows = n ** p * t, n ** (p + 1) * t
+    if cols * max(rows, 1) > budget:
         raise BudgetExceededError(
-            f"cochain problem size {space.dim}x{nxt.dim} exceeds budget {budget}")
+            f"cochain problem size {cols}x{rows} exceeds budget {budget}")
+    space = _Space(M, p)
     if space.dim == 0 or M.coeff.order() == 1:
         return CohomologyGroup(M, p, FGAbelianGroup(0, ()), space,
-                               None, None, None, None, 0, None)
+                               None, None, None)
     Q = M.coeff.exponent()
-    d_p = _diff_matrix(M, p)
+    d_p = _diff_matrix(M, p, _cocycle_rows(M.gamma, p))
     scaled = IntMatrix.from_rows(
-        [[(Q // q) * x for x in d_p.row(r)] for r, q in enumerate(nxt.mods)],
+        [[(Q // space.mods[r % t]) * x for x in d_p.row(r)]
+         for r in range(d_p.rows)],
         cols=space.dim)
     zbasis = congruence_kernel_basis(scaled, Q)
-    zsolver = _CachedSolver(zbasis)
+    zsolver = IntegerSolver(zbasis)
 
     # boundary generators: image of d_{p-1} plus the modulus relations
     bnd_gens = []
-    bnd_cols = 0
     d_prev = None
     if p > 0:
-        d_prev = _diff_matrix(M, p - 1)
-        bnd_cols = d_prev.cols
+        d_prev = _diff_matrix(M, p - 1, space.tuples)
         bnd_gens.extend(d_prev.col(j) for j in range(d_prev.cols))
     for i, q in enumerate(space.mods):
         bnd_gens.append(tuple(q if k == i else 0 for k in range(space.dim)))
@@ -403,22 +453,9 @@ def cohomology_group(M: GammaModule, p: int, budget: int = 2_000_000) -> Cohomol
         raise InternalCheckError("cohomology of a finite module came out infinite")
     group = FGAbelianGroup(0, pres.invariant_factors)
 
-    # witness solver: [d_{p-1} | diag(mods_p)] x = cocycle
-    bnd_solver = None
-    if p > 0:
-        cols = bnd_cols + space.dim
-        rows = []
-        for r in range(space.dim):
-            left = d_prev.row(r) if bnd_cols else ()
-            right = tuple(space.mods[r] if k == r else 0
-                          for k in range(space.dim))
-            rows.append(tuple(left) + right)
-        bnd_solver = _CachedSolver(IntMatrix.from_rows(rows, cols=cols))
-
-    H = CohomologyGroup(M, p, group, space, zbasis, zsolver, pres,
-                        bnd_solver, bnd_cols, d_prev)
+    H = CohomologyGroup(M, p, group, space, zsolver, pres, d_prev)
     H._set_generators([
-        H._normalize_vec(zbasis.apply(pres.from_presented.col(pos)))
+        space.reduce(zbasis.apply(pres.from_presented.col(pos)))
         for pos, m in enumerate(pres.moduli) if m > 1])
     return H
 
@@ -474,36 +511,36 @@ class StabilizedH2:
     comparison_iso: tuple         # iso flags for the H-level comparison maps
 
 
+def _span(coords, factors):
+    """(structure, generator coordinate vectors) of the subgroup of
+    sum_i Z/factors[i] generated by the coordinate vectors ``coords``:
+    Z^g modulo the kernel of Z^g -> sum_i Z/factors[i]."""
+    g = len(coords)
+    if g == 0:
+        return FGAbelianGroup(0, ()), []
+    nf = len(factors)
+    rows = [tuple(coords[j][i] for j in range(g))
+            + tuple(f if k == i else 0 for k in range(nf))
+            for i, f in enumerate(factors)]
+    K = kernel_basis(IntMatrix.from_rows(rows, cols=g + nf))
+    pres = cokernel_presentation(IntMatrix.from_rows([k[:g] for k in K],
+                                                     cols=g))
+    if pres.free_rank != 0:
+        raise InternalCheckError("image subgroup came out infinite")
+    gens = []
+    for pos in [i for i, m in enumerate(pres.moduli) if m > 1]:
+        x = pres.from_presented.col(pos)
+        gens.append(tuple(sum(x[j] * coords[j][i] for j in range(g)) % f
+                          for i, f in enumerate(factors)))
+    return FGAbelianGroup(0, pres.invariant_factors), gens
+
+
 def _image_subgroup(Hs, Ht, inclusion):
     """(structure, generator coord vectors in Ht) of the image of Hs in Ht
     under the coefficient inclusion."""
     pushed = [Ht.coordinates_of(push_cochain(inclusion, gen))
               for gen in Hs.generators]
-    g = len(pushed)
-    tf = Ht.group.invariant_factors
-    if g == 0:
-        return FGAbelianGroup(0, ()), []
-    # kernel of Z^g -> Ht
-    cols = g + len(tf)
-    rows = []
-    for i in range(len(tf)):
-        rows.append(tuple(pushed[j][i] for j in range(g))
-                    + tuple(tf[i] if k == i else 0 for k in range(len(tf))))
-    from .exactlin import kernel_basis
-    K = kernel_basis(IntMatrix.from_rows(rows, cols=cols)) if rows else []
-    rel_rows = [k[:g] for k in K]
-    pres = cokernel_presentation(IntMatrix.from_rows(rel_rows, cols=g)
-                                 if rel_rows else IntMatrix.from_rows([], cols=g))
-    if pres.free_rank != 0:
-        raise InternalCheckError("image subgroup came out infinite")
-    struct = FGAbelianGroup(0, pres.invariant_factors)
-    gens = []
-    for pos in [i for i, m in enumerate(pres.moduli) if m > 1]:
-        x = pres.from_presented.col(pos)
-        coord = tuple(sum(x[j] * pushed[j][i] for j in range(g)) % tf[i]
-                      for i in range(len(tf)))
-        gens.append(coord)
-    return struct, gens
+    return _span(pushed, Ht.group.invariant_factors)
 
 
 def stabilized_h2(gamma: FiniteGroup, Z: DiagonalizableGroup, module_at,
@@ -561,22 +598,8 @@ def stabilized_h2(gamma: FiniteGroup, Z: DiagonalizableGroup, module_at,
             pushed = [x for i in range(0, len(vec), t)
                       for x in inc.matrix.apply(vec[i:i + t])]
             pushed_gens.append(Hk2._coords_of_vec(pushed))
-        tf = Hk2.group.invariant_factors
-        if not pushed_gens:
-            return True
-        rows = []
-        g = len(pushed_gens)
-        for i in range(len(tf)):
-            rows.append(tuple(pushed_gens[j][i] for j in range(g))
-                        + tuple(tf[i] if m == i else 0 for m in range(len(tf))))
-        from .exactlin import kernel_basis
-        K = kernel_basis(IntMatrix.from_rows(rows, cols=g + len(tf)))
-        rel_rows = [v[:g] for v in K]
-        pres = cokernel_presentation(IntMatrix.from_rows(rel_rows, cols=g)
-                                     if rel_rows else
-                                     IntMatrix.from_rows([], cols=g))
-        pushed_order = prod(pres.invariant_factors) if pres.free_rank == 0 else 0
-        return pushed_order == s1.order()
+        pushed, _ = _span(pushed_gens, Hk2.group.invariant_factors)
+        return pushed.order() == s1.order()
 
     stable_at = None
     k = 1

@@ -258,24 +258,37 @@ def inverse_unimodular(M: IntMatrix) -> IntMatrix:
     return snf.V @ snf.U
 
 
+class IntegerSolver:
+    """Integer solutions of A @ x = b for many right-hand sides, from one
+    Smith decomposition of A."""
+
+    def __init__(self, A: IntMatrix):
+        self.A = A
+        self.snf = smith_normal_form(A)
+
+    def solve(self, b):
+        """One integer solution x of A @ x = b, or None when none exists."""
+        if len(b) != self.A.rows:
+            raise ValidationError("right-hand side length does not match row count")
+        snf = self.snf
+        c = snf.U.apply(b)
+        diag = snf.diagonal
+        y = [0] * self.A.cols
+        for i in range(self.A.rows):
+            d = diag[i] if i < len(diag) else 0
+            if d == 0:
+                if c[i] != 0:
+                    return None
+            else:
+                if c[i] % d:
+                    return None
+                y[i] = c[i] // d
+        return snf.V.apply(y)
+
+
 def solve_integer(A: IntMatrix, b):
     """One integer solution x of A @ x = b, or None when none exists."""
-    if len(b) != A.rows:
-        raise ValidationError("right-hand side length does not match row count")
-    snf = smith_normal_form(A)
-    c = snf.U.apply(b)
-    diag = snf.diagonal
-    y = [0] * A.cols
-    for i in range(A.rows):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d:
-                return None
-            y[i] = c[i] // d
-    return snf.V.apply(y)
+    return IntegerSolver(A).solve(b)
 
 
 def kernel_basis(A: IntMatrix):

@@ -185,3 +185,67 @@ class TestStrictIntegers:
         for command in ("check", "classify"):
             code, _, err = run(capsys, command, "--input", path)
             assert code == 1 and "gamma.n" in err
+
+
+_SL2_ROOTS = {"schema": 1, "name": "sl2_roots",
+              "datum": {"rank": 1, "roots": [[2], [-2]],
+                        "coroots": [[1], [-1]], "simple_indices": [0]},
+              "gamma": {"type": "table", "table": [[0, 1], [1, 0]]}}
+_SL2_PERMS = {"schema": 1, "name": "sl2_perms",
+              "datum": {"rank": 1, "simple_roots": [[2]],
+                        "simple_coroots": [[1]]},
+              "gamma": {"type": "permutations", "degree": 2,
+                        "generators": [[1, 0]]}}
+
+
+def _gl2_swap():
+    with open(problem("gl2_z2_swap.json")) as fh:
+        return json.load(fh)
+
+
+def _replaced(data, path, value):
+    data = json.loads(json.dumps(data))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+# (field, problem, path to one integer, a value int() would coerce)
+_FIELD_CASES = [
+    ("datum.rank", lambda: _SL2_PERMS, ("datum", "rank"), True),
+    ("datum.rank", _gl2_swap, ("datum", "rank"), 2.0),
+    ("datum.simple_roots", _gl2_swap, ("datum", "simple_roots", 0, 0), 1.0),
+    ("datum.simple_coroots", _gl2_swap, ("datum", "simple_coroots", 0, 0),
+     True),
+    ("datum.roots", lambda: _SL2_ROOTS, ("datum", "roots", 0, 0), 2.0),
+    ("datum.coroots", lambda: _SL2_ROOTS, ("datum", "coroots", 1, 0), -1.0),
+    ("datum.simple_indices", lambda: _SL2_ROOTS,
+     ("datum", "simple_indices", 0), False),
+    ("gamma.degree", lambda: _SL2_PERMS, ("gamma", "degree"), 2.7),
+    ("gamma.generators", lambda: _SL2_PERMS, ("gamma", "generators", 0, 0),
+     True),
+    ("gamma.table", lambda: _SL2_ROOTS, ("gamma", "table", 1, 1), 0.0),
+    ("ad.matrices", _gl2_swap, ("ad", "matrices", 0, 0, 1), -1.0),
+]
+
+
+class TestStrictFields:
+    @pytest.mark.parametrize("make", [_gl2_swap, lambda: _SL2_ROOTS,
+                                      lambda: _SL2_PERMS])
+    def test_base_problems_classify(self, capsys, tmp_path, make):
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps(make()))
+        code, _, err = run(capsys, "classify", "--input", str(p))
+        assert code == 0, err
+
+    @pytest.mark.parametrize("field,make,path,value", _FIELD_CASES)
+    def test_non_integer_rejected(self, capsys, tmp_path, field, make, path,
+                                  value):
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps(_replaced(make(), path, value)))
+        for command in ("check", "classify"):
+            code, _, err = run(capsys, command, "--input", str(p))
+            assert code == 1 and field in err
+            assert "Traceback" not in err
