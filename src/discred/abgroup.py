@@ -55,8 +55,8 @@ class FGAbelianGroup:
     def reduce(self, vec):
         if len(vec) != self.ncoords:
             raise ValidationError("coordinate length mismatch")
-        free = tuple(int(v) for v in vec[: self.free_rank])
-        tors = tuple(int(v) % f for v, f in
+        free = tuple(vec[: self.free_rank])
+        tors = tuple(v % f for v, f in
                      zip(vec[self.free_rank:], self.invariant_factors))
         return free + tors
 
@@ -65,9 +65,6 @@ class FGAbelianGroup:
 
     def add(self, x, y):
         return self.reduce(tuple(a + b for a, b in zip(x, y)))
-
-    def neg(self, x):
-        return self.reduce(tuple(-a for a in x))
 
     def sub(self, x, y):
         return self.reduce(tuple(a - b for a, b in zip(x, y)))

@@ -17,7 +17,7 @@ from math import gcd
 
 from .abgroup import AbHom, torsion_at
 from .errors import InternalCheckError, ValidationError
-from .exactlin import IntMatrix, inverse_unimodular, solve_integer
+from .exactlin import IntegerSolver, IntMatrix, inverse_unimodular
 from .grouptable import FiniteGroup
 from .rootdatum import (BasedRootDatum, CenterData, cartan_pairing,
                         simple_matrix)
@@ -109,8 +109,7 @@ def diagram_automorphisms(based: BasedRootDatum) -> DiagramAutomorphisms:
             "datum is not semisimple: diagram automorphisms are only "
             "enumerable when the simple roots span a finite-index sublattice")
     pairings = [[cartan_pairing(based, i, j) for j in range(k)] for i in range(k)]
-    S = simple_matrix(based)
-    St = S.transpose()
+    lift = IntegerSolver(simple_matrix(based).transpose())
     autos = []
     non_lifting = []
     for sigma in itertools.permutations(range(k)):
@@ -122,7 +121,7 @@ def diagram_automorphisms(based: BasedRootDatum) -> DiagramAutomorphisms:
         t_rows = []
         for i in range(rank):
             rhs = tuple(target[j][i] for j in range(k))
-            row = solve_integer(St, rhs)
+            row = lift.solve(rhs)
             if row is None:
                 t_rows = None
                 break

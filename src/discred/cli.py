@@ -114,6 +114,16 @@ def _parse_gamma(data) -> FiniteGroup:
     raise ValidationError(f"unknown gamma type {kind!r}")
 
 
+def _generator_count(g):
+    """Number of generators the gamma section builds Gamma from; None for
+    a table, which has none to extend images along."""
+    if g["type"] == "cyclic":
+        return int(g["n"] > 1)
+    if g["type"] == "permutations":
+        return len(g["generators"])
+    return None
+
+
 def _parse_ad(data, based, gamma) -> AdHom:
     try:
         a = data.get("ad", {"type": "trivial"})
@@ -121,8 +131,13 @@ def _parse_ad(data, based, gamma) -> AdHom:
         if kind == "trivial":
             ad = trivial_ad(based, gamma)
         elif kind == "generators":
-            ad = ad_from_generator_images(
-                based, gamma, _int_array(a["matrices"], "ad.matrices", 3))
+            mats = _int_array(a["matrices"], "ad.matrices", 3)
+            ngens = _generator_count(data["gamma"])
+            if ngens is not None and len(mats) != ngens:
+                raise ValidationError(
+                    f"ad.matrices must hold one matrix per gamma generator "
+                    f"({ngens}), got {len(mats)}")
+            ad = ad_from_generator_images(based, gamma, mats)
         elif kind == "elements":
             ad = ad_from_element_images(
                 based, gamma, _int_array(a["matrices"], "ad.matrices", 3))

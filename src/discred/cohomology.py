@@ -18,6 +18,10 @@ linear algebra: Smith normal forms of the differential matrices lifted to
 Z with explicit modulus relations.  The full bar ``differential`` stays
 as the public checker.
 
+Classes travel up the torsion tower and into ``classify`` as coordinate
+vectors; a ``Cochain`` is built only when a caller asks for one
+(``generators``, ``class_representative``, ``representatives``).
+
 Degree 3 cochains exist only as differential targets.
 """
 
@@ -31,7 +35,7 @@ from .errors import BudgetExceededError, InternalCheckError, ValidationError
 from .exactlin import (IntegerSolver, IntMatrix, cokernel_presentation,
                        congruence_kernel_basis, echelon_reduce, kernel_basis,
                        modular_echelon)
-from .grouptable import FiniteGroup, subgroup_closure
+from .grouptable import FiniteGroup, generating_set
 
 
 @dataclass(frozen=True)
@@ -83,10 +87,6 @@ class Cochain:
     def from_map(cls, degree, mapping):
         return cls(degree, tuple(sorted((tuple(k), tuple(v))
                                         for k, v in mapping.items())))
-
-    def value(self, *gammas):
-        d = dict(self.values)
-        return d[tuple(gammas)]
 
     def as_dict(self):
         return dict(self.values)
@@ -229,20 +229,6 @@ def _diff_matrix(M: GammaModule, p: int, rows) -> IntMatrix:
     return IntMatrix.from_rows(out, cols=src.dim)
 
 
-def _generating_set(gamma: FiniteGroup):
-    """Greedy generating set: each element not yet in the span of the
-    earlier ones, in index order."""
-    gens = []
-    span = subgroup_closure(gamma, [])
-    for x in range(gamma.order):
-        if len(span) == gamma.order:
-            break
-        if x not in span:
-            gens.append(x)
-            span = subgroup_closure(gamma, gens)
-    return gens
-
-
 def _cocycle_rows(gamma: FiniteGroup, p: int):
     """The (p+1)-tuples whose cocycle condition, on normalized cochains,
     implies all the others: (s,), (g, s) and (g, s, h) with s in a
@@ -252,7 +238,7 @@ def _cocycle_rows(gamma: FiniteGroup, p: int):
     products (Light's associativity test).  Likewise an element fixed by
     S is fixed by Gamma, and f(gs) = f(g) + g.f(s) for all g and all s in
     S makes f a crossed homomorphism."""
-    gens = _generating_set(gamma)
+    gens = generating_set(gamma)
     others = [g for g in range(gamma.order) if g != gamma.identity]
     if p == 0:
         return [(s,) for s in gens]
@@ -263,9 +249,10 @@ def _cocycle_rows(gamma: FiniteGroup, p: int):
 
 class CohomologyGroup:
     """H^p as a finite abelian group with normalized representative
-    cocycles per canonical generator."""
+    cocycles per canonical generator, stored as flat vectors."""
 
-    def __init__(self, module, degree, group, space, zsolver, pres, d_prev):
+    def __init__(self, module, degree, group, space, zsolver, pres, d_prev,
+                 gen_vecs):
         self.module = module
         self.degree = degree
         self.group = group
@@ -273,15 +260,14 @@ class CohomologyGroup:
         self._zsolver = zsolver
         self._pres = pres
         self._d_prev = d_prev
+        self._gen_vecs = tuple(gen_vecs)
         self._bnd_solver = None
         self._echelon = None
-        self._set_generators(())
 
-    def _set_generators(self, vecs):
-        """Generator cocycles, one per invariant factor, as flat vectors
-        and as cochains."""
-        self._gen_vecs = tuple(vecs)
-        self.generators = tuple(self._space.to_cochain(v) for v in vecs)
+    @property
+    def generators(self):
+        """Generator cocycles, one per invariant factor."""
+        return tuple(self._space.to_cochain(v) for v in self._gen_vecs)
 
     def order(self):
         return self.group.order()
@@ -397,10 +383,6 @@ class CohomologyClass:
     coordinates: tuple
     group_structure: FGAbelianGroup
 
-    @property
-    def is_trivial(self):
-        return all(c == 0 for c in self.coordinates)
-
 
 def cohomology_group(M: GammaModule, p: int, budget: int = 2_000_000) -> CohomologyGroup:
     """H^p(Gamma, A) by exact integer linear algebra on normalized
@@ -422,7 +404,7 @@ def cohomology_group(M: GammaModule, p: int, budget: int = 2_000_000) -> Cohomol
     space = _Space(M, p)
     if space.dim == 0 or M.coeff.order() == 1:
         return CohomologyGroup(M, p, FGAbelianGroup(0, ()), space,
-                               None, None, None)
+                               None, None, None, ())
     Q = M.coeff.exponent()
     d_p = _diff_matrix(M, p, _cocycle_rows(M.gamma, p))
     scaled = IntMatrix.from_rows(
@@ -453,11 +435,9 @@ def cohomology_group(M: GammaModule, p: int, budget: int = 2_000_000) -> Cohomol
         raise InternalCheckError("cohomology of a finite module came out infinite")
     group = FGAbelianGroup(0, pres.invariant_factors)
 
-    H = CohomologyGroup(M, p, group, space, zsolver, pres, d_prev)
-    H._set_generators([
+    return CohomologyGroup(M, p, group, space, zsolver, pres, d_prev, [
         space.reduce(zbasis.apply(pres.from_presented.col(pos)))
         for pos, m in enumerate(pres.moduli) if m > 1])
-    return H
 
 
 def eckmann_check(M: GammaModule, p: int, H: CohomologyGroup = None) -> bool:
@@ -468,12 +448,8 @@ def eckmann_check(M: GammaModule, p: int, H: CohomologyGroup = None) -> bool:
     if H is None:
         H = cohomology_group(M, p)
     n = M.gamma.order
-    for gen in H.generators:
-        scaled = Cochain.from_map(
-            p, {tup: M.coeff.scale(n, val) for tup, val in gen.values})
-        if any(c != 0 for c in H.coordinates_of(scaled)):
-            return False
-    return True
+    return not any(any(H._coords_of_vec([n * x for x in gv]))
+                   for gv in H._gen_vecs)
 
 
 def cochain_sum(coeff: FGAbelianGroup, terms) -> Cochain:
@@ -500,15 +476,23 @@ def push_cochain(inc: AbHom, c: Cochain) -> Cochain:
 
 @dataclass(frozen=True)
 class StabilizedH2:
-    """Stable value of the torsion tower H^2(Gamma, Z[n^k])."""
+    """Stable value of the torsion tower H^2(Gamma, Z[n^k]), its
+    generators given by their coordinates in H^2 at level k_used."""
 
     group: FGAbelianGroup
     k_used: int
-    representatives: tuple        # normalized cocycles, values in Z[n^k_used]
+    generator_coords: tuple       # coordinates of the stable generators
     module: GammaModule           # the coefficient module at level k_used
     cohomology: CohomologyGroup   # H^2 at level k_used
     tower_orders: tuple           # |H^2| at each computed level
     comparison_iso: tuple         # iso flags for the H-level comparison maps
+
+    @property
+    def representatives(self):
+        """Canonical cocycles of the stable generators, values in
+        Z[n^k_used]."""
+        return tuple(self.cohomology.class_representative(c)
+                     for c in self.generator_coords)
 
 
 def _span(coords, factors):
@@ -535,11 +519,22 @@ def _span(coords, factors):
     return FGAbelianGroup(0, pres.invariant_factors), gens
 
 
+def _push_class(Hs, Ht, inclusion, coords):
+    """Coordinates in Ht of the class with coordinates ``coords`` in Hs,
+    pushed along the coefficient inclusion block by block on flat
+    vectors."""
+    vec, t = Hs._class_vector(coords), Hs._space.t
+    return Ht._coords_of_vec([
+        x for j in range(len(Hs._space.tuples))
+        for x in inclusion.matrix.apply(vec[j * t:(j + 1) * t])])
+
+
 def _image_subgroup(Hs, Ht, inclusion):
     """(structure, generator coord vectors in Ht) of the image of Hs in Ht
     under the coefficient inclusion."""
-    pushed = [Ht.coordinates_of(push_cochain(inclusion, gen))
-              for gen in Hs.generators]
+    g = len(Hs._gen_vecs)
+    pushed = [_push_class(Hs, Ht, inclusion, [int(i == j) for j in range(g)])
+              for i in range(g)]
     return _span(pushed, Ht.group.invariant_factors)
 
 
@@ -559,8 +554,7 @@ def stabilized_h2(gamma: FiniteGroup, Z: DiagonalizableGroup, module_at,
     if n == 1:
         M = module_at(1)
         H = cohomology_group(M, 2, budget=budget)
-        return StabilizedH2(H.group, 1, H.generators, M, H,
-                            (H.order(),), ())
+        return StabilizedH2(H.group, 1, (), M, H, (H.order(),), ())
 
     Hs = {}
     Ms = {}
@@ -590,15 +584,8 @@ def stabilized_h2(gamma: FiniteGroup, Z: DiagonalizableGroup, module_at,
             return False
         # push the image generators one more level and measure the order
         Hk1, Hk2 = level(k + 1), level(k + 2)
-        inc = inclusion(k + 1)
-        pushed_gens = []
-        t = Hk1._space.t
-        for coord in g1:
-            vec = Hk1._class_vector(coord)
-            pushed = [x for i in range(0, len(vec), t)
-                      for x in inc.matrix.apply(vec[i:i + t])]
-            pushed_gens.append(Hk2._coords_of_vec(pushed))
-        pushed, _ = _span(pushed_gens, Hk2.group.invariant_factors)
+        pushed, _ = _span([_push_class(Hk1, Hk2, inclusion(k + 1), c)
+                           for c in g1], Hk2.group.invariant_factors)
         return pushed.order() == s1.order()
 
     stable_at = None
@@ -619,8 +606,6 @@ def stabilized_h2(gamma: FiniteGroup, Z: DiagonalizableGroup, module_at,
 
     k_used = stable_at + 1
     struct, gen_coords = image(stable_at)
-    Hk = level(k_used)
-    reps = tuple(Hk.class_representative(c) for c in gen_coords)
     tower_orders = tuple(Hs[j].order() for j in sorted(Hs))
-    return StabilizedH2(struct, k_used, reps, Ms[k_used], Hk,
-                        tower_orders, tuple(iso_flags))
+    return StabilizedH2(struct, k_used, tuple(gen_coords), Ms[k_used],
+                        level(k_used), tower_orders, tuple(iso_flags))

@@ -22,7 +22,8 @@ class IntMatrix:
     """Immutable rectangular integer matrix (row-major tuple of tuples).
 
     The shape is stored explicitly so that 0xN and Nx0 matrices keep
-    track of the ambient dimension.
+    track of the ambient dimension.  Entries must already be ints: input
+    is checked where it enters (the CLI parser), not here.
     """
 
     rows: int
@@ -30,7 +31,7 @@ class IntMatrix:
     entries: tuple
 
     def __post_init__(self):
-        ent = tuple(tuple(int(x) for x in row) for row in self.entries)
+        ent = tuple(tuple(row) for row in self.entries)
         if len(ent) != self.rows or any(len(r) != self.cols for r in ent):
             raise ValidationError("matrix entries do not match declared shape")
         object.__setattr__(self, "entries", ent)
@@ -47,17 +48,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n):
         return cls(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zeros(cls, m, n):
-        return cls(m, n, tuple(tuple(0 for _ in range(n)) for _ in range(m)))
-
-    @classmethod
-    def diagonal(cls, diag, m=None, n=None):
-        m = len(diag) if m is None else m
-        n = len(diag) if n is None else n
-        return cls(m, n, tuple(tuple(diag[i] if (i == j and i < len(diag)) else 0
-                                     for j in range(n)) for i in range(m)))
 
     def __getitem__(self, ij):
         i, j = ij

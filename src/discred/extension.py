@@ -20,12 +20,10 @@ from dataclasses import dataclass
 from .abgroup import DiagonalizableGroup, FGAbelianGroup, torsion_at
 from .autbrd import AdHom, induced_center_action
 from .cohomology import (Cochain, CohomologyGroup, GammaModule, cochain_sum,
-                         cohomology_group, differential, gamma_module,
-                         stabilized_h2)
+                         cohomology_group, gamma_module, stabilized_h2)
 from .errors import InternalCheckError, ValidationError
 from .grouptable import (FiniteGroup, find_isomorphism, hom_check, is_normal,
-                         is_subgroup, quotient, semidirect_product,
-                         validate_table)
+                         quotient, semidirect_product, validate_table)
 from .rootdatum import BasedRootDatum, center_data
 from .rootdatum import validate_based as _validate_based
 
@@ -205,7 +203,7 @@ def pushout(G: FiniteGroup, z_embed, act, model: ExtensionModel) -> PushoutModel
     ne = Et.order
     anti = frozenset(G.inv(zmap[e]) * ne + model.embed[i]
                      for i, e in enumerate(elems))
-    normal = is_subgroup(sd, anti) and is_normal(sd, anti)
+    normal = is_normal(sd, anti)
     if not normal:
         raise InternalCheckError("antidiagonal is not a normal subgroup")
     E, coset_of = quotient(sd, anti)
@@ -302,31 +300,18 @@ def classify(based: BasedRootDatum, ad: AdHom, max_k: int = 4,
                      for g in range(gamma.order))
         return gamma_module(gamma, torsion_at(Z, m), acts)
 
-    if gamma.order == 1:
-        M = module_at(1)
-        H = cohomology_group(M, 2, budget=budget)
-        zero = Cochain.from_map(2, {(gamma.identity, gamma.identity):
-                                    M.coeff.zero()})
-        desc = (DisconnectedGroupDescriptor((), zero, True, 1),)
-        return Classification(Z, H.group, 1, 1, M, desc, (H.order(),))
-
     res = stabilized_h2(gamma, Z, module_at, max_k=max_k, budget=budget)
     H = res.cohomology
     level = gamma.order ** res.k_used
     descriptors = []
     for coords in itertools.product(
             *(range(f) for f in res.group.invariant_factors)):
-        if res.representatives:
-            rep = cochain_sum(res.module.coeff,
-                              list(zip(coords, res.representatives)))
-        else:
-            rep = Cochain.from_map(2, {
-                (g1, g2): res.module.coeff.zero()
-                for g1 in range(gamma.order) for g2 in range(gamma.order)})
-        rep = H.normalize(rep)
+        combo = [sum(c * gen[i]
+                     for c, gen in zip(coords, res.generator_coords))
+                 for i in range(len(H.group.invariant_factors))]
         descriptors.append(DisconnectedGroupDescriptor(
             coordinates=coords,
-            cocycle=rep,
+            cocycle=H.class_representative(combo),
             is_split=all(c == 0 for c in coords),
             torsion_level=level))
     return Classification(Z, res.group, res.k_used, level, res.module,

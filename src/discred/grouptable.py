@@ -156,6 +156,20 @@ def subgroup_closure(G: FiniteGroup, seed):
     return frozenset(sub)
 
 
+def generating_set(G: FiniteGroup):
+    """Greedy generating set: each element not yet in the span of the
+    earlier ones, in index order."""
+    gens = []
+    span = subgroup_closure(G, [])
+    for x in range(G.order):
+        if len(span) == G.order:
+            break
+        if x not in span:
+            gens.append(x)
+            span = subgroup_closure(G, gens)
+    return gens
+
+
 def is_subgroup(G: FiniteGroup, subset) -> bool:
     s = frozenset(subset)
     if G.identity not in s:
@@ -252,15 +266,7 @@ def find_isomorphism(A: FiniteGroup, B: FiniteGroup):
        sorted(B.element_order(x) for x in B.elements()):
         return None
 
-    # greedy generating set for A
-    gens = []
-    span = subgroup_closure(A, [])
-    for x in range(A.order):
-        if x not in span:
-            gens.append(x)
-            span = subgroup_closure(A, gens)
-            if len(span) == A.order:
-                break
+    gens = generating_set(A)
 
     b_by_order = {}
     for y in range(B.order):

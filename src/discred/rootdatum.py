@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from .abgroup import DiagonalizableGroup, FGAbelianGroup
 from .errors import BudgetExceededError, InternalCheckError, ValidationError
-from .exactlin import (IntMatrix, cokernel_presentation, column_lattice_basis,
-                       kernel_basis, solve_integer)
+from .exactlin import (IntegerSolver, IntMatrix, cokernel_presentation,
+                       column_lattice_basis, kernel_basis)
 
 
 @dataclass(frozen=True)
@@ -117,8 +117,7 @@ def validate_based(based: BasedRootDatum):
         # linear independence: the simple-root matrix must have full column rank
         if len(kernel_basis(S)) > 0:
             return "simple roots are linearly dependent"
-    for k, b in enumerate(based.datum.roots):
-        coeffs = express_in_simple(based, b)
+    for b, coeffs in zip(based.datum.roots, express_in_simple(based)):
         if coeffs is None:
             return f"root {b} is not an integer combination of the simple roots"
         if not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):
@@ -140,9 +139,12 @@ def simple_matrix(based: BasedRootDatum) -> IntMatrix:
                      tuple(tuple(c[i] for c in cols) for i in range(rank)))
 
 
-def express_in_simple(based: BasedRootDatum, root):
-    """Integer coefficients of ``root`` in the simple roots, or None."""
-    return solve_integer(simple_matrix(based), root)
+def express_in_simple(based: BasedRootDatum):
+    """Integer coefficients of each root in the simple roots (None for a
+    root outside their span), from one Smith form of the simple-root
+    matrix."""
+    solver = IntegerSolver(simple_matrix(based))
+    return [solver.solve(b) for b in based.datum.roots]
 
 
 def reflection(datum: RootDatum, root_index: int) -> IntMatrix:
@@ -198,8 +200,7 @@ def weyl_generate(based: BasedRootDatum, cap: int = 100000) -> WeylGroup:
 def positive_roots(based: BasedRootDatum):
     """The positive system R+ determined by the base."""
     pos = []
-    for b in based.datum.roots:
-        coeffs = express_in_simple(based, b)
+    for b, coeffs in zip(based.datum.roots, express_in_simple(based)):
         if coeffs is None:
             raise ValidationError(f"root {b} not in the simple-root lattice")
         if all(c >= 0 for c in coeffs) and any(c > 0 for c in coeffs):

@@ -231,6 +231,34 @@ _FIELD_CASES = [
 ]
 
 
+class TestGeneratorMatrixCount:
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_wrong_count_rejected(self, capsys, tmp_path, extra):
+        data = _gl2_swap()
+        mats = data["ad"]["matrices"]
+        data["ad"]["matrices"] = (mats + [[[1, 0], [0, 1]]] if extra > 0
+                                  else [])
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps(data))
+        for command in ("check", "classify"):
+            code, _, err = run(capsys, command, "--input", str(p))
+            assert code == 1 and "ad.matrices" in err
+            assert "Traceback" not in err
+
+    def test_permutation_generators_counted(self, capsys, tmp_path):
+        data = json.loads(json.dumps(_SL2_PERMS))
+        data["gamma"]["generators"] = [[1, 0], [0, 1]]
+        data["ad"] = {"type": "generators", "matrices": [[[1]], [[1]]]}
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps(data))
+        code, _, err = run(capsys, "classify", "--input", str(p))
+        assert code == 0, err
+        data["ad"]["matrices"] = [[[1]]]
+        p.write_text(json.dumps(data))
+        code, _, err = run(capsys, "classify", "--input", str(p))
+        assert code == 1 and "ad.matrices" in err
+
+
 class TestStrictFields:
     @pytest.mark.parametrize("make", [_gl2_swap, lambda: _SL2_ROOTS,
                                       lambda: _SL2_PERMS])

@@ -1,13 +1,14 @@
 import pytest
 
 from discred import standard
-from discred.abgroup import AbHom, FGAbelianGroup
+from discred.abgroup import AbHom, DiagonalizableGroup, FGAbelianGroup
 from discred.autbrd import ad_from_generator_images, trivial_ad
 from discred.cohomology import (Cochain, cochain_sum, cohomology_group,
                                 differential, gamma_module, trivial_module)
 from discred.errors import ValidationError
 from discred.exactlin import IntMatrix
-from discred.extension import (build_extension, classify, cocycle_witness,
+from discred.extension import (DisconnectedGroupDescriptor, build_extension,
+                               classify, cocycle_witness,
                                extensions_equivalent, extract_cocycle,
                                pushout, quotient_mod_center)
 from discred.grouptable import (cyclic, direct_product, find_isomorphism,
@@ -253,7 +254,13 @@ class TestClassify:
     def test_trivial_gamma(self):
         based = standard.sl2()
         cls = classify(based, trivial_ad(based, cyclic(1)))
-        assert len(cls.descriptors) == 1 and cls.descriptors[0].is_split
+        assert cls.center == DiagonalizableGroup(0, Z(2))
+        assert cls.group == Z()
+        assert (cls.k_used, cls.torsion_level, cls.tower_orders) == (1, 1, (1,))
+        assert cls.module.gamma.order == 1 and cls.module.coeff == Z()
+        assert cls.descriptors == (DisconnectedGroupDescriptor(
+            coordinates=(), cocycle=Cochain.from_map(2, {(0, 0): ()}),
+            is_split=True, torsion_level=1),)
 
     def test_descriptor_cocycles_build(self):
         based = standard.sl2()
