@@ -26,7 +26,7 @@ class FGAbelianGroup:
     invariant_factors: tuple  # each > 1, f_i | f_{i+1}
 
     def __post_init__(self):
-        f = tuple(int(x) for x in self.invariant_factors)
+        f = tuple(self.invariant_factors)
         object.__setattr__(self, "invariant_factors", f)
         if any(x <= 1 for x in f):
             raise ValidationError("invariant factors must be > 1")
@@ -99,7 +99,7 @@ class FGAbelianGroup:
 
 def from_factor_list(free_rank, factors):
     """Canonical group from an arbitrary list of cyclic orders (>= 1)."""
-    factors = [int(f) for f in factors]
+    factors = list(factors)
     if any(f < 1 for f in factors):
         raise ValidationError("cyclic orders must be >= 1")
     rel = IntMatrix.from_rows(

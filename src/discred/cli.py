@@ -139,8 +139,12 @@ def _parse_ad(data, based, gamma) -> AdHom:
                     f"({ngens}), got {len(mats)}")
             ad = ad_from_generator_images(based, gamma, mats)
         elif kind == "elements":
-            ad = ad_from_element_images(
-                based, gamma, _int_array(a["matrices"], "ad.matrices", 3))
+            mats = _int_array(a["matrices"], "ad.matrices", 3)
+            if len(mats) != gamma.order:
+                raise ValidationError(
+                    f"ad.matrices must hold one matrix per gamma element "
+                    f"({gamma.order}), got {len(mats)}")
+            ad = ad_from_element_images(based, gamma, mats)
         else:
             raise ValidationError(f"unknown ad type {kind!r}")
     except (KeyError, TypeError, ValueError) as e:

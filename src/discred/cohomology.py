@@ -565,28 +565,22 @@ def stabilized_h2(gamma: FiniteGroup, Z: DiagonalizableGroup, module_at,
             Hs[k] = cohomology_group(Ms[k], 2, budget=budget)
         return Hs[k]
 
-    def inclusion(k):
-        return torsion_inclusion(Z, n ** k, n ** (k + 1))
-
     iso_flags = []
     images = {}
 
-    def image(k):
-        if k not in images:
-            images[k] = _image_subgroup(level(k), level(k + 1), inclusion(k))
-        return images[k]
+    def image(a, b):
+        """Image of the level-a H^2 in the level-b H^2."""
+        if (a, b) not in images:
+            images[a, b] = _image_subgroup(
+                level(a), level(b), torsion_inclusion(Z, n ** a, n ** b))
+        return images[a, b]
 
     def comparison_iso(k):
-        """Is the map image(k) -> image(k+1) an isomorphism?"""
-        s1, g1 = image(k)
-        s2, _ = image(k + 1)
-        if not s1.same_structure(s2):
-            return False
-        # push the image generators one more level and measure the order
-        Hk1, Hk2 = level(k + 1), level(k + 2)
-        pushed, _ = _span([_push_class(Hk1, Hk2, inclusion(k + 1), c)
-                           for c in g1], Hk2.group.invariant_factors)
-        return pushed.order() == s1.order()
+        """Is the map image(k, k+1) -> image(k+1, k+2) an isomorphism?
+        It lands on image(k, k+2), a subgroup of image(k+1, k+2), so it
+        is one exactly when the three orders agree."""
+        return (image(k, k + 1)[0].order() == image(k, k + 2)[0].order()
+                == image(k + 1, k + 2)[0].order())
 
     stable_at = None
     k = 1
@@ -605,7 +599,7 @@ def stabilized_h2(gamma: FiniteGroup, Z: DiagonalizableGroup, module_at,
             f"{tuple(Hs[j].order() for j in sorted(Hs))}")
 
     k_used = stable_at + 1
-    struct, gen_coords = image(stable_at)
+    struct, gen_coords = image(stable_at, k_used)
     tower_orders = tuple(Hs[j].order() for j in sorted(Hs))
     return StabilizedH2(struct, k_used, tuple(gen_coords), Ms[k_used],
                         level(k_used), tower_orders, tuple(iso_flags))

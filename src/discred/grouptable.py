@@ -12,6 +12,9 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, ValidationError
 
+# Largest group that ``from_generators`` and ``cyclic`` build.
+GROUP_CAP = 10000
+
 
 @dataclass(frozen=True)
 class FiniteGroup:
@@ -50,7 +53,7 @@ def validate_table(table, identity=None):
     Raises ValidationError naming the first violated axiom.
     """
     n = len(table)
-    table = tuple(tuple(int(x) for x in row) for row in table)
+    table = tuple(tuple(row) for row in table)
     if any(len(row) != n for row in table):
         raise ValidationError("multiplication table is not square")
     if any(x < 0 or x >= n for row in table for x in row):
@@ -82,53 +85,71 @@ def validate_table(table, identity=None):
     return FiniteGroup(n, table, identity, tuple(inverse))
 
 
-def from_generators(degree, perms, cap=10000):
+def closure(identity, gens, mul, cap, what):
+    """Breadth-first closure of ``identity`` under right multiplication by
+    ``gens``.
+
+    Elements are numbered in discovery order: the identity first, then
+    the products ``x * g`` for each element x in turn and each generator
+    g in input order.  Returns ``(elements, index, tree)`` with
+    ``index[x]`` the number of x and ``tree[i] = (parent, generator)``
+    the first product that reached element i (``tree[0]`` is None).
+    Raises BudgetExceededError when the closure outgrows ``cap``.
+    """
+    elements = [identity]
+    index = {identity: 0}
+    tree = [None]
+    for i, x in enumerate(elements):
+        for gi, g in enumerate(gens):
+            y = mul(x, g)
+            if y not in index:
+                if len(elements) >= cap:
+                    raise BudgetExceededError(
+                        f"{what} closure exceeds cap {cap}")
+                index[y] = len(elements)
+                elements.append(y)
+                tree.append((i, gi))
+    return elements, index, tree
+
+
+def from_generators(degree, perms):
     """Closure of permutation generators on {0..degree-1} as a table.
 
-    Elements are numbered by BFS from the identity, applying generators
-    in input order (canonical numbering).  Element 0 is the identity.
+    Elements are numbered by ``closure`` from the identity, applying
+    generators in input order (canonical numbering).  Element 0 is the
+    identity.
     """
-    gens = []
-    for p in perms:
-        p = tuple(int(x) for x in p)
-        if sorted(p) != list(range(degree)):
-            raise ValidationError("generator is not a permutation of the degree")
-        gens.append(p)
-    ident = tuple(range(degree))
-    elems = [ident]
-    index = {ident: 0}
+    gens = [tuple(p) for p in perms]
+    if any(sorted(p) != list(range(degree)) for p in gens):
+        raise ValidationError("generator is not a permutation of the degree")
+
+    def compose(e, g):
+        # right-multiply: e * g (composition, g applied first)
+        return tuple(e[k] for k in g)
+
+    elems, index, tree = closure(tuple(range(degree)), gens, compose,
+                                 GROUP_CAP, "group")
     words = [()]
-    frontier = [0]
-    while frontier:
-        new_frontier = []
-        for ei in frontier:
-            e = elems[ei]
-            for gi, g in enumerate(gens):
-                # right-multiply: e * g (composition, g applied first)
-                prod = tuple(e[g[k]] for k in range(degree))
-                if prod not in index:
-                    if len(elems) >= cap:
-                        raise BudgetExceededError(
-                            f"group closure exceeds cap {cap}")
-                    index[prod] = len(elems)
-                    elems.append(prod)
-                    words.append(words[ei] + (gi,))
-                    new_frontier.append(index[prod])
-        frontier = new_frontier
+    for parent, gi in tree[1:]:
+        words.append(words[parent] + (gi,))
     n = len(elems)
-    table = tuple(tuple(index[tuple(elems[i][elems[j][k]] for k in range(degree))]
-                        for j in range(n))
+    table = tuple(tuple(index[compose(elems[i], elems[j])] for j in range(n))
                   for i in range(n))
-    inverse = tuple(next(j for j in range(n) if table[i][j] == 0)
-                    for i in range(n))
+    inverse = tuple(row.index(0) for row in table)
     return FiniteGroup(n, table, 0, inverse, generator_words=tuple(words))
 
 
 def cyclic(n):
-    """Z/n as a table (identity 0, generator 1 when n > 1)."""
-    if n == 1:
-        return from_generators(1, [])
-    return from_generators(n, [tuple((i + 1) % n for i in range(n))])
+    """Z/n as a table: element i is the i-th power of the generator 1,
+    numbered as ``from_generators`` numbers an n-cycle."""
+    if n < 1:
+        raise ValidationError("cyclic order must be >= 1")
+    if n > GROUP_CAP:
+        raise BudgetExceededError(f"group closure exceeds cap {GROUP_CAP}")
+    table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+    inverse = tuple(-i % n for i in range(n))
+    words = tuple((0,) * i for i in range(n))
+    return FiniteGroup(n, table, 0, inverse, generator_words=words)
 
 
 def hom_check(f, src: FiniteGroup, dst: FiniteGroup) -> bool:
@@ -141,19 +162,10 @@ def hom_check(f, src: FiniteGroup, dst: FiniteGroup) -> bool:
 
 
 def subgroup_closure(G: FiniteGroup, seed):
-    """Element set of the subgroup generated by ``seed``."""
-    sub = {G.identity}
-    frontier = set(seed) | {G.identity}
-    while frontier:
-        nxt = set()
-        for x in frontier:
-            for y in list(sub) + list(frontier):
-                for z in (G.mul(x, y), G.mul(y, x), G.inv(x)):
-                    if z not in sub and z not in frontier and z not in nxt:
-                        nxt.add(z)
-        sub |= frontier
-        frontier = nxt
-    return frozenset(sub)
+    """Element set of the subgroup generated by ``seed`` (in a finite
+    group, the closure of the identity under right multiplication)."""
+    elems, _, _ = closure(G.identity, tuple(seed), G.mul, G.order, "subgroup")
+    return frozenset(elems)
 
 
 def generating_set(G: FiniteGroup):
@@ -267,36 +279,26 @@ def find_isomorphism(A: FiniteGroup, B: FiniteGroup):
         return None
 
     gens = generating_set(A)
+    elems, _, tree = closure(A.identity, gens, A.mul, A.order, "group")
 
     b_by_order = {}
     for y in range(B.order):
         b_by_order.setdefault(B.element_order(y), []).append(y)
 
-    def words_map(images):
-        """Extend generator images to a full map by closure; None on clash."""
-        f = {A.identity: B.identity}
-        frontier = [A.identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for gi, g in enumerate(gens):
-                    z = A.mul(x, g)
-                    fz = B.mul(f[x], images[gi])
-                    if z in f:
-                        if f[z] != fz:
-                            return None
-                    else:
-                        f[z] = fz
-                        nxt.append(z)
-            frontier = nxt
-        if len(f) != A.order or len(set(f.values())) != A.order:
+    def tree_map(images):
+        """Push generator images along the closure tree of A; None unless
+        the result is a bijective homomorphism."""
+        f = [None] * A.order
+        f[A.identity] = B.identity
+        for x, (parent, gi) in zip(elems[1:], tree[1:]):
+            f[x] = B.mul(f[elems[parent]], images[gi])
+        if len(set(f)) != A.order:
             return None
-        fl = [f[x] for x in range(A.order)]
-        return fl if hom_check(fl, A, B) else None
+        return f if hom_check(f, A, B) else None
 
     def backtrack(i, images):
         if i == len(gens):
-            return words_map(images)
+            return tree_map(images)
         for y in b_by_order.get(A.element_order(gens[i]), []):
             res = backtrack(i + 1, images + [y])
             if res is not None:

@@ -11,9 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abgroup import DiagonalizableGroup, FGAbelianGroup
-from .errors import BudgetExceededError, InternalCheckError, ValidationError
+from .errors import InternalCheckError, ValidationError
 from .exactlin import (IntegerSolver, IntMatrix, cokernel_presentation,
                        column_lattice_basis, kernel_basis)
+from .grouptable import closure
+
+# Largest Weyl group that ``weyl_generate`` enumerates.
+WEYL_CAP = 100000
 
 
 @dataclass(frozen=True)
@@ -23,10 +27,8 @@ class RootDatum:
     coroots: tuple    # tuple of integer vectors in X_* coordinates, bijective
 
     def __post_init__(self):
-        object.__setattr__(self, "roots",
-                           tuple(tuple(int(x) for x in r) for r in self.roots))
-        object.__setattr__(self, "coroots",
-                           tuple(tuple(int(x) for x in r) for r in self.coroots))
+        object.__setattr__(self, "roots", tuple(map(tuple, self.roots)))
+        object.__setattr__(self, "coroots", tuple(map(tuple, self.coroots)))
 
     @property
     def nroots(self):
@@ -42,8 +44,7 @@ class BasedRootDatum:
     simple_indices: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "simple_indices",
-                           tuple(int(i) for i in self.simple_indices))
+        object.__setattr__(self, "simple_indices", tuple(self.simple_indices))
 
     @property
     def simple_roots(self):
@@ -173,27 +174,11 @@ def coreflection(datum: RootDatum, root_index: int) -> IntMatrix:
                                        for j in range(n)) for i in range(n)))
 
 
-def weyl_generate(based: BasedRootDatum, cap: int = 100000) -> WeylGroup:
-    """BFS closure of the simple reflections, deterministic element order."""
-    n = based.datum.rank
+def weyl_generate(based: BasedRootDatum) -> WeylGroup:
+    """Closure of the simple reflections, deterministic element order."""
     gens = tuple(reflection(based.datum, i) for i in based.simple_indices)
-    ident = IntMatrix.identity(n)
-    elems = [ident]
-    seen = {ident.entries: 0}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                p = w @ g
-                if p.entries not in seen:
-                    if len(elems) >= cap:
-                        raise BudgetExceededError(
-                            f"Weyl closure exceeds cap {cap}")
-                    seen[p.entries] = len(elems)
-                    elems.append(p)
-                    nxt.append(p)
-        frontier = nxt
+    elems, _, _ = closure(IntMatrix.identity(based.datum.rank), gens,
+                          IntMatrix.__matmul__, WEYL_CAP, "Weyl")
     return WeylGroup(tuple(elems), gens)
 
 

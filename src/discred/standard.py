@@ -9,8 +9,12 @@ from __future__ import annotations
 from .errors import ValidationError
 from .rootdatum import BasedRootDatum, RootDatum
 
+# Largest root system that ``from_simple`` closes before calling the
+# input a runaway.
+ROOT_CAP = 10000
 
-def from_simple(rank, simple_roots, simple_coroots, cap=10000) -> BasedRootDatum:
+
+def from_simple(rank, simple_roots, simple_coroots) -> BasedRootDatum:
     """Full root system generated from simple data by reflection closure.
 
     Raises ValidationError when the simple data do not generate a finite
@@ -41,7 +45,7 @@ def from_simple(rank, simple_roots, simple_coroots, cap=10000) -> BasedRootDatum
                     if pairs[r2] != c2:
                         raise ValidationError(
                             "inconsistent coroot transport during closure")
-                elif len(pairs) >= cap:
+                elif len(pairs) >= ROOT_CAP:
                     raise ValidationError("root system closure runaway")
                 else:
                     pairs[r2] = c2

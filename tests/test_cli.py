@@ -259,6 +259,34 @@ class TestGeneratorMatrixCount:
         assert code == 1 and "ad.matrices" in err
 
 
+class TestElementMatrixCount:
+    def test_wrong_count_rejected(self, capsys, tmp_path):
+        data = _gl2_swap()
+        data["ad"] = {"type": "elements", "matrices": [[[1, 0], [0, 1]]]}
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps(data))
+        for command in ("check", "classify"):
+            code, _, err = run(capsys, command, "--input", str(p))
+            assert code == 1 and "ad.matrices" in err and "(2)" in err
+            assert "Traceback" not in err
+
+    def test_one_matrix_per_element(self, capsys, tmp_path):
+        data = _gl2_swap()
+        data["ad"] = {"type": "elements",
+                      "matrices": [[[1, 0], [0, 1]], [[0, -1], [-1, 0]]]}
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps(data))
+        code, _, err = run(capsys, "classify", "--input", str(p))
+        assert code == 0, err
+
+
+class TestGroupCap:
+    def test_cyclic_over_cap_exits_2(self, capsys, tmp_path):
+        path = _problem_with(tmp_path, gamma={"type": "cyclic", "n": 100000})
+        code, _, err = run(capsys, "classify", "--input", path)
+        assert code == 2 and "group closure exceeds cap 10000" in err
+
+
 class TestStrictFields:
     @pytest.mark.parametrize("make", [_gl2_swap, lambda: _SL2_ROOTS,
                                       lambda: _SL2_PERMS])

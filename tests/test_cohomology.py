@@ -8,7 +8,7 @@ from discred.cohomology import (Cochain, cochain_sum, cohomology_group,
                                 differential, eckmann_check, gamma_module,
                                 is_cocycle, push_cochain, stabilized_h2,
                                 trivial_module)
-from discred.errors import ValidationError
+from discred.errors import BudgetExceededError, ValidationError
 from discred.exactlin import IntMatrix
 from discred.grouptable import cyclic, direct_product, from_generators
 
@@ -192,6 +192,35 @@ class TestTower:
                             lambda m: trivial_module(c2, torsion_at(Zg, m)))
         assert res.group.invariant_factors == (2,)
         assert set(res.tower_orders) == {2}
+
+
+def _trivial_tower(n, factors, max_k):
+    gamma = cyclic(n)
+    Zg = DiagonalizableGroup(0, Z(*factors))
+    return stabilized_h2(gamma, Zg,
+                         lambda m: trivial_module(gamma, torsion_at(Zg, m)),
+                         max_k=max_k)
+
+
+class TestTowerPinned:
+    """Tower results recorded from the comparison that pushed the image
+    generators one more level; the order comparison must agree."""
+
+    @pytest.mark.parametrize("n,factors,max_k,expected", [
+        (2, (8,), 6, ((2,), 4, (2,) * 6, (True, False, True), ((1,),))),
+        (2, (4,), 6, ((2,), 3, (2,) * 5, (False, True), ((1,),))),
+        (3, (9,), 6, ((3,), 3, (3,) * 5, (False, True), ((2,),))),
+        (2, (2, 8), 7, ((2, 2), 4, (4,) * 6, (True, False, True),
+                        ((1, 0), (0, 1)))),
+    ])
+    def test_trivial_towers(self, n, factors, max_k, expected):
+        res = _trivial_tower(n, factors, max_k)
+        assert (res.group, res.k_used, res.tower_orders, res.comparison_iso,
+                res.generator_coords) == (Z(*expected[0]),) + expected[1:]
+
+    def test_unstable_within_max_k(self):
+        with pytest.raises(BudgetExceededError, match="max_k=4"):
+            _trivial_tower(2, (8,), 4)
 
 
 class TestHelpers:

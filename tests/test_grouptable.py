@@ -1,10 +1,14 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from discred.errors import ValidationError
-from discred.grouptable import (cyclic, direct_product, find_isomorphism,
-                                from_generators, hom_check, is_normal,
-                                is_subgroup, quotient, semidirect_product,
-                                subgroup_closure, validate_table)
+from discred import grouptable
+from discred.errors import BudgetExceededError, ValidationError
+from discred.grouptable import (closure, cyclic, direct_product,
+                                find_isomorphism, from_generators, hom_check,
+                                is_normal, is_subgroup, quotient,
+                                semidirect_product, subgroup_closure,
+                                validate_table)
 
 
 def s3():
@@ -60,6 +64,87 @@ class TestGenerators:
         c = cyclic(6)
         assert c.order == 6
         assert c.element_order(1) == 6
+
+
+def _n_cycle(n):
+    return tuple((i + 1) % n for i in range(n))
+
+
+class TestClosure:
+    def test_tree_reaches_each_element(self):
+        g = s3()
+        gens = (1, 2)
+        elems, index, tree = closure(g.identity, gens, g.mul, g.order, "t")
+        assert sorted(elems) == list(range(6)) and elems[0] == g.identity
+        assert all(index[x] == i for i, x in enumerate(elems))
+        assert tree[0] is None
+        for i, (parent, gi) in enumerate(tree[1:], start=1):
+            assert parent < i and elems[i] == g.mul(elems[parent], gens[gi])
+
+    def test_cap_names_the_closure(self):
+        g = cyclic(5)
+        with pytest.raises(BudgetExceededError,
+                           match="thing closure exceeds cap 4"):
+            closure(g.identity, [1], g.mul, 4, "thing")
+        assert len(closure(g.identity, [1], g.mul, 5, "thing")[0]) == 5
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_cyclic_equals_n_cycle_closure(self, n):
+        direct, closed = cyclic(n), from_generators(n, [_n_cycle(n)])
+        for name in ("order", "table", "identity", "inverse",
+                     "generator_words"):
+            assert getattr(direct, name) == getattr(closed, name), name
+
+    def test_cyclic_over_cap_raises_before_work(self):
+        with pytest.raises(BudgetExceededError,
+                           match="group closure exceeds cap 10000"):
+            cyclic(10 ** 5)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_cyclic_order_below_one(self, n):
+        with pytest.raises(ValidationError):
+            cyclic(n)
+
+    def test_from_generators_over_cap(self):
+        # S8 has 40320 > 10000 elements
+        with pytest.raises(BudgetExceededError,
+                           match="group closure exceeds cap 10000"):
+            from_generators(8, [_n_cycle(8), (1, 0, 2, 3, 4, 5, 6, 7)])
+
+
+def _closure_under_products(G, seed):
+    """The subset of G generated by ``seed``: add every product of two
+    members until nothing new appears (finite, so inverses come free)."""
+    sub = {G.identity} | set(seed)
+    while True:
+        new = {G.mul(x, y) for x in sub for y in sub} - sub
+        if not new:
+            return frozenset(sub)
+        sub |= new
+
+
+_PERMUTATION_GROUPS = [
+    s3(), cyclic(6), direct_product(cyclic(2), cyclic(4)),
+    from_generators(4, [(1, 2, 3, 0), (1, 0, 2, 3)]),        # S4
+    from_generators(4, [(1, 2, 0, 3), (1, 0, 3, 2)]),        # A4
+    from_generators(5, [(1, 2, 3, 4, 0), (4, 3, 2, 1, 0)]),  # D5
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_subgroup_closure_is_closure_under_products(data):
+    G = data.draw(st.sampled_from(_PERMUTATION_GROUPS))
+    seed = data.draw(st.lists(st.integers(0, G.order - 1), max_size=3))
+    assert subgroup_closure(G, seed) == _closure_under_products(G, seed)
+
+
+def test_generating_set_spans():
+    for G in _PERMUTATION_GROUPS:
+        gens = grouptable.generating_set(G)
+        assert _closure_under_products(G, gens) == frozenset(range(G.order))
+        for i, x in enumerate(gens):
+            assert x not in _closure_under_products(G, gens[:i])
 
 
 class TestSubgroupsQuotients:

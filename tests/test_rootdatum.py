@@ -1,7 +1,7 @@
 import pytest
 
-from discred import standard
-from discred.errors import ValidationError
+from discred import rootdatum, standard
+from discred.errors import BudgetExceededError, ValidationError
 from discred.rootdatum import (BasedRootDatum, RootDatum, almost_product_check,
                                center, dynkin, positive_roots,
                                positive_systems, reflection, validate,
@@ -69,6 +69,13 @@ class TestWeyl:
 
     def test_torus_weyl_trivial(self):
         assert weyl_generate(standard.torus(2)).order == 1
+
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(rootdatum, "WEYL_CAP", 10)
+        with pytest.raises(BudgetExceededError,
+                           match="Weyl closure exceeds cap 10"):
+            weyl_generate(standard.d4_adjoint())
+        assert weyl_generate(standard.sl3()).order == 6
 
 
 class TestPositiveSystems:
