@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .abgroup import AbHom, torsion_at
@@ -32,6 +33,12 @@ class BRDAutomorphism:
         perm = tuple(self.simple_root_permutation[p]
                      for p in other.simple_root_permutation)
         return BRDAutomorphism(self.matrix @ other.matrix, perm)
+
+    @cached_property
+    def inverse_matrix(self) -> IntMatrix:
+        """T^{-1}, computed on first use and kept with the automorphism,
+        so every tower level reuses it."""
+        return inverse_unimodular(self.matrix)
 
     @classmethod
     def identity(cls, based: BasedRootDatum):
@@ -149,8 +156,7 @@ def induced_center_action(cd: CenterData, T: BRDAutomorphism, n: int) -> AbHom:
     """
     if n < 1:
         raise ValidationError("torsion level must be >= 1")
-    tinv = inverse_unimodular(T.matrix)
-    p_inv = cd.to_presented @ tinv @ cd.from_presented
+    p_inv = cd.to_presented @ T.inverse_matrix @ cd.from_presented
     M = p_inv.transpose()
     # character order per presented coordinate
     g = [gcd(d, n) if d >= 1 else n for d in cd.moduli]

@@ -91,16 +91,17 @@ def build_extension(M: GammaModule, c: Cochain) -> ExtensionModel:
     def idx(a, g):
         return pos[a] * n + g
 
-    order = len(elems) * n
+    # positions in elems: of a sum, of g.a, and of c(g1, g2)
+    add = [[pos[A.add(x, y)] for y in elems] for x in elems]
+    acted = [[pos[M.act(g, y)] for y in elems] for g in range(n)]
+    cval = [[pos[vals[(g1, g2)]] for g2 in range(n)] for g1 in range(n)]
     table = []
-    for i in range(order):
-        a1, g1 = elems[i // n], i % n
-        row = []
-        for j in range(order):
-            a2, g2 = elems[j // n], j % n
-            a = A.add(A.add(a1, M.act(g1, a2)), vals[(g1, g2)])
-            row.append(idx(a, M.gamma.mul(g1, g2)))
-        table.append(tuple(row))
+    for add_p1 in add:
+        for g1_row, acted_g1, c_g1 in zip(M.gamma.table, acted, cval):
+            table.append(tuple([add[add_p1[q]][c] * n + g2
+                                for q in acted_g1
+                                for c, g2 in zip(c_g1, g1_row)]))
+    order = len(table)
     group = validate_table(table, identity=idx(A.zero(), ident))
     embed = tuple(idx(e, ident) for e in elems)
     project = tuple(i % n for i in range(order))

@@ -1,11 +1,15 @@
+import json
+import os
+
 import pytest
 
-from discred import standard
+from discred import autbrd, exactlin, standard
 from discred.abgroup import AbHom, torsion_at
 from discred.autbrd import (BRDAutomorphism, ad_from_generator_images,
                             brd_automorphism, diagram_automorphisms,
                             induced_center_action, is_brd_automorphism,
                             trivial_ad, validate_ad)
+from discred.cli import main
 from discred.errors import ValidationError
 from discred.exactlin import IntMatrix
 from discred.grouptable import cyclic, from_generators
@@ -122,3 +126,35 @@ class TestAdHom:
         assert validate_ad(based, ad) is None
         perms = {a.simple_root_permutation for a in ad.images}
         assert len(perms) == 6
+
+
+class TestInverseOncePerElement:
+    def test_inverse_matrix(self):
+        based = standard.d4_adjoint()
+        cyc = [[0, 0, 0, 1], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0]]
+        T = brd_automorphism(based, IntMatrix.from_rows(cyc, cols=4))
+        assert (T.matrix @ T.inverse_matrix).entries == \
+            IntMatrix.identity(4).entries
+        assert T.inverse_matrix is T.inverse_matrix
+
+    def test_d4_triality_classify_smith_forms(self, monkeypatch, capsys):
+        """Each of the six ad images is inverted once for the whole
+        tower, not once per tower level: 12 Smith forms in all, where
+        inverting at each of the four levels took 30."""
+        counts = {"smith_normal_form": 0, "inverse_unimodular": 0}
+
+        def counting(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(exactlin, "smith_normal_form")
+        counting(autbrd, "inverse_unimodular")
+        problem = os.path.join(os.path.dirname(__file__), os.pardir, "src",
+                               "discred", "problems", "d4_adjoint_s3.json")
+        assert main(["classify", "--input", problem, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["tower_orders"]
+        assert counts == {"smith_normal_form": 12, "inverse_unimodular": 6}

@@ -1,9 +1,15 @@
+import io
 import json
 import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discred.cli import main
+from discred.grouptable import cyclic, from_generators
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "src",
                         "discred", "problems")
@@ -305,3 +311,106 @@ class TestStrictFields:
             code, _, err = run(capsys, command, "--input", str(p))
             assert code == 1 and field in err
             assert "Traceback" not in err
+
+
+# Fuzzing: mutated bundled problem files, run in process.
+
+_COMMANDS = ("check", "center", "weyl", "dynkin", "classify")
+_BUNDLED = sorted(f for f in os.listdir(PROBLEMS) if f.endswith(".json"))
+_JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-3, 6),
+                         st.floats(-3, 6, allow_nan=False),
+                         st.text(max_size=3))
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner,
+                                            max_size=3)),
+    max_leaves=6)
+_FUZZ_GROUPS = [cyclic(n) for n in range(1, 7)] + [
+    from_generators(3, [(1, 0, 2), (1, 2, 0)]),                      # S3
+    from_generators(4, [(1, 0, 3, 2), (2, 3, 0, 1)]),                # V4
+]
+
+
+def _paths(node, path=()):
+    """Every path into a JSON document, the root excluded."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        items = []
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def _gamma_tables(draw):
+    """Square tables of three kinds: random entries (some out of range);
+    a two-sided identity and inverses but random otherwise, so that only
+    associativity can fail; relabeled group tables with up to two
+    entries changed."""
+    kind = draw(st.sampled_from(["random", "identity", "group"]))
+    if kind != "group":
+        n = draw(st.integers(1, 5))
+        low, high = (-1, n) if kind == "random" else (0, n - 1)
+        table = [draw(st.lists(st.integers(low, high), min_size=n,
+                               max_size=n)) for _ in range(n)]
+        if kind == "identity":
+            for x in range(n):
+                table[0][x] = table[x][0] = x
+                y = draw(st.integers(1, n - 1)) if x else 0
+                table[x][y] = table[y][x] = 0
+        return table
+    G = draw(st.sampled_from(_FUZZ_GROUPS))
+    perm = draw(st.permutations(range(G.order)))
+    table = [[None] * G.order for _ in range(G.order)]
+    for a in range(G.order):
+        for b in range(G.order):
+            table[perm[a]][perm[b]] = perm[G.mul(a, b)]
+    for _ in range(draw(st.integers(0, 2))):
+        a = draw(st.integers(0, G.order - 1))
+        b = draw(st.integers(0, G.order - 1))
+        table[a][b] = draw(st.integers(0, G.order - 1))
+    return table
+
+
+@st.composite
+def _mutated_problems(draw):
+    """A bundled problem, with gamma replaced by a table (and ad made
+    trivial, or left as it was) and/or values replaced or deleted
+    anywhere in the file."""
+    with open(problem(draw(st.sampled_from(_BUNDLED)))) as fh:
+        data = json.load(fh)
+    as_table = draw(st.booleans())
+    if as_table:
+        data["gamma"] = {"type": "table", "table": draw(_gamma_tables())}
+        if draw(st.booleans()):
+            data["ad"] = {"type": "trivial"}
+    for _ in range(draw(st.integers(0 if as_table else 1, 2))):
+        path = draw(st.sampled_from(list(_paths(data))))
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(_JSON_VALUES)
+    return data
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(data=_mutated_problems(), command=st.sampled_from(_COMMANDS),
+           fmt=st.sampled_from(["text", "json"]))
+    def test_exit_code_and_no_traceback(self, data, command, fmt):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "problem.json")
+            with open(path, "w") as fh:
+                json.dump(data, fh)
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([command, "--input", path, "--format", fmt])
+        assert code in (0, 1, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()

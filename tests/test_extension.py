@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discred import standard
 from discred.abgroup import AbHom, DiagonalizableGroup, FGAbelianGroup
@@ -12,7 +16,7 @@ from discred.extension import (DisconnectedGroupDescriptor, build_extension,
                                extensions_equivalent, extract_cocycle,
                                pushout, quotient_mod_center)
 from discred.grouptable import (cyclic, direct_product, find_isomorphism,
-                                from_generators)
+                                from_generators, semidirect_product)
 
 
 def Z(*f):
@@ -276,3 +280,139 @@ class TestClassify:
         ad = ad_from_generator_images(based, cyclic(3), [[[0, 1], [1, 0]]])
         with pytest.raises(ValidationError):
             classify(based, ad)
+
+
+# Row-wise table builders against per-entry reference formulas.
+
+def _per_entry_semidirect(N, H, act):
+    nh = H.order
+    n = N.order * nh
+    return tuple(tuple(N.mul(i // nh, act[i % nh][j // nh]) * nh
+                       + H.mul(i % nh, j % nh) for j in range(n))
+                 for i in range(n))
+
+
+def _per_entry_extension(M, c):
+    A, n = M.coeff, M.gamma.order
+    elems = A.elements()
+    pos = {e: i for i, e in enumerate(elems)}
+    vals = {k: A.reduce(v) for k, v in c.values}
+    order = len(elems) * n
+    return tuple(tuple(
+        pos[A.add(A.add(elems[i // n], M.act(i % n, elems[j // n])),
+                  vals[(i % n, j % n)])] * n + M.gamma.mul(i % n, j % n)
+        for j in range(order)) for i in range(order))
+
+
+def _s3():
+    return from_generators(3, [(1, 0, 2), (1, 2, 0)])
+
+
+def _dihedral(order):
+    m = order // 2
+    return from_generators(m, [tuple((i + 1) % m for i in range(m)),
+                               tuple(-i % m for i in range(m))])
+
+
+def _sign(gamma, g):
+    """-1 at g under the sign character of a cyclic group of even order
+    or of S3 (transpositions); +1 otherwise.  Not a character of every
+    group (D8, for one)."""
+    if not gamma.is_abelian():
+        return -1 if gamma.element_order(g) == 2 else 1
+    return -1 if gamma.order % 2 == 0 and g % 2 else 1
+
+
+def _sign_module(gamma, a, inv):
+    """Z/a with trivial action, or acting by inversion through the sign."""
+    A = Z(a)
+    neg = AbHom(A, A, IntMatrix.from_rows([[a - 1]], cols=1))
+    return gamma_module(gamma, A, [neg if inv and _sign(gamma, g) < 0
+                                   else AbHom.identity(A)
+                                   for g in range(gamma.order)])
+
+
+def _cyclic_central(G, a):
+    """k -> z^k for a central z of order a."""
+    z = next(x for x in range(G.order) if G.element_order(x) == a
+             and all(G.mul(x, y) == G.mul(y, x) for y in range(G.order)))
+    emb = [G.identity]
+    for _ in range(a - 1):
+        emb.append(G.mul(emb[-1], z))
+    return tuple(emb)
+
+
+class TestRowWiseBuilders:
+    """Pushout shapes of the extension-model benchmark: (G, |A|, gamma,
+    gamma acting on G and A by inversion through the sign)."""
+
+    SHAPES = [(_dihedral(8), 2, cyclic(4), False),
+              (cyclic(8), 2, _s3(), True),
+              (cyclic(8), 4, cyclic(4), True),
+              (cyclic(12), 2, cyclic(6), True)]
+
+    @pytest.mark.parametrize("shape", range(len(SHAPES)))
+    def test_pushout_tables(self, shape):
+        G, a, gamma, inv = self.SHAPES[shape]
+        M = _sign_module(gamma, a, inv)
+        z = _cyclic_central(G, a)
+        act = [tuple(G.inv(x) for x in range(G.order))
+               if inv and _sign(gamma, g) < 0 else tuple(range(G.order))
+               for g in range(gamma.order)]
+        H = cohomology_group(M, 2)
+        assert H.group.order() >= 2
+        for coords in itertools.product(
+                *(range(f) for f in H.group.invariant_factors)):
+            c = H.class_representative(coords)
+            model = build_extension(M, c)
+            assert model.group.table == _per_entry_extension(M, c)
+            push = pushout(G, z, act, model)
+            act2 = [act[model.project[e]] for e in range(model.group.order)]
+            assert push.semidirect.table == _per_entry_semidirect(
+                G, model.group, act2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_extensions(self, data):
+        gamma = data.draw(st.sampled_from(
+            [cyclic(2), cyclic(3), cyclic(4), _s3(),
+             direct_product(cyclic(2), cyclic(2))]))
+        M = _sign_module(gamma, data.draw(st.integers(2, 4)),
+                         data.draw(st.booleans()))
+        H = cohomology_group(M, 2)
+        coords = [data.draw(st.integers(0, f - 1))
+                  for f in H.group.invariant_factors]
+        c = H.class_representative(coords).as_dict()
+        # add the coboundary of a random normalized 1-cochain b
+        q = M.coeff.invariant_factors[0]
+        b = [(0,)] + [(data.draw(st.integers(0, q - 1)),)
+                      for _ in range(gamma.order - 1)]
+        db = {(g1, g2): M.coeff.add(M.coeff.sub(M.act(g1, b[g2]),
+                                                b[gamma.mul(g1, g2)]), b[g1])
+              for g1 in range(gamma.order) for g2 in range(gamma.order)}
+        c = Cochain.from_map(2, {k: M.coeff.add(v, db[k])
+                                 for k, v in c.items()})
+        model = build_extension(M, c)
+        assert model.group.table == _per_entry_extension(M, c)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_semidirect_products(self, data):
+        groups = [cyclic(2), cyclic(3), cyclic(4), cyclic(6), _s3(),
+                  _dihedral(8), direct_product(cyclic(2), cyclic(2))]
+        N = data.draw(st.sampled_from(groups))
+        H = data.draw(st.sampled_from(groups))
+        kind = data.draw(st.sampled_from(["trivial", "sign", "conjugation"]))
+        if kind == "conjugation":
+            H = N
+            act = [tuple(N.mul(N.mul(h, x), N.inv(h)) for x in range(N.order))
+                   for h in range(N.order)]
+        elif kind == "sign" and N.is_abelian() and all(
+                _sign(H, H.mul(x, y)) == _sign(H, x) * _sign(H, y)
+                for x in range(H.order) for y in range(H.order)):
+            act = [tuple(N.inv(x) if _sign(H, h) < 0 else x
+                         for x in range(N.order)) for h in range(H.order)]
+        else:
+            act = [tuple(range(N.order))] * H.order
+        assert semidirect_product(N, H, act).table == \
+            _per_entry_semidirect(N, H, act)

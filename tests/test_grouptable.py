@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -208,3 +210,190 @@ class TestIsomorphism:
         c3, c2 = cyclic(3), cyclic(2)
         triv = semidirect_product(c3, c2, (tuple(range(3)), tuple(range(3))))
         assert find_isomorphism(triv, cyclic(6)) is not None
+
+
+def _first_failing_axiom(table):
+    """The first group axiom a square table (entries in range) violates,
+    by direct search over every element, pair and triple: "identity",
+    "inverse", "associativity", or None for a group table."""
+    n = len(table)
+    identity = next((e for e in range(n)
+                     if all(table[e][x] == x == table[x][e]
+                            for x in range(n))), None)
+    if identity is None:
+        return "identity"
+    if not all(any(table[x][y] == identity == table[y][x] for y in range(n))
+               for x in range(n)):
+        return "inverse"
+    if any(table[table[a][b]][c] != table[a][table[b][c]]
+           for a in range(n) for b in range(n) for c in range(n)):
+        return "associativity"
+    return None
+
+
+def _relabel(table, perm):
+    """The same magma with element x renamed perm[x]."""
+    n = len(table)
+    out = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[perm[a]][perm[b]] = perm[table[a][b]]
+    return out
+
+
+@st.composite
+def _tables_with_identity_and_inverses(draw, max_order=8, relabel=True):
+    """Random tables with a two-sided identity e (element 0 unless
+    ``relabel``) and, for every x, some y with xy = yx = e; almost never
+    associative."""
+    n = draw(st.integers(1, max_order))
+    e = draw(st.integers(0, n - 1)) if relabel else 0
+    table = [draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+             for _ in range(n)]
+    for x in range(n):
+        table[e][x] = table[x][e] = x
+    others = [x for x in range(n) if x != e]
+    for x in others:
+        y = draw(st.sampled_from(others))
+        table[x][y] = table[y][x] = e
+    return table
+
+
+@st.composite
+def _products_with_cyclic(draw):
+    """C_m x T, T a random table with identity 0 and inverses, with
+    (t, k) at index t * m + k.  The greedy generating set then starts
+    with the generator of C_m, which associates with everything, so
+    only the later generators can find a failing triple."""
+    m = draw(st.integers(2, 4))
+    T = draw(_tables_with_identity_and_inverses(max_order=8 // m,
+                                                relabel=False))
+    n = m * len(T)
+    return [[T[a // m][b // m] * m + (a + b) % m for b in range(n)]
+            for a in range(n)]
+
+
+@st.composite
+def _random_loops(draw):
+    """Random loops of order <= 7 (Latin squares with a two-sided
+    identity), filled by randomized backtracking, then relabeled."""
+    n = draw(st.integers(1, 7))
+    rnd = draw(st.randoms(use_true_random=False))
+    table = [[None] * n for _ in range(n)]
+    for x in range(n):
+        table[0][x] = table[x][0] = x
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        free = [v for v in range(n) if v not in table[i]
+                and all(table[r][j] != v for r in range(n))]
+        rnd.shuffle(free)
+        for v in free:
+            table[i][j] = v
+            if fill(k + 1):
+                return True
+        table[i][j] = None
+        return False
+
+    assert fill(0)
+    return _relabel(table, draw(st.permutations(range(n))))
+
+
+_SMALL_GROUPS = [g for g in _PERMUTATION_GROUPS if g.order <= 8] + [
+    cyclic(1), cyclic(5), cyclic(8),
+    from_generators(4, [(1, 2, 3, 0), (3, 2, 1, 0)]),                # D4
+    from_generators(8, [(1, 2, 3, 0, 5, 6, 7, 4),
+                        (4, 7, 6, 5, 2, 1, 0, 3)]),                  # Q8
+    from_generators(6, [(1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5),
+                        (0, 1, 2, 3, 5, 4)]),                        # C2^3
+]
+
+
+@st.composite
+def _perturbed_group_tables(draw):
+    """Group tables of order <= 8, relabeled, with zero, one or two
+    entries changed."""
+    G = draw(st.sampled_from(_SMALL_GROUPS))
+    n = G.order
+    table = _relabel(G.table, draw(st.permutations(range(n))))
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        table[a][b] = draw(st.integers(0, n - 1))
+    return table
+
+
+class TestLightsTest:
+    """validate_table (Light's test over a generating set) accepts and
+    rejects exactly the tables a direct O(n^3) search does."""
+
+    def _agrees(self, table):
+        expected = _first_failing_axiom(table)
+        try:
+            G = validate_table(table)
+        except ValidationError as e:
+            msg = str(e)
+            assert expected is not None, msg
+            assert expected in msg, msg
+            if expected == "associativity":
+                a, s, c = map(int, re.search(
+                    r"triple \((\d+), (\d+), (\d+)\)", msg).groups())
+                assert table[table[a][s]][c] != table[a][table[s][c]]
+            return expected
+        assert expected is None
+        assert G.table == tuple(map(tuple, table))
+        assert all(G.mul(x, G.inv(x)) == G.identity == G.mul(G.inv(x), x)
+                   for x in range(G.order))
+        return expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=_tables_with_identity_and_inverses())
+    def test_tables_with_identity_and_inverses(self, table):
+        self._agrees(table)
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=_products_with_cyclic())
+    def test_products_with_cyclic(self, table):
+        self._agrees(table)
+
+    @settings(max_examples=80, deadline=None)
+    @given(table=_random_loops())
+    def test_random_loops(self, table):
+        self._agrees(table)
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=_perturbed_group_tables())
+    def test_perturbed_group_tables(self, table):
+        self._agrees(table)
+
+    def test_failure_only_at_second_generator(self):
+        # identity 1, every element its own inverse; the generating set
+        # is [0, 2], 0 associates with everything and 2 does not
+        table = [[1, 0, 3, 2], [0, 1, 2, 3], [3, 2, 1, 2], [2, 3, 2, 1]]
+        unchecked = grouptable.FiniteGroup(4, tuple(map(tuple, table)), 1,
+                                           (0, 1, 2, 3))
+        assert grouptable.generating_set(unchecked) == [0, 2]
+        assert _first_failing_axiom(table) == "associativity"
+        assert all(table[table[a][0]][c] == table[a][table[0][c]]
+                   for a in range(4) for c in range(4))
+        with pytest.raises(ValidationError,
+                           match=r"associativity fails at triple \(\d+, 2, "):
+            validate_table(table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_hom_check_matches_every_pair(data):
+    src = data.draw(st.sampled_from(_SMALL_GROUPS))
+    dst = data.draw(st.sampled_from(_SMALL_GROUPS))
+    if data.draw(st.booleans()):   # a homomorphism: through the trivial map
+        f = [dst.identity] * src.order
+    else:
+        f = data.draw(st.lists(st.integers(0, dst.order - 1),
+                               min_size=src.order, max_size=src.order))
+    expected = all(f[src.mul(x, y)] == dst.mul(f[x], f[y])
+                   for x in range(src.order) for y in range(src.order))
+    assert hom_check(f, src, dst) == expected
+    assert hom_check(list(range(src.order)), src, src)
