@@ -149,7 +149,6 @@ def _parse_ad(data, based, gamma) -> AdHom:
             raise ValidationError(f"unknown ad type {kind!r}")
     except (KeyError, TypeError, ValueError) as e:
         raise ValidationError(f"malformed ad section: {e}")
-    require_valid_ad(based, ad)
     return ad
 
 
@@ -199,7 +198,7 @@ def cmd_check(args):
     data = load_problem(args.input)
     based = _parse_based(data)
     gamma = _parse_gamma(data)
-    _parse_ad(data, based, gamma)
+    require_valid_ad(based, _parse_ad(data, based, gamma))
     report = {"command": "check", "ok": True,
               "problem": data.get("name"),
               "rank": based.datum.rank,

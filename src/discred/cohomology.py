@@ -384,6 +384,16 @@ class CohomologyClass:
     group_structure: FGAbelianGroup
 
 
+def require_within_budget(n: int, t: int, p: int, budget: int):
+    """Raise BudgetExceededError when the full bar differential of H^p,
+    for |Gamma| = n and t coefficient coordinates, has more than
+    ``budget`` entries (n^p t x n^(p+1) t)."""
+    cols, rows = n ** p * t, n ** (p + 1) * t
+    if cols * max(rows, 1) > budget:
+        raise BudgetExceededError(
+            f"cochain problem size {cols}x{rows} exceeds budget {budget}")
+
+
 def cohomology_group(M: GammaModule, p: int, budget: int = 2_000_000) -> CohomologyGroup:
     """H^p(Gamma, A) by exact integer linear algebra on normalized
     cochains.
@@ -396,11 +406,8 @@ def cohomology_group(M: GammaModule, p: int, budget: int = 2_000_000) -> Cohomol
     """
     if p not in (0, 1, 2):
         raise ValidationError("cohomology supported only in degrees 0..2")
-    n, t = M.gamma.order, M.coeff.ncoords
-    cols, rows = n ** p * t, n ** (p + 1) * t
-    if cols * max(rows, 1) > budget:
-        raise BudgetExceededError(
-            f"cochain problem size {cols}x{rows} exceeds budget {budget}")
+    t = M.coeff.ncoords
+    require_within_budget(M.gamma.order, t, p, budget)
     space = _Space(M, p)
     if space.dim == 0 or M.coeff.order() == 1:
         return CohomologyGroup(M, p, FGAbelianGroup(0, ()), space,

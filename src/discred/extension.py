@@ -20,12 +20,12 @@ from dataclasses import dataclass
 from .abgroup import DiagonalizableGroup, FGAbelianGroup, torsion_at
 from .autbrd import AdHom, induced_center_action
 from .cohomology import (Cochain, CohomologyGroup, GammaModule, cochain_sum,
-                         cohomology_group, gamma_module, stabilized_h2)
+                         cohomology_group, gamma_module,
+                         require_within_budget, stabilized_h2)
 from .errors import InternalCheckError, ValidationError
-from .grouptable import (FiniteGroup, find_isomorphism, hom_check, is_normal,
-                         quotient, semidirect_product, validate_table)
-from .rootdatum import BasedRootDatum, center_data
-from .rootdatum import validate_based as _validate_based
+from .grouptable import (FiniteGroup, find_isomorphism, hom_check, quotient,
+                         semidirect_product, validate_table)
+from .rootdatum import BasedRootDatum, center_data, require_valid_based
 
 
 def cocycle_witness(M: GammaModule, c: Cochain):
@@ -63,9 +63,9 @@ def build_extension(M: GammaModule, c: Cochain) -> ExtensionModel:
     """Group law on A x Gamma from a normalized 2-cocycle.
 
     (a1, g1)(a2, g2) = (a1 + g1.a2 + c(g1, g2), g1 g2).  Raises with the
-    failing triple when c is not a cocycle (= the law is not associative)
-    and rejects non-normalized cochains, whose law has no identity at
-    (0, 1).
+    failing triple when c is not a cocycle (the table check: the law's
+    associator is dc) and rejects non-normalized cochains, whose law has
+    no identity at (0, 1).
     """
     ident = M.gamma.identity
     vals = {k: M.coeff.reduce(v) for k, v in c.values}
@@ -78,11 +78,6 @@ def build_extension(M: GammaModule, c: Cochain) -> ExtensionModel:
     if any(vals[k] != M.coeff.zero() for k in vals if ident in k):
         raise ValidationError("cochain is not normalized: c vanishes on "
                               "neither all (1, g) nor all (g, 1)")
-    w = cocycle_witness(M, c)
-    if w is not None:
-        raise ValidationError(
-            f"not a 2-cocycle, so the twisted law is not associative; "
-            f"witness triple {w}")
     A = M.coeff
     elems = A.elements()
     pos = {e: i for i, e in enumerate(elems)}
@@ -102,7 +97,16 @@ def build_extension(M: GammaModule, c: Cochain) -> ExtensionModel:
                                 for q in acted_g1
                                 for c, g2 in zip(c_g1, g1_row)]))
     order = len(table)
-    group = validate_table(table, identity=idx(A.zero(), ident))
+    try:
+        group = validate_table(table, identity=idx(A.zero(), ident))
+    except ValidationError:
+        w = cocycle_witness(M, c)
+        if w is None:
+            raise InternalCheckError(
+                "the twisted law of a 2-cocycle is not a group")
+        raise ValidationError(
+            f"not a 2-cocycle, so the twisted law is not associative; "
+            f"witness triple {w}")
     embed = tuple(idx(e, ident) for e in elems)
     project = tuple(i % n for i in range(order))
     section = tuple(idx(A.zero(), g) for g in range(n))
@@ -190,24 +194,24 @@ def pushout(G: FiniteGroup, z_embed, act, model: ExtensionModel) -> PushoutModel
     for i, x in enumerate(elems):
         if any(G.mul(zmap[x], g) != G.mul(g, zmap[x]) for g in range(G.order)):
             raise ValidationError(f"image of {x} is not central in G")
+
+    Et = model.group
+    act2 = tuple(tuple(act[model.project[e]]) for e in range(Et.order))
+    # checks each act[g] once; E~ element g = (0, g) is the first to carry
+    # act[g], so a rejection names g
+    sd = semidirect_product(G, Et, act2)
     for g in range(M.gamma.order):
-        if not hom_check(act[g], G, G) or sorted(act[g]) != list(range(G.order)):
-            raise ValidationError(f"act[{g}] is not an automorphism of G")
         for x in elems:
             if act[g][zmap[x]] != zmap[M.act(g, x)]:
                 raise ValidationError(
                     f"act[{g}] is not equivariant on the embedded center")
-
-    Et = model.group
-    act2 = tuple(tuple(act[model.project[e]]) for e in range(Et.order))
-    sd = semidirect_product(G, Et, act2)
     ne = Et.order
     anti = frozenset(G.inv(zmap[e]) * ne + model.embed[i]
                      for i, e in enumerate(elems))
-    normal = is_normal(sd, anti)
-    if not normal:
+    try:
+        E, coset_of = quotient(sd, anti)
+    except ValidationError:
         raise InternalCheckError("antidiagonal is not a normal subgroup")
-    E, coset_of = quotient(sd, anti)
     ident_coset = coset_of[sd.identity]
     kernel_ok = frozenset(i for i in range(sd.order)
                           if coset_of[i] == ident_coset) == anti
@@ -222,7 +226,7 @@ def pushout(G: FiniteGroup, z_embed, act, model: ExtensionModel) -> PushoutModel
             raise InternalCheckError("projection to gamma is not well-defined")
     if not hom_check(project, E, M.gamma):
         raise InternalCheckError("projection of the pushout is not a homomorphism")
-    checks = PushoutChecks(antidiagonal_is_normal=normal,
+    checks = PushoutChecks(antidiagonal_is_normal=True,
                            kernel_is_antidiagonal=kernel_ok,
                            order=E.order,
                            expected_order=G.order * M.gamma.order)
@@ -288,13 +292,14 @@ def classify(based: BasedRootDatum, ad: AdHom, max_k: int = 4,
     lexicographically smallest normalized cocycle, for every input."""
     from .autbrd import require_valid_ad
 
-    msg = _validate_based(based)
-    if msg is not None:
-        raise ValidationError(msg)
-    require_valid_ad(based, ad)
+    require_valid_based(based)
     gamma = ad.gamma
     cd = center_data(based.datum)
     Z = cd.group
+    # the coefficient rank is the same at every tower level n^k, k >= 1
+    require_within_budget(gamma.order, torsion_at(Z, gamma.order).ncoords,
+                          2, budget)
+    require_valid_ad(based, ad)
 
     def module_at(m):
         acts = tuple(induced_center_action(cd, ad.images[g], m)

@@ -258,7 +258,7 @@ def semidirect_product(N: FiniteGroup, H: FiniteGroup, act):
     for h in range(H.order):
         a = act[h]
         if a not in checked:
-            if not hom_check(a, N, N) or sorted(a) != list(elements):
+            if sorted(a) != list(elements) or not hom_check(a, N, N):
                 raise ValidationError(f"act[{h}] is not an automorphism")
             checked.add(a)
     if act[H.identity] != elements:

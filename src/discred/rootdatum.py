@@ -9,6 +9,7 @@ Degenerate data with no roots are legal and model tori.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .abgroup import DiagonalizableGroup, FGAbelianGroup
 from .errors import InternalCheckError, ValidationError
@@ -54,6 +55,29 @@ class BasedRootDatum:
     def simple_coroots(self):
         return tuple(self.datum.coroots[i] for i in self.simple_indices)
 
+    @cached_property
+    def defect(self):
+        """``validate_based``'s verdict, computed on first use and kept
+        with the datum."""
+        msg = validate(self.datum)
+        if msg is not None:
+            return msg
+        idx = self.simple_indices
+        if len(set(idx)) != len(idx) or any(i < 0 or i >= self.datum.nroots
+                                            for i in idx):
+            return "simple_indices is not a subset of the root indices"
+        # linear independence: the simple-root matrix has full column rank
+        if idx and kernel_basis(simple_matrix(self)):
+            return "simple roots are linearly dependent"
+        for b, coeffs in zip(self.datum.roots, express_in_simple(self)):
+            if coeffs is None:
+                return (f"root {b} is not an integer combination of the "
+                        f"simple roots")
+            if not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):
+                return (f"root {b} is neither positive nor negative "
+                        f"(coeffs {coeffs})")
+        return None
+
 
 @dataclass(frozen=True)
 class WeylGroup:
@@ -90,40 +114,31 @@ def validate(datum: RootDatum):
                     f"<{bv}, {b}> = {datum.pairing(bv, b)}")
     root_set = set(datum.roots)
     coroot_set = set(datum.coroots)
-    for k in range(datum.nroots):
-        s = reflection(datum, k)
+
+    def reflect(v, a, av):
+        """v - <av, v> a: the reflection, or with a and av swapped the
+        coreflection, at one root."""
+        m = datum.pairing(av, v)
+        return tuple(x - m * y for x, y in zip(v, a))
+
+    for k, (a, av) in enumerate(zip(datum.roots, datum.coroots)):
         for b in datum.roots:
-            if s.apply(b) not in root_set:
+            img = reflect(b, a, av)
+            if img not in root_set:
                 return (f"reflection at root {k} does not permute the roots "
-                        f"(image of {b} is {s.apply(b)})")
-        sv = coreflection(datum, k)
+                        f"(image of {b} is {img})")
         for bv in datum.coroots:
-            if sv.apply(bv) not in coroot_set:
+            img = reflect(bv, av, a)
+            if img not in coroot_set:
                 return (f"coreflection at root {k} does not permute the "
-                        f"coroots (image of {bv} is {sv.apply(bv)})")
+                        f"coroots (image of {bv} is {img})")
     return None
 
 
 def validate_based(based: BasedRootDatum):
-    """None when the based-datum invariants hold, else a message."""
-    msg = validate(based.datum)
-    if msg is not None:
-        return msg
-    idx = based.simple_indices
-    if len(set(idx)) != len(idx) or any(i < 0 or i >= based.datum.nroots
-                                        for i in idx):
-        return "simple_indices is not a subset of the root indices"
-    S = simple_matrix(based)
-    if len(idx) > 0:
-        # linear independence: the simple-root matrix must have full column rank
-        if len(kernel_basis(S)) > 0:
-            return "simple roots are linearly dependent"
-    for b, coeffs in zip(based.datum.roots, express_in_simple(based)):
-        if coeffs is None:
-            return f"root {b} is not an integer combination of the simple roots"
-        if not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):
-            return f"root {b} is neither positive nor negative (coeffs {coeffs})"
-    return None
+    """None when the based-datum invariants hold, else a message; checked
+    once per datum."""
+    return based.defect
 
 
 def require_valid_based(based: BasedRootDatum):
@@ -156,21 +171,6 @@ def reflection(datum: RootDatum, root_index: int) -> IntMatrix:
     bv = datum.coroots[root_index]
     n = datum.rank
     return IntMatrix(n, n, tuple(tuple(int(i == j) - b[i] * bv[j]
-                                       for j in range(n)) for i in range(n)))
-
-
-def coreflection(datum: RootDatum, root_index: int) -> IntMatrix:
-    """s_{beta^v} on X_*: ell -> ell - <ell, beta> beta^v.
-
-    Equals the inverse transpose (= transpose, both are involutions) of
-    ``reflection`` at the same root.
-    """
-    if not 0 <= root_index < datum.nroots:
-        raise ValidationError("root index out of range")
-    b = datum.roots[root_index]
-    bv = datum.coroots[root_index]
-    n = datum.rank
-    return IntMatrix(n, n, tuple(tuple(int(i == j) - bv[i] * b[j]
                                        for j in range(n)) for i in range(n)))
 
 

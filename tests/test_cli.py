@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from discred import autbrd, cohomology, extension, rootdatum
 from discred.cli import main
 from discred.grouptable import cyclic, from_generators
 
@@ -291,6 +292,41 @@ class TestGroupCap:
         path = _problem_with(tmp_path, gamma={"type": "cyclic", "n": 100000})
         code, _, err = run(capsys, "classify", "--input", path)
         assert code == 2 and "group closure exceeds cap 10000" in err
+
+
+def _count(monkeypatch, counts, module, name):
+    """Count the calls of ``module.name`` in ``counts[name]``."""
+    inner = getattr(module, name)
+    counts.setdefault(name, 0)
+
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+
+
+class TestOnceOnly:
+    def test_classify_validates_datum_and_ad_once(self, capsys, monkeypatch):
+        counts = {}
+        _count(monkeypatch, counts, rootdatum, "validate")
+        _count(monkeypatch, counts, autbrd, "validate_ad")
+        code, _, _ = run(capsys, "classify", "--input",
+                         problem("d4_adjoint_s3.json"), "--format", "json")
+        assert code == 0
+        assert counts == {"validate": 1, "validate_ad": 1}
+
+    def test_oversized_gamma_exits_before_ad_and_modules(
+            self, capsys, monkeypatch, tmp_path):
+        counts = {}
+        _count(monkeypatch, counts, autbrd, "validate_ad")
+        _count(monkeypatch, counts, cohomology, "gamma_module")
+        _count(monkeypatch, counts, extension, "gamma_module")
+        path = _problem_with(tmp_path, gamma={"type": "cyclic", "n": 40})
+        code, _, err = run(capsys, "classify", "--input", path)
+        assert code == 2 and "budget" in err
+        # the message of the gate inside cohomology_group
+        assert "cochain problem size 1600x64000 exceeds budget" in err
+        assert counts == {"validate_ad": 0, "gamma_module": 0}
 
 
 class TestStrictFields:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discred import standard
+from discred import extension, grouptable, standard
 from discred.abgroup import AbHom, DiagonalizableGroup, FGAbelianGroup
 from discred.autbrd import ad_from_generator_images, trivial_ad
 from discred.cohomology import (Cochain, cochain_sum, cohomology_group,
@@ -17,6 +17,17 @@ from discred.extension import (DisconnectedGroupDescriptor, build_extension,
                                pushout, quotient_mod_center)
 from discred.grouptable import (cyclic, direct_product, find_isomorphism,
                                 from_generators, semidirect_product)
+
+
+def counted(monkeypatch, module, name, calls):
+    """Replace ``module.name`` by a wrapper that appends its arguments to
+    ``calls``."""
+    inner = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return inner(*args)
+    monkeypatch.setattr(module, name, wrapper)
 
 
 def Z(*f):
@@ -224,6 +235,97 @@ class TestPushout:
         with pytest.raises(ValidationError, match="equivariant"):
             pushout(cyclic(8), (0, 2, 4, 6),
                     (tuple(range(8)), tuple(range(8))), model2)
+
+
+def _s3_sign_module():
+    s3 = from_generators(3, [(1, 0, 2), (1, 2, 0)])
+    a = Z(3)
+    neg = AbHom(a, a, IntMatrix.from_rows([[2]]))
+    # the transpositions, the elements of order 2, act by -1
+    sign = [neg if s3.element_order(g) == 2 else AbHom.identity(a)
+            for g in range(s3.order)]
+    return gamma_module(s3, a, sign)
+
+
+CHECK_MODULES = [
+    trivial_module(cyclic(3), Z(3)),
+    trivial_module(cyclic(4), Z(2)),
+    trivial_module(direct_product(cyclic(2), cyclic(2)), Z(2)),
+    gamma_module(cyclic(2), Z(4), (AbHom.identity(Z(4)),
+                                   AbHom(Z(4), Z(4),
+                                         IntMatrix.from_rows([[3]])))),
+    _s3_sign_module(),
+]
+
+
+@st.composite
+def _normalized_cochains(draw):
+    """A module and a normalized 2-cochain on it: a class representative
+    plus a random coboundary, with one value changed half of the time."""
+    M = draw(st.sampled_from(CHECK_MODULES))
+    n, A = M.gamma.order, M.coeff
+    elems = A.elements()
+    H = cohomology_group(M, 2)
+    rep = H.class_representative(
+        [draw(st.integers(0, f - 1)) for f in H.group.invariant_factors])
+    b = Cochain.from_map(1, {(g,): A.zero() if g == M.gamma.identity
+                             else draw(st.sampled_from(elems))
+                             for g in range(n)})
+    c = cochain_sum(A, [(1, rep), (1, differential(M, b))]).as_dict()
+    if n > 1 and draw(st.booleans()):
+        others = [g for g in range(n) if g != M.gamma.identity]
+        key = (draw(st.sampled_from(others)), draw(st.sampled_from(others)))
+        c[key] = draw(st.sampled_from(elems))
+    return M, Cochain.from_map(2, c)
+
+
+class TestOnceOnly:
+    """Each check on the extension-model path runs once."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_normalized_cochains())
+    def test_table_check_is_the_cocycle_check(self, case):
+        M, c = case
+        w = cocycle_witness(M, c)
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            counted(mp, extension, "cocycle_witness", calls)
+            if w is None:
+                build_extension(M, c)
+                assert calls == []
+            else:
+                with pytest.raises(ValidationError) as err:
+                    build_extension(M, c)
+                assert str(err.value).endswith(f"witness triple {w}")
+                assert len(calls) == 1
+
+    @pytest.mark.parametrize("cls", [0, 1])
+    def test_one_normality_test_per_pushout(self, monkeypatch, cls):
+        G, z, act, _, model = sl2_like_setup(cls)
+        calls = []
+        # every module that holds the function, as ``pushout`` once did
+        for module in (grouptable, extension):
+            if hasattr(module, "is_normal"):
+                counted(monkeypatch, module, "is_normal", calls)
+        push = pushout(G, z, act, model)
+        assert sum(args[0] is push.semidirect for args in calls) == 1
+        assert push.checks.antidiagonal_is_normal
+
+    @pytest.mark.parametrize("g", [0, 1])
+    @pytest.mark.parametrize("bad", [
+        (0, 0, 0, 0),         # not a bijection
+        (1, 2, 3, 0),         # a bijection, not a homomorphism
+        (0, 1, 2),            # too short
+        (0, 1, 2, 3, 0),      # too long
+        (0, 1, 2, 7),         # out of range
+    ])
+    def test_non_automorphism_named(self, g, bad):
+        G, z, act, _, model = sl2_like_setup(1)
+        act = list(act)
+        act[g] = bad
+        with pytest.raises(ValidationError,
+                           match=rf"act\[{g}\] is not an automorphism"):
+            pushout(G, z, tuple(act), model)
 
 
 class TestClassify:

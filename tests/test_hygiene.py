@@ -1,0 +1,42 @@
+"""Source hygiene: no module imports a name it never uses.
+
+The re-exports of ``discred/__init__.py`` are its purpose, so that file
+is exempt.
+"""
+
+import ast
+import os
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "discred")
+MODULES = sorted(f for f in os.listdir(SRC)
+                 if f.endswith(".py") and f != "__init__.py")
+
+
+def unused_imports(source):
+    """Names bound by an import in ``source`` that no expression reads."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    with open(os.path.join(SRC, module)) as fh:
+        assert unused_imports(fh.read()) == []
+
+
+def test_detects_leftovers():
+    source = ("from .grouptable import is_normal, quotient\n"
+              "from .rootdatum import validate_based as _validate_based\n"
+              "import itertools\n"
+              "quotient(None, None)\n")
+    assert unused_imports(source) == ["is_normal", "_validate_based",
+                                      "itertools"]

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discred import rootdatum, standard
 from discred.errors import BudgetExceededError, ValidationError
@@ -49,6 +51,71 @@ class TestValidation:
         # both roots of GL2 as "simple" roots: +/- pair is dependent
         based = BasedRootDatum(d, (0, 1))
         assert validate_based(based) is not None
+
+
+def matrix_validate(datum):
+    """``validate`` as it was with reflection matrices: the reflection at
+    each root and its transpose, the coreflection, applied to every root
+    and coroot.  The reference for the tuple formula."""
+    if len(datum.roots) != len(datum.coroots):
+        return "roots and coroots are not bijective (length mismatch)"
+    seen = set()
+    for k, (b, bv) in enumerate(zip(datum.roots, datum.coroots)):
+        if len(b) != datum.rank or len(bv) != datum.rank:
+            return f"root/coroot {k} has wrong length for rank {datum.rank}"
+        if b in seen:
+            return f"duplicate root {b}"
+        seen.add(b)
+        if datum.pairing(bv, b) != 2:
+            return (f"pairing <coroot, root> != 2 for pair {k}: "
+                    f"<{bv}, {b}> = {datum.pairing(bv, b)}")
+    for k in range(datum.nroots):
+        s = reflection(datum, k)
+        for b in datum.roots:
+            if s.apply(b) not in set(datum.roots):
+                return (f"reflection at root {k} does not permute the roots "
+                        f"(image of {b} is {s.apply(b)})")
+        sv = s.transpose()
+        for bv in datum.coroots:
+            if sv.apply(bv) not in set(datum.coroots):
+                return (f"coreflection at root {k} does not permute the "
+                        f"coroots (image of {bv} is {sv.apply(bv)})")
+    return None
+
+
+@st.composite
+def _perturbed(draw):
+    """A standard datum with one root or coroot entry changed, or one
+    root (with its coroot) dropped."""
+    datum = ALL_DATA[draw(st.sampled_from(sorted(ALL_DATA)))]().datum
+    roots, coroots = list(datum.roots), list(datum.coroots)
+    k = draw(st.integers(0, len(roots) - 1))
+    kind = draw(st.sampled_from(["root", "coroot", "drop"]))
+    if kind == "drop":
+        del roots[k], coroots[k]
+    else:
+        vecs = roots if kind == "root" else coroots
+        i = draw(st.integers(0, datum.rank - 1))
+        v = list(vecs[k])
+        v[i] += draw(st.integers(-3, 3).filter(bool))
+        vecs[k] = tuple(v)
+    return RootDatum(datum.rank, roots, coroots)
+
+
+class TestReflectionFormula:
+    """The tuple formula s(v) = v - <a^v, v> a in ``validate`` against the
+    reflection-matrix loop it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(ALL_DATA))
+    def test_standard_data(self, name):
+        datum = ALL_DATA[name]().datum
+        assert validate(datum) is None
+        assert matrix_validate(datum) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(_perturbed())
+    def test_perturbed_data(self, datum):
+        assert validate(datum) == matrix_validate(datum)
 
 
 class TestWeyl:
