@@ -19,7 +19,7 @@ from math import gcd
 from .abgroup import AbHom, torsion_at
 from .errors import InternalCheckError, ValidationError
 from .exactlin import IntegerSolver, IntMatrix, inverse_unimodular
-from .grouptable import FiniteGroup
+from .grouptable import FiniteGroup, generating_set
 from .rootdatum import (BasedRootDatum, CenterData, cartan_pairing,
                         simple_matrix)
 
@@ -222,7 +222,12 @@ def ad_from_element_images(based: BasedRootDatum, gamma: FiniteGroup,
 
 def validate_ad(based: BasedRootDatum, ad: AdHom):
     """None when ad is a homomorphism into the distinguished
-    automorphisms, else a message with a witness."""
+    automorphisms, else a message with a witness.
+
+    The homomorphism property is checked at the pairs (x, s) with s in a
+    generating set S: with Ad(1) = 1, Ad(x)Ad(y) = Ad(xy) for all x
+    follows by induction on the length of y as a word in S, as in
+    ``cohomology._cocycle_rows``."""
     gamma = ad.gamma
     if len(ad.images) != gamma.order:
         return "images are not total on gamma"
@@ -233,12 +238,13 @@ def validate_ad(based: BasedRootDatum, ad: AdHom):
     ident = ad.images[gamma.identity].matrix
     if ident.entries != IntMatrix.identity(based.datum.rank).entries:
         return "image of the identity is not the identity matrix"
+    gens = generating_set(gamma)
     for x in range(gamma.order):
-        for y in range(gamma.order):
-            lhs = ad.images[x].matrix @ ad.images[y].matrix
-            rhs = ad.images[gamma.mul(x, y)].matrix
+        for s in gens:
+            lhs = ad.images[x].matrix @ ad.images[s].matrix
+            rhs = ad.images[gamma.mul(x, s)].matrix
             if lhs.entries != rhs.entries:
-                return (f"homomorphism property fails at pair ({x}, {y}): "
+                return (f"homomorphism property fails at pair ({x}, {s}): "
                         f"Ad(x)Ad(y) != Ad(xy)")
     return None
 

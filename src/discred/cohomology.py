@@ -52,7 +52,9 @@ class GammaModule:
 
 def gamma_module(gamma: FiniteGroup, coeff: FGAbelianGroup, action) -> GammaModule:
     """Validated constructor: the action must be a homomorphism into
-    Aut(coeff)."""
+    Aut(coeff).  With the identity acting trivially it is one when
+    x.(s.a) = (xs).a for all x and all s in a generating set S, by
+    induction on word length in S (as in ``_cocycle_rows``)."""
     if not coeff.is_finite:
         raise ValidationError("coefficient group must be finite")
     action = tuple(action)
@@ -61,12 +63,13 @@ def gamma_module(gamma: FiniteGroup, coeff: FGAbelianGroup, action) -> GammaModu
     ident = action[gamma.identity]
     if not ident.equal_as_map(AbHom.identity(coeff)):
         raise ValidationError("action of the identity is not the identity")
+    gens = generating_set(gamma)
     for x in range(gamma.order):
-        for y in range(gamma.order):
-            lhs = action[x].compose(action[y])
-            if not lhs.equal_as_map(action[gamma.mul(x, y)]):
+        for s in gens:
+            lhs = action[x].compose(action[s])
+            if not lhs.equal_as_map(action[gamma.mul(x, s)]):
                 raise ValidationError(
-                    f"action is not a homomorphism at pair ({x}, {y})")
+                    f"action is not a homomorphism at pair ({x}, {s})")
     return GammaModule(gamma, coeff, action)
 
 
@@ -251,13 +254,13 @@ class CohomologyGroup:
     """H^p as a finite abelian group with normalized representative
     cocycles per canonical generator, stored as flat vectors."""
 
-    def __init__(self, module, degree, group, space, zsolver, pres, d_prev,
+    def __init__(self, module, degree, group, space, kernel, pres, d_prev,
                  gen_vecs):
         self.module = module
         self.degree = degree
         self.group = group
         self._space = space
-        self._zsolver = zsolver
+        self._kernel = kernel
         self._pres = pres
         self._d_prev = d_prev
         self._gen_vecs = tuple(gen_vecs)
@@ -287,7 +290,7 @@ class CohomologyGroup:
     def _coords_of_vec(self, vec):
         if self._space.dim == 0:
             return ()
-        x = self._zsolver.solve(vec)
+        x = self._kernel.coordinates(vec)
         if x is None:
             raise ValidationError("cochain is not a cocycle")
         y = self._pres.to_presented.apply(x)
@@ -401,8 +404,13 @@ def cohomology_group(M: GammaModule, p: int, budget: int = 2_000_000) -> Cohomol
     The cochain modules are lifted to Z with explicit modulus relations;
     cocycles are a congruence kernel cut out by the rows of
     ``_cocycle_rows``, coboundaries the image lattice of the normalized
-    d_{p-1}, and the quotient a cokernel presentation.  ``budget`` caps
-    the size of the full bar differential, n^p t x n^(p+1) t.
+    d_{p-1}, and the quotient a cokernel presentation.  Two Smith forms
+    in all: the congruence kernel's basis B = V diag(s) comes with
+    V^-1, so the coboundary generators get their coordinates
+    diag(s)^-1 V^-1 b in B without a second elimination (a modulus
+    relation q_i e_i is q_i times column i of V^-1), and the cokernel
+    keeps the inverse of its transform.  ``budget`` caps the size of the
+    full bar differential, n^p t x n^(p+1) t.
     """
     if p not in (0, 1, 2):
         raise ValidationError("cohomology supported only in degrees 0..2")
@@ -418,32 +426,28 @@ def cohomology_group(M: GammaModule, p: int, budget: int = 2_000_000) -> Cohomol
         [[(Q // space.mods[r % t]) * x for x in d_p.row(r)]
          for r in range(d_p.rows)],
         cols=space.dim)
-    zbasis = congruence_kernel_basis(scaled, Q)
-    zsolver = IntegerSolver(zbasis)
+    kernel = congruence_kernel_basis(scaled, Q)
 
-    # boundary generators: image of d_{p-1} plus the modulus relations
-    bnd_gens = []
+    # boundary generators in the cocycle basis: the image of d_{p-1},
+    # then the modulus relations q_i e_i
+    coords_rows = []
     d_prev = None
     if p > 0:
         d_prev = _diff_matrix(M, p - 1, space.tuples)
-        bnd_gens.extend(d_prev.col(j) for j in range(d_prev.cols))
-    for i, q in enumerate(space.mods):
-        bnd_gens.append(tuple(q if k == i else 0 for k in range(space.dim)))
-
-    coords_rows = []
-    for gen in bnd_gens:
-        x = zsolver.solve(gen)
-        if x is None:
-            raise InternalCheckError("boundary generator is not a cocycle")
-        coords_rows.append(x)
+        coords_rows.extend(kernel.coordinates(d_prev.col(j))
+                           for j in range(d_prev.cols))
+    coords_rows.extend(kernel.unit_coordinates(i, q)
+                       for i, q in enumerate(space.mods))
+    if None in coords_rows:
+        raise InternalCheckError("boundary generator is not a cocycle")
     pres = cokernel_presentation(IntMatrix.from_rows(coords_rows,
                                                      cols=space.dim))
     if pres.free_rank != 0:
         raise InternalCheckError("cohomology of a finite module came out infinite")
     group = FGAbelianGroup(0, pres.invariant_factors)
 
-    return CohomologyGroup(M, p, group, space, zsolver, pres, d_prev, [
-        space.reduce(zbasis.apply(pres.from_presented.col(pos)))
+    return CohomologyGroup(M, p, group, space, kernel, pres, d_prev, [
+        space.reduce(kernel.basis.apply(pres.from_presented.col(pos)))
         for pos, m in enumerate(pres.moduli) if m > 1])
 
 

@@ -4,6 +4,9 @@ Everything runs on Python's arbitrary-precision ints; intermediate entries
 of a Smith reduction may blow up well past machine words and that is fine.
 The Smith normal form is the single engine behind integer solving, kernel
 computation, and cokernel presentations used by the rest of the library.
+It keeps the inverses of its transforms as it goes, so each lattice job
+(a congruence kernel with coordinates in its basis, a cokernel with both
+presentation maps) reads everything from one elimination.
 
 Pivoting is deterministic: the smallest nonzero absolute value wins, ties
 broken by lowest (row, col) index, so decompositions are reproducible.
@@ -110,12 +113,16 @@ class IntMatrix:
 @dataclass(frozen=True)
 class SmithDecomposition:
     """U @ A @ V == D with U, V unimodular and D diagonal nonnegative,
-    each diagonal entry dividing the next."""
+    each diagonal entry dividing the next.  ``U_inv`` and ``V_inv`` are
+    the inverses of U and V; a transform the caller did not ask to keep
+    is None."""
 
-    U: IntMatrix
+    U: IntMatrix | None
     D: IntMatrix
-    V: IntMatrix
+    V: IntMatrix | None
     original_shape: tuple
+    U_inv: IntMatrix | None = None
+    V_inv: IntMatrix | None = None
 
     @property
     def diagonal(self):
@@ -131,61 +138,104 @@ class SmithDecomposition:
         return tuple(d for d in self.diagonal if d != 0)
 
 
-def smith_normal_form(A: IntMatrix, want_u: bool = True) -> SmithDecomposition:
-    """Smith normal form with transformation matrices.
+TRANSFORMS = ("U", "V", "U_inv", "V_inv")
 
-    ``want_u=False`` skips the bookkeeping for U (it is returned as the
-    identity); useful when only V and the diagonal are needed on a matrix
-    with many rows.
+
+def _submul(a, b, q):
+    """a - q * b, entrywise."""
+    return [x - q * y for x, y in zip(a, b)]
+
+
+def _eye(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _transposed(rows, n):
+    return IntMatrix(n, n, tuple(zip(*rows)))
+
+
+def _pivot(D, t, m, n):
+    """Position of the nonzero entry of least absolute value in the
+    submatrix D[t:, t:], the first in row-major order among equals, or
+    None when the submatrix is zero.  No entry beats an entry 1 found
+    first, so the scan stops there."""
+    best, piv = 0, None
+    for i in range(t, m):
+        row = D[i]
+        for j in range(t, n):
+            v = row[j]
+            if v:
+                a = v if v > 0 else -v
+                if piv is None or a < best:
+                    if a == 1:
+                        return i, j
+                    best, piv = a, (i, j)
+    return piv
+
+
+def smith_normal_form(A: IntMatrix, keep=("U", "V")) -> SmithDecomposition:
+    """Smith normal form with the transforms named in ``keep`` (any of
+    ``TRANSFORMS``); the others are not tracked and come back as None.
+
+    Each elementary operation on D is mirrored on the kept transforms
+    (Cohen, GTM 138, section 2.4): row_i -= q row_j on U is
+    col_j += q col_i on U^-1, and col_i -= q col_j on V is
+    row_j += q row_i on V^-1; swaps and negations act alike on both.
+    U^-1 and V are stored transposed, so every update is a row update.
     """
+    if not set(keep) <= set(TRANSFORMS):
+        raise ValidationError(f"unknown transform in {keep!r}")
     m, n = A.rows, A.cols
     D = [list(r) for r in A.entries]
-    U = [[int(i == j) for j in range(m)] for i in range(m)] if want_u else None
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
+    U = _eye(m) if "U" in keep else None
+    Ui_t = _eye(m) if "U_inv" in keep else None   # (U^-1)^T
+    V_t = _eye(n) if "V" in keep else None        # V^T
+    Vi = _eye(n) if "V_inv" in keep else None
+
+    def swap(M, i, j):
+        if M is not None:
+            M[i], M[j] = M[j], M[i]
 
     def swap_rows(i, j):
         D[i], D[j] = D[j], D[i]
-        if U is not None:
-            U[i], U[j] = U[j], U[i]
+        swap(U, i, j)
+        swap(Ui_t, i, j)
 
     def swap_cols(i, j):
         for row in D:
             row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
+        swap(V_t, i, j)
+        swap(Vi, i, j)
 
     def submul_row(i, j, q):
         # row_i -= q * row_j
-        Di, Dj = D[i], D[j]
-        for k in range(n):
-            Di[k] -= q * Dj[k]
+        D[i] = _submul(D[i], D[j], q)
         if U is not None:
-            Ui, Uj = U[i], U[j]
-            for k in range(m):
-                Ui[k] -= q * Uj[k]
+            U[i] = _submul(U[i], U[j], q)
+        if Ui_t is not None:
+            Ui_t[j] = _submul(Ui_t[j], Ui_t[i], -q)
 
     def submul_col(i, j, q):
         # col_i -= q * col_j
         for row in D:
             row[i] -= q * row[j]
-        for row in V:
-            row[i] -= q * row[j]
+        if V_t is not None:
+            V_t[i] = _submul(V_t[i], V_t[j], q)
+        if Vi is not None:
+            Vi[j] = _submul(Vi[j], Vi[i], -q)
 
     def negate_row(i):
         D[i] = [-x for x in D[i]]
         if U is not None:
             U[i] = [-x for x in U[i]]
+        if Ui_t is not None:
+            Ui_t[i] = [-x for x in Ui_t[i]]
 
     def clear(t):
         """Diagonalize position t; returns False when the remaining
         submatrix is zero."""
         while True:
-            piv = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    v = D[i][j]
-                    if v and (piv is None or abs(v) < abs(D[piv[0]][piv[1]])):
-                        piv = (i, j)
+            piv = _pivot(D, t, m, n)
             if piv is None:
                 return False
             if piv[0] != t:
@@ -229,19 +279,20 @@ def smith_normal_form(A: IntMatrix, want_u: bool = True) -> SmithDecomposition:
         if D[i][i] < 0:
             negate_row(i)
 
-    if U is None:
-        U = [[int(i == j) for j in range(m)] for i in range(m)]
     return SmithDecomposition(
-        U=IntMatrix(m, m, tuple(map(tuple, U))),
+        U=IntMatrix(m, m, tuple(map(tuple, U))) if U is not None else None,
         D=IntMatrix(m, n, tuple(map(tuple, D))),
-        V=IntMatrix(n, n, tuple(map(tuple, V))),
+        V=_transposed(V_t, n) if V_t is not None else None,
         original_shape=(m, n),
+        U_inv=_transposed(Ui_t, m) if Ui_t is not None else None,
+        V_inv=IntMatrix(n, n, tuple(map(tuple, Vi))) if Vi is not None else None,
     )
 
 
 def inverse_unimodular(M: IntMatrix) -> IntMatrix:
     """Exact inverse of a unimodular matrix (via its Smith form, which
-    is the identity, so M^-1 = V @ U)."""
+    is the identity, so M^-1 = V @ U).  For a transform of a Smith form,
+    keep its inverse from the same elimination instead."""
     snf = smith_normal_form(M)
     if snf.diagonal != tuple([1] * M.rows):
         raise ValidationError("matrix is not unimodular")
@@ -283,7 +334,7 @@ def solve_integer(A: IntMatrix, b):
 
 def kernel_basis(A: IntMatrix):
     """Basis (list of integer vectors) of the lattice {x : A @ x = 0}."""
-    snf = smith_normal_form(A, want_u=False)
+    snf = smith_normal_form(A, keep=("V",))
     diag = snf.diagonal
     basis = []
     for j in range(A.cols):
@@ -293,24 +344,52 @@ def kernel_basis(A: IntMatrix):
     return basis
 
 
-def congruence_kernel_basis(A: IntMatrix, q: int):
+@dataclass(frozen=True)
+class CongruenceKernel:
+    """A basis B = V diag(s) of a full-rank lattice, as columns, with
+    V^-1 from the same elimination: coordinates in B are
+    x = diag(s)^-1 V^-1 b, one product and no second elimination."""
+
+    basis: IntMatrix
+    scales: tuple
+    V_inv: IntMatrix
+
+    def coordinates(self, b):
+        """The unique x with B @ x = b, or None when b is not in the
+        lattice."""
+        if len(b) != self.basis.rows:
+            raise ValidationError("vector length does not match the lattice")
+        return self._unscale(self.V_inv.apply(b))
+
+    def unit_coordinates(self, i, q):
+        """Coordinates of q e_i: q times column i of V^-1, unscaled."""
+        return self._unscale([q * row[i] for row in self.V_inv.entries])
+
+    def _unscale(self, c):
+        x = []
+        for ci, s in zip(c, self.scales):
+            if ci % s:
+                return None
+            x.append(ci // s)
+        return tuple(x)
+
+
+def congruence_kernel_basis(A: IntMatrix, q: int) -> CongruenceKernel:
     """Basis of the full-rank lattice {x in Z^n : A @ x = 0 (mod q)}, q >= 1.
 
-    Columns of V scaled by q / gcd(d_i, q) form a basis: in the Smith
-    coordinates the congruence is d_i * y_i = 0 (mod q).
+    Columns of V scaled by s_i = q / gcd(d_i, q) form a basis: in the
+    Smith coordinates the congruence is d_i * y_i = 0 (mod q).
     """
     if q < 1:
         raise ValidationError("modulus must be >= 1")
-    snf = smith_normal_form(A, want_u=False)
+    snf = smith_normal_form(A, keep=("V", "V_inv"))
     diag = snf.diagonal
     n = A.cols
-    cols = []
-    for j in range(n):
-        d = diag[j] if j < len(diag) else 0
-        scale = q // gcd(d, q) if d else 1
-        cols.append(tuple(x * scale for x in snf.V.col(j)))
-    return IntMatrix(n, n, tuple(tuple(cols[j][i] for j in range(n))
-                                 for i in range(n)))
+    scales = tuple(q // gcd(diag[j], q) if j < len(diag) and diag[j] else 1
+                   for j in range(n))
+    basis = IntMatrix(n, n, tuple(tuple(x * s for x, s in zip(row, scales))
+                                  for row in snf.V.entries))
+    return CongruenceKernel(basis, scales, snf.V_inv)
 
 
 @dataclass(frozen=True)
@@ -333,7 +412,7 @@ class CokernelPresentation:
 def cokernel_presentation(A: IntMatrix) -> CokernelPresentation:
     """Present Z^cols modulo the lattice spanned by the rows of A."""
     At = A.transpose()            # map Z^rows -> Z^cols, image = row lattice
-    snf = smith_normal_form(At)
+    snf = smith_normal_form(At, keep=("U", "U_inv"))
     n = A.cols
     diag = snf.diagonal
     moduli = tuple((diag[i] if i < len(diag) else 0) for i in range(n))
@@ -343,7 +422,7 @@ def cokernel_presentation(A: IntMatrix) -> CokernelPresentation:
         free_rank=free,
         invariant_factors=factors,
         to_presented=snf.U,
-        from_presented=inverse_unimodular(snf.U),
+        from_presented=snf.U_inv,
         moduli=moduli,
     )
 
@@ -407,7 +486,6 @@ def _xgcd(a, b):
 
 def column_lattice_basis(A: IntMatrix):
     """Basis vectors of the lattice spanned by the columns of A."""
-    snf = smith_normal_form(A)
-    uinv = inverse_unimodular(snf.U)
-    return [tuple(d * x for x in uinv.col(i))
+    snf = smith_normal_form(A, keep=("U_inv",))
+    return [tuple(d * x for x in snf.U_inv.col(i))
             for i, d in enumerate(snf.diagonal) if d != 0]

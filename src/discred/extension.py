@@ -181,6 +181,10 @@ def pushout(G: FiniteGroup, z_embed, act, model: ExtensionModel) -> PushoutModel
     and equivariant: act[g](z(a)) = z(g.a).
     """
     M = model.module
+    if len(act) != M.gamma.order:
+        raise ValidationError(
+            f"act has {len(act)} maps, need one per gamma element "
+            f"({M.gamma.order})")
     A = M.coeff
     elems = A.elements()
     if len(z_embed) != len(elems) or len(set(z_embed)) != len(elems):

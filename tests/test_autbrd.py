@@ -1,11 +1,13 @@
+import itertools
 import json
 import os
+import re
 
 import pytest
 
 from discred import autbrd, exactlin, standard
 from discred.abgroup import AbHom, torsion_at
-from discred.autbrd import (BRDAutomorphism, ad_from_generator_images,
+from discred.autbrd import (AdHom, BRDAutomorphism, ad_from_generator_images,
                             brd_automorphism, diagram_automorphisms,
                             induced_center_action, is_brd_automorphism,
                             trivial_ad, validate_ad)
@@ -128,6 +130,53 @@ class TestAdHom:
         assert len(perms) == 6
 
 
+def _all_pairs_failures(ad):
+    """Every pair (x, y) with Ad(x)Ad(y) != Ad(xy)."""
+    G, im = ad.gamma, ad.images
+    return [(x, y) for x in G.elements() for y in G.elements()
+            if (im[x].matrix @ im[y].matrix).entries
+            != im[G.mul(x, y)].matrix.entries]
+
+
+class TestGeneratorPairs:
+    def test_against_all_pairs_on_perturbed_triality(self):
+        """Checking Ad(x)Ad(s) = Ad(xs) only for s in a generating set
+        accepts exactly the maps the check on all pairs accepts, and a
+        rejection names a pair that really fails.  The maps: the triality
+        action of S3 on D4 with its images permuted over the non-identity
+        elements, or with one image replaced."""
+        based = standard.d4_adjoint()
+        s3 = from_generators(3, [(1, 0, 2), (1, 2, 0)])
+        swap02 = [[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]]
+        cyc = [[0, 0, 0, 1], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0]]
+        images = ad_from_generator_images(based, s3, [swap02, cyc]).images
+        others = [g for g in s3.elements() if g != s3.identity]
+        perturbed = []
+        for perm in itertools.permutations(others):
+            im = list(images)
+            for g, h in zip(others, perm):
+                im[g] = images[h]
+            perturbed.append(im)
+        for g in others:
+            for h in s3.elements():
+                im = list(images)
+                im[g] = images[h]
+                perturbed.append(im)
+        verdicts = set()
+        for im in perturbed:
+            ad = AdHom(s3, tuple(im))
+            bad = _all_pairs_failures(ad)
+            msg = validate_ad(based, ad)
+            verdicts.add(msg is None)
+            if msg is None:
+                assert bad == []
+            else:
+                pair = tuple(map(int, re.search(r"pair \((\d+), (\d+)\)",
+                                                msg).groups()))
+                assert pair in bad
+        assert verdicts == {True, False}
+
+
 class TestInverseOncePerElement:
     def test_inverse_matrix(self):
         based = standard.d4_adjoint()
@@ -139,9 +188,11 @@ class TestInverseOncePerElement:
 
     def test_d4_triality_classify_smith_forms(self, monkeypatch, capsys):
         """Each of the six ad images is inverted once for the whole
-        tower, not once per tower level, and the based datum is validated
-        once: 10 Smith forms in all, where inverting at each of the four
-        levels took 30 and validating twice took 12."""
+        tower, not once per tower level, the based datum is validated
+        once, and the center's cokernel keeps the inverse of its transform
+        from its own Smith form: 9 Smith forms in all, where inverting at
+        each of the four levels took 30, validating twice took 12 and
+        inverting the cokernel transform afterwards took 10."""
         counts = {"smith_normal_form": 0, "inverse_unimodular": 0}
 
         def counting(module, name):
@@ -158,4 +209,4 @@ class TestInverseOncePerElement:
                                "discred", "problems", "d4_adjoint_s3.json")
         assert main(["classify", "--input", problem, "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["tower_orders"]
-        assert counts == {"smith_normal_form": 10, "inverse_unimodular": 6}
+        assert counts == {"smith_normal_form": 9, "inverse_unimodular": 6}

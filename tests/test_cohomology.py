@@ -1,7 +1,10 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from discred import exactlin
 from discred.abgroup import (AbHom, DiagonalizableGroup, FGAbelianGroup,
                              torsion_at)
 from discred.cohomology import (Cochain, cochain_sum, cohomology_group,
@@ -11,6 +14,7 @@ from discred.cohomology import (Cochain, cochain_sum, cohomology_group,
 from discred.errors import BudgetExceededError, ValidationError
 from discred.exactlin import IntMatrix
 from discred.grouptable import cyclic, direct_product, from_generators
+from test_normalized import _automorphisms, _power
 
 
 def Z(*f):
@@ -37,6 +41,49 @@ class TestGammaModule:
         inv = AbHom(a, a, IntMatrix.from_rows([[3]]))
         with pytest.raises(ValidationError):
             gamma_module(c2, a, (inv, inv))
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_generator_pairs_against_all_pairs(self, data):
+        """Checking x.(s.a) = (xs).a only for s in a generating set
+        accepts exactly the actions the check on all pairs accepts, and a
+        rejection names a pair that really fails.  The maps: g -> alpha^e(g),
+        that map with one image moved, and independent images (some of
+        which pass every check at the first generator alone)."""
+        G = data.draw(st.sampled_from(_GROUPS))
+        A = data.draw(st.sampled_from([Z(3), Z(4), Z(2, 2), Z(2, 4)]))
+        autos = _automorphisms(A)
+        kind = data.draw(st.sampled_from(["power", "moved", "free"]))
+        if kind == "free":
+            action = [AbHom.identity(A) if g == G.identity
+                      else data.draw(st.sampled_from(autos))
+                      for g in G.elements()]
+        else:
+            alpha = data.draw(st.sampled_from(autos))
+            e = data.draw(st.sampled_from(
+                [lambda g: 0, lambda g: g, lambda g: g % 2,
+                 lambda g: int(G.element_order(g) == 2)]))
+            action = [_power(alpha, e(g)) for g in G.elements()]
+        if kind == "moved":
+            g = data.draw(st.sampled_from(
+                [x for x in G.elements() if x != G.identity]))
+            action[g] = data.draw(st.sampled_from(autos))
+        bad = [(x, y) for x in G.elements() for y in G.elements()
+               if not action[x].compose(action[y]).equal_as_map(
+                   action[G.mul(x, y)])]
+        try:
+            gamma_module(G, A, action)
+        except ValidationError as err:
+            x, s = map(int, re.search(r"pair \((\d+), (\d+)\)",
+                                      str(err)).groups())
+            assert (x, s) in bad
+        else:
+            assert bad == []
+
+
+_GROUPS = [cyclic(4), cyclic(6), direct_product(cyclic(2), cyclic(2)),
+           from_generators(3, [(1, 0, 2), (1, 2, 0)])]
 
 
 class TestDifferential:
@@ -140,6 +187,25 @@ class TestGenerators:
         nontriv = H.class_representative((1,))
         assert H.coboundary_witness(nontriv) is None
         assert not H.is_coboundary(nontriv)
+
+
+class TestOneEliminationPerLattice:
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_smith_forms_per_call(self, monkeypatch, p):
+        """The congruence kernel and the cokernel each take one Smith form
+        and keep the inverse transforms they need from it.  Solving in the
+        kernel basis by its own Smith form and inverting the cokernel
+        transform afterwards took 4 Smith forms and 1 inverse."""
+        M = trivial_module(cyclic(8), Z(2))
+        counts = {"smith_normal_form": 0, "inverse_unimodular": 0}
+        for name in counts:
+            def wrapper(*args, _inner=getattr(exactlin, name), _name=name,
+                        **kwargs):
+                counts[_name] += 1
+                return _inner(*args, **kwargs)
+            monkeypatch.setattr(exactlin, name, wrapper)
+        assert cohomology_group(M, p).group == Z(2)
+        assert counts == {"smith_normal_form": 2, "inverse_unimodular": 0}
 
 
 class TestEckmann:

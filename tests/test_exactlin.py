@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discred.errors import ValidationError
-from discred.exactlin import (IntMatrix, cokernel_presentation,
-                              column_lattice_basis, congruence_kernel_basis,
-                              echelon_reduce, inverse_unimodular,
-                              kernel_basis, modular_echelon,
-                              smith_normal_form, solve_integer)
+from discred.exactlin import (IntegerSolver, IntMatrix,
+                              cokernel_presentation, column_lattice_basis,
+                              congruence_kernel_basis, echelon_reduce,
+                              inverse_unimodular, kernel_basis,
+                              modular_echelon, smith_normal_form,
+                              solve_integer)
 
 small_matrices = st.integers(1, 4).flatmap(
     lambda r: st.integers(1, 4).flatmap(
@@ -111,7 +112,7 @@ class TestKernels:
     def test_congruence_kernel(self):
         # x + y = 0 mod 4: lattice generated by (1, -1) and (0, 4)
         A = mat([[1, 1]])
-        B = congruence_kernel_basis(A, 4)
+        B = congruence_kernel_basis(A, 4).basis
         assert B.rows == 2 and B.cols == 2
         assert abs(B.det()) == 4
         for j in range(B.cols):
@@ -123,7 +124,7 @@ class TestKernels:
     def test_congruence_kernel_complete(self, rows, q):
         """Lattice membership matches a brute-force mod-q check."""
         A = mat(rows)
-        B = congruence_kernel_basis(A, q)
+        B = congruence_kernel_basis(A, q).basis
         assert abs(B.det()) > 0
         import itertools
         for x in itertools.product(range(q), repeat=A.cols):
@@ -151,6 +152,69 @@ class TestCokernel:
     def test_column_lattice_basis(self):
         basis = column_lattice_basis(mat([[2, 4], [0, 0]]))
         assert basis == [(2, 0)]
+
+
+@st.composite
+def shaped_matrices(draw):
+    """Integer matrices of any shape up to 5 x 5, zero-sized included,
+    of rank at most k (a product of r x k and k x c factors), with some
+    rows and columns zeroed out."""
+    r, c, k = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entries = st.integers(-4, 4)
+    left = [[draw(entries) for _ in range(k)] for _ in range(r)]
+    right = [[draw(entries) for _ in range(c)] for _ in range(k)]
+    zero_rows = draw(st.sets(st.integers(0, max(r - 1, 0)), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, max(c - 1, 0)), max_size=2))
+    return IntMatrix(r, c, tuple(
+        tuple(0 if i in zero_rows or j in zero_cols
+              else sum(left[i][m] * right[m][j] for m in range(k))
+              for j in range(c)) for i in range(r)))
+
+
+class TestTrackedInverses:
+    """The inverses kept by the elimination against ``inverse_unimodular``,
+    the path they replace."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(shaped_matrices())
+    def test_tracked_inverses(self, A):
+        snf = smith_normal_form(A, keep=("U", "V", "U_inv", "V_inv"))
+        assert snf.U_inv.entries == inverse_unimodular(snf.U).entries
+        assert snf.V_inv.entries == inverse_unimodular(snf.V).entries
+        # tracking more transforms changes none of them
+        plain = smith_normal_form(A)
+        assert (plain.U, plain.D, plain.V) == (snf.U, snf.D, snf.V)
+        assert plain.U_inv is None and plain.V_inv is None
+
+    def test_untracked_transforms_are_none(self):
+        snf = smith_normal_form(mat([[2, 4], [6, 8]]), keep=("V",))
+        assert snf.U is None and snf.U_inv is None and snf.V_inv is None
+        with pytest.raises(ValidationError):
+            smith_normal_form(mat([[1]]), keep=("W",))
+
+    @settings(max_examples=80, deadline=None)
+    @given(shaped_matrices())
+    def test_cokernel_from_presented(self, A):
+        pres = cokernel_presentation(A)
+        assert pres.from_presented.entries == \
+            inverse_unimodular(pres.to_presented).entries
+
+    @settings(max_examples=80, deadline=None)
+    @given(shaped_matrices(), st.sampled_from([1, 2, 4, 6, 9]), st.data())
+    def test_congruence_kernel_coordinates(self, A, q, data):
+        kernel = congruence_kernel_basis(A, q)
+        B, n = kernel.basis, A.cols
+        solver = IntegerSolver(B)
+        vec = st.lists(st.integers(-12, 12), min_size=n, max_size=n)
+        inside = B.apply(data.draw(vec))
+        for b in (inside, tuple(data.draw(vec))):
+            x = kernel.coordinates(b)
+            assert x == solver.solve(b)
+        assert kernel.coordinates(inside) is not None
+        for i in range(n):
+            mult = data.draw(st.integers(1, 12))
+            unit = tuple(mult if k == i else 0 for k in range(n))
+            assert kernel.unit_coordinates(i, mult) == solver.solve(unit)
 
 
 def _span_mod(gens, moduli):

@@ -327,6 +327,19 @@ class TestOnceOnly:
                            match=rf"act\[{g}\] is not an automorphism"):
             pushout(G, z, tuple(act), model)
 
+    @pytest.mark.parametrize("n_maps", [0, 1, 3])
+    def test_act_count_named(self, monkeypatch, n_maps):
+        """A wrong number of ``act`` maps is named before any table is
+        built; a short list used to raise a bare IndexError."""
+        G, z, _, _, model = sl2_like_setup(1)
+        calls = []
+        counted(monkeypatch, extension, "semidirect_product", calls)
+        with pytest.raises(ValidationError,
+                           match=rf"act has {n_maps} maps, need one per "
+                                 rf"gamma element \(2\)"):
+            pushout(G, z, (tuple(range(4)),) * n_maps, model)
+        assert calls == []
+
 
 class TestClassify:
     def test_sl2_two_classes(self):
