@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .abgroup import DiagonalizableGroup
 from .autbrd import (AdHom, ad_from_element_images, ad_from_generator_images,
@@ -307,8 +308,15 @@ def build_parser():
     return p
 
 
+@cache
+def _parser():
+    """The parser ``main`` uses, built once per process; parsing leaves
+    it unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ValidationError as e:

@@ -120,6 +120,11 @@ def closure(identity, gens, mul, cap, what):
     return elements, index, tree
 
 
+def compose(e, g):
+    """The permutation e * g of {0..n-1}: g applied first, then e."""
+    return tuple(e[k] for k in g)
+
+
 def from_generators(degree, perms):
     """Closure of permutation generators on {0..degree-1} as a table.
 
@@ -130,11 +135,6 @@ def from_generators(degree, perms):
     gens = [tuple(p) for p in perms]
     if any(sorted(p) != list(range(degree)) for p in gens):
         raise ValidationError("generator is not a permutation of the degree")
-
-    def compose(e, g):
-        # right-multiply: e * g (composition, g applied first)
-        return tuple(e[k] for k in g)
-
     elems, index, tree = closure(tuple(range(degree)), gens, compose,
                                  GROUP_CAP, "group")
     words = [()]

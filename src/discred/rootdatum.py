@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 from .abgroup import DiagonalizableGroup, FGAbelianGroup
 from .errors import InternalCheckError, ValidationError
 from .exactlin import (IntegerSolver, IntMatrix, cokernel_presentation,
                        column_lattice_basis, kernel_basis)
-from .grouptable import closure
+from .grouptable import closure, compose
 
 # Largest Weyl group that ``weyl_generate`` enumerates.
 WEYL_CAP = 100000
@@ -56,6 +57,12 @@ class BasedRootDatum:
         return tuple(self.datum.coroots[i] for i in self.simple_indices)
 
     @cached_property
+    def simple_coefficients(self):
+        """``express_in_simple`` of this datum, computed on first use and
+        kept with it."""
+        return express_in_simple(self)
+
+    @cached_property
     def defect(self):
         """``validate_based``'s verdict, computed on first use and kept
         with the datum."""
@@ -69,7 +76,7 @@ class BasedRootDatum:
         # linear independence: the simple-root matrix has full column rank
         if idx and kernel_basis(simple_matrix(self)):
             return "simple roots are linearly dependent"
-        for b, coeffs in zip(self.datum.roots, express_in_simple(self)):
+        for b, coeffs in zip(self.datum.roots, self.simple_coefficients):
             if coeffs is None:
                 return (f"root {b} is not an integer combination of the "
                         f"simple roots")
@@ -81,13 +88,28 @@ class BasedRootDatum:
 
 @dataclass(frozen=True)
 class WeylGroup:
-    """All elements as matrices on X^*, in BFS order from the identity."""
-    elements: tuple
-    generators: tuple
+    """W as permutations of the root indices, in BFS order from the
+    identity: ``permutations[i][j]`` is the index of w_i(root j).  W acts
+    faithfully on the roots of a valid datum (it fixes the coroot-
+    orthogonal part of X^* pointwise), so this numbers the elements
+    exactly as the matrices on X^* would."""
+    rank: int
+    permutations: tuple
+    tree: tuple         # grouptable.closure's (parent, generator) per element
+    generators: tuple   # the simple reflections as matrices on X^*
 
     @property
     def order(self):
-        return len(self.elements)
+        return len(self.permutations)
+
+    @cached_property
+    def elements(self):
+        """All elements as matrices on X^*, in the same order; built on
+        first use along the closure tree."""
+        mats = [IntMatrix.identity(self.rank)]
+        for parent, g in self.tree[1:]:
+            mats.append(mats[parent] @ self.generators[g])
+        return tuple(mats)
 
 
 @dataclass(frozen=True)
@@ -114,25 +136,31 @@ def validate(datum: RootDatum):
                     f"<{bv}, {b}> = {datum.pairing(bv, b)}")
     root_set = set(datum.roots)
     coroot_set = set(datum.coroots)
-
-    def reflect(v, a, av):
-        """v - <av, v> a: the reflection, or with a and av swapped the
-        coreflection, at one root."""
-        m = datum.pairing(av, v)
-        return tuple(x - m * y for x, y in zip(v, a))
-
+    # pairing[k][j] = <coroot k, root j>: row k serves the reflection at
+    # root k, column k the coreflection; a zero pairing fixes the vector
+    pairing = [[sum(map(mul, bv, b)) for b in datum.roots]
+               for bv in datum.coroots]
     for k, (a, av) in enumerate(zip(datum.roots, datum.coroots)):
-        for b in datum.roots:
-            img = reflect(b, a, av)
-            if img not in root_set:
-                return (f"reflection at root {k} does not permute the roots "
-                        f"(image of {b} is {img})")
-        for bv in datum.coroots:
-            img = reflect(bv, av, a)
-            if img not in coroot_set:
-                return (f"coreflection at root {k} does not permute the "
-                        f"coroots (image of {bv} is {img})")
+        for b, m in zip(datum.roots, pairing[k]):
+            if m:
+                img = _reflect(b, m, a)
+                if img not in root_set:
+                    return (f"reflection at root {k} does not permute the "
+                            f"roots (image of {b} is {img})")
+        for bv, row in zip(datum.coroots, pairing):
+            m = row[k]
+            if m:
+                img = _reflect(bv, m, av)
+                if img not in coroot_set:
+                    return (f"coreflection at root {k} does not permute the "
+                            f"coroots (image of {bv} is {img})")
     return None
+
+
+def _reflect(v, m, a):
+    """v - m a, the image of v under the reflection (or, with a coroot
+    for a, the coreflection) at a when m = <a^v, v>."""
+    return tuple(x - m * y for x, y in zip(v, a))
 
 
 def validate_based(based: BasedRootDatum):
@@ -175,43 +203,68 @@ def reflection(datum: RootDatum, root_index: int) -> IntMatrix:
 
 
 def weyl_generate(based: BasedRootDatum) -> WeylGroup:
-    """Closure of the simple reflections, deterministic element order."""
-    gens = tuple(reflection(based.datum, i) for i in based.simple_indices)
-    elems, _, _ = closure(IntMatrix.identity(based.datum.rank), gens,
-                          IntMatrix.__matmul__, WEYL_CAP, "Weyl")
-    return WeylGroup(tuple(elems), gens)
+    """Closure of the simple reflections, deterministic element order.
+    Raises ValidationError with ``validate_based``'s message for an
+    invalid datum, before any closure."""
+    require_valid_based(based)
+    datum = based.datum
+    index = {b: j for j, b in enumerate(datum.roots)}
+    perms = []
+    for k in based.simple_indices:
+        a, av = datum.roots[k], datum.coroots[k]
+        perms.append(tuple(index[_reflect(b, datum.pairing(av, b), a)]
+                           for b in datum.roots))
+    elems, _, tree = closure(tuple(range(datum.nroots)), perms, compose,
+                             WEYL_CAP, "Weyl")
+    return WeylGroup(datum.rank, tuple(elems), tuple(tree),
+                     tuple(reflection(datum, k) for k in based.simple_indices))
+
+
+def _positive_indices(based: BasedRootDatum):
+    """Indices of the roots in the positive system R+ of the base."""
+    pos = []
+    for j, coeffs in enumerate(based.simple_coefficients):
+        if coeffs is None:
+            raise ValidationError(f"root {based.datum.roots[j]} not in the "
+                                  f"simple-root lattice")
+        if all(c >= 0 for c in coeffs) and any(c > 0 for c in coeffs):
+            pos.append(j)
+    return pos
 
 
 def positive_roots(based: BasedRootDatum):
     """The positive system R+ determined by the base."""
-    pos = []
-    for b, coeffs in zip(based.datum.roots, express_in_simple(based)):
-        if coeffs is None:
-            raise ValidationError(f"root {b} not in the simple-root lattice")
-        if all(c >= 0 for c in coeffs) and any(c > 0 for c in coeffs):
-            pos.append(b)
-    return tuple(pos)
+    return tuple(based.datum.roots[j] for j in _positive_indices(based))
 
 
 @dataclass(frozen=True)
 class PositiveSystem:
     roots: tuple       # sorted tuple of root vectors
-    weyl_element: IntMatrix
+    weyl: WeylGroup
+    index: int         # of the w carrying the base system onto this one
+
+    @property
+    def weyl_element(self) -> IntMatrix:
+        return self.weyl.elements[self.index]
 
 
 def positive_systems(datum: RootDatum, weyl: WeylGroup, based: BasedRootDatum):
     """Orbit of R+(base) under W, with the unique w carrying the base
-    system onto each.  Asserts that w -> w.R+ is a bijection."""
-    base_pos = positive_roots(based)
+    system onto each.  Asserts that w -> w.R+ is a bijection.  Raises
+    ValidationError with ``validate_based``'s message for an invalid
+    datum."""
+    require_valid_based(based)
+    pos = _positive_indices(based)
+    roots = based.datum.roots
     systems = {}
-    for w in weyl.elements:
-        img = tuple(sorted(w.apply(b) for b in base_pos))
+    for i, w in enumerate(weyl.permutations):
+        img = tuple(sorted(roots[w[j]] for j in pos))
         if img in systems:
             raise InternalCheckError(
                 "two Weyl elements map the base system to the same positive "
                 "system (simple transitivity fails)")
-        systems[img] = w
-    return [PositiveSystem(s, systems[s]) for s in sorted(systems)]
+        systems[img] = i
+    return [PositiveSystem(s, weyl, systems[s]) for s in sorted(systems)]
 
 
 def dynkin(based: BasedRootDatum) -> DynkinDiagram:

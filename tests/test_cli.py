@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discred import autbrd, cohomology, extension, rootdatum
+from discred import autbrd, cohomology, exactlin, extension, rootdatum
 from discred.cli import main
 from discred.grouptable import cyclic, from_generators
 
@@ -315,6 +317,18 @@ class TestOnceOnly:
         assert code == 0
         assert counts == {"validate": 1, "validate_ad": 1}
 
+    def test_weyl_expresses_roots_once(self, capsys, monkeypatch):
+        """The based datum keeps the roots' simple coefficients, so its
+        verdict and R+ share one solve: 2 Smith forms (independence and
+        coefficients), where solving again for R+ took 3."""
+        counts = {}
+        _count(monkeypatch, counts, exactlin, "smith_normal_form")
+        _count(monkeypatch, counts, rootdatum, "express_in_simple")
+        code, out, _ = run(capsys, "weyl", "--input",
+                           problem("d4_adjoint_s3.json"))
+        assert code == 0 and "|W| = 192" in out
+        assert counts == {"smith_normal_form": 2, "express_in_simple": 1}
+
     def test_oversized_gamma_exits_before_ad_and_modules(
             self, capsys, monkeypatch, tmp_path):
         counts = {}
@@ -327,6 +341,28 @@ class TestOnceOnly:
         # the message of the gate inside cohomology_group
         assert "cochain problem size 1600x64000 exceeds budget" in err
         assert counts == {"validate_ad": 0, "gamma_module": 0}
+
+
+class TestParserReuse:
+    def test_reports_match_fresh_processes(self, capsys):
+        """One parser serves every ``main`` call of a process; no option
+        value or default carries over from one call to the next."""
+        path = problem("sl2_z2_trivial.json")
+        calls = [["check", "--input", path, "--format", "json"],
+                 ["classify", "--input", path, "--max-k", "2"],
+                 ["classify", "--input", path]]
+        in_process = [run(capsys, *argv) for argv in calls]
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        fresh = []
+        for argv in calls:
+            proc = subprocess.run([sys.executable, "-m", "discred.cli"] + argv,
+                                  capture_output=True, text=True, env=env,
+                                  timeout=120)
+            fresh.append((proc.returncode, proc.stdout, proc.stderr))
+        assert in_process == fresh
+        assert [code for code, _, _ in fresh] == [0, 2, 0]
 
 
 class TestStrictFields:

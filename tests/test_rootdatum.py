@@ -4,6 +4,8 @@ from hypothesis import strategies as st
 
 from discred import rootdatum, standard
 from discred.errors import BudgetExceededError, ValidationError
+from discred.exactlin import IntMatrix
+from discred.grouptable import closure
 from discred.rootdatum import (BasedRootDatum, RootDatum, almost_product_check,
                                center, dynkin, positive_roots,
                                positive_systems, reflection, validate,
@@ -158,6 +160,84 @@ class TestPositiveSystems:
     def test_half_of_roots(self):
         based = standard.g2()
         assert len(positive_roots(based)) == based.datum.nroots // 2
+
+
+def _d5_adjoint():
+    # node 2 is the branch point; Cartan matrix rows are the coroots
+    cartan = [(2, -1, 0, 0, 0), (-1, 2, -1, 0, 0), (0, -1, 2, -1, -1),
+              (0, 0, -1, 2, 0), (0, 0, -1, 0, 2)]
+    simple = [tuple(int(i == j) for j in range(5)) for i in range(5)]
+    return standard.from_simple(5, simple, cartan)
+
+
+def _gl5():
+    # A4 inside GL5: roots and coroots e_i - e_{i+1}, a 1-dimensional center
+    simple = [tuple(int(j == i) - int(j == i + 1) for j in range(5))
+              for i in range(4)]
+    return standard.from_simple(5, simple, simple)
+
+
+REFERENCE_DATA = dict(ALL_DATA, d5=_d5_adjoint, a4=_gl5)
+
+
+def matrix_weyl(based):
+    """``weyl_generate`` as it was: the closure of the simple reflection
+    matrices under matrix products.  The reference for the closure on
+    root-index permutations."""
+    gens = tuple(reflection(based.datum, i) for i in based.simple_indices)
+    elems, _, _ = closure(IntMatrix.identity(based.datum.rank), gens,
+                          IntMatrix.__matmul__, rootdatum.WEYL_CAP, "Weyl")
+    return elems
+
+
+def matrix_positive_systems(based, elems):
+    """``positive_systems`` as it was, on matrices: (roots, entries of
+    the Weyl element) for each image of R+."""
+    base_pos = positive_roots(based)
+    systems = {}
+    for w in elems:
+        img = tuple(sorted(w.apply(b) for b in base_pos))
+        assert img not in systems
+        systems[img] = w
+    return [(s, systems[s].entries) for s in sorted(systems)]
+
+
+class TestPermutationWeyl:
+    """The Weyl group closed on root-index permutations against the
+    matrix closure it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_DATA))
+    def test_against_matrix_closure(self, name):
+        based = REFERENCE_DATA[name]()
+        roots = based.datum.roots
+        W = weyl_generate(based)
+        elems = matrix_weyl(based)
+        assert [w.entries for w in W.elements] == [w.entries for w in elems]
+        assert W.order == len(elems)
+        for perm, w in zip(W.permutations, elems):
+            assert tuple(roots[j] for j in perm) == tuple(
+                w.apply(b) for b in roots)
+        systems = positive_systems(based.datum, W, based)
+        assert [(s.roots, s.weyl_element.entries) for s in systems] == \
+            matrix_positive_systems(based, elems)
+
+    def test_orders_beyond_bundled(self):
+        assert weyl_generate(_d5_adjoint()).order == 1920
+        assert weyl_generate(_gl5()).order == 120
+
+    def test_invalid_datum_rejected_before_closure(self):
+        """B2 with roots[1] moved onto another root: the datum's own
+        message, not a runaway closure of non-reflections."""
+        based = standard.b2()
+        roots = list(based.datum.roots)
+        roots[1] = (roots[1][0] + 1, roots[1][1])
+        bad = BasedRootDatum(RootDatum(2, roots, based.datum.coroots),
+                             based.simple_indices)
+        assert validate_based(bad) == "duplicate root (1, 1)"
+        with pytest.raises(ValidationError, match=r"^duplicate root \(1, 1\)$"):
+            weyl_generate(bad)
+        with pytest.raises(ValidationError, match=r"^duplicate root \(1, 1\)$"):
+            positive_systems(bad.datum, weyl_generate(based), bad)
 
 
 class TestDynkin:
