@@ -228,7 +228,7 @@ def cmd_weyl(args):
     data = load_problem(args.input)
     based = _parse_based(data)
     W = weyl_generate(based)
-    systems = positive_systems(based.datum, W, based)
+    systems = positive_systems(W, based)
     report = {"command": "weyl", "problem": data.get("name"),
               "order": W.order, "positive_systems": len(systems)}
     emit(report, args.format, [

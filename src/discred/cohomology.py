@@ -1,5 +1,4 @@
-"""Group cohomology H^p(Gamma, A), p <= 2, A finite, on normalized
-cochains.
+"""Group cohomology H^p(Gamma, A), p <= 2, A finite.
 
 A cochain, as the public ``Cochain``, is a total map Gamma^p -> A.
 Internally only normalized cochains are stored (Brown, Cohomology of
@@ -10,13 +9,18 @@ coefficient coordinates per p-tuple over Gamma minus the identity
 representative, and a 2-cocycle c becomes one by subtracting the
 coboundary of the constant map at c(1, 1).
 
-Cocycles are cut out by a reduced set of rows: by Light's associativity
-test the conditions at (g, s, h) with s in a generating set S already
-imply the rest, so the cocycle matrix has (n-1)^2 |S| t rows in degree 2
-instead of n^3 t.  Kernels and images are computed by exact integer
-linear algebra: Smith normal forms of the differential matrices lifted to
-Z with explicit modulus relations.  The full bar ``differential`` stays
-as the public checker.
+Degrees 0 and 1 are computed on these bar cochains, the cocycles cut out
+by the rows at (s,) and (g, s) with s in a generating set S.  Degree 2 is
+computed on the relation module of the Cayley graph of (Gamma, S)
+(``relations.RelationModule``): n|S| - n + 1 unknowns per coefficient
+coordinate instead of (n-1)^2, the Gamma-maps on the fundamental cycles.
+Bar cochains stay the API and convert at the boundary: a bar cocycle to
+its map on the cycles (``coordinates_of``), a map back to the bar cocycle
+that vanishes on the tree edges (``generators``, ``class_representative``).
+Kernels and images are computed by exact integer linear algebra: Smith
+normal forms of integer matrices with explicit modulus relations.  The
+full bar ``differential`` stays as the public checker; the normalized bar
+d_1 is built only for canonical representatives.
 
 Classes travel up the torsion tower and into ``classify`` as coordinate
 vectors; a ``Cochain`` is built only when a caller asks for one
@@ -36,6 +40,7 @@ from .exactlin import (IntegerSolver, IntMatrix, cokernel_presentation,
                        congruence_kernel_basis, echelon_reduce, kernel_basis,
                        modular_echelon)
 from .grouptable import FiniteGroup, generating_set
+from .relations import RelationModule
 
 
 @dataclass(frozen=True)
@@ -233,62 +238,71 @@ def _diff_matrix(M: GammaModule, p: int, rows) -> IntMatrix:
 
 
 def _cocycle_rows(gamma: FiniteGroup, p: int):
-    """The (p+1)-tuples whose cocycle condition, on normalized cochains,
-    implies all the others: (s,), (g, s) and (g, s, h) with s in a
-    generating set S and g, h != 1.  In degree 2 the conditions at
-    (g, s, h) for all g, h say that the section element of s associates
-    in the extension A x_c Gamma, and such elements are closed under
-    products (Light's associativity test).  Likewise an element fixed by
-    S is fixed by Gamma, and f(gs) = f(g) + g.f(s) for all g and all s in
-    S makes f a crossed homomorphism."""
+    """The (p+1)-tuples whose cocycle condition, on normalized cochains
+    of degree p <= 1, implies all the others: (s,) and (g, s) with s in a
+    generating set S and g != 1.  An element fixed by S is fixed by
+    Gamma, and f(gs) = f(g) + g.f(s) for all g and all s in S makes f a
+    crossed homomorphism."""
     gens = generating_set(gamma)
-    others = [g for g in range(gamma.order) if g != gamma.identity]
     if p == 0:
         return [(s,) for s in gens]
-    if p == 1:
-        return [(g, s) for g in others for s in gens]
-    return [(g, s, h) for g in others for s in gens for h in others]
+    others = [g for g in range(gamma.order) if g != gamma.identity]
+    return [(g, s) for g in others for s in gens]
 
 
 class CohomologyGroup:
-    """H^p as a finite abelian group with normalized representative
-    cocycles per canonical generator, stored as flat vectors."""
+    """H^p as a finite abelian group with representative cocycles per
+    canonical generator, stored as flat vectors: normalized bar
+    coordinates in degrees 0 and 1, coordinates of a Gamma-map on the
+    relation module (``relations.RelationModule``) in degree 2."""
 
-    def __init__(self, module, degree, group, space, kernel, pres, d_prev,
-                 gen_vecs):
+    def __init__(self, module, degree, group, space, kernel, pres, gen_vecs,
+                 relations=None, d_prev=None):
         self.module = module
         self.degree = degree
         self.group = group
         self._space = space
         self._kernel = kernel
         self._pres = pres
-        self._d_prev = d_prev
         self._gen_vecs = tuple(gen_vecs)
+        self._rel = relations
+        self._d_prev = d_prev
         self._bnd_solver = None
         self._echelon = None
+        self._canonical = {}
+
+    def _bar(self, vec):
+        """Normalized bar coordinates of a class vector."""
+        return vec if self._rel is None else self._rel.to_bar(vec)
 
     @property
     def generators(self):
         """Generator cocycles, one per invariant factor."""
-        return tuple(self._space.to_cochain(v) for v in self._gen_vecs)
+        return tuple(self._space.to_cochain(self._bar(v))
+                     for v in self._gen_vecs)
 
     def order(self):
         return self.group.order()
 
     def _normalized(self, c: Cochain):
         """Normalized coordinates of the cocycle ``c`` (shifted by the
-        coboundary of the constant map at c(1, 1) in degree 2)."""
+        coboundary of the constant map at c(1, 1) in degree 2), or
+        ValidationError when it is no cocycle."""
         vec, _ = self._space.from_cochain(c)
-        if vec is None:
+        if vec is None or (self._rel is not None
+                           and not self._rel.is_cocycle(vec)):
             raise ValidationError("cochain is not a cocycle")
         return vec
 
     def coordinates_of(self, c: Cochain):
         """Class coordinates of a cocycle in the canonical generators."""
-        return self._coords_of_vec(self._normalized(c))
+        vec = self._normalized(c)
+        if self._rel is not None:
+            vec = self._rel.from_bar(vec)
+        return self._coords_of_vec(vec)
 
     def _coords_of_vec(self, vec):
-        if self._space.dim == 0:
+        if self._kernel is None:
             return ()
         x = self._kernel.coordinates(vec)
         if x is None:
@@ -310,7 +324,9 @@ class CohomologyGroup:
             return None
         prev = _Space(self.module, self.degree - 1)
         sol = [0] * prev.dim
-        if space.dim:
+        if self._rel is not None:
+            sol = self._rel.coboundary_witness(vec)
+        elif space.dim:
             if self._bnd_solver is None:
                 # [d_{p-1} | diag(mods_p)] x = cocycle
                 d = self._d_prev
@@ -320,8 +336,8 @@ class CohomologyGroup:
                      for r, q in enumerate(space.mods)],
                     cols=d.cols + space.dim))
             sol = self._bnd_solver.solve(vec)
-            if sol is None:
-                return None
+        if sol is None:
+            return None
         w = prev.to_cochain(list(sol[:prev.dim]))
         if not any(shift):
             return w
@@ -333,23 +349,37 @@ class CohomologyGroup:
         """Lexicographically smallest normalized cocycle vector in the
         class of the normalized cocycle ``vec``: greedy reduction against
         a triangular basis of the lattice L spanned by the coboundaries of
-        normalized 1-cochains and the modulus relations, built on first
-        use."""
+        normalized 1-cochains and the modulus relations, built from the
+        bar d_1 on first use."""
         space = self._space
         if self.degree != 2 or space.dim == 0:
             return space.reduce(vec)
         if self._echelon is None:
-            d1 = self._d_prev
+            d1 = _diff_matrix(self.module, 1, space.tuples)
             self._echelon = modular_echelon(
                 (d1.col(j) for j in range(d1.cols)), space.mods)
         return echelon_reduce(self._echelon, vec, space.mods)
 
     def _class_vector(self, coords):
-        """Unreduced combination of the generator cocycles."""
-        vec = [0] * self._space.dim
+        """Unreduced combination of the generator vectors (of which
+        there is at least one)."""
+        vec = [0] * len(self._gen_vecs[0])
         for c, gv in zip(coords, self._gen_vecs):
             vec = [a + c * b for a, b in zip(vec, gv)]
         return vec
+
+    def _canonical_class(self, coords):
+        """Canonical normalized cocycle vector of the class with these
+        coordinates, kept per class once computed."""
+        key = tuple(c % f for c, f in
+                    zip(coords, self.group.invariant_factors))
+        if key not in self._canonical:
+            if any(key):
+                vec = self._bar(self._class_vector(key))
+            else:
+                vec = [0] * self._space.dim
+            self._canonical[key] = tuple(self._canonical_vec(vec))
+        return self._canonical[key]
 
     def normalize(self, c: Cochain) -> Cochain:
         """The canonical representative of the class of ``c``: the
@@ -357,14 +387,14 @@ class CohomologyGroup:
         flat coordinates, entries in [0, q)), for every cocycle; raises
         ValidationError on any other cochain."""
         vec = self._normalized(c)
-        self._coords_of_vec(vec)  # raises unless vec is a cocycle
+        if self._rel is None:
+            self._coords_of_vec(vec)  # raises unless vec is a cocycle
         return self._space.to_cochain(self._canonical_vec(vec))
 
     def class_representative(self, coords) -> Cochain:
         """The lexicographically smallest normalized cocycle in the class
         with the given coordinates."""
-        return self._space.to_cochain(
-            self._canonical_vec(self._class_vector(coords)))
+        return self._space.to_cochain(self._canonical_class(coords))
 
     def classes(self):
         """Every cohomology class with its canonical (lexicographically
@@ -387,68 +417,99 @@ class CohomologyClass:
     group_structure: FGAbelianGroup
 
 
-def require_within_budget(n: int, t: int, p: int, budget: int):
-    """Raise BudgetExceededError when the full bar differential of H^p,
-    for |Gamma| = n and t coefficient coordinates, has more than
-    ``budget`` entries (n^p t x n^(p+1) t)."""
-    cols, rows = n ** p * t, n ** (p + 1) * t
-    if cols * max(rows, 1) > budget:
+def require_within_budget(gamma: FiniteGroup, t: int, p: int, budget: int,
+                          canonical: bool = False):
+    """Raise BudgetExceededError when the matrices that H^p eliminates,
+    for t coefficient coordinates, have more than ``budget`` entries.
+
+    Degrees 0 and 1 count the full bar differential, n^p t x n^(p+1) t.
+    Degree 2 counts the larger of the relation module's two matrices:
+    the equivariance rows, |S| m t x m t with m = n|S| - n + 1, and the
+    cokernel relations, (|S| + m) t x m t.  With ``canonical`` it first
+    counts the dense triangular basis that canonical representatives
+    reduce against, ((n-1)^2 t)^2 entries; that check needs no
+    generating set."""
+    n = gamma.order
+    if canonical:
+        dim = (n - 1) ** 2 * t
+        if dim * dim > budget:
+            raise BudgetExceededError(
+                f"canonical form size {dim}x{dim} exceeds budget {budget}")
+    if p < 2:
+        rows, cols = n ** p * t, n ** (p + 1) * t
+    else:
+        s = len(generating_set(gamma))
+        m = n * s - n + 1
+        rows, cols = max(s * m, s + m) * t, m * t
+    if rows * max(cols, 1) > budget:
         raise BudgetExceededError(
-            f"cochain problem size {cols}x{rows} exceeds budget {budget}")
+            f"cochain problem size {rows}x{cols} exceeds budget {budget}")
 
 
 def cohomology_group(M: GammaModule, p: int, budget: int = 2_000_000) -> CohomologyGroup:
-    """H^p(Gamma, A) by exact integer linear algebra on normalized
-    cochains.
+    """H^p(Gamma, A) by exact integer linear algebra.
 
-    The cochain modules are lifted to Z with explicit modulus relations;
-    cocycles are a congruence kernel cut out by the rows of
-    ``_cocycle_rows``, coboundaries the image lattice of the normalized
-    d_{p-1}, and the quotient a cokernel presentation.  Two Smith forms
-    in all: the congruence kernel's basis B = V diag(s) comes with
-    V^-1, so the coboundary generators get their coordinates
-    diag(s)^-1 V^-1 b in B without a second elimination (a modulus
-    relation q_i e_i is q_i times column i of V^-1), and the cokernel
-    keeps the inverse of its transform.  ``budget`` caps the size of the
-    full bar differential, n^p t x n^(p+1) t.
+    The cochain modules are lifted to Z with explicit modulus relations.
+    Degrees 0 and 1 work on normalized bar cochains: cocycles are a
+    congruence kernel cut out by the rows of ``_cocycle_rows``,
+    coboundaries the image lattice of the normalized d_{p-1}.  Degree 2
+    works on the relation module R of the Cayley graph
+    (``relations.RelationModule``): the Gamma-maps R -> A are the
+    congruence kernel of the equivariance rows, and the images of A^S
+    take the place of the coboundaries.  The
+    quotient is a cokernel presentation.  Two Smith forms in all: the
+    congruence kernel's basis B = V diag(s) comes with V^-1, so the
+    boundary generators get their coordinates diag(s)^-1 V^-1 b in B
+    without a second elimination (a modulus relation q_i e_i is q_i
+    times column i of V^-1), and the cokernel keeps the inverse of its
+    transform.  ``budget`` caps the matrix sizes, as
+    ``require_within_budget`` counts them.
     """
     if p not in (0, 1, 2):
         raise ValidationError("cohomology supported only in degrees 0..2")
     t = M.coeff.ncoords
-    require_within_budget(M.gamma.order, t, p, budget)
+    require_within_budget(M.gamma, t, p, budget)
     space = _Space(M, p)
     if space.dim == 0 or M.coeff.order() == 1:
         return CohomologyGroup(M, p, FGAbelianGroup(0, ()), space,
-                               None, None, None, ())
+                               None, None, ())
     Q = M.coeff.exponent()
-    d_p = _diff_matrix(M, p, _cocycle_rows(M.gamma, p))
-    scaled = IntMatrix.from_rows(
-        [[(Q // space.mods[r % t]) * x for x in d_p.row(r)]
-         for r in range(d_p.rows)],
-        cols=space.dim)
+    rel = d_prev = None
+    if p == 2:
+        rel = RelationModule(M, space)
+        scaled = rel.equivariance_matrix(Q)
+        boundaries = rel.coboundaries()
+        mods = rel.mods
+    else:
+        d_p = _diff_matrix(M, p, _cocycle_rows(M.gamma, p))
+        scaled = IntMatrix.from_rows(
+            [[(Q // space.mods[r % t]) * x for x in d_p.row(r)]
+             for r in range(d_p.rows)],
+            cols=space.dim)
+        boundaries = []
+        if p > 0:
+            d_prev = _diff_matrix(M, p - 1, space.tuples)
+            boundaries = [d_prev.col(j) for j in range(d_prev.cols)]
+        mods = space.mods
     kernel = congruence_kernel_basis(scaled, Q)
 
-    # boundary generators in the cocycle basis: the image of d_{p-1},
-    # then the modulus relations q_i e_i
-    coords_rows = []
-    d_prev = None
-    if p > 0:
-        d_prev = _diff_matrix(M, p - 1, space.tuples)
-        coords_rows.extend(kernel.coordinates(d_prev.col(j))
-                           for j in range(d_prev.cols))
+    # boundary generators in the kernel basis, then the modulus
+    # relations q_i e_i
+    coords_rows = [kernel.coordinates(b) for b in boundaries]
     coords_rows.extend(kernel.unit_coordinates(i, q)
-                       for i, q in enumerate(space.mods))
+                       for i, q in enumerate(mods))
     if None in coords_rows:
         raise InternalCheckError("boundary generator is not a cocycle")
     pres = cokernel_presentation(IntMatrix.from_rows(coords_rows,
-                                                     cols=space.dim))
+                                                     cols=len(mods)))
     if pres.free_rank != 0:
         raise InternalCheckError("cohomology of a finite module came out infinite")
     group = FGAbelianGroup(0, pres.invariant_factors)
 
-    return CohomologyGroup(M, p, group, space, kernel, pres, d_prev, [
-        space.reduce(kernel.basis.apply(pres.from_presented.col(pos)))
-        for pos, m in enumerate(pres.moduli) if m > 1])
+    return CohomologyGroup(M, p, group, space, kernel, pres, [
+        [x % q for x, q in
+         zip(kernel.basis.apply(pres.from_presented.col(pos)), mods)]
+        for pos, m in enumerate(pres.moduli) if m > 1], rel, d_prev)
 
 
 def eckmann_check(M: GammaModule, p: int, H: CohomologyGroup = None) -> bool:
@@ -488,11 +549,14 @@ def push_cochain(inc: AbHom, c: Cochain) -> Cochain:
 @dataclass(frozen=True)
 class StabilizedH2:
     """Stable value of the torsion tower H^2(Gamma, Z[n^k]), its
-    generators given by their coordinates in H^2 at level k_used."""
+    generators given by their coordinates in H^2 at level k_used.  The
+    generators are chosen by their canonical cocycles
+    (``_canonical_basis``), so they do not depend on the coordinates the
+    engine gives H^2."""
 
     group: FGAbelianGroup
     k_used: int
-    generator_coords: tuple       # coordinates of the stable generators
+    generator_coords: tuple       # canonical stable generators, coordinates
     module: GammaModule           # the coefficient module at level k_used
     cohomology: CohomologyGroup   # H^2 at level k_used
     tower_orders: tuple           # |H^2| at each computed level
@@ -533,11 +597,14 @@ def _span(coords, factors):
 def _push_class(Hs, Ht, inclusion, coords):
     """Coordinates in Ht of the class with coordinates ``coords`` in Hs,
     pushed along the coefficient inclusion block by block on flat
-    vectors."""
+    vectors.  Both groups share Gamma, and in degree 2 the same Cayley
+    graph, so the blocks line up."""
+    if not Hs._gen_vecs:
+        return (0,) * len(Ht.group.invariant_factors)
     vec, t = Hs._class_vector(coords), Hs._space.t
     return Ht._coords_of_vec([
-        x for j in range(len(Hs._space.tuples))
-        for x in inclusion.matrix.apply(vec[j * t:(j + 1) * t])])
+        x for j in range(0, len(vec), t)
+        for x in inclusion.matrix.apply(vec[j:j + t])])
 
 
 def _image_subgroup(Hs, Ht, inclusion):
@@ -547,6 +614,40 @@ def _image_subgroup(Hs, Ht, inclusion):
     pushed = [_push_class(Hs, Ht, inclusion, [int(i == j) for j in range(g)])
               for i in range(g)]
     return _span(pushed, Ht.group.invariant_factors)
+
+
+def _canonical_basis(H, struct, gens):
+    """Generators of the subgroup of H spanned by ``gens`` (invariant
+    factors d_1 | ... | d_r, those of ``struct``), chosen by the classes'
+    canonical cocycles: for i = r down to 1, the class x with the
+    lexicographically least canonical cocycle among those with
+    ord(x) = d_i and ord(x mod <g_(i+1), ..., g_r>) = d_i.  Each choice
+    has trivial intersection with the span of the later ones, so the
+    spans have orders d_i ... d_r and the choices form a basis; they
+    depend only on the subgroup and the canonical cocycles, not on the
+    coordinates the engine gave H."""
+    factors = H.group.invariant_factors
+    d = struct.invariant_factors
+
+    def combine(x, y, k):
+        return tuple((a + k * b) % f for a, b, f in zip(x, y, factors))
+
+    zero = (0,) * len(factors)
+    elements = [zero]
+    for g, di in zip(gens, d):
+        elements = [combine(x, g, k) for x in elements for k in range(di)]
+    chosen = []
+    span = {zero}
+    for di in reversed(d):
+        cands = [x for x in elements
+                 if combine(zero, x, di) == zero
+                 and all(combine(zero, x, k) not in span for k in range(1, di))]
+        if not cands:
+            raise InternalCheckError("no canonical generator of the stable group")
+        best = min(cands, key=H._canonical_class)
+        chosen.append(best)
+        span = {combine(y, best, k) for y in span for k in range(di)}
+    return tuple(reversed(chosen))
 
 
 def stabilized_h2(gamma: FiniteGroup, Z: DiagonalizableGroup, module_at,
@@ -612,5 +713,7 @@ def stabilized_h2(gamma: FiniteGroup, Z: DiagonalizableGroup, module_at,
     k_used = stable_at + 1
     struct, gen_coords = image(stable_at, k_used)
     tower_orders = tuple(Hs[j].order() for j in sorted(Hs))
-    return StabilizedH2(struct, k_used, tuple(gen_coords), Ms[k_used],
-                        level(k_used), tower_orders, tuple(iso_flags))
+    H = level(k_used)
+    return StabilizedH2(struct, k_used,
+                        _canonical_basis(H, struct, gen_coords),
+                        Ms[k_used], H, tower_orders, tuple(iso_flags))

@@ -15,6 +15,7 @@ broken by lowest (row, col) index, so decompositions are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd
 
 from .errors import ValidationError
@@ -207,17 +208,22 @@ def smith_normal_form(A: IntMatrix, keep=("U", "V")) -> SmithDecomposition:
         swap(V_t, i, j)
         swap(Vi, i, j)
 
-    def submul_row(i, j, q):
-        # row_i -= q * row_j
-        D[i] = _submul(D[i], D[j], q)
+    def submul_row(i, j, q, k):
+        # row_i -= q * row_j, where row_j vanishes before column k
+        if k:
+            D[i][k:] = [x - q * y for x, y in
+                        zip(islice(D[i], k, None), islice(D[j], k, None))]
+        else:
+            D[i] = _submul(D[i], D[j], q)
         if U is not None:
             U[i] = _submul(U[i], U[j], q)
         if Ui_t is not None:
             Ui_t[j] = _submul(Ui_t[j], Ui_t[i], -q)
 
-    def submul_col(i, j, q):
-        # col_i -= q * col_j
-        for row in D:
+    def submul_col(i, j, q, rows):
+        # col_i -= q * col_j, where ``rows`` holds every row of D with a
+        # nonzero entry in column j
+        for row in rows:
             row[i] -= q * row[j]
         if V_t is not None:
             V_t[i] = _submul(V_t[i], V_t[j], q)
@@ -242,17 +248,24 @@ def smith_normal_form(A: IntMatrix, keep=("U", "V")) -> SmithDecomposition:
                 swap_rows(t, piv[0])
             if piv[1] != t:
                 swap_cols(t, piv[1])
-            p = D[t][t]
+            row_t = D[t]
+            p = row_t[t]
             done = True
+            # once earlier pivots have cleared their columns, row t
+            # vanishes before column t and row updates start there
+            k = t if t and not any(islice(row_t, t)) else 0
             for i in range(t + 1, m):
                 if D[i][t]:
-                    submul_row(i, t, D[i][t] // p)
+                    submul_row(i, t, D[i][t] // p, k)
                     if D[i][t]:
                         done = False
+            rows = None
             for j in range(t + 1, n):
-                if D[t][j]:
-                    submul_col(j, t, D[t][j] // p)
-                    if D[t][j]:
+                if row_t[j]:
+                    if rows is None:
+                        rows = [row for row in D if row[t]]
+                    submul_col(j, t, row_t[j] // p, rows)
+                    if row_t[j]:
                         done = False
             if done:
                 if D[t][t] < 0:
@@ -270,7 +283,7 @@ def smith_normal_form(A: IntMatrix, keep=("U", "V")) -> SmithDecomposition:
         for i in range(r - 1):
             a, b = D[i][i], D[i + 1][i + 1]
             if a and b % a:
-                submul_col(i, i + 1, -1)
+                submul_col(i, i + 1, -1, [row for row in D if row[i + 1]])
                 clear(i)
                 clear(i + 1)
                 changed = True

@@ -301,8 +301,8 @@ def classify(based: BasedRootDatum, ad: AdHom, max_k: int = 4,
     cd = center_data(based.datum)
     Z = cd.group
     # the coefficient rank is the same at every tower level n^k, k >= 1
-    require_within_budget(gamma.order, torsion_at(Z, gamma.order).ncoords,
-                          2, budget)
+    require_within_budget(gamma, torsion_at(Z, gamma.order).ncoords, 2,
+                          budget, canonical=True)
     require_valid_ad(based, ad)
 
     def module_at(m):

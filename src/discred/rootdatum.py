@@ -248,7 +248,7 @@ class PositiveSystem:
         return self.weyl.elements[self.index]
 
 
-def positive_systems(datum: RootDatum, weyl: WeylGroup, based: BasedRootDatum):
+def positive_systems(weyl: WeylGroup, based: BasedRootDatum):
     """Orbit of R+(base) under W, with the unique w carrying the base
     system onto each.  Asserts that w -> w.R+ is a bijection.  Raises
     ValidationError with ``validate_based``'s message for an invalid

@@ -55,7 +55,7 @@ def test_criterion_02_positive_systems_bijection():
                     standard.g2, standard.a1xa1_adjoint, standard.d4_adjoint):
         based = builder()
         W = weyl_generate(based)
-        systems = positive_systems(based.datum, W, based)
+        systems = positive_systems(W, based)
         ok = ok and len(systems) == W.order
         ok = ok and len({s.weyl_element.entries for s in systems}) == W.order
         ok = ok and len({s.roots for s in systems}) == W.order

@@ -3,6 +3,7 @@ normalized cocycle of each class, checked against the brute-force set of
 normalized coboundaries and, where that set is too large to list, by
 invariance under added coboundaries."""
 
+import os
 import random
 from functools import lru_cache
 
@@ -11,13 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discred import autbrd, standard
+from discred.abgroup import FGAbelianGroup
+from discred.cli import main
 from discred.cohomology import (Cochain, cochain_sum, cohomology_group,
-                                differential, is_cocycle)
+                                differential, is_cocycle, trivial_module)
 from discred.extension import classify
-from discred.grouptable import cyclic
+from discred.grouptable import cyclic, direct_product, from_generators
 
 from bruteforce import normalized_coboundaries, zip_flat_add
 from test_acceptance import _oracle_instances
+from test_cohomology import _trivial_tower
+from test_coordinates import TOWER, _tower_input
+from test_golden import GOLDEN, NAMES as GOLDEN_NAMES, PROBLEMS
 
 
 def flat(c):
@@ -85,3 +91,63 @@ def test_normalize_is_a_class_invariant(label, data):
     assert H.coordinates_of(out) == H.coordinates_of(moved)
     assert all(0 <= x < f for _, v in out.values
                for x, f in zip(v, A.invariant_factors))
+
+
+def _reverse_generating_set(monkeypatch):
+    """Reverse the generating set S behind the cocycle rows and the
+    Cayley graph; the engine's coordinates of H^2 move with it."""
+    from discred import cohomology, grouptable, relations
+
+    def reversed_set(G):
+        return grouptable.generating_set(G)[::-1]
+    monkeypatch.setattr(cohomology, "generating_set", reversed_set)
+    monkeypatch.setattr(relations, "generating_set", reversed_set)
+
+
+def _classification(based, ad, max_k=4):
+    cls = classify(based, ad, max_k=max_k)
+    return (cls.group, cls.k_used, cls.tower_orders,
+            [(d.coordinates, d.cocycle, d.is_split) for d in cls.descriptors])
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_golden_reports_under_reversed_generators(capsys, monkeypatch, name):
+    _reverse_generating_set(monkeypatch)
+    code = main(["classify", "--input", os.path.join(PROBLEMS, name + ".json"),
+                 "--format", "json"])
+    assert code == 0
+    with open(os.path.join(GOLDEN, name + ".json"), "rb") as fh:
+        assert capsys.readouterr().out.encode() == fh.read()
+
+
+@pytest.mark.parametrize("label", sorted(TOWER))
+def test_tower_reports_under_reversed_generators(monkeypatch, label):
+    based, ad, max_k = _tower_input(label)
+    want = _classification(based, ad, max_k)
+    _reverse_generating_set(monkeypatch)
+    assert _classification(based, ad, max_k) == want
+
+
+def test_pinned_tower_under_reversed_generators(monkeypatch):
+    want = _trivial_tower(2, (2, 8), 7).representatives
+    _reverse_generating_set(monkeypatch)
+    assert _trivial_tower(2, (2, 8), 7).representatives == want
+
+
+@pytest.mark.parametrize("gamma", [
+    direct_product(cyclic(2), cyclic(2)),
+    from_generators(4, [(1, 0, 2, 3), (1, 2, 3, 0)]),
+], ids=["V4", "S4"])
+def test_noncyclic_gamma_under_reversed_generators(monkeypatch, gamma):
+    """With |S| = 2 the reversal moves the engine's coordinates of
+    H^2(Gamma, Z/2), and the classify report stays the same."""
+    based = standard.sl2()
+    ad = autbrd.trivial_ad(based, gamma)
+    want = _classification(based, ad)
+    M = trivial_module(gamma, FGAbelianGroup(0, (2,)))
+    gens = cohomology_group(M, 2).generators
+    _reverse_generating_set(monkeypatch)
+    H = cohomology_group(M, 2)
+    assert [H.coordinates_of(g) for g in gens] != [
+        tuple(int(k == j) for k in range(len(gens))) for j in range(len(gens))]
+    assert _classification(based, ad) == want

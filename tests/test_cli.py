@@ -338,8 +338,9 @@ class TestOnceOnly:
         path = _problem_with(tmp_path, gamma={"type": "cyclic", "n": 40})
         code, _, err = run(capsys, "classify", "--input", path)
         assert code == 2 and "budget" in err
-        # the message of the gate inside cohomology_group
-        assert "cochain problem size 1600x64000 exceeds budget" in err
+        # classify's gate on the canonical-form basis, (n - 1)^2 = 1521
+        # coordinates: 1521^2 > 2M
+        assert "canonical form size 1521x1521 exceeds budget" in err
         assert counts == {"validate_ad": 0, "gamma_module": 0}
 
 

@@ -12,6 +12,8 @@ from discred.exactlin import (IntegerSolver, IntMatrix,
                               modular_echelon, smith_normal_form,
                               solve_integer)
 
+from smith_reference import reference_smith
+
 small_matrices = st.integers(1, 4).flatmap(
     lambda r: st.integers(1, 4).flatmap(
         lambda c: st.lists(
@@ -74,6 +76,39 @@ class TestSmith:
         s1 = smith_normal_form(mat(rows))
         s2 = smith_normal_form(mat(rows))
         assert s1.U.entries == s2.U.entries and s1.V.entries == s2.V.entries
+
+
+class TestSmithAgainstReference:
+    """The restricted row and column updates give the transforms of the
+    routine that walked whole rows (``smith_reference``)."""
+
+    @staticmethod
+    def _same(A):
+        want, fixups = reference_smith(A)
+        snf = smith_normal_form(A, keep=("U", "V", "U_inv", "V_inv"))
+        assert (snf.U, snf.D, snf.V, snf.U_inv, snf.V_inv) == want
+        return fixups
+
+    def test_random_matrices(self):
+        rng = random.Random(7)
+        fixups = 0
+        for _ in range(400):
+            m, n = rng.randint(1, 7), rng.randint(1, 7)
+            bound = rng.choice([1, 3, 9, 40])
+            A = mat([[rng.randint(-bound, bound) if rng.random() < 0.7 else 0
+                      for _ in range(n)] for _ in range(m)])
+            fixups += self._same(A) > 0
+        assert fixups > 0
+
+    @pytest.mark.parametrize("rows", [
+        [[2, 0], [0, 3]],
+        [[4, 0, 0], [0, 6, 0], [0, 0, 10]],
+        [[6, 0, 0, 0], [0, 10, 0, 0], [0, 0, 15, 0], [0, 0, 0, 1]],
+        [[3, 0, 0], [0, 2, 0], [0, 0, 0], [0, 0, 0]],
+        [[0, 9, 0], [4, 0, 0], [0, 0, 6]],
+    ])
+    def test_divisibility_fixups(self, rows):
+        assert self._same(mat(rows)) > 0
 
 
 class TestSolve:

@@ -71,14 +71,12 @@ def _modules():
     return tuple(out.values())
 
 
-def _image_order(M, p):
-    """|d_p(C^p)| on the full bar complex: the index of the lattice
-    spanned by the images of the basis cochains and the modulus
-    relations.  The bar matrix is built here, from the formula
-    dc(g_0..g_p) = g_0.c(g_1..g_p) + sum_i (-1)^i c(.., g_(i-1) g_i, ..)
-    + (-1)^(p+1) c(g_0..g_(p-1)), on every tuple."""
-    G, A = M.gamma, M.coeff
-    t = A.ncoords
+def _bar_images(M, p):
+    """The images of the basis p-cochains under the full bar
+    differential, as flat vectors over every (p+1)-tuple, built here from
+    the formula dc(g_0..g_p) = g_0.c(g_1..g_p)
+    + sum_i (-1)^i c(.., g_(i-1) g_i, ..) + (-1)^(p+1) c(g_0..g_(p-1))."""
+    G, t = M.gamma, M.coeff.ncoords
     src = {tup: i for i, tup in enumerate(
         itertools.product(G.elements(), repeat=p))}
     dst = list(itertools.product(G.elements(), repeat=p + 1))
@@ -92,11 +90,21 @@ def _image_order(M, p):
             for a, b in itertools.product(range(t), repeat=2):
                 x = (a == b) if mat is None else mat[a, b]
                 images[src[s] * t + b][r * t + a] += sign * x
-    mods = A.invariant_factors * len(dst)
+    return images
+
+
+def _image_order(M, p):
+    """|d_p(C^p)| on the full bar complex: the index of the lattice
+    spanned by the images of the basis cochains and the modulus
+    relations."""
+    A = M.coeff
+    images = _bar_images(M, p)
+    dst = M.gamma.order ** (p + 1)
+    mods = A.invariant_factors * dst
     index = 1
     for i, row in enumerate(modular_echelon(images, mods)):
         index *= row[i]
-    return A.order() ** len(dst) // index
+    return A.order() ** dst // index
 
 
 @lru_cache(maxsize=None)

@@ -152,7 +152,7 @@ class TestPositiveSystems:
     def test_bijection_with_weyl(self, name):
         based = ALL_DATA[name]()
         W = weyl_generate(based)
-        systems = positive_systems(based.datum, W, based)
+        systems = positive_systems(W, based)
         assert len(systems) == W.order
         # the attached Weyl elements are pairwise distinct
         assert len({s.weyl_element.entries for s in systems}) == W.order
@@ -217,7 +217,7 @@ class TestPermutationWeyl:
         for perm, w in zip(W.permutations, elems):
             assert tuple(roots[j] for j in perm) == tuple(
                 w.apply(b) for b in roots)
-        systems = positive_systems(based.datum, W, based)
+        systems = positive_systems(W, based)
         assert [(s.roots, s.weyl_element.entries) for s in systems] == \
             matrix_positive_systems(based, elems)
 
@@ -237,7 +237,7 @@ class TestPermutationWeyl:
         with pytest.raises(ValidationError, match=r"^duplicate root \(1, 1\)$"):
             weyl_generate(bad)
         with pytest.raises(ValidationError, match=r"^duplicate root \(1, 1\)$"):
-            positive_systems(bad.datum, weyl_generate(based), bad)
+            positive_systems(weyl_generate(based), bad)
 
 
 class TestDynkin:
