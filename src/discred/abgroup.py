@@ -117,6 +117,19 @@ def direct_sum(A: FGAbelianGroup, B: FGAbelianGroup) -> FGAbelianGroup:
     return FGAbelianGroup(A.free_rank + B.free_rank, g.invariant_factors)
 
 
+def _same_reduced_columns(target: FGAbelianGroup, A: IntMatrix,
+                          B: IntMatrix) -> bool:
+    """Whether A and B, two matrices of the same shape into ``target``,
+    have equal columns once reduced in ``target``: the images of the
+    source generators, so the two maps agree.  Compared row by row: free
+    rows exactly, a torsion row modulo its invariant factor."""
+    f = target.free_rank
+    return (A.entries[:f] == B.entries[:f]
+            and all(not any((a - b) % q for a, b in zip(ra, rb))
+                    for ra, rb, q in zip(A.entries[f:], B.entries[f:],
+                                         target.invariant_factors)))
+
+
 @dataclass(frozen=True)
 class AbHom:
     """Homomorphism between f.g. abelian groups, as an integer matrix on
@@ -154,15 +167,21 @@ class AbHom:
         return AbHom(other.source, self.target, self.matrix @ other.matrix)
 
     def equal_as_map(self, other: "AbHom") -> bool:
-        if not (self.source.same_structure(other.source)
-                and self.target.same_structure(other.target)):
-            return False
-        n = self.source.ncoords
-        for j in range(n):
-            e = tuple(int(i == j) for i in range(n))
-            if self.apply(e) != other.apply(e):
-                return False
-        return True
+        return (self.source.same_structure(other.source)
+                and self.target.same_structure(other.target)
+                and _same_reduced_columns(self.target, self.matrix,
+                                          other.matrix))
+
+    def composite_equals(self, other: "AbHom", h: "AbHom") -> bool:
+        """Whether self after other equals h as a map: ``compose`` then
+        ``equal_as_map``, on the product matrix alone."""
+        if not other.target.same_structure(self.source):
+            raise ValidationError("hom composition mismatch")
+        return (other.source.same_structure(h.source)
+                and self.target.same_structure(h.target)
+                and _same_reduced_columns(self.target,
+                                          self.matrix @ other.matrix,
+                                          h.matrix))
 
     @classmethod
     def identity(cls, G: FGAbelianGroup):

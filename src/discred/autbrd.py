@@ -145,23 +145,21 @@ def diagram_automorphisms(based: BasedRootDatum) -> DiagramAutomorphisms:
     return DiagramAutomorphisms(tuple(autos), tuple(non_lifting))
 
 
-def induced_center_action(cd: CenterData, T: BRDAutomorphism, n: int) -> AbHom:
-    """Automorphism of Z(G)[n] induced by the distinguished automorphism T.
+def presented_action(cd: CenterData, T: BRDAutomorphism) -> IntMatrix:
+    """The level-independent part of ``induced_center_action``: the
+    transpose of the presented matrix of T^{-1} on Q = X^*/ZR."""
+    return (cd.to_presented @ T.inverse_matrix @ cd.from_presented).transpose()
 
-    T preserves ZR, so it descends to Q = X^*/ZR; characters transform by
-    precomposition with the inverse.  Writing characters of order dividing
-    n as Z/n-combinations in the presented coordinates, the action matrix
-    is the transpose of the presented matrix of T^{-1}, rescaled onto the
-    per-coordinate character orders.
-    """
-    if n < 1:
-        raise ValidationError("torsion level must be >= 1")
-    p_inv = cd.to_presented @ T.inverse_matrix @ cd.from_presented
-    M = p_inv.transpose()
+
+def center_action_at(cd: CenterData, M: IntMatrix | None, n: int) -> AbHom:
+    """The per-level part of ``induced_center_action``: the automorphism
+    of Z(G)[n] that M = ``presented_action(cd, T)`` induces.  M is read
+    only when Z(G)[n] has coordinates, so None stands in for it when
+    Z(G)[n] is trivial."""
+    tor = torsion_at(cd.group, n)
     # character order per presented coordinate
     g = [gcd(d, n) if d >= 1 else n for d in cd.moduli]
     active = [i for i, gi in enumerate(g) if gi > 1]
-    tor = torsion_at(cd.group, n)
     if len(active) != tor.ncoords:
         raise InternalCheckError("torsion coordinate bookkeeping mismatch")
     rows = []
@@ -174,8 +172,22 @@ def induced_center_action(cd: CenterData, T: BRDAutomorphism, n: int) -> AbHom:
                     "induced action does not preserve the torsion subgroup")
             row.append((e // (n // g[i])) % g[i])
         rows.append(tuple(row))
-    return AbHom(tor, tor, IntMatrix.from_rows(rows, cols=tor.ncoords)
-                 if rows else IntMatrix.from_rows([], cols=0))
+    return AbHom(tor, tor, IntMatrix(tor.ncoords, tor.ncoords, tuple(rows)))
+
+
+def induced_center_action(cd: CenterData, T: BRDAutomorphism, n: int) -> AbHom:
+    """Automorphism of Z(G)[n] induced by the distinguished automorphism T.
+
+    T preserves ZR, so it descends to Q = X^*/ZR; characters transform by
+    precomposition with the inverse.  Writing characters of order dividing
+    n as Z/n-combinations in the presented coordinates, the action matrix
+    is the transpose of the presented matrix of T^{-1}
+    (``presented_action``, the same at every n), rescaled onto the
+    per-coordinate character orders (``center_action_at``).  T^{-1} and
+    the presented matrix are formed only when Z(G)[n] has coordinates.
+    """
+    M = presented_action(cd, T) if torsion_at(cd.group, n).ncoords else None
+    return center_action_at(cd, M, n)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ component group, and its action on the based datum.  Every command is
 deterministic: reports are emitted with sorted keys and stable ordering,
 so identical inputs give byte-identical output.
 
-Exit codes: 0 success, 1 invalid input, 2 budget exceeded, 3 internal
-consistency failure.
+Exit codes: 0 success, 1 invalid input (an option error included), 2
+budget exceeded, 3 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -70,13 +70,13 @@ def _int_array(value, field, depth):
     return tuple(_int_array(v, field, depth - 1) for v in value)
 
 
-def _positive_int_option(text, flag):
-    """A command-line integer option >= 1."""
+def _int_option(text, flag, minimum=None):
+    """A command-line integer option (>= ``minimum`` if given)."""
     try:
-        value = int(text)
+        text = int(text)
     except ValueError:
-        raise ValidationError(f"{flag} must be an integer >= 1, got {text!r}")
-    return _integer(value, flag, 1)
+        pass  # still a string, which ``_integer`` rejects naming the flag
+    return _integer(text, flag, minimum)
 
 
 def _parse_based(data) -> BasedRootDatum:
@@ -258,7 +258,7 @@ def cmd_classify(args):
     gamma = _parse_gamma(data)
     ad = _parse_ad(data, based, gamma)
     if args.max_k is not None:
-        max_k = _positive_int_option(args.max_k, "--max-k")
+        max_k = _int_option(args.max_k, "--max-k", 1)
     else:
         max_k = _integer(data.get("max_k", 4), "max_k", 1)
     cls = classify(based, ad, max_k=max_k, budget=args.budget)
@@ -279,8 +279,16 @@ def cmd_classify(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as invalid input, exit 1 through ``main``;
+    argparse's own exit 2 would read as "budget exceeded"."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="discred",
         description="Disconnected reductive groups over a based root datum: "
                     "centers, Weyl groups, and extension classification.")
@@ -296,11 +304,12 @@ def build_parser():
         sp = sub.add_parser(name, description=desc)
         sp.add_argument("--input", required=True, help="problem JSON file")
         sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--budget", type=int, default=2_000_000,
-                        help="cap on intermediate problem size")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="recorded in reports; all computations are "
-                             "deterministic")
+        sp.add_argument("--budget", default="2000000",
+                        help="cap on intermediate problem size "
+                             "(integer >= 1)")
+        sp.add_argument("--seed", default="0",
+                        help="recorded in reports (integer); all "
+                             "computations are deterministic")
         if name == "classify":
             sp.add_argument("--max-k", default=None,
                             help="torsion tower depth limit (integer >= 1)")
@@ -316,8 +325,10 @@ def _parser():
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
+        args.budget = _int_option(args.budget, "--budget", 1)
+        args.seed = _int_option(args.seed, "--seed")
         return args.fn(args)
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)

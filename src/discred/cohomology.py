@@ -65,14 +65,12 @@ def gamma_module(gamma: FiniteGroup, coeff: FGAbelianGroup, action) -> GammaModu
     action = tuple(action)
     if len(action) != gamma.order:
         raise ValidationError("need one action map per gamma element")
-    ident = action[gamma.identity]
-    if not ident.equal_as_map(AbHom.identity(coeff)):
+    if not action[gamma.identity].equal_as_map(AbHom.identity(coeff)):
         raise ValidationError("action of the identity is not the identity")
     gens = generating_set(gamma)
-    for x in range(gamma.order):
+    for x, ax in enumerate(action):
         for s in gens:
-            lhs = action[x].compose(action[s])
-            if not lhs.equal_as_map(action[gamma.mul(x, s)]):
+            if not ax.composite_equals(action[s], action[gamma.mul(x, s)]):
                 raise ValidationError(
                     f"action is not a homomorphism at pair ({x}, {s})")
     return GammaModule(gamma, coeff, action)

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 from math import gcd
+from operator import mul
 
 from .errors import ValidationError
 
@@ -39,6 +40,17 @@ class IntMatrix:
         if len(ent) != self.rows or any(len(r) != self.cols for r in ent):
             raise ValidationError("matrix entries do not match declared shape")
         object.__setattr__(self, "entries", ent)
+
+    @classmethod
+    def _of(cls, rows, cols, entries):
+        """A matrix on ``entries``, a tuple of ``rows`` row tuples of
+        length ``cols`` that the caller built with that shape; the
+        constructor's copy and shape check are skipped."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", entries)
+        return m
 
     @classmethod
     def from_rows(cls, rows, cols=None):
@@ -67,9 +79,9 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ValidationError("matrix product shape mismatch")
         ot = other.transpose().entries
-        ent = tuple(tuple(sum(a * b for a, b in zip(r, c)) for c in ot)
-                    for r in self.entries)
-        return IntMatrix(self.rows, other.cols, ent)
+        return IntMatrix._of(self.rows, other.cols,
+                             tuple(tuple(sum(map(mul, r, c)) for c in ot)
+                                   for r in self.entries))
 
     def apply(self, vec):
         """Matrix-vector product (column-vector convention)."""
@@ -78,9 +90,8 @@ class IntMatrix:
         return tuple(sum(a * b for a, b in zip(r, vec)) for r in self.entries)
 
     def transpose(self):
-        return IntMatrix(self.cols, self.rows,
-                         tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                               for j in range(self.cols)))
+        ent = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+        return IntMatrix._of(self.cols, self.rows, ent)
 
     def det(self):
         """Exact determinant by fraction-free (Bareiss) elimination."""

@@ -18,14 +18,15 @@ import itertools
 from dataclasses import dataclass
 
 from .abgroup import DiagonalizableGroup, FGAbelianGroup, torsion_at
-from .autbrd import AdHom, induced_center_action
+from .autbrd import AdHom, center_action_at, presented_action
 from .cohomology import (Cochain, CohomologyGroup, GammaModule, cochain_sum,
                          cohomology_group, gamma_module,
                          require_within_budget, stabilized_h2)
 from .errors import InternalCheckError, ValidationError
 from .grouptable import (FiniteGroup, find_isomorphism, hom_check, quotient,
                          semidirect_product, validate_table)
-from .rootdatum import BasedRootDatum, center_data, require_valid_based
+from .rootdatum import (BasedRootDatum, CenterData, center_data,
+                        require_valid_based)
 
 
 def cocycle_witness(M: GammaModule, c: Cochain):
@@ -287,6 +288,30 @@ class Classification:
     tower_orders: tuple
 
 
+def center_modules(cd: CenterData, ad: AdHom):
+    """``module_at`` of the torsion tower Z(G)[m] under ad, for
+    ``stabilized_h2``.  The action of each distinct ad image on X^*/ZR
+    is presented once (``presented_action``, one T^{-1} per image, none
+    when the levels have no coordinates); each level only reduces it
+    (``center_action_at``), once per distinct image, and the result
+    equals the module built from ``induced_center_action`` at every
+    element."""
+    gamma = ad.gamma
+    keys = [im.matrix.entries for im in ad.images]
+    has_coords = torsion_at(cd.group, gamma.order).ncoords > 0
+    presented = {}
+    for key, im in zip(keys, ad.images):
+        if key not in presented:
+            presented[key] = presented_action(cd, im) if has_coords else None
+
+    def module_at(m):
+        level = {key: center_action_at(cd, M, m)
+                 for key, M in presented.items()}
+        return gamma_module(gamma, torsion_at(cd.group, m),
+                            [level[key] for key in keys])
+    return module_at
+
+
 def classify(based: BasedRootDatum, ad: AdHom, max_k: int = 4,
              budget: int = 2_000_000) -> Classification:
     """All classes of disconnected groups over the based root datum with
@@ -305,12 +330,8 @@ def classify(based: BasedRootDatum, ad: AdHom, max_k: int = 4,
                           budget, canonical=True)
     require_valid_ad(based, ad)
 
-    def module_at(m):
-        acts = tuple(induced_center_action(cd, ad.images[g], m)
-                     for g in range(gamma.order))
-        return gamma_module(gamma, torsion_at(Z, m), acts)
-
-    res = stabilized_h2(gamma, Z, module_at, max_k=max_k, budget=budget)
+    res = stabilized_h2(gamma, Z, center_modules(cd, ad), max_k=max_k,
+                        budget=budget)
     H = res.cohomology
     level = gamma.order ** res.k_used
     descriptors = []

@@ -143,8 +143,16 @@ def from_generators(degree, perms):
     n = len(elems)
     table = tuple(tuple(index[compose(elems[i], elems[j])] for j in range(n))
                   for i in range(n))
-    inverse = tuple(row.index(0) for row in table)
+    inverse = tuple(index[_invert(p)] for p in elems)
     return FiniteGroup(n, table, 0, inverse, generator_words=tuple(words))
+
+
+def _invert(p):
+    """The inverse of the permutation p."""
+    q = [0] * len(p)
+    for i, pi in enumerate(p):
+        q[pi] = i
+    return tuple(q)
 
 
 def cyclic(n):

@@ -134,26 +134,39 @@ def validate(datum: RootDatum):
         if datum.pairing(bv, b) != 2:
             return (f"pairing <coroot, root> != 2 for pair {k}: "
                     f"<{bv}, {b}> = {datum.pairing(bv, b)}")
-    root_set = set(datum.roots)
-    coroot_set = set(datum.coroots)
     # pairing[k][j] = <coroot k, root j>: row k serves the reflection at
     # root k, column k the coreflection; a zero pairing fixes the vector
     pairing = [[sum(map(mul, bv, b)) for b in datum.roots]
                for bv in datum.coroots]
-    for k, (a, av) in enumerate(zip(datum.roots, datum.coroots)):
-        for b, m in zip(datum.roots, pairing[k]):
-            if m:
-                img = _reflect(b, m, a)
-                if img not in root_set:
-                    return (f"reflection at root {k} does not permute the "
-                            f"roots (image of {b} is {img})")
-        for bv, row in zip(datum.coroots, pairing):
-            m = row[k]
-            if m:
-                img = _reflect(bv, m, av)
-                if img not in coroot_set:
-                    return (f"coreflection at root {k} does not permute the "
-                            f"coroots (image of {bv} is {img})")
+    # Membership by exact linear keys: balanced base-B digits with
+    # B > 2 max|coordinate| (1 + max|pairing|) number every root, coroot
+    # and image v - m a below injectively, and key(v - m a) is
+    # key(v) - m key(a); an image is built only for a failure message.
+    bound = max((abs(x) for v in datum.roots + datum.coroots for x in v),
+                default=0)
+    top = max((abs(m) for row in pairing for m in row), default=0)
+    base = 2 * bound * (1 + top) + 1
+    powers = [base ** i for i in range(datum.rank)]
+    root_keys = [sum(map(mul, b, powers)) for b in datum.roots]
+    coroot_keys = [sum(map(mul, bv, powers)) for bv in datum.coroots]
+    root_set, coroot_set = set(root_keys), set(coroot_keys)
+    columns = list(zip(*pairing))
+    for k, (ka, kav) in enumerate(zip(root_keys, coroot_keys)):
+        row, col = pairing[k], columns[k]
+        if not root_set.issuperset([kb - m * ka
+                                    for kb, m in zip(root_keys, row)]):
+            j = next(j for j, m in enumerate(row)
+                     if root_keys[j] - m * ka not in root_set)
+            b, a = datum.roots[j], datum.roots[k]
+            return (f"reflection at root {k} does not permute the "
+                    f"roots (image of {b} is {_reflect(b, row[j], a)})")
+        if not coroot_set.issuperset([kbv - m * kav
+                                      for kbv, m in zip(coroot_keys, col)]):
+            j = next(j for j, m in enumerate(col)
+                     if coroot_keys[j] - m * kav not in coroot_set)
+            bv, av = datum.coroots[j], datum.coroots[k]
+            return (f"coreflection at root {k} does not permute the "
+                    f"coroots (image of {bv} is {_reflect(bv, col[j], av)})")
     return None
 
 

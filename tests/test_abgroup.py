@@ -1,4 +1,8 @@
+from math import gcd
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discred.abgroup import (AbHom, DiagonalizableGroup, FGAbelianGroup,
                              direct_sum, from_factor_list, torsion_at,
@@ -77,6 +81,104 @@ class TestHom:
         a = AbHom(z4, z4, IntMatrix.from_rows([[3]]))
         b = AbHom(z4, z4, IntMatrix.from_rows([[-1]]))
         assert a.equal_as_map(b)
+
+
+def _unit_vector_equal(f, g):
+    """``AbHom.equal_as_map`` as it was: apply both maps to every unit
+    vector of the source."""
+    if not (f.source.same_structure(g.source)
+            and f.target.same_structure(g.target)):
+        return False
+    n = f.source.ncoords
+    return all(f.apply(e) == g.apply(e)
+               for e in (tuple(int(i == j) for i in range(n))
+                         for j in range(n)))
+
+
+_GROUPS = [FGAbelianGroup(0, ()), FGAbelianGroup(1, ()),
+           FGAbelianGroup(0, (2,)), FGAbelianGroup(0, (4,)),
+           FGAbelianGroup(0, (2, 6)), FGAbelianGroup(1, (3,)),
+           FGAbelianGroup(2, (2, 2))]
+
+
+@st.composite
+def _homs(draw, source=None, target=None):
+    """A well-defined hom between two groups of ``_GROUPS`` (either may
+    have 0 coordinates)."""
+    src = source or draw(st.sampled_from(_GROUPS))
+    dst = target or draw(st.sampled_from(_GROUPS))
+    rows = []
+    for q in _moduli(dst):
+        row = []
+        for p in _moduli(src):
+            # well-defined: p times the entry vanishes in the row's group
+            if p == 0:
+                row.append(draw(st.integers(-9, 9)))
+            elif q == 0:
+                row.append(0)
+            else:
+                row.append(q // gcd(p, q) * draw(st.integers(-3, 3)))
+        rows.append(tuple(row))
+    return AbHom(src, dst, IntMatrix(dst.ncoords, src.ncoords, tuple(rows)))
+
+
+def _moduli(G):
+    return (0,) * G.free_rank + G.invariant_factors
+
+
+@st.composite
+def _variants(draw, f):
+    """f with each entry moved by a multiple of its row's modulus (the
+    same map), and with one entry then changed, when a draw asks, by the
+    smallest step that keeps the map well-defined (usually another
+    map)."""
+    mods, srcmods = _moduli(f.target), _moduli(f.source)
+    rows = [[x + q * draw(st.integers(-2, 2)) for x in row]
+            for row, q in zip(f.matrix.entries, mods)]
+    if rows and rows[0] and draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows[0]) - 1))
+        q, p = mods[i], srcmods[j]
+        if p == 0 or q:
+            rows[i][j] += q // gcd(p, q) if p else 1
+    return AbHom(f.source, f.target,
+                 IntMatrix(f.matrix.rows, f.matrix.cols,
+                           tuple(map(tuple, rows))))
+
+
+class TestColumnComparison:
+    """``equal_as_map`` and ``composite_equals`` compare the reduced
+    columns of the matrices; the unit-vector apply they replaced is the
+    oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equal_as_map(self, data):
+        f = data.draw(_homs())
+        g = data.draw(_variants(f))
+        assert f.equal_as_map(g) == _unit_vector_equal(f, g)
+        assert f.equal_as_map(f)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_composite_equals(self, data):
+        a, b, c = (data.draw(st.sampled_from(_GROUPS)) for _ in range(3))
+        f = data.draw(_homs(source=b, target=c))
+        g = data.draw(_homs(source=a, target=b))
+        fg = f.compose(g)
+        h = data.draw(_variants(fg))
+        assert f.composite_equals(g, fg)
+        assert f.composite_equals(g, h) == _unit_vector_equal(fg, h)
+
+    def test_mismatched_structures(self):
+        z2, z4 = FGAbelianGroup(0, (2,)), FGAbelianGroup(0, (4,))
+        f = AbHom(z4, z4, IntMatrix.from_rows([[1]]))
+        g = AbHom(z2, z4, IntMatrix.from_rows([[2]]))
+        assert not f.equal_as_map(g)
+        assert not _unit_vector_equal(f, g)
+        with pytest.raises(ValidationError, match="composition mismatch"):
+            g.composite_equals(g, f)
+        assert not f.composite_equals(g, f)
 
 
 class TestDiagonalizable:

@@ -187,26 +187,53 @@ class TestInverseOncePerElement:
         assert T.inverse_matrix is T.inverse_matrix
 
     def test_d4_triality_classify_smith_forms(self, monkeypatch, capsys):
-        """Each of the six ad images is inverted once for the whole
-        tower, not once per tower level, the based datum is validated
-        once, and the center's cokernel keeps the inverse of its transform
-        from its own Smith form: 9 Smith forms in all, where inverting at
-        each of the four levels took 30, validating twice took 12 and
-        inverting the cokernel transform afterwards took 10."""
-        counts = {"smith_normal_form": 0, "inverse_unimodular": 0}
+        """D4 adjoint has a trivial center, so its tower levels have no
+        coordinates and no ad image is inverted; the based datum is
+        validated once, and the center's cokernel keeps the inverse of its
+        transform from its own Smith form: 3 Smith forms in all, where
+        inverting the six images once each took 9, inverting at each of
+        the four levels took 30, validating twice took 12 and inverting
+        the cokernel transform afterwards took 10."""
+        counts = _classify_counts(monkeypatch, capsys,
+                                  _problem("d4_adjoint_s3.json"))
+        assert counts == {"smith_normal_form": 3, "inverse_unimodular": 0}
 
-        def counting(module, name):
-            inner = getattr(module, name)
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_center_tower_inverts_each_distinct_image_once(
+            self, monkeypatch, capsys, tmp_path, n):
+        """GL2 has center C*, so every level has coordinates.  The swap
+        under C2 gives two distinct images, and under C4 four images with
+        two distinct matrices: two inverses and 23 Smith forms for the
+        whole tower either way, where inverting each element's image took
+        four inverses and 25 Smith forms over C4."""
+        with open(_problem("gl2_z2_swap.json")) as fh:
+            data = json.load(fh)
+        data["gamma"] = {"type": "cyclic", "n": n}
+        path = tmp_path / "gl2_swap.json"
+        path.write_text(json.dumps(data))
+        counts = _classify_counts(monkeypatch, capsys, str(path))
+        assert counts == {"smith_normal_form": 23, "inverse_unimodular": 2}
 
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return inner(*args, **kwargs)
-            monkeypatch.setattr(module, name, wrapper)
 
-        counting(exactlin, "smith_normal_form")
-        counting(autbrd, "inverse_unimodular")
-        problem = os.path.join(os.path.dirname(__file__), os.pardir, "src",
-                               "discred", "problems", "d4_adjoint_s3.json")
-        assert main(["classify", "--input", problem, "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out)["tower_orders"]
-        assert counts == {"smith_normal_form": 9, "inverse_unimodular": 6}
+def _problem(name):
+    return os.path.join(os.path.dirname(__file__), os.pardir, "src",
+                        "discred", "problems", name)
+
+
+def _classify_counts(monkeypatch, capsys, problem):
+    """Smith forms and T^{-1} inversions of one ``classify`` CLI call."""
+    counts = {"smith_normal_form": 0, "inverse_unimodular": 0}
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(exactlin, "smith_normal_form")
+    counting(autbrd, "inverse_unimodular")
+    assert main(["classify", "--input", problem, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["tower_orders"]
+    return counts

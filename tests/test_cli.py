@@ -188,6 +188,40 @@ class TestStrictIntegers:
                            problem("sl2_z2_trivial.json"), "--max-k", value)
         assert code == 1 and "--max-k" in err
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--budget", "abc"), ("--budget", "0"), ("--budget", "-5"),
+        ("--budget", "2.5"), ("--budget", ""), ("--seed", "x"),
+        ("--seed", "1.5"), ("--format", "xml")])
+    def test_bad_option_exits_1(self, capsys, flag, value):
+        """Option errors are invalid input: exit 1 naming the flag, never
+        argparse's exit 2, which reads as "budget exceeded"."""
+        for command in ("check", "classify"):
+            code, _, err = run(capsys, command, "--input",
+                               problem("sl2_z2_trivial.json"), flag, value)
+            assert code == 1 and flag in err
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,named", [
+        (["frob", "--input", "x.json"], "frob"), ([], "command"),
+        (["check"], "--input"), (["check", "--input", "x.json", "--bogus"],
+                                 "--bogus")])
+    def test_usage_error_exits_1(self, capsys, argv, named):
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and named in err
+
+    def test_negative_seed_is_recorded(self, capsys):
+        code, out, _ = run(capsys, "classify", "--input",
+                           problem("sl2_z2_trivial.json"), "--seed", "-3",
+                           "--format", "json")
+        assert code == 0 and json.loads(out)["seed"] == -3
+
+    @pytest.mark.parametrize("argv", [["--help"], ["classify", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: discred")
+
     @pytest.mark.parametrize("value", [0, -2, 2.5, 2.0, True, "2", None])
     def test_bad_cyclic_order(self, capsys, tmp_path, value):
         path = _problem_with(tmp_path, gamma={"type": "cyclic", "n": value})

@@ -8,17 +8,19 @@ import itertools
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discred import standard
 from discred.abgroup import torsion_at, torsion_inclusion
 from discred.autbrd import (ad_from_generator_images, induced_center_action,
-                            trivial_ad)
+                            trivial_ad, validate_ad)
 from discred.cli import _parse_ad, _parse_based, _parse_gamma, load_problem
 from discred.cohomology import (Cochain, _image_subgroup, _push_class, _span,
                                 cochain_sum, cohomology_group, gamma_module,
                                 push_cochain, stabilized_h2)
-from discred.extension import classify
-from discred.grouptable import cyclic
+from discred.extension import center_modules, classify
+from discred.grouptable import cyclic, from_generators
 from discred.rootdatum import center_data
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "src",
@@ -70,6 +72,54 @@ def _module_at(based, ad):
                             [induced_center_action(cd, ad.images[g], m)
                              for g in range(gamma.order)])
     return cd.group, module_at
+
+
+def _assert_tower_modules_match(based, ad):
+    """``classify``'s modules, reduced level by level from one presented
+    action per distinct image, equal the modules built from
+    ``induced_center_action`` at every element, at m = n .. n^4."""
+    hoisted = center_modules(center_data(based.datum), ad)
+    _, reference = _module_at(based, ad)
+    n = ad.gamma.order
+    for m in sorted({n ** k for k in range(1, 5)}):
+        assert hoisted(m) == reference(m)
+
+
+@pytest.mark.parametrize("load,name", _inputs())
+def test_center_modules_match_per_element_actions(load, name):
+    based, ad, _ = load(name)
+    _assert_tower_modules_match(based, ad)
+
+
+@st.composite
+def _signed_permutation_tori(draw):
+    """A torus of rank 1 to 3 with Gamma generated by one or two signed
+    permutation matrices, Gamma their closure as permutations of the
+    2r vectors +-e_i (a faithful copy of the matrix group)."""
+    r = draw(st.integers(1, 3))
+    mats, perms = [], []
+    for _ in range(draw(st.integers(1, 2))):
+        pi = draw(st.permutations(range(r)))
+        signs = [draw(st.sampled_from([1, -1])) for _ in range(r)]
+        mats.append([[signs[j] if pi[j] == i else 0 for j in range(r)]
+                     for i in range(r)])
+        perm = [0] * (2 * r)
+        for j in range(r):   # point 2j is e_j, point 2j + 1 is -e_j
+            flip = int(signs[j] < 0)
+            perm[2 * j] = 2 * pi[j] + flip
+            perm[2 * j + 1] = 2 * pi[j] + 1 - flip
+        perms.append(tuple(perm))
+    based = standard.torus(r)
+    gamma = from_generators(2 * r, perms)
+    return based, ad_from_generator_images(based, gamma, mats)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_signed_permutation_tori())
+def test_center_modules_match_on_signed_permutation_tori(torus):
+    based, ad = torus
+    assert validate_ad(based, ad) is None
+    _assert_tower_modules_match(based, ad)
 
 
 @pytest.mark.parametrize("load,name", _inputs())

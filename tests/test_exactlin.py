@@ -206,6 +206,54 @@ def shaped_matrices(draw):
               for j in range(c)) for i in range(r)))
 
 
+def _old_transpose(A):
+    """``IntMatrix.transpose`` as it was: every entry indexed, then the
+    constructor's copy and shape check."""
+    return IntMatrix(A.cols, A.rows,
+                     tuple(tuple(A.entries[i][j] for i in range(A.rows))
+                           for j in range(A.cols)))
+
+
+def _old_matmul(A, B):
+    """``IntMatrix.__matmul__`` as it was, on ``_old_transpose``."""
+    bt = _old_transpose(B).entries
+    return IntMatrix(A.rows, B.cols,
+                     tuple(tuple(sum(a * b for a, b in zip(r, c)) for c in bt)
+                           for r in A.entries))
+
+
+class TestProductAgainstOldConstruction:
+    """``@`` and ``transpose`` build their entries once and skip the
+    constructor's check; the result must equal the checked construction,
+    zero-sized shapes included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(shaped_matrices(), st.integers(0, 5), st.integers(-4, 4))
+    def test_matmul_and_transpose(self, A, c, seed):
+        rng = random.Random(seed)
+        B = IntMatrix(A.cols, c, tuple(
+            tuple(rng.randint(-4, 4) for _ in range(c))
+            for _ in range(A.cols)))
+        assert A.transpose() == _old_transpose(A)
+        assert A @ B == _old_matmul(A, B)
+        assert type((A @ B).entries) is tuple
+
+    @pytest.mark.parametrize("r,k,c", [(0, 3, 2), (3, 0, 2), (2, 3, 0),
+                                       (0, 0, 0), (0, 0, 4), (4, 0, 0)])
+    def test_zero_sized(self, r, k, c):
+        A = IntMatrix(r, k, tuple((1,) * k for _ in range(r)))
+        B = IntMatrix(k, c, tuple((2,) * c for _ in range(k)))
+        P = A @ B
+        assert P == _old_matmul(A, B)
+        assert (P.rows, P.cols) == (r, c)
+        assert P.entries == tuple((0,) * c for _ in range(r))
+        for M in (A, B, P):
+            T = M.transpose()
+            assert T == _old_transpose(M)
+            assert (T.rows, T.cols) == (M.cols, M.rows)
+            assert T.transpose() == M
+
+
 class TestTrackedInverses:
     """The inverses kept by the elimination against ``inverse_unimodular``,
     the path they replace."""

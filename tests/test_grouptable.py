@@ -133,6 +133,21 @@ _PERMUTATION_GROUPS = [
 ]
 
 
+@pytest.mark.parametrize("degree,perms", [
+    (0, []), (1, []), (3, [(1, 0, 2), (1, 2, 0)]),
+    (4, [(1, 2, 3, 0), (1, 0, 2, 3)]),
+    (5, [(1, 2, 3, 4, 0), (4, 3, 2, 1, 0)]),
+    (8, [(1, 2, 3, 0, 5, 6, 7, 4), (4, 7, 6, 5, 2, 1, 0, 3)])])
+def test_from_generators_inverses_match_the_table(degree, perms):
+    """``from_generators`` finds each inverse by inverting the
+    permutation; it is the two-sided inverse the table has."""
+    G = from_generators(degree, perms)
+    for x in range(G.order):
+        y = G.inv(x)
+        assert G.mul(x, y) == G.mul(y, x) == G.identity
+    assert G.inverse == tuple(row.index(G.identity) for row in G.table)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_subgroup_closure_is_closure_under_products(data):

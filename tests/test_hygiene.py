@@ -1,15 +1,19 @@
-"""Source hygiene: no module imports a name it never uses.
+"""Source hygiene: no module imports a name it never uses, and every
+function the benchmark's tracer wraps exists.
 
 The re-exports of ``discred/__init__.py`` are its purpose, so that file
 is exempt.
 """
 
 import ast
+import importlib
 import os
 
 import pytest
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "discred")
+TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                      "tracer.py")
 MODULES = sorted(f for f in os.listdir(SRC)
                  if f.endswith(".py") and f != "__init__.py")
 
@@ -40,3 +44,27 @@ def test_detects_leftovers():
               "quotient(None, None)\n")
     assert unused_imports(source) == ["is_normal", "_validate_based",
                                       "itertools"]
+
+
+def tracer_targets():
+    """The ``TARGETS`` list of the benchmark's tracer, read from its
+    source without importing it."""
+    with open(TRACER) as fh:
+        tree = ast.parse(fh.read())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "TARGETS"
+                        for t in node.targets))
+
+
+def test_tracer_targets_resolve():
+    """A rename in src/ must not leave the traced benchmark wrapping a
+    name that is gone."""
+    targets = tracer_targets()
+    assert targets
+    for _, module, attr, _ in targets:
+        obj = importlib.import_module(f"discred.{module}")
+        for part in attr.split("."):
+            assert hasattr(obj, part), f"{module}.{attr}"
+            obj = getattr(obj, part)
+        assert callable(obj), f"{module}.{attr}"

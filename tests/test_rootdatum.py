@@ -6,6 +6,8 @@ from discred import rootdatum, standard
 from discred.errors import BudgetExceededError, ValidationError
 from discred.exactlin import IntMatrix
 from discred.grouptable import closure
+from validate_reference import reference_validate
+
 from discred.rootdatum import (BasedRootDatum, RootDatum, almost_product_check,
                                center, dynkin, positive_roots,
                                positive_systems, reflection, validate,
@@ -118,6 +120,73 @@ class TestReflectionFormula:
     @given(_perturbed())
     def test_perturbed_data(self, datum):
         assert validate(datum) == matrix_validate(datum)
+
+
+@st.composite
+def _base_changed(draw):
+    """A standard datum moved by a random unimodular T: roots to T b,
+    coroots to T^{-t} b^v (pairings unchanged), as a product of
+    elementary matrices; then, when ``corrupt`` is drawn, perturbed as in
+    ``_perturbed``."""
+    datum = ALL_DATA[draw(st.sampled_from(sorted(ALL_DATA)))]().datum
+    roots = [list(b) for b in datum.roots]
+    coroots = [list(bv) for bv in datum.coroots]
+    n = datum.rank
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        c = draw(st.integers(-3, 3))
+        if i == j:
+            continue
+        for b in roots:        # T = 1 + c e_ij
+            b[i] += c * b[j]
+        for bv in coroots:     # T^{-t} = 1 - c e_ji
+            bv[j] -= c * bv[i]
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(roots) - 1))
+        kind = draw(st.sampled_from(["root", "coroot", "drop", "swap"]))
+        if kind == "drop":
+            del roots[k], coroots[k]
+        elif kind == "swap":
+            j = draw(st.integers(0, len(roots) - 1))
+            coroots[k], coroots[j] = coroots[j], coroots[k]
+        else:
+            vecs = roots if kind == "root" else coroots
+            vecs[k][draw(st.integers(0, n - 1))] += draw(
+                st.integers(-3, 3).filter(bool))
+    return RootDatum(n, roots, coroots)
+
+
+class TestValidateKeys:
+    """``validate`` finds reflected roots and coroots by their linear
+    keys; the tuple-building routine it replaced (``validate_reference``)
+    must give the same verdict and message."""
+
+    @pytest.mark.parametrize("name", sorted(ALL_DATA))
+    def test_standard_data(self, name):
+        datum = ALL_DATA[name]().datum
+        assert validate(datum) is None
+        assert reference_validate(datum) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(_base_changed())
+    def test_base_changed_data(self, datum):
+        assert validate(datum) == reference_validate(datum)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_perturbed())
+    def test_perturbed_data(self, datum):
+        assert validate(datum) == reference_validate(datum)
+
+    def test_image_beyond_the_coordinates(self):
+        """The image (-3, 1) of (1, 1) leaves the coordinate range of the
+        roots; with a key base of 2 max|coordinate| + 1 = 5 its key
+        -3 + 5 would be the key of the root (2, 0), so the base must also
+        cover the pairing factor."""
+        d = RootDatum(2, ((2, 0), (-2, 0), (1, 1)),
+                      ((1, 1), (-1, -1), (2, 0)))
+        assert validate(d) == reference_validate(d) == (
+            "reflection at root 0 does not permute the roots "
+            "(image of (1, 1) is (-3, 1))")
 
 
 class TestWeyl:
