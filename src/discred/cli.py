@@ -253,6 +253,8 @@ def cmd_dynkin(args):
 
 
 def cmd_classify(args):
+    budget = _int_option(args.budget, "--budget", 1)
+    seed = _int_option(args.seed, "--seed")
     data = load_problem(args.input)
     based = _parse_based(data)
     gamma = _parse_gamma(data)
@@ -261,9 +263,9 @@ def cmd_classify(args):
         max_k = _int_option(args.max_k, "--max-k", 1)
     else:
         max_k = _integer(data.get("max_k", 4), "max_k", 1)
-    cls = classify(based, ad, max_k=max_k, budget=args.budget)
+    cls = classify(based, ad, max_k=max_k, budget=budget)
     report = {"command": "classify", "problem": data.get("name"),
-              "seed": args.seed}
+              "seed": seed}
     report.update(_classification_json(cls))
     lines = [
         f"Z(G) = {cls.center.describe()}",
@@ -304,13 +306,13 @@ def build_parser():
         sp = sub.add_parser(name, description=desc)
         sp.add_argument("--input", required=True, help="problem JSON file")
         sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--budget", default="2000000",
-                        help="cap on intermediate problem size "
-                             "(integer >= 1)")
-        sp.add_argument("--seed", default="0",
-                        help="recorded in reports (integer); all "
-                             "computations are deterministic")
         if name == "classify":
+            sp.add_argument("--budget", default="2000000",
+                            help="cap on intermediate problem size "
+                                 "(integer >= 1)")
+            sp.add_argument("--seed", default="0",
+                            help="recorded in reports (integer); all "
+                                 "computations are deterministic")
             sp.add_argument("--max-k", default=None,
                             help="torsion tower depth limit (integer >= 1)")
         sp.set_defaults(fn=fn)
@@ -327,8 +329,6 @@ def _parser():
 def main(argv=None):
     try:
         args = _parser().parse_args(argv)
-        args.budget = _int_option(args.budget, "--budget", 1)
-        args.seed = _int_option(args.seed, "--seed")
         return args.fn(args)
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -196,8 +196,10 @@ def pushout(G: FiniteGroup, z_embed, act, model: ExtensionModel) -> PushoutModel
         for j, y in enumerate(elems):
             if G.mul(zmap[x], zmap[y]) != addtab[i][j]:
                 raise ValidationError("z is not a homomorphism A -> G")
-    for i, x in enumerate(elems):
-        if any(G.mul(zmap[x], g) != G.mul(g, zmap[x]) for g in range(G.order)):
+    # the centralizer of z(x) is a subgroup: commuting with S suffices
+    for x in elems:
+        zx = zmap[x]
+        if any(G.mul(zx, s) != G.mul(s, zx) for s in G.generators):
             raise ValidationError(f"image of {x} is not central in G")
 
     Et = model.group

@@ -9,6 +9,8 @@ closure; raw tables may put the identity anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 
 from .errors import BudgetExceededError, ValidationError
 
@@ -25,6 +27,11 @@ class FiniteGroup:
     # BFS words in the construction generators (from_generators only);
     # not part of the group's identity.
     generator_words: tuple | None = field(default=None, compare=False)
+
+    @cached_property
+    def generators(self):
+        """The greedy ``generating_set``, computed once per group object."""
+        return tuple(generating_set(self))
 
     def mul(self, i, j):
         return self.table[i][j]
@@ -82,7 +89,7 @@ def validate_table(table, identity=None):
             raise ValidationError(f"element {x} has no inverse")
         inverse.append(y)
     G = FiniteGroup(n, table, identity, tuple(inverse))
-    for s in generating_set(G):
+    for s in G.generators:
         s_row = table[s]
         for a, a_row in enumerate(table):
             as_row = table[column[s][a]]
@@ -170,12 +177,27 @@ def cyclic(n):
 
 def hom_check(f, src: FiniteGroup, dst: FiniteGroup) -> bool:
     """True iff the total map f (indexable by src elements) is a
-    homomorphism."""
+    homomorphism of the group src to the group dst.
+
+    Checks f(1) = 1 and f(x s) = f(x) f(s) for every x and every s in
+    ``src.generators``: |src| |S| lookups.  Every y is a word in S, so
+    f(x y) = f(x) f(y) follows by induction on the length of y (the
+    empty word needs f(1) = 1, the only check when src is trivial).
+    The argument needs src to be a group whose elements S reaches by
+    right multiplication, and dst associative.
+    """
     if len(f) != src.order:
         raise ValidationError("map is not total on the source group")
     images = [f[y] for y in range(src.order)]
-    return all([images[xy] for xy in row] == [dst.table[fx][fy] for fy in images]
-               for row, fx in zip(src.table, images))
+    if images[src.identity] != dst.identity:
+        return False
+    dst_table = dst.table
+    for s in src.generators:
+        fs = images[s]
+        if [images[row[s]] for row in src.table] != \
+           [dst_table[fx][fs] for fx in images]:
+            return False
+    return True
 
 
 def subgroup_closure(G: FiniteGroup, seed):
@@ -210,30 +232,34 @@ def is_subgroup(G: FiniteGroup, subset) -> bool:
 
 
 def is_normal(G: FiniteGroup, subset) -> bool:
+    """True iff ``subset`` is a normal subgroup of the group G: a
+    subgroup with g s g^-1 in s for every g, read off the row of g."""
     s = frozenset(subset)
     if not is_subgroup(G, s):
         return False
-    return all(G.mul(G.mul(g, x), G.inv(g)) in s
-               for g in range(G.order) for x in s)
+    table = G.table
+    return all(s.issuperset([table[row[x]][gi] for x in s])
+               for row, gi in zip(table, G.inverse))
 
 
 def quotient(G: FiniteGroup, normal_subset):
     """Quotient by a normal subgroup; returns (group, coset_of) where
-    coset_of[i] is the quotient index of element i."""
+    coset_of[i] is the quotient index of element i.  Cosets are numbered
+    by their first element; both the cosets and the quotient table are
+    read off the rows of G."""
     s = frozenset(normal_subset)
     if not is_normal(G, s):
         raise ValidationError("subset is not a normal subgroup")
     coset_of = [None] * G.order
     reps = []
-    for g in range(G.order):
+    for g, row in enumerate(G.table):
         if coset_of[g] is None:
             idx = len(reps)
             reps.append(g)
             for x in s:
-                coset_of[G.mul(g, x)] = idx
-    m = len(reps)
-    table = tuple(tuple(coset_of[G.mul(reps[i], reps[j])] for j in range(m))
-                  for i in range(m))
+                coset_of[row[x]] = idx
+    table = tuple(tuple([coset_of[row[r]] for r in reps])
+                  for row in (G.table[g] for g in reps))
     q = validate_table(table, identity=coset_of[G.identity])
     return q, tuple(coset_of)
 
@@ -258,7 +284,13 @@ def semidirect_product(N: FiniteGroup, H: FiniteGroup, act):
 
     Element (x, h) sits at index x * |H| + h; multiplication
     (x1, h1)(x2, h2) = (x1 * act[h1](x2), h1 h2).  Each distinct map in
-    ``act`` is checked once, and the table is built row by row.
+    ``act`` is checked once (``hom_check``, so N must be a group), then
+    act(1) = id, then act(h s) = act(h) act(s) for every h and every s
+    in ``H.generators``: with act(1) = id, induction on the length of a
+    word in S makes h -> act(h) a homomorphism H -> Aut(N), which needs
+    H to be a group.  Row (x1, h1) is the chain of the blocks of
+    (y, h1 h2) over h2 in H, one per y = x1 * act[h1](x2); the blocks
+    are built once, so rows share them and their index objects.
     """
     act = tuple(tuple(a) for a in act)
     elements = tuple(range(N.order))
@@ -271,24 +303,27 @@ def semidirect_product(N: FiniteGroup, H: FiniteGroup, act):
             checked.add(a)
     if act[H.identity] != elements:
         raise ValidationError("act at the identity is not the identity map")
-    for h1 in range(H.order):
-        a1, h1_row = act[h1], H.table[h1]
-        for h2 in range(H.order):
-            if any(a1[x] != y for x, y in zip(act[h2], act[h1_row[h2]])):
+    for s in H.generators:
+        a_s = act[s]
+        for a1, h1_row in zip(act, H.table):
+            if tuple([a1[x] for x in a_s]) != act[h1_row[s]]:
                 raise ValidationError("act is not a homomorphism")
     nh = H.order
+    cells = [tuple(range(y * nh, (y + 1) * nh)) for y in elements]
+    blocks = [[tuple([cell[h] for h in h1_row]) for cell in cells]
+              for h1_row in H.table]
     table = []
     for x1_row in N.table:
-        for a1, h1_row in zip(act, H.table):
-            n_part = [x1_row[x] * nh for x in a1]
-            table.append(tuple([nx + h for nx in n_part for h in h1_row]))
-    ident = N.identity * nh + H.identity
+        for a1, blk in zip(act, blocks):
+            table.append(tuple(chain.from_iterable(
+                [blk[x1_row[x]] for x in a1])))
     inverse = []
     for x in elements:
         for h in range(nh):
             hi = H.inv(h)
-            inverse.append(act[hi][N.inv(x)] * nh + hi)
-    return FiniteGroup(N.order * nh, tuple(table), ident, tuple(inverse))
+            inverse.append(cells[act[hi][N.inv(x)]][hi])
+    return FiniteGroup(N.order * nh, tuple(table), cells[N.identity][H.identity],
+                       tuple(inverse))
 
 
 def find_isomorphism(A: FiniteGroup, B: FiniteGroup):
@@ -302,7 +337,7 @@ def find_isomorphism(A: FiniteGroup, B: FiniteGroup):
        sorted(B.element_order(x) for x in B.elements()):
         return None
 
-    gens = generating_set(A)
+    gens = A.generators
     elems, _, tree = closure(A.identity, gens, A.mul, A.order, "group")
 
     b_by_order = {}

@@ -201,6 +201,15 @@ class TestStrictIntegers:
             assert code == 1 and flag in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["check", "center", "weyl", "dynkin"])
+    @pytest.mark.parametrize("flag,value", [("--budget", "5"),
+                                            ("--seed", "1")])
+    def test_budget_and_seed_are_classify_only(self, capsys, command, flag,
+                                               value):
+        code, out, err = run(capsys, command, "--input",
+                             problem("sl2_z2_trivial.json"), flag, value)
+        assert code == 1 and flag in err and out == ""
+
     @pytest.mark.parametrize("argv,named", [
         (["frob", "--input", "x.json"], "frob"), ([], "command"),
         (["check"], "--input"), (["check", "--input", "x.json", "--bogus"],

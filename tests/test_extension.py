@@ -311,6 +311,23 @@ class TestOnceOnly:
         assert sum(args[0] is push.semidirect for args in calls) == 1
         assert push.checks.antidiagonal_is_normal
 
+    def test_one_generating_set_per_group(self, monkeypatch):
+        """A pushout and its ``quotient_mod_center`` on the C32/A4/C4
+        model (Z/16 = Z/4 . C4 by the carry cocycle, pushed out into
+        C32) compute each group's generating set at most once."""
+        M = trivial_module(cyclic(4), Z(4))
+        carry = Cochain.from_map(2, {(a, b): ((a + b) // 4,)
+                                     for a in range(4) for b in range(4)})
+        G, z, act = cyclic(32), (0, 8, 16, 24), (tuple(range(32)),) * 4
+        calls = []
+        counted(monkeypatch, grouptable, "generating_set", calls)
+        model = build_extension(M, carry)
+        push = pushout(G, z, act, model)
+        assert quotient_mod_center(G, z, act, push) is not None
+        assert push.semidirect.order == 512
+        groups = [args[0] for args in calls]
+        assert groups and len(groups) == len({id(g) for g in groups})
+
     @pytest.mark.parametrize("g", [0, 1])
     @pytest.mark.parametrize("bad", [
         (0, 0, 0, 0),         # not a bijection

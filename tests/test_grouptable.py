@@ -1,12 +1,17 @@
 import re
+from functools import cache
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from grouptable_reference import (reference_hom_check, reference_is_normal,
+                                  reference_quotient,
+                                  reference_semidirect_product)
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discred import grouptable
 from discred.errors import BudgetExceededError, ValidationError
-from discred.grouptable import (closure, cyclic, direct_product,
+from discred.grouptable import (closure, compose, cyclic, direct_product,
                                 find_isomorphism, from_generators, hom_check,
                                 is_normal, is_subgroup, quotient,
                                 semidirect_product, subgroup_closure,
@@ -412,3 +417,183 @@ def test_hom_check_matches_every_pair(data):
                    for x in range(src.order) for y in range(src.order))
     assert hom_check(f, src, dst) == expected
     assert hom_check(list(range(src.order)), src, src)
+
+
+class TestGeneratorsProperty:
+    def test_is_the_generating_set_cached(self):
+        G = from_generators(4, [(1, 2, 3, 0), (1, 0, 2, 3)])
+        assert G.generators == tuple(grouptable.generating_set(G))
+        assert G.generators is G.generators
+
+    def test_not_part_of_equality(self):
+        G, H = cyclic(6), cyclic(6)
+        G.generators
+        assert G == H and hash(G) == hash(H)
+
+
+# The generator-pair checks and the row-built tables against the
+# all-pairs, entry-by-entry reference (tests/grouptable_reference.py).
+
+def _pushed(G, images, mul, start):
+    """The map on G sending the identity to ``start`` and x * s to
+    f(x) * images[s] along the closure tree of ``G.generators``: a
+    homomorphism exactly when the images satisfy G's relations."""
+    elems, _, tree = closure(G.identity, G.generators, G.mul, G.order, "g")
+    f = [None] * G.order
+    f[G.identity] = start
+    for x, (parent, gi) in zip(elems[1:], tree[1:]):
+        f[x] = mul(f[elems[parent]], images[gi])
+    return f
+
+
+@cache
+def _automorphisms(G):
+    """Every automorphism of G as an index map, the identity first."""
+    ident = tuple(range(G.order))
+    out = [ident]
+    for images in product(range(G.order), repeat=len(G.generators)):
+        f = tuple(_pushed(G, images, G.mul, G.identity))
+        if f != ident and len(set(f)) == G.order and \
+           reference_hom_check(f, G, G):
+            out.append(f)
+    return tuple(out)
+
+
+def _non_generators(G):
+    return [x for x in range(G.order)
+            if x != G.identity and x not in G.generators]
+
+
+@st.composite
+def _maps(draw):
+    """(src, dst, f): a random map, a map pushed along the generators
+    (a homomorphism when the images satisfy the relations, always for
+    the trivial and the identity map), or such a map changed at one
+    element that is neither a generator nor the identity."""
+    src = draw(st.sampled_from(_SMALL_GROUPS))
+    dst = draw(st.sampled_from(_SMALL_GROUPS + [src]))
+    kind = draw(st.sampled_from(["random", "pushed", "perturbed"]))
+    if kind == "random":
+        return src, dst, draw(st.lists(st.integers(0, dst.order - 1),
+                                       min_size=src.order,
+                                       max_size=src.order))
+    if dst is src and draw(st.booleans()):
+        images = src.generators
+    else:
+        images = [draw(st.integers(0, dst.order - 1))
+                  for _ in src.generators]
+    f = _pushed(src, images, dst.mul, dst.identity)
+    others = _non_generators(src)
+    if kind == "perturbed" and others:
+        f[draw(st.sampled_from(others))] = draw(st.integers(0, dst.order - 1))
+    return src, dst, f
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_maps())
+@example(case=(cyclic(1), cyclic(2), [1]))     # f(1) != 1, no generators
+def test_hom_check_matches_reference(case):
+    src, dst, f = case
+    assert hom_check(f, src, dst) == reference_hom_check(f, src, dst)
+
+
+def _outcome(fn, *args):
+    """What ``fn`` makes of ``args``: its error message, or the group
+    (order, table, identity, inverse) and any further results."""
+    try:
+        out = fn(*args)
+    except ValidationError as e:
+        return ("error", str(e))
+    G, rest = (out[0], out[1:]) if isinstance(out, tuple) else (out, ())
+    return ("group", G.order, G.table, G.identity, G.inverse) + rest
+
+
+@st.composite
+def _subsets(draw):
+    """(G, subset): the subgroup generated by a few elements (normal or
+    not), or a random subset (rarely a subgroup)."""
+    G = draw(st.sampled_from(_SMALL_GROUPS + _PERMUTATION_GROUPS))
+    elems = st.integers(0, G.order - 1)
+    if draw(st.booleans()):
+        return G, subgroup_closure(G, draw(st.lists(elems, max_size=3)))
+    return G, frozenset(draw(st.lists(elems, max_size=G.order)))
+
+
+_S4 = _PERMUTATION_GROUPS[3]
+_SQ = _S4.mul(1, 1)
+# in S4: the non-normal C4 of the first generator and C2 of its square,
+# the normal Klein four-group those squares generate, and the whole group
+_S4_SUBGROUPS = [subgroup_closure(_S4, [1]), subgroup_closure(_S4, [_SQ]),
+                 subgroup_closure(_S4, [_S4.mul(_S4.mul(g, _SQ), _S4.inv(g))
+                                        for g in range(_S4.order)]),
+                 frozenset(range(_S4.order))]
+
+
+def _with_s4_subgroups(test):
+    for s in _S4_SUBGROUPS:
+        test = example(case=(_S4, s))(test)
+    return test
+
+
+class TestNormalQuotientReference:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_subsets())
+    @_with_s4_subgroups
+    def test_is_normal_matches_reference(self, case):
+        G, s = case
+        assert is_normal(G, s) == reference_is_normal(G, s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_subsets())
+    @_with_s4_subgroups
+    def test_quotient_matches_reference(self, case):
+        G, s = case
+        assert _outcome(quotient, G, s) == _outcome(reference_quotient, G, s)
+
+
+@st.composite
+def _act_lists(draw):
+    """(N, H, act): act pushed along H's generators from automorphisms
+    of N (a homomorphism H -> Aut(N) when the images satisfy H's
+    relations), then changed at one element that is not a generator, at
+    the identity, or to a map that is not an automorphism."""
+    N = draw(st.sampled_from(_SMALL_GROUPS))
+    H = draw(st.sampled_from(_SMALL_GROUPS))
+    auts = st.sampled_from(_automorphisms(N))
+    images = [draw(auts) for _ in H.generators]
+    act = _pushed(H, images, compose, tuple(range(N.order)))
+    kind = draw(st.sampled_from(["pushed", "non-generator", "identity",
+                                 "not automorphism"]))
+    others = _non_generators(H)
+    if kind == "non-generator" and others:
+        act[draw(st.sampled_from(others))] = draw(auts)
+    elif kind == "identity":
+        act[H.identity] = draw(auts)
+    elif kind == "not automorphism":
+        act[draw(st.integers(0, H.order - 1))] = tuple(draw(st.lists(
+            st.integers(0, N.order - 1), min_size=N.order,
+            max_size=N.order)))
+    return N, H, act
+
+
+_INV3 = (0, 2, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_act_lists())
+# C3 x| C4 through inversion, wrong only at 3, which is no generator
+@example(case=(cyclic(3), cyclic(4), [(0, 1, 2), _INV3, (0, 1, 2),
+                                      (0, 1, 2)]))
+# wrong only at the identity, of a trivial and of a cyclic H
+@example(case=(cyclic(3), cyclic(1), [_INV3]))
+@example(case=(cyclic(3), cyclic(2), [_INV3, _INV3]))
+def test_semidirect_product_matches_reference(case):
+    N, H, act = case
+    assert _outcome(semidirect_product, N, H, act) == \
+        _outcome(reference_semidirect_product, N, H, act)
+
+
+def test_semidirect_rows_share_index_objects():
+    """Rows are chains of shared blocks: each index is one object."""
+    sd = semidirect_product(cyclic(32), cyclic(16), [tuple(range(32))] * 16)
+    assert len({id(x) for row in sd.table for x in row}) == sd.order
