@@ -30,7 +30,11 @@ class FiniteGroup:
 
     @cached_property
     def generators(self):
-        """The greedy ``generating_set``, computed once per group object."""
+        """The greedy ``generating_set``, computed once per group object.
+
+        These are element indices chosen by ``generating_set``, not the
+        construction generators that ``generator_words`` spells words in.
+        """
         return tuple(generating_set(self))
 
     def mul(self, i, j):

@@ -1,9 +1,4 @@
 import acceptance_log
-from hypothesis import settings
-
-# Selected in CI with --hypothesis-profile=ci: a failing property test
-# prints the blob that reproduces its example with @reproduce_failure.
-settings.register_profile("ci", print_blob=True)
 
 
 def pytest_terminal_summary(terminalreporter):
