@@ -19,7 +19,7 @@ from math import gcd
 from .abgroup import AbHom, torsion_at
 from .errors import InternalCheckError, ValidationError
 from .exactlin import IntegerSolver, IntMatrix, inverse_unimodular
-from .grouptable import FiniteGroup, generating_set
+from .grouptable import FiniteGroup
 from .rootdatum import (BasedRootDatum, CenterData, cartan_pairing,
                         simple_matrix)
 
@@ -236,10 +236,12 @@ def validate_ad(based: BasedRootDatum, ad: AdHom):
     """None when ad is a homomorphism into the distinguished
     automorphisms, else a message with a witness.
 
-    The homomorphism property is checked at the pairs (x, s) with s in a
-    generating set S: with Ad(1) = 1, Ad(x)Ad(y) = Ad(xy) for all x
-    follows by induction on the length of y as a word in S, as in
-    ``cohomology._cocycle_rows``."""
+    The homomorphism property is checked at the pairs (x, s) with s in
+    the generating set S of ``gamma.generators``: every y is a word in S,
+    and if Ad(x)Ad(w) = Ad(xw) for all x then
+    Ad(x)Ad(ws) = Ad(x)Ad(w)Ad(s) = Ad(xw)Ad(s) = Ad(xws), so with
+    Ad(1) = 1 it holds for all x and y by induction on the length of
+    y."""
     gamma = ad.gamma
     if len(ad.images) != gamma.order:
         return "images are not total on gamma"
@@ -250,9 +252,8 @@ def validate_ad(based: BasedRootDatum, ad: AdHom):
     ident = ad.images[gamma.identity].matrix
     if ident.entries != IntMatrix.identity(based.datum.rank).entries:
         return "image of the identity is not the identity matrix"
-    gens = generating_set(gamma)
     for x in range(gamma.order):
-        for s in gens:
+        for s in gamma.generators:
             lhs = ad.images[x].matrix @ ad.images[s].matrix
             rhs = ad.images[gamma.mul(x, s)].matrix
             if lhs.entries != rhs.entries:

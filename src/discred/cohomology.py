@@ -9,18 +9,17 @@ coefficient coordinates per p-tuple over Gamma minus the identity
 representative, and a 2-cocycle c becomes one by subtracting the
 coboundary of the constant map at c(1, 1).
 
-Degrees 0 and 1 are computed on these bar cochains, the cocycles cut out
-by the rows at (s,) and (g, s) with s in a generating set S.  Degree 2 is
-computed on the relation module of the Cayley graph of (Gamma, S)
-(``relations.RelationModule``): n|S| - n + 1 unknowns per coefficient
-coordinate instead of (n-1)^2, the Gamma-maps on the fundamental cycles.
+Every degree is computed on one complex, A -> A^S -> Hom_Gamma(R, A),
+from the relation module R of the Cayley graph of (Gamma, S), S a
+generating set (``relations.RelationModule``): t, |S| t and
+(n|S| - n + 1) t unknowns in degrees 0, 1, 2 instead of (n-1)^p t.
 Bar cochains stay the API and convert at the boundary: a bar cocycle to
-its map on the cycles (``coordinates_of``), a map back to the bar cocycle
-that vanishes on the tree edges (``generators``, ``class_representative``).
+the complex (``coordinates_of``), a cochain of the complex back to a
+normalized bar cocycle (``generators``, ``class_representative``).
 Kernels and images are computed by exact integer linear algebra: Smith
 normal forms of integer matrices with explicit modulus relations.  The
 full bar ``differential`` stays as the public checker; the normalized bar
-d_1 is built only for canonical representatives.
+d_(p-1) is built only for canonical representatives.
 
 Classes travel up the torsion tower and into ``classify`` as coordinate
 vectors; a ``Cochain`` is built only when a caller asks for one
@@ -36,10 +35,10 @@ from dataclasses import dataclass
 
 from .abgroup import AbHom, DiagonalizableGroup, FGAbelianGroup
 from .errors import BudgetExceededError, InternalCheckError, ValidationError
-from .exactlin import (IntegerSolver, IntMatrix, cokernel_presentation,
+from .exactlin import (IntMatrix, cokernel_presentation,
                        congruence_kernel_basis, echelon_reduce, kernel_basis,
                        modular_echelon)
-from .grouptable import FiniteGroup, generating_set
+from .grouptable import FiniteGroup
 from .relations import RelationModule
 
 
@@ -58,8 +57,10 @@ class GammaModule:
 def gamma_module(gamma: FiniteGroup, coeff: FGAbelianGroup, action) -> GammaModule:
     """Validated constructor: the action must be a homomorphism into
     Aut(coeff).  With the identity acting trivially it is one when
-    x.(s.a) = (xs).a for all x and all s in a generating set S, by
-    induction on word length in S (as in ``_cocycle_rows``)."""
+    x.(s.a) = (xs).a for all x and all s in the generating set S of
+    ``gamma.generators``: every y is a word in S, and if x.(w.a) = (xw).a
+    for all x then x.((ws).a) = x.(w.(s.a)) = (xw).(s.a) = (xws).a, by
+    induction on the length of y."""
     if not coeff.is_finite:
         raise ValidationError("coefficient group must be finite")
     action = tuple(action)
@@ -67,9 +68,8 @@ def gamma_module(gamma: FiniteGroup, coeff: FGAbelianGroup, action) -> GammaModu
         raise ValidationError("need one action map per gamma element")
     if not action[gamma.identity].equal_as_map(AbHom.identity(coeff)):
         raise ValidationError("action of the identity is not the identity")
-    gens = generating_set(gamma)
     for x, ax in enumerate(action):
-        for s in gens:
+        for s in gamma.generators:
             if not ax.composite_equals(action[s], action[gamma.mul(x, s)]):
                 raise ValidationError(
                     f"action is not a homomorphism at pair ({x}, {s})")
@@ -208,96 +208,78 @@ def is_cocycle(M: GammaModule, c: Cochain) -> bool:
     return all(v == zero for _, v in dc.values)
 
 
-def _diff_matrix(M: GammaModule, p: int, rows) -> IntMatrix:
-    """Integer matrix of the differential from normalized p-cochains to
-    the (p+1)-tuples ``rows`` (none containing the identity), on flat
-    coordinates.  Bar terms on a tuple containing the identity vanish on
-    normalized cochains and are dropped."""
-    src = _Space(M, p)
-    t = src.t
-    out = [[0] * src.dim for _ in range(len(rows) * t)]
-    for i, tup in enumerate(rows):
-        for sign, stup, actor in _bar_terms(M.gamma, tup):
-            j = src.index.get(stup)
-            if j is None:
-                continue
-            if actor is None:
-                for k in range(t):
-                    out[i * t + k][j * t + k] += sign
-            else:
-                amat = M.action[actor].matrix
-                for r in range(t):
-                    row = out[i * t + r]
-                    for k in range(t):
-                        a = amat[r, k]
-                        if a:
-                            row[j * t + k] += sign * a
-    return IntMatrix.from_rows(out, cols=src.dim)
-
-
-def _cocycle_rows(gamma: FiniteGroup, p: int):
-    """The (p+1)-tuples whose cocycle condition, on normalized cochains
-    of degree p <= 1, implies all the others: (s,) and (g, s) with s in a
-    generating set S and g != 1.  An element fixed by S is fixed by
-    Gamma, and f(gs) = f(g) + g.f(s) for all g and all s in S makes f a
-    crossed homomorphism."""
-    gens = generating_set(gamma)
+def _coboundary_columns(M: GammaModule, space: _Space):
+    """The normalized bar coboundaries d(delta_(u, i)) in the degree-p
+    coordinates of ``space``, for the basis (p-1)-cochains delta_(u, i),
+    u over the (p-1)-tuples over Gamma minus the identity in
+    lexicographic order and i over the coefficient coordinates: x.e_i at
+    (x,) + u, (-1)^j e_i at each tuple whose entries j and j + 1 multiply
+    to u_j, and (-1)^p e_i at u + (y,), dropping every tuple that
+    contains the identity.  None in degree 0."""
+    p, t, index = space.p, space.t, space.index
     if p == 0:
-        return [(s,) for s in gens]
+        return
+    gamma = M.gamma
     others = [g for g in range(gamma.order) if g != gamma.identity]
-    return [(g, s) for g in others for s in gens]
+    for u in itertools.product(others, repeat=p - 1):
+        terms = [(1, (x,) + u, M.action[x].matrix.entries) for x in others]
+        terms += [((-1) ** j, u[:j - 1] + (x, gamma.mul(gamma.inv(x), g))
+                   + u[j:], None)
+                  for j, g in enumerate(u, 1) for x in others if x != g]
+        terms += [((-1) ** p, u + (y,), None) for y in others]
+        for i in range(t):
+            col = [0] * space.dim
+            for sign, tup, amat in terms:
+                r = index[tup] * t
+                if amat is None:
+                    col[r + i] += sign
+                else:
+                    for k in range(t):
+                        col[r + k] += sign * amat[k][i]
+            yield col
 
 
 class CohomologyGroup:
     """H^p as a finite abelian group with representative cocycles per
-    canonical generator, stored as flat vectors: normalized bar
-    coordinates in degrees 0 and 1, coordinates of a Gamma-map on the
-    relation module (``relations.RelationModule``) in degree 2."""
+    canonical generator, stored as flat vectors of degree-p cochains of
+    the complex A -> A^S -> Hom_Gamma(R, A) of the Cayley graph
+    (``relations.RelationModule``)."""
 
-    def __init__(self, module, degree, group, space, kernel, pres, gen_vecs,
-                 relations=None, d_prev=None):
+    def __init__(self, module, degree, group, space, relations, kernel, pres,
+                 gen_vecs):
         self.module = module
         self.degree = degree
         self.group = group
         self._space = space
+        self._rel = relations
         self._kernel = kernel
         self._pres = pres
         self._gen_vecs = tuple(gen_vecs)
-        self._rel = relations
-        self._d_prev = d_prev
-        self._bnd_solver = None
         self._echelon = None
         self._canonical = {}
-
-    def _bar(self, vec):
-        """Normalized bar coordinates of a class vector."""
-        return vec if self._rel is None else self._rel.to_bar(vec)
 
     @property
     def generators(self):
         """Generator cocycles, one per invariant factor."""
-        return tuple(self._space.to_cochain(self._bar(v))
+        return tuple(self._space.to_cochain(self._rel.to_bar(v))
                      for v in self._gen_vecs)
 
     def order(self):
         return self.group.order()
 
     def _normalized(self, c: Cochain):
-        """Normalized coordinates of the cocycle ``c`` (shifted by the
-        coboundary of the constant map at c(1, 1) in degree 2), or
-        ValidationError when it is no cocycle."""
+        """(normalized coordinates, cochain of the complex) of the cocycle
+        ``c`` (shifted by the coboundary of the constant map at c(1, 1) in
+        degree 2), or ValidationError when it is no cocycle."""
         vec, _ = self._space.from_cochain(c)
-        if vec is None or (self._rel is not None
-                           and not self._rel.is_cocycle(vec)):
+        phi = None if vec is None else self._rel.from_bar(vec)
+        if phi is None:
             raise ValidationError("cochain is not a cocycle")
-        return vec
+        return vec, phi
 
     def coordinates_of(self, c: Cochain):
         """Class coordinates of a cocycle in the canonical generators."""
-        vec = self._normalized(c)
-        if self._rel is not None:
-            vec = self._rel.from_bar(vec)
-        return self._coords_of_vec(vec)
+        return self._coords_of_vec(self._normalized(c)[1])
 
     def _coords_of_vec(self, vec):
         if self._kernel is None:
@@ -314,29 +296,11 @@ class CohomologyGroup:
     def coboundary_witness(self, c: Cochain):
         """A (p-1)-cochain b with db = c, or None when c is not a
         coboundary."""
-        if self.degree == 0:
-            return None
-        space = self._space
-        vec, shift = space.from_cochain(c)
-        if vec is None:
-            return None
-        prev = _Space(self.module, self.degree - 1)
-        sol = [0] * prev.dim
-        if self._rel is not None:
-            sol = self._rel.coboundary_witness(vec)
-        elif space.dim:
-            if self._bnd_solver is None:
-                # [d_{p-1} | diag(mods_p)] x = cocycle
-                d = self._d_prev
-                self._bnd_solver = IntegerSolver(IntMatrix.from_rows(
-                    [d.row(r) + tuple(q if k == r else 0
-                                      for k in range(space.dim))
-                     for r, q in enumerate(space.mods)],
-                    cols=d.cols + space.dim))
-            sol = self._bnd_solver.solve(vec)
+        vec, shift = self._space.from_cochain(c)
+        sol = None if vec is None else self._rel.coboundary_witness(vec)
         if sol is None:
             return None
-        w = prev.to_cochain(list(sol[:prev.dim]))
+        w = _Space(self.module, self.degree - 1).to_cochain(sol)
         if not any(shift):
             return w
         coeff = self.module.coeff
@@ -347,15 +311,12 @@ class CohomologyGroup:
         """Lexicographically smallest normalized cocycle vector in the
         class of the normalized cocycle ``vec``: greedy reduction against
         a triangular basis of the lattice L spanned by the coboundaries of
-        normalized 1-cochains and the modulus relations, built from the
-        bar d_1 on first use."""
+        normalized (p-1)-cochains and the modulus relations, built from
+        the bar d_(p-1) on first use."""
         space = self._space
-        if self.degree != 2 or space.dim == 0:
-            return space.reduce(vec)
         if self._echelon is None:
-            d1 = _diff_matrix(self.module, 1, space.tuples)
             self._echelon = modular_echelon(
-                (d1.col(j) for j in range(d1.cols)), space.mods)
+                _coboundary_columns(self.module, space), space.mods)
         return echelon_reduce(self._echelon, vec, space.mods)
 
     def _class_vector(self, coords):
@@ -373,7 +334,7 @@ class CohomologyGroup:
                     zip(coords, self.group.invariant_factors))
         if key not in self._canonical:
             if any(key):
-                vec = self._bar(self._class_vector(key))
+                vec = self._rel.to_bar(self._class_vector(key))
             else:
                 vec = [0] * self._space.dim
             self._canonical[key] = tuple(self._canonical_vec(vec))
@@ -384,9 +345,7 @@ class CohomologyGroup:
         lexicographically smallest normalized cocycle in that class (in
         flat coordinates, entries in [0, q)), for every cocycle; raises
         ValidationError on any other cochain."""
-        vec = self._normalized(c)
-        if self._rel is None:
-            self._coords_of_vec(vec)  # raises unless vec is a cocycle
+        vec, _ = self._normalized(c)
         return self._space.to_cochain(self._canonical_vec(vec))
 
     def class_representative(self, coords) -> Cochain:
@@ -420,26 +379,26 @@ def require_within_budget(gamma: FiniteGroup, t: int, p: int, budget: int,
     """Raise BudgetExceededError when the matrices that H^p eliminates,
     for t coefficient coordinates, have more than ``budget`` entries.
 
-    Degrees 0 and 1 count the full bar differential, n^p t x n^(p+1) t.
-    Degree 2 counts the larger of the relation module's two matrices:
-    the equivariance rows, |S| m t x m t with m = n|S| - n + 1, and the
-    cokernel relations, (|S| + m) t x m t.  With ``canonical`` it first
-    counts the dense triangular basis that canonical representatives
-    reduce against, ((n-1)^2 t)^2 entries; that check needs no
-    generating set."""
+    The complex A -> A^S -> Hom_Gamma(R, A) of ``cohomology_group`` has
+    c_0 = t, c_1 = |S| t and c_2 = m t coordinates, m = n|S| - n + 1
+    with S = ``gamma.generators``, and c_-1 = 0.  Degree p eliminates the
+    cocycle rows, r_p x c_p with r_0 = |S| t, r_1 = m t and
+    r_2 = |S| m t, and the cokernel relations, (c_(p-1) + c_p) x c_p,
+    so it counts max(r_p, c_(p-1) + c_p) c_p entries.  With
+    ``canonical`` it first counts the dense triangular basis that
+    canonical representatives of H^2 reduce against, ((n-1)^2 t)^2
+    entries; that check needs no generating set."""
     n = gamma.order
     if canonical:
         dim = (n - 1) ** 2 * t
         if dim * dim > budget:
             raise BudgetExceededError(
                 f"canonical form size {dim}x{dim} exceeds budget {budget}")
-    if p < 2:
-        rows, cols = n ** p * t, n ** (p + 1) * t
-    else:
-        s = len(generating_set(gamma))
-        m = n * s - n + 1
-        rows, cols = max(s * m, s + m) * t, m * t
-    if rows * max(cols, 1) > budget:
+    s = len(gamma.generators)
+    m = n * s - n + 1
+    c = (0, t, s * t, m * t, s * m * t)   # c_-1 .. c_2, then r_2
+    rows, cols = max(c[p + 2], c[p] + c[p + 1]), c[p + 1]
+    if rows * cols > budget:
         raise BudgetExceededError(
             f"cochain problem size {rows}x{cols} exceeds budget {budget}")
 
@@ -447,17 +406,14 @@ def require_within_budget(gamma: FiniteGroup, t: int, p: int, budget: int,
 def cohomology_group(M: GammaModule, p: int, budget: int = 2_000_000) -> CohomologyGroup:
     """H^p(Gamma, A) by exact integer linear algebra.
 
-    The cochain modules are lifted to Z with explicit modulus relations.
-    Degrees 0 and 1 work on normalized bar cochains: cocycles are a
-    congruence kernel cut out by the rows of ``_cocycle_rows``,
-    coboundaries the image lattice of the normalized d_{p-1}.  Degree 2
-    works on the relation module R of the Cayley graph
-    (``relations.RelationModule``): the Gamma-maps R -> A are the
-    congruence kernel of the equivariance rows, and the images of A^S
-    take the place of the coboundaries.  The
-    quotient is a cokernel presentation.  Two Smith forms in all: the
-    congruence kernel's basis B = V diag(s) comes with V^-1, so the
-    boundary generators get their coordinates diag(s)^-1 V^-1 b in B
+    Every degree works on the complex A -> A^S -> Hom_Gamma(R, A) of the
+    relation module R of the Cayley graph (``relations.RelationModule``),
+    lifted to Z with explicit modulus relations: the cocycles are the
+    congruence kernel of d_p (in degree 2 the equivariance rows that cut
+    Hom_Gamma(R, A) out of A^m), the images of d_(p-1) the coboundaries,
+    and the quotient is a cokernel presentation.  Two Smith forms in
+    all: the congruence kernel's basis B = V diag(s) comes with V^-1, so
+    the boundary generators get their coordinates diag(s)^-1 V^-1 b in B
     without a second elimination (a modulus relation q_i e_i is q_i
     times column i of V^-1), and the cokernel keeps the inverse of its
     transform.  ``budget`` caps the matrix sizes, as
@@ -465,49 +421,32 @@ def cohomology_group(M: GammaModule, p: int, budget: int = 2_000_000) -> Cohomol
     """
     if p not in (0, 1, 2):
         raise ValidationError("cohomology supported only in degrees 0..2")
-    t = M.coeff.ncoords
-    require_within_budget(M.gamma, t, p, budget)
+    require_within_budget(M.gamma, M.coeff.ncoords, p, budget)
     space = _Space(M, p)
+    rel = RelationModule(M, space)
     if space.dim == 0 or M.coeff.order() == 1:
-        return CohomologyGroup(M, p, FGAbelianGroup(0, ()), space,
+        return CohomologyGroup(M, p, FGAbelianGroup(0, ()), space, rel,
                                None, None, ())
     Q = M.coeff.exponent()
-    rel = d_prev = None
-    if p == 2:
-        rel = RelationModule(M, space)
-        scaled = rel.equivariance_matrix(Q)
-        boundaries = rel.coboundaries()
-        mods = rel.mods
-    else:
-        d_p = _diff_matrix(M, p, _cocycle_rows(M.gamma, p))
-        scaled = IntMatrix.from_rows(
-            [[(Q // space.mods[r % t]) * x for x in d_p.row(r)]
-             for r in range(d_p.rows)],
-            cols=space.dim)
-        boundaries = []
-        if p > 0:
-            d_prev = _diff_matrix(M, p - 1, space.tuples)
-            boundaries = [d_prev.col(j) for j in range(d_prev.cols)]
-        mods = space.mods
-    kernel = congruence_kernel_basis(scaled, Q)
+    kernel = congruence_kernel_basis(rel.cocycle_matrix(Q), Q)
 
     # boundary generators in the kernel basis, then the modulus
     # relations q_i e_i
-    coords_rows = [kernel.coordinates(b) for b in boundaries]
+    coords_rows = [kernel.coordinates(b) for b in rel.coboundaries()]
     coords_rows.extend(kernel.unit_coordinates(i, q)
-                       for i, q in enumerate(mods))
+                       for i, q in enumerate(rel.mods))
     if None in coords_rows:
         raise InternalCheckError("boundary generator is not a cocycle")
     pres = cokernel_presentation(IntMatrix.from_rows(coords_rows,
-                                                     cols=len(mods)))
+                                                     cols=rel.dim))
     if pres.free_rank != 0:
         raise InternalCheckError("cohomology of a finite module came out infinite")
     group = FGAbelianGroup(0, pres.invariant_factors)
 
-    return CohomologyGroup(M, p, group, space, kernel, pres, [
+    return CohomologyGroup(M, p, group, space, rel, kernel, pres, [
         [x % q for x, q in
-         zip(kernel.basis.apply(pres.from_presented.col(pos)), mods)]
-        for pos, m in enumerate(pres.moduli) if m > 1], rel, d_prev)
+         zip(kernel.basis.apply(pres.from_presented.col(pos)), rel.mods)]
+        for pos, m in enumerate(pres.moduli) if m > 1])
 
 
 def eckmann_check(M: GammaModule, p: int, H: CohomologyGroup = None) -> bool:
@@ -595,8 +534,8 @@ def _span(coords, factors):
 def _push_class(Hs, Ht, inclusion, coords):
     """Coordinates in Ht of the class with coordinates ``coords`` in Hs,
     pushed along the coefficient inclusion block by block on flat
-    vectors.  Both groups share Gamma, and in degree 2 the same Cayley
-    graph, so the blocks line up."""
+    vectors.  Both groups share Gamma and so the same Cayley graph, so
+    the blocks line up."""
     if not Hs._gen_vecs:
         return (0,) * len(Ht.group.invariant_factors)
     vec, t = Hs._class_vector(coords), Hs._space.t

@@ -14,16 +14,19 @@ from hypothesis import strategies as st
 from discred import autbrd, standard
 from discred.abgroup import FGAbelianGroup
 from discred.cli import main
-from discred.cohomology import (Cochain, cochain_sum, cohomology_group,
-                                differential, is_cocycle, trivial_module)
+from discred.cohomology import (Cochain, _coboundary_columns, _Space,
+                                cochain_sum, cohomology_group, differential,
+                                is_cocycle, trivial_module)
 from discred.extension import classify
 from discred.grouptable import cyclic, direct_product, from_generators
 
+from bar_reference import reference_diff_matrix
 from bruteforce import normalized_coboundaries, zip_flat_add
 from test_acceptance import _oracle_instances
 from test_cohomology import _trivial_tower
 from test_coordinates import TOWER, _tower_input
 from test_golden import GOLDEN, NAMES as GOLDEN_NAMES, PROBLEMS
+from test_normalized import _modules
 
 
 def flat(c):
@@ -50,6 +53,18 @@ def test_normalize_matches_enumerated_minimum(index):
         assert v == want
         moved = zip_flat_add(M.coeff, v, rng.choice(bset))
         assert flat(H.normalize(unflat(M, moved))) == want
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_coboundary_columns_match_the_bar_matrix(p):
+    """The columns that canonical forms reduce against equal those of the
+    dense normalized bar d_(p-1), entry for entry and in order, so
+    ``modular_echelon`` sees the same input."""
+    for M in _modules():
+        space = _Space(M, p)
+        d = reference_diff_matrix(M, p - 1, space.tuples)
+        assert list(_coboundary_columns(M, space)) == [
+            list(d.col(j)) for j in range(d.cols)]
 
 
 @lru_cache(maxsize=None)
@@ -94,14 +109,12 @@ def test_normalize_is_a_class_invariant(label, data):
 
 
 def _reverse_generating_set(monkeypatch):
-    """Reverse the generating set S behind the cocycle rows and the
+    """Reverse the generating set S of every group, and with it the
     Cayley graph; the engine's coordinates of H^2 move with it."""
-    from discred import cohomology, grouptable, relations
+    from discred import grouptable
 
-    def reversed_set(G):
-        return grouptable.generating_set(G)[::-1]
-    monkeypatch.setattr(cohomology, "generating_set", reversed_set)
-    monkeypatch.setattr(relations, "generating_set", reversed_set)
+    monkeypatch.setattr(grouptable.FiniteGroup, "generators", property(
+        lambda G: tuple(grouptable.generating_set(G))[::-1]))
 
 
 def _classification(based, ad, max_k=4):

@@ -189,6 +189,46 @@ class TestGenerators:
         assert not H.is_coboundary(nontriv)
 
 
+class TestDegreeOneCanonical:
+    def test_coboundary_normalizes_to_zero(self):
+        """C2 acting on Z/4 by -1: H^1 = Z/2, with the coboundaries
+        {0, 2} at the generator.  db for the constant 0-cochain b = 1 is
+        a coboundary, so its canonical form is zero."""
+        M = inversion_module(cyclic(2), 4)
+        H = cohomology_group(M, 1)
+        assert H.group.invariant_factors == (2,)
+        db = differential(M, Cochain.from_map(0, {(): (1,)}))
+        assert db.as_dict() == {(0,): (0,), (1,): (2,)}
+        zero = Cochain.from_map(1, {(0,): (0,), (1,): (0,)})
+        assert H.normalize(db) == H.class_representative((0,)) == zero
+        three = Cochain.from_map(1, {(0,): (0,), (1,): (3,)})
+        one = Cochain.from_map(1, {(0,): (0,), (1,): (1,)})
+        assert H.normalize(three) == H.class_representative((1,)) == one
+        assert [c.representative for c in H.classes()] == [zero, one]
+
+
+class TestBudget:
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("M", [
+        trivial_module(cyclic(4), Z(2)),
+        inversion_module(cyclic(2), 8),
+        trivial_module(from_generators(3, [(1, 0, 2), (1, 2, 0)]), Z(2, 4)),
+    ], ids=["C4_Z2", "C2_Z8_inv", "S3_Z2xZ4"])
+    def test_gate_at_the_count(self, M, p):
+        """Degree p counts max(r_p, c_(p-1) + c_p) c_p entries for the
+        complex A -> A^S -> Hom_Gamma(R, A): c_-1 = 0, c_0 = t,
+        c_1 = |S| t, c_2 = m t with m = n|S| - n + 1, and cocycle rows
+        r_0 = |S| t, r_1 = m t, r_2 = |S| m t."""
+        n, s, t = M.gamma.order, len(M.gamma.generators), M.coeff.ncoords
+        m = n * s - n + 1
+        c = {-1: 0, 0: t, 1: s * t, 2: m * t}
+        r = {0: s * t, 1: m * t, 2: s * m * t}
+        count = max(r[p], c[p - 1] + c[p]) * c[p]
+        cohomology_group(M, p, budget=count)
+        with pytest.raises(BudgetExceededError, match="exceeds budget"):
+            cohomology_group(M, p, budget=count - 1)
+
+
 class TestOneEliminationPerLattice:
     @pytest.mark.parametrize("p", [1, 2])
     def test_smith_forms_per_call(self, monkeypatch, p):

@@ -144,27 +144,28 @@ def _cochain(M, p, draw, nonzero_at_identity=False):
     return Cochain.from_map(p, values)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_coordinates_accept_exactly_the_cocycles(data):
     index = data.draw(st.integers(0, len(_modules()) - 1))
     M = _modules()[index]
     A = M.coeff
-    H = cohomology_group(M, 2)
+    p = data.draw(st.sampled_from([1, 2]))
+    H = cohomology_group(M, p)
     kind = data.draw(st.sampled_from(["random", "cocycle", "perturbed"]))
     coords = tuple(data.draw(st.integers(0, f - 1))
                    for f in H.group.invariant_factors)
     if kind == "random":
-        c = _cochain(M, 2, data.draw)
+        c = _cochain(M, p, data.draw)
     else:
-        b = _cochain(M, 1, data.draw, nonzero_at_identity=True)
+        b = _cochain(M, p - 1, data.draw, nonzero_at_identity=True)
         c = cochain_sum(A, [(1, H.class_representative(coords)),
                             (1, differential(M, b))])
         if kind == "perturbed":
             tup = data.draw(st.sampled_from(sorted(c.as_dict())))
             values = c.as_dict()
             values[tup] = A.add(values[tup], (1,) + (0,) * (A.ncoords - 1))
-            c = Cochain.from_map(2, values)
+            c = Cochain.from_map(p, values)
     if is_cocycle(M, c):
         got = H.coordinates_of(c)
         if kind == "cocycle":

@@ -1,7 +1,7 @@
-"""H^2 on the relation module of the Cayley graph against the full bar
+"""H^0, H^1, H^2 on the complex of the Cayley graph against the full bar
 complex: the same invariant factors on the small modules of
 ``test_normalized``, generators that are normalized bar cocycles and
-generate the full complex's H^2, and bar -> Cayley -> bar round trips
+generate the full complex's H^p, and bar -> Cayley -> bar round trips
 that keep the class.  Then the sizes the bar cocycle matrix could not
 reach: S4 and A5, in process and through the CLI."""
 
@@ -30,23 +30,24 @@ A5 = ((1, 2, 0, 3, 4), (0, 1, 3, 4, 2))
 
 
 @lru_cache(maxsize=None)
-def _full_h2(index):
-    """H^2 on the full bar complex of module ``index``: its invariant
-    factors, the pairs of Gamma in the order of the flat coordinates, and
-    the map from a flat cocycle vector to its class.  Cocycles are the
-    congruence kernel of d_2, coboundaries the images under d_1 and the
-    modulus relations."""
+def _full_h(index, p):
+    """H^p on the full bar complex of module ``index``: its invariant
+    factors, the p-tuples over Gamma in the order of the flat
+    coordinates, and the map from a flat cocycle vector to its class.
+    Cocycles are the congruence kernel of d_p, coboundaries the images
+    under d_(p-1) and the modulus relations."""
     M = _modules()[index]
     A = M.coeff
     t, Q = A.ncoords, A.exponent()
-    d2, d1 = _bar_images(M, 2), _bar_images(M, 1)
-    keys = list(itertools.product(M.gamma.elements(), repeat=2))
+    dp = _bar_images(M, p)
+    keys = list(itertools.product(M.gamma.elements(), repeat=p))
     mods = A.invariant_factors * len(keys)
-    rows = [[(Q // mods[r % t]) * col[r] for col in d2]
-            for r in range(len(d2[0]))]
-    kernel = congruence_kernel_basis(IntMatrix.from_rows(rows, cols=len(d2)),
+    rows = [[(Q // mods[r % t]) * col[r] for col in dp]
+            for r in range(len(dp[0]))]
+    kernel = congruence_kernel_basis(IntMatrix.from_rows(rows, cols=len(dp)),
                                      Q)
-    rels = [kernel.coordinates(c) for c in d1]
+    rels = [kernel.coordinates(c)
+            for c in (_bar_images(M, p - 1) if p else [])]
     rels += [kernel.unit_coordinates(i, q) for i, q in enumerate(mods)]
     pres = cokernel_presentation(IntMatrix.from_rows(rels, cols=len(mods)))
 
@@ -61,11 +62,10 @@ def _flat(c, keys):
     return [x for k in keys for x in d[k]]
 
 
-@pytest.mark.parametrize("index", range(len(_modules())))
-def test_h2_matches_full_bar_complex(index):
+def _matches_full_bar_complex(index, p):
     M = _modules()[index]
-    H = cohomology_group(M, 2)
-    factors, keys, coords = _full_h2(index)
+    H = cohomology_group(M, p)
+    factors, keys, coords = _full_h(index, p)
     assert H.group.invariant_factors == factors
     images = []
     for j, gen in enumerate(H.generators):
@@ -74,18 +74,31 @@ def test_h2_matches_full_bar_complex(index):
         assert H.coordinates_of(gen) == tuple(int(k == j)
                                               for k in range(len(factors)))
         images.append(coords(_flat(gen, keys)))
-    # the generator classes span the full complex's H^2
+    # the generator classes span the full complex's H^p
     span = {tuple(sum(c * g[i] for c, g in zip(cs, images)) % f
                   for i, f in enumerate(factors))
             for cs in itertools.product(*(range(f) for f in factors))}
     assert len(span) == H.order()
 
 
+@pytest.mark.parametrize("index", range(len(_modules())))
+def test_h2_matches_full_bar_complex(index):
+    _matches_full_bar_complex(index, 2)
+
+
+@pytest.mark.parametrize("p", [0, 1])
+@pytest.mark.parametrize("index", range(len(_modules())))
+def test_h0_h1_match_full_bar_complex(index, p):
+    _matches_full_bar_complex(index, p)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_bar_cayley_bar_round_trip(data):
-    """A cocycle taken to its map on the fundamental cycles and back
-    keeps its class; the difference has a coboundary witness."""
+    """A 2-cocycle taken to its map on the fundamental cycles and back
+    keeps its class; the difference has a coboundary witness.  A
+    1-cocycle, a derivation, taken to its values on S and back is the
+    same derivation."""
     M = _modules()[data.draw(st.integers(0, len(_modules()) - 1))]
     A = M.coeff
     H = cohomology_group(M, 2)
@@ -105,6 +118,21 @@ def test_bar_cayley_bar_round_trip(data):
     diff = cochain_sum(A, [(1, c), (-1, back)])
     w = H.coboundary_witness(diff)
     assert w is not None and differential(M, w) == diff
+
+    H = cohomology_group(M, 1)
+    coords = tuple(data.draw(st.integers(0, f - 1))
+                   for f in H.group.invariant_factors)
+    b = _cochain(M, 0, data.draw)
+    f = cochain_sum(A, [(1, H.class_representative(coords)),
+                        (1, differential(M, b))])
+    space = _Space(M, 1)
+    rel = RelationModule(M, space)
+    vec, _ = space.from_cochain(f)
+    a = rel.from_bar(vec)
+    assert len(a) == len(M.gamma.generators) * A.ncoords
+    assert space.to_cochain(rel.to_bar(a)) == f
+    assert rel.from_bar(rel.to_bar(a)) == a
+    assert H.coordinates_of(f) == coords
 
 
 def _trivial_z2(gens, degree):
