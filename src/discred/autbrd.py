@@ -18,7 +18,7 @@ from math import gcd
 
 from .abgroup import AbHom, torsion_at
 from .errors import InternalCheckError, ValidationError
-from .exactlin import IntegerSolver, IntMatrix, inverse_unimodular
+from .exactlin import IntMatrix, inverse_unimodular, smith_normal_form
 from .grouptable import FiniteGroup
 from .rootdatum import (BasedRootDatum, CenterData, cartan_pairing,
                         simple_matrix)
@@ -116,7 +116,7 @@ def diagram_automorphisms(based: BasedRootDatum) -> DiagramAutomorphisms:
             "datum is not semisimple: diagram automorphisms are only "
             "enumerable when the simple roots span a finite-index sublattice")
     pairings = [[cartan_pairing(based, i, j) for j in range(k)] for i in range(k)]
-    lift = IntegerSolver(simple_matrix(based).transpose())
+    lift = smith_normal_form(simple_matrix(based).transpose())
     autos = []
     non_lifting = []
     for sigma in itertools.permutations(range(k)):
@@ -205,20 +205,20 @@ def trivial_ad(based: BasedRootDatum, gamma: FiniteGroup) -> AdHom:
 
 def ad_from_generator_images(based: BasedRootDatum, gamma: FiniteGroup,
                              generator_matrices) -> AdHom:
-    """Extend generator images along the BFS words of ``from_generators``."""
-    if gamma.generator_words is None:
+    """Extend one image per construction generator along the closure tree
+    of ``gamma``: an element's image is its parent's times its edge's."""
+    if gamma.closure_tree is None:
         raise ValidationError(
-            "gamma carries no generator words; supply one matrix per element")
+            "gamma carries no closure tree; supply one matrix per element")
+    if len(generator_matrices) != gamma.generator_count:
+        raise ValidationError(
+            f"need one matrix per gamma generator ({gamma.generator_count}), "
+            f"got {len(generator_matrices)}")
     gens = [brd_automorphism(based, IntMatrix.from_rows(m, cols=based.datum.rank))
             for m in generator_matrices]
-    images = []
-    for word in gamma.generator_words:
-        img = BRDAutomorphism.identity(based)
-        for gi in word:
-            if gi >= len(gens):
-                raise ValidationError("fewer matrices than gamma generators")
-            img = img.compose(gens[gi])
-        images.append(img)
+    images = [BRDAutomorphism.identity(based)]
+    for parent, gi in gamma.closure_tree[1:]:
+        images.append(images[parent].compose(gens[gi]))
     return AdHom(gamma, tuple(images))
 
 

@@ -115,16 +115,6 @@ def _parse_gamma(data) -> FiniteGroup:
     raise ValidationError(f"unknown gamma type {kind!r}")
 
 
-def _generator_count(g):
-    """Number of generators the gamma section builds Gamma from; None for
-    a table, which has none to extend images along."""
-    if g["type"] == "cyclic":
-        return int(g["n"] > 1)
-    if g["type"] == "permutations":
-        return len(g["generators"])
-    return None
-
-
 def _parse_ad(data, based, gamma) -> AdHom:
     try:
         a = data.get("ad", {"type": "trivial"})
@@ -133,7 +123,7 @@ def _parse_ad(data, based, gamma) -> AdHom:
             ad = trivial_ad(based, gamma)
         elif kind == "generators":
             mats = _int_array(a["matrices"], "ad.matrices", 3)
-            ngens = _generator_count(data["gamma"])
+            ngens = gamma.generator_count
             if ngens is not None and len(mats) != ngens:
                 raise ValidationError(
                     f"ad.matrices must hold one matrix per gamma generator "

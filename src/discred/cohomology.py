@@ -1,25 +1,21 @@
 """Group cohomology H^p(Gamma, A), p <= 2, A finite.
 
 A cochain, as the public ``Cochain``, is a total map Gamma^p -> A.
-Internally only normalized cochains are stored (Brown, Cohomology of
-Groups, GTM 87, section I.5): maps that vanish on every tuple containing
-the identity, kept flat as an integer vector with one block of ``t``
-coefficient coordinates per p-tuple over Gamma minus the identity
-(tuples in lexicographic order).  Every class has a normalized
-representative, and a 2-cocycle c becomes one by subtracting the
-coboundary of the constant map at c(1, 1).
-
 Every degree is computed on one complex, A -> A^S -> Hom_Gamma(R, A),
 from the relation module R of the Cayley graph of (Gamma, S), S a
 generating set (``relations.RelationModule``): t, |S| t and
 (n|S| - n + 1) t unknowns in degrees 0, 1, 2 instead of (n-1)^p t.
-Bar cochains stay the API and convert at the boundary: a bar cocycle to
-the complex (``coordinates_of``), a cochain of the complex back to a
-normalized bar cocycle (``generators``, ``class_representative``).
-Kernels and images are computed by exact integer linear algebra: Smith
-normal forms of integer matrices with explicit modulus relations.  The
-full bar ``differential`` stays as the public checker; the normalized bar
-d_(p-1) is built only for canonical representatives.
+Bar cochains stay the API and convert at the boundary, in
+``relations``, which alone knows the flat layout of normalized bar
+cochains (Brown, Cohomology of Groups, GTM 87, section I.5): a bar
+cocycle to the complex (``coordinates_of``), a cochain of the complex
+back to a normalized bar cocycle (``generators``,
+``class_representative``).  This module does the lattice work: kernels
+and images by exact integer linear algebra, Smith normal forms of
+integer matrices with explicit modulus relations, and the triangular
+basis of the normalized bar coboundaries that canonical representatives
+reduce against.  The full bar ``differential`` stays as the public
+checker.
 
 Classes travel up the torsion tower and into ``classify`` as coordinate
 vectors; a ``Cochain`` is built only when a caller asks for one
@@ -102,74 +98,6 @@ class Cochain:
                    for key, val in self.values if identity in key)
 
 
-class _Space:
-    """Flat coordinates for normalized p-cochains: one block of ``t``
-    coefficient coordinates per p-tuple over Gamma minus the identity,
-    tuples in lexicographic order."""
-
-    def __init__(self, module: GammaModule, p: int):
-        self.module = module
-        self.p = p
-        self.t = module.coeff.ncoords
-        gamma = module.gamma
-        others = [g for g in range(gamma.order) if g != gamma.identity]
-        self.tuples = list(itertools.product(others, repeat=p))
-        self.index = {tup: i for i, tup in enumerate(self.tuples)}
-        self.dim = len(self.tuples) * self.t
-        self.mods = tuple(module.coeff.invariant_factors[i % self.t]
-                          for i in range(self.dim)) if self.t else ()
-
-    def reduce(self, vec):
-        return [v % q for v, q in zip(vec, self.mods)]
-
-    def to_cochain(self, vec) -> Cochain:
-        """The total cochain with these normalized coordinates: zero on
-        every tuple containing the identity."""
-        vec = self.reduce(vec)
-        gamma = self.module.gamma
-        zero = self.module.coeff.zero()
-        mapping = {tup: zero for tup in itertools.product(range(gamma.order),
-                                                          repeat=self.p)}
-        for i, tup in enumerate(self.tuples):
-            mapping[tup] = tuple(vec[i * self.t:(i + 1) * self.t])
-        return Cochain.from_map(self.p, mapping)
-
-    def from_cochain(self, c: Cochain):
-        """(vec, shift): the normalized coordinates of c - d(const shift),
-        where shift = c(1, 1) in degree 2 and zero below.  ``vec`` is None
-        when that difference is not normalized, which no cocycle allows:
-        a 2-cocycle has c(1, g) = c(1, 1) and c(g, 1) = g.c(1, 1), and a
-        1-cocycle has c(1) = 0."""
-        if c.degree != self.p:
-            raise ValidationError("cochain degree mismatch")
-        M = self.module
-        coeff = M.coeff
-        ident = M.gamma.identity
-        d = c.as_dict()
-        full = list(itertools.product(range(M.gamma.order), repeat=self.p))
-        for tup in full:
-            if tup not in d:
-                raise ValidationError(f"cochain is not total: missing {tup}")
-        shift = coeff.zero()
-        if self.p == 2:
-            shift = coeff.reduce(d[(ident, ident)])
-        acted = [M.act(g, shift) for g in range(M.gamma.order)] \
-            if any(shift) else None
-        vec = [0] * self.dim
-        normalized = True
-        for tup in full:
-            val = d[tup]
-            if acted is not None:
-                val = [x - y for x, y in zip(val, acted[tup[0]])]
-            val = coeff.reduce(val)
-            i = self.index.get(tup)
-            if i is None:
-                normalized = normalized and not any(val)
-            else:
-                vec[i * self.t:(i + 1) * self.t] = val
-        return (vec if normalized else None), shift
-
-
 def _bar_terms(gamma: FiniteGroup, tup):
     """(sign, source_tuple, acting_element_or_None) terms of the bar
     differential evaluated at ``tup``."""
@@ -208,49 +136,17 @@ def is_cocycle(M: GammaModule, c: Cochain) -> bool:
     return all(v == zero for _, v in dc.values)
 
 
-def _coboundary_columns(M: GammaModule, space: _Space):
-    """The normalized bar coboundaries d(delta_(u, i)) in the degree-p
-    coordinates of ``space``, for the basis (p-1)-cochains delta_(u, i),
-    u over the (p-1)-tuples over Gamma minus the identity in
-    lexicographic order and i over the coefficient coordinates: x.e_i at
-    (x,) + u, (-1)^j e_i at each tuple whose entries j and j + 1 multiply
-    to u_j, and (-1)^p e_i at u + (y,), dropping every tuple that
-    contains the identity.  None in degree 0."""
-    p, t, index = space.p, space.t, space.index
-    if p == 0:
-        return
-    gamma = M.gamma
-    others = [g for g in range(gamma.order) if g != gamma.identity]
-    for u in itertools.product(others, repeat=p - 1):
-        terms = [(1, (x,) + u, M.action[x].matrix.entries) for x in others]
-        terms += [((-1) ** j, u[:j - 1] + (x, gamma.mul(gamma.inv(x), g))
-                   + u[j:], None)
-                  for j, g in enumerate(u, 1) for x in others if x != g]
-        terms += [((-1) ** p, u + (y,), None) for y in others]
-        for i in range(t):
-            col = [0] * space.dim
-            for sign, tup, amat in terms:
-                r = index[tup] * t
-                if amat is None:
-                    col[r + i] += sign
-                else:
-                    for k in range(t):
-                        col[r + k] += sign * amat[k][i]
-            yield col
-
-
 class CohomologyGroup:
     """H^p as a finite abelian group with representative cocycles per
     canonical generator, stored as flat vectors of degree-p cochains of
     the complex A -> A^S -> Hom_Gamma(R, A) of the Cayley graph
     (``relations.RelationModule``)."""
 
-    def __init__(self, module, degree, group, space, relations, kernel, pres,
+    def __init__(self, module, degree, group, relations, kernel, pres,
                  gen_vecs):
         self.module = module
         self.degree = degree
         self.group = group
-        self._space = space
         self._rel = relations
         self._kernel = kernel
         self._pres = pres
@@ -261,7 +157,8 @@ class CohomologyGroup:
     @property
     def generators(self):
         """Generator cocycles, one per invariant factor."""
-        return tuple(self._space.to_cochain(self._rel.to_bar(v))
+        rel = self._rel
+        return tuple(Cochain(self.degree, rel.to_cochain(rel.to_bar(v)))
                      for v in self._gen_vecs)
 
     def order(self):
@@ -271,7 +168,7 @@ class CohomologyGroup:
         """(normalized coordinates, cochain of the complex) of the cocycle
         ``c`` (shifted by the coboundary of the constant map at c(1, 1) in
         degree 2), or ValidationError when it is no cocycle."""
-        vec, _ = self._space.from_cochain(c)
+        vec, _ = self._rel.from_cochain(c)
         phi = None if vec is None else self._rel.from_bar(vec)
         if phi is None:
             raise ValidationError("cochain is not a cocycle")
@@ -296,16 +193,8 @@ class CohomologyGroup:
     def coboundary_witness(self, c: Cochain):
         """A (p-1)-cochain b with db = c, or None when c is not a
         coboundary."""
-        vec, shift = self._space.from_cochain(c)
-        sol = None if vec is None else self._rel.coboundary_witness(vec)
-        if sol is None:
-            return None
-        w = _Space(self.module, self.degree - 1).to_cochain(sol)
-        if not any(shift):
-            return w
-        coeff = self.module.coeff
-        return Cochain.from_map(self.degree - 1, {
-            tup: coeff.add(v, shift) for tup, v in w.values})
+        values = self._rel.coboundary_witness(c)
+        return None if values is None else Cochain(self.degree - 1, values)
 
     def _canonical_vec(self, vec):
         """Lexicographically smallest normalized cocycle vector in the
@@ -313,11 +202,11 @@ class CohomologyGroup:
         a triangular basis of the lattice L spanned by the coboundaries of
         normalized (p-1)-cochains and the modulus relations, built from
         the bar d_(p-1) on first use."""
-        space = self._space
+        mods = self._rel.bar_mods
         if self._echelon is None:
-            self._echelon = modular_echelon(
-                _coboundary_columns(self.module, space), space.mods)
-        return echelon_reduce(self._echelon, vec, space.mods)
+            self._echelon = modular_echelon(self._rel.bar_coboundaries(),
+                                            mods)
+        return echelon_reduce(self._echelon, vec, mods)
 
     def _class_vector(self, coords):
         """Unreduced combination of the generator vectors (of which
@@ -336,7 +225,7 @@ class CohomologyGroup:
             if any(key):
                 vec = self._rel.to_bar(self._class_vector(key))
             else:
-                vec = [0] * self._space.dim
+                vec = [0] * len(self._rel.bar_mods)
             self._canonical[key] = tuple(self._canonical_vec(vec))
         return self._canonical[key]
 
@@ -346,12 +235,14 @@ class CohomologyGroup:
         flat coordinates, entries in [0, q)), for every cocycle; raises
         ValidationError on any other cochain."""
         vec, _ = self._normalized(c)
-        return self._space.to_cochain(self._canonical_vec(vec))
+        return Cochain(self.degree,
+                       self._rel.to_cochain(self._canonical_vec(vec)))
 
     def class_representative(self, coords) -> Cochain:
         """The lexicographically smallest normalized cocycle in the class
         with the given coordinates."""
-        return self._space.to_cochain(self._canonical_class(coords))
+        return Cochain(self.degree,
+                       self._rel.to_cochain(self._canonical_class(coords)))
 
     def classes(self):
         """Every cohomology class with its canonical (lexicographically
@@ -422,11 +313,10 @@ def cohomology_group(M: GammaModule, p: int, budget: int = 2_000_000) -> Cohomol
     if p not in (0, 1, 2):
         raise ValidationError("cohomology supported only in degrees 0..2")
     require_within_budget(M.gamma, M.coeff.ncoords, p, budget)
-    space = _Space(M, p)
-    rel = RelationModule(M, space)
-    if space.dim == 0 or M.coeff.order() == 1:
-        return CohomologyGroup(M, p, FGAbelianGroup(0, ()), space, rel,
-                               None, None, ())
+    rel = RelationModule(M, p)
+    if rel.dim == 0 or M.coeff.order() == 1:
+        return CohomologyGroup(M, p, FGAbelianGroup(0, ()), rel, None, None,
+                               ())
     Q = M.coeff.exponent()
     kernel = congruence_kernel_basis(rel.cocycle_matrix(Q), Q)
 
@@ -443,7 +333,7 @@ def cohomology_group(M: GammaModule, p: int, budget: int = 2_000_000) -> Cohomol
         raise InternalCheckError("cohomology of a finite module came out infinite")
     group = FGAbelianGroup(0, pres.invariant_factors)
 
-    return CohomologyGroup(M, p, group, space, rel, kernel, pres, [
+    return CohomologyGroup(M, p, group, rel, kernel, pres, [
         [x % q for x, q in
          zip(kernel.basis.apply(pres.from_presented.col(pos)), rel.mods)]
         for pos, m in enumerate(pres.moduli) if m > 1])
@@ -538,7 +428,7 @@ def _push_class(Hs, Ht, inclusion, coords):
     the blocks line up."""
     if not Hs._gen_vecs:
         return (0,) * len(Ht.group.invariant_factors)
-    vec, t = Hs._class_vector(coords), Hs._space.t
+    vec, t = Hs._class_vector(coords), Hs._rel.t
     return Ht._coords_of_vec([
         x for j in range(0, len(vec), t)
         for x in inclusion.matrix.apply(vec[j:j + t])])

@@ -149,6 +149,26 @@ class SmithDecomposition:
     def invariant_factors(self):
         return tuple(d for d in self.diagonal if d != 0)
 
+    def solve(self, b):
+        """One integer solution x of A @ x = b for the decomposed A, or
+        None when none exists; needs U and V kept."""
+        m, n = self.original_shape
+        if len(b) != m:
+            raise ValidationError("right-hand side length does not match row count")
+        c = self.U.apply(b)
+        diag = self.diagonal
+        y = [0] * n
+        for i in range(m):
+            d = diag[i] if i < len(diag) else 0
+            if d == 0:
+                if c[i] != 0:
+                    return None
+            elif c[i] % d:
+                return None
+            else:
+                y[i] = c[i] // d
+        return self.V.apply(y)
+
 
 TRANSFORMS = ("U", "V", "U_inv", "V_inv")
 
@@ -323,37 +343,9 @@ def inverse_unimodular(M: IntMatrix) -> IntMatrix:
     return snf.V @ snf.U
 
 
-class IntegerSolver:
-    """Integer solutions of A @ x = b for many right-hand sides, from one
-    Smith decomposition of A."""
-
-    def __init__(self, A: IntMatrix):
-        self.A = A
-        self.snf = smith_normal_form(A)
-
-    def solve(self, b):
-        """One integer solution x of A @ x = b, or None when none exists."""
-        if len(b) != self.A.rows:
-            raise ValidationError("right-hand side length does not match row count")
-        snf = self.snf
-        c = snf.U.apply(b)
-        diag = snf.diagonal
-        y = [0] * self.A.cols
-        for i in range(self.A.rows):
-            d = diag[i] if i < len(diag) else 0
-            if d == 0:
-                if c[i] != 0:
-                    return None
-            else:
-                if c[i] % d:
-                    return None
-                y[i] = c[i] // d
-        return snf.V.apply(y)
-
-
 def solve_integer(A: IntMatrix, b):
     """One integer solution x of A @ x = b, or None when none exists."""
-    return IntegerSolver(A).solve(b)
+    return smith_normal_form(A).solve(b)
 
 
 def kernel_basis(A: IntMatrix):

@@ -25,26 +25,19 @@ from .cohomology import (Cochain, CohomologyGroup, GammaModule, cochain_sum,
 from .errors import InternalCheckError, ValidationError
 from .grouptable import (FiniteGroup, find_isomorphism, hom_check, quotient,
                          semidirect_product, validate_table)
+from .relations import RelationModule
 from .rootdatum import (BasedRootDatum, CenterData, center_data,
                         require_valid_based)
 
 
 def cocycle_witness(M: GammaModule, c: Cochain):
-    """None when c satisfies the 2-cocycle identity, else the first
-    failing triple (g1, g2, g3)."""
+    """None when the total 2-cochain c satisfies the 2-cocycle identity,
+    else a failing triple (g, s, h) with s in ``gamma.generators``: the
+    first that Light's test finds (``RelationModule.cocycle_witness``).
+    ValidationError when c is not total."""
     if c.degree != 2:
         raise ValidationError("expected a degree-2 cochain")
-    d = {k: M.coeff.reduce(v) for k, v in c.values}
-    n = M.gamma.order
-    for g1 in range(n):
-        for g2 in range(n):
-            for g3 in range(n):
-                lhs = M.coeff.add(M.act(g1, d[(g2, g3)]),
-                                  d[(g1, M.gamma.mul(g2, g3))])
-                rhs = M.coeff.add(d[(g1, g2)], d[(M.gamma.mul(g1, g2), g3)])
-                if lhs != rhs:
-                    return (g1, g2, g3)
-    return None
+    return RelationModule(M, 2).cocycle_witness(c)
 
 
 @dataclass(frozen=True)

@@ -24,16 +24,17 @@ class FiniteGroup:
     table: tuple          # table[i][j] = index of x_i * x_j
     identity: int
     inverse: tuple
-    # BFS words in the construction generators (from_generators only);
-    # not part of the group's identity.
-    generator_words: tuple | None = field(default=None, compare=False)
+    # ``closure``'s tree over the construction generators and their
+    # number (from_generators and cyclic only); not compared.
+    closure_tree: tuple | None = field(default=None, compare=False)
+    generator_count: int | None = field(default=None, compare=False)
 
     @cached_property
     def generators(self):
         """The greedy ``generating_set``, computed once per group object.
 
         These are element indices chosen by ``generating_set``, not the
-        construction generators that ``generator_words`` spells words in.
+        construction generators that ``closure_tree`` numbers.
         """
         return tuple(generating_set(self))
 
@@ -140,22 +141,20 @@ def from_generators(degree, perms):
     """Closure of permutation generators on {0..degree-1} as a table.
 
     Elements are numbered by ``closure`` from the identity, applying
-    generators in input order (canonical numbering).  Element 0 is the
-    identity.
+    generators in input order (canonical numbering), and the group keeps
+    the closure tree.  Element 0 is the identity.
     """
     gens = [tuple(p) for p in perms]
     if any(sorted(p) != list(range(degree)) for p in gens):
         raise ValidationError("generator is not a permutation of the degree")
     elems, index, tree = closure(tuple(range(degree)), gens, compose,
                                  GROUP_CAP, "group")
-    words = [()]
-    for parent, gi in tree[1:]:
-        words.append(words[parent] + (gi,))
     n = len(elems)
     table = tuple(tuple(index[compose(elems[i], elems[j])] for j in range(n))
                   for i in range(n))
     inverse = tuple(index[_invert(p)] for p in elems)
-    return FiniteGroup(n, table, 0, inverse, generator_words=tuple(words))
+    return FiniteGroup(n, table, 0, inverse, closure_tree=tuple(tree),
+                       generator_count=len(gens))
 
 
 def _invert(p):
@@ -168,15 +167,17 @@ def _invert(p):
 
 def cyclic(n):
     """Z/n as a table: element i is the i-th power of the generator 1,
-    numbered as ``from_generators`` numbers an n-cycle."""
+    numbered as ``from_generators`` numbers an n-cycle, with the same
+    closure tree; no generator for n = 1."""
     if n < 1:
         raise ValidationError("cyclic order must be >= 1")
     if n > GROUP_CAP:
         raise BudgetExceededError(f"group closure exceeds cap {GROUP_CAP}")
     table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
     inverse = tuple(-i % n for i in range(n))
-    words = tuple((0,) * i for i in range(n))
-    return FiniteGroup(n, table, 0, inverse, generator_words=words)
+    tree = (None,) + tuple((i, 0) for i in range(n - 1))
+    return FiniteGroup(n, table, 0, inverse, closure_tree=tree,
+                       generator_count=int(n > 1))
 
 
 def hom_check(f, src: FiniteGroup, dst: FiniteGroup) -> bool:

@@ -7,23 +7,27 @@ Lyndon's exact sequence 0 -> R -> Z Gamma^S -> Z Gamma -> Z -> 0
 the complex A -> A^S -> Hom_Gamma(R, A): H^0 = ker d_0,
 H^1 = ker d_1 / im d_0 and H^2 = coker d_1, the Hom_Gamma(R, A) inside
 A^m cut out by the equivariance map d_2.  ``cohomology`` does the
-lattice work; this module supplies the matrices and converts between
-the complex and normalized bar cochains.
+lattice work; this module supplies the matrices and owns the normalized
+bar cochains that the API speaks (Brown, Cohomology of Groups, GTM 87,
+section I.5): their flat layout, the conversion to and from total
+cochains and the complex, the bar coboundary columns that canonical
+representatives reduce against, and Light's test for 2-cocycles.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import cached_property
 
-from .exactlin import IntegerSolver, IntMatrix
+from .errors import ValidationError
+from .exactlin import IntMatrix, smith_normal_form
 from .grouptable import closure
 
 
 class RelationModule:
     """The complex C^0 = A -> C^1 = A^S -> C^2 = Hom_Gamma(R, A) of the
     Cayley graph of (Gamma, S), S = ``gamma.generators``, for the module
-    M, in the degree p of ``space``, which holds the normalized bar
-    coordinates of degree p.  A cochain is a flat vector of blocks of t
+    M, in degree p.  A cochain is a flat vector of blocks of t
     coefficient coordinates: one block in degree 0, one per s in S in
     degree 1 and one per basis cycle of R in degree 2.
 
@@ -39,7 +43,13 @@ class RelationModule:
     d_2 phi = (phi(s.C_k) - s.phi(C_k))_(s, k), whose kernel is
     Hom_Gamma(R, A).
 
-    Bar cochains convert at the boundary.  Degree 0 is the same vector.
+    Bar cochains convert at the boundary.  A normalized bar p-cochain
+    vanishes on every tuple containing the identity and is kept flat,
+    one block of t coordinates per p-tuple over Gamma minus the identity,
+    tuples in lexicographic order (``bar_index``).  Every class has a
+    normalized representative, and a 2-cocycle c becomes one by
+    subtracting the coboundary of the constant map at c(1, 1)
+    (``from_cochain``).  Degree 0 is the same vector.
     A normalized 1-cocycle f gives (f(s))_s; back, f(1) = 0 and
     f(xs) = f(x) + x.f(s) along the tree edges.  A normalized 2-cocycle
     c gives phi(C_(x,s)) = beta(x) + c(x, s) - beta(xs), where
@@ -48,11 +58,10 @@ class RelationModule:
     the other edges (x, s), extended along the tree by
     c(x, ys) = c(x, y) + c(xy, s) - x.c(y, s)."""
 
-    def __init__(self, M, space):
+    def __init__(self, M, p):
         gamma = M.gamma
         self.module = M
-        self.space = space
-        self.p = space.p
+        self.p = p
         self.gens = gamma.generators
         elems, _, tree = closure(gamma.identity, self.gens, gamma.mul,
                                  gamma.order, "group")
@@ -70,7 +79,6 @@ class RelationModule:
         self.dim = self.blocks[self.p] * t
         self.mods = M.coeff.invariant_factors * self.blocks[self.p]
         self.acts = {g: M.action[g].matrix.entries for g in elems}
-        self._solver = None
 
     @cached_property
     def cycles(self):
@@ -169,16 +177,116 @@ class RelationModule:
         return [[row[j] for row in rows]
                 for j in range(self.blocks[self.p - 1] * self.t)]
 
+    @cached_property
+    def bar_index(self):
+        """The normalized bar layout of degree p, built on first use: each
+        p-tuple over Gamma minus the identity, in lexicographic order, to
+        the number of its block of t coordinates."""
+        gamma = self.module.gamma
+        others = [g for g in range(gamma.order) if g != gamma.identity]
+        return {tup: i for i, tup in
+                enumerate(itertools.product(others, repeat=self.p))}
+
+    @cached_property
+    def bar_mods(self):
+        """The modulus of each normalized bar coordinate."""
+        return self.module.coeff.invariant_factors * len(self.bar_index)
+
+    def _reduce_bar(self, vec):
+        return [v % q for v, q in zip(vec, self.bar_mods)]
+
+    def _total(self, c):
+        """The values of the p-cochain c by tuple, in product order;
+        ValidationError unless c has degree p and is total."""
+        if c.degree != self.p:
+            raise ValidationError("cochain degree mismatch")
+        d = c.as_dict()
+        try:
+            return {tup: d[tup] for tup in itertools.product(
+                range(self.module.gamma.order), repeat=self.p)}
+        except KeyError as e:
+            raise ValidationError(
+                f"cochain is not total: missing {e.args[0]}") from None
+
+    def from_cochain(self, c):
+        """(vec, shift): the normalized bar coordinates of c - d(const
+        shift), where shift = c(1, 1) in degree 2 and zero below.  ``vec``
+        is None when that difference is not normalized, which no cocycle
+        allows: a 2-cocycle has c(1, g) = c(1, 1) and
+        c(g, 1) = g.c(1, 1), and a 1-cocycle has c(1) = 0."""
+        d = self._total(c)
+        M, index, t = self.module, self.bar_index, self.t
+        coeff, ident = M.coeff, M.gamma.identity
+        shift = coeff.zero()
+        if self.p == 2:
+            shift = coeff.reduce(d[(ident, ident)])
+        acted = [M.act(g, shift) for g in range(M.gamma.order)] \
+            if any(shift) else None
+        vec = [0] * len(self.bar_mods)
+        normalized = True
+        for tup, val in d.items():
+            if acted is not None:
+                val = [x - y for x, y in zip(val, acted[tup[0]])]
+            val = coeff.reduce(val)
+            i = index.get(tup)
+            if i is None:
+                normalized = normalized and not any(val)
+            else:
+                vec[i * t:(i + 1) * t] = val
+        return (vec if normalized else None), shift
+
+    def to_cochain(self, vec):
+        """The (tuple, value) pairs, in product order as ``Cochain`` keeps
+        them, of the total p-cochain with normalized bar coordinates
+        ``vec``."""
+        gamma, t = self.module.gamma, self.t
+        vec = self._reduce_bar(vec)
+        zero = (0,) * t
+        # the normalized tuples come in the product order of all tuples
+        blocks = iter([tuple(vec[i * t:(i + 1) * t])
+                       for i in range(len(self.bar_index))])
+        return tuple(
+            (tup, zero if gamma.identity in tup else next(blocks))
+            for tup in itertools.product(range(gamma.order), repeat=self.p))
+
     def _bar_value(self, vec):
         """c(x, y) from normalized bar coordinates of degree 2; zero at
         the identity."""
-        index, t = self.space.index, self.t
+        index, t = self.bar_index, self.t
         zero = [0] * t
 
         def value(x, y):
             i = index.get((x, y))
             return zero if i is None else vec[i * t:(i + 1) * t]
         return value
+
+    def _light_witness(self, c):
+        """The first (g, s, h), in the order g, s in S, h, at which the
+        total 2-cochain c(x, y) fails g.c(s, h) - c(gs, h) + c(g, sh)
+        - c(g, s) = 0, or None.  These triples imply the rest, normalized
+        or not (Light's test): they say that each (a, s) associates in the
+        middle of the law (a, x)(b, y) = (a + x.b + c(x, y), xy) on
+        A x Gamma, such elements are closed under products, and S reaches
+        all of the finite group Gamma by non-empty words."""
+        gamma, mods = self.module.gamma, self.module.coeff.invariant_factors
+        mul, n = gamma.mul, gamma.order
+        for g in range(n):
+            for s in self.gens:
+                gs, cgs = mul(g, s), c(g, s)
+                for h in range(n):
+                    if any((a - b + d - e) % q for a, b, d, e, q in
+                           zip(self._act(g, c(s, h)), c(gs, h),
+                               c(g, mul(s, h)), cgs, mods)):
+                        return (g, s, h)
+        return None
+
+    def cocycle_witness(self, c):
+        """Light's test on the total 2-cochain c: None when it is a
+        cocycle, else the first failing triple (g, s, h) with s in S;
+        ValidationError when c is not total."""
+        coeff = self.module.coeff
+        d = {k: coeff.reduce(v) for k, v in self._total(c).items()}
+        return self._light_witness(lambda x, y: d[x, y])
 
     def from_bar(self, vec):
         """The cochain in C^p of the normalized bar p-cocycle ``vec``, or
@@ -191,12 +299,12 @@ class RelationModule:
                        zip(self._act(s, vec), vec, mods))
                    for s in self.gens):
                 return None
-            return self.space.reduce(vec)
+            return self._reduce_bar(vec)
         gamma, t = self.module.gamma, self.t
         mul = gamma.mul
         if self.p == 1:
             f = {gamma.identity: [0] * t}
-            for i, (g,) in enumerate(self.space.tuples):
+            for (g,), i in self.bar_index.items():
                 f[g] = vec[i * t:(i + 1) * t]
             for x, fx in f.items():
                 for s in self.gens:
@@ -204,9 +312,9 @@ class RelationModule:
                            zip(fx, self._act(x, f[s]), f[mul(x, s)], mods)):
                         return None
             return [v % q for s in self.gens for v, q in zip(f[s], mods)]
-        if not self._is_cocycle(vec):
-            return None
         c = self._bar_value(vec)
+        if self._light_witness(c) is not None:
+            return None
         beta = self._tree_sums(lambda x, si: c(x, self.gens[si]))
         out = []
         for x, si in self.edges:
@@ -222,13 +330,14 @@ class RelationModule:
         The closure reaches each s in S from the identity first, so the
         edges (1, s) are tree edges and the cocycle vanishes at the
         identity."""
-        gamma, t, space = self.module.gamma, self.t, self.space
+        gamma, t = self.module.gamma, self.t
         if self.p == 0:
-            return space.reduce(phi)
+            return self._reduce_bar(phi)
         if self.p == 1:
             f = self._tree_sums(
                 lambda x, si: self._act(x, phi[si * t:(si + 1) * t]))
-            return space.reduce([v for (g,) in space.tuples for v in f[g]])
+            return self._reduce_bar([v for (g,) in self.bar_index
+                                     for v in f[g]])
         zero = [0] * t
 
         def edge(x, si):
@@ -244,54 +353,77 @@ class RelationModule:
                        zip(cp[x], edge(gamma.mul(x, p), si),
                            self._act(x, edge(p, si)))]
                       for x in elements]
-        vec = [0] * space.dim
-        for i, (x, y) in enumerate(space.tuples):
+        vec = [0] * len(self.bar_mods)
+        for (x, y), i in self.bar_index.items():
             vec[i * t:(i + 1) * t] = col[y][x]
-        return space.reduce(vec)
+        return self._reduce_bar(vec)
 
-    def _is_cocycle(self, vec):
-        """Whether the normalized bar 2-cochain ``vec`` is a cocycle: the
-        conditions at (g, s, h) with s in S and g, h != 1 imply the rest,
-        since they say that the section element of s associates in the
-        extension A x_c Gamma, and such elements are closed under
-        products (Light's associativity test)."""
-        gamma, mods = self.module.gamma, self.module.coeff.invariant_factors
-        c = self._bar_value(vec)
+    def bar_coboundaries(self):
+        """The normalized bar coboundaries d(delta_(u, i)) in the degree-p
+        bar layout, for the basis (p-1)-cochains delta_(u, i), u over the
+        (p-1)-tuples over Gamma minus the identity in lexicographic order
+        and i over the coefficient coordinates: x.e_i at (x,) + u,
+        (-1)^j e_i at each tuple whose entries j and j + 1 multiply to
+        u_j, and (-1)^p e_i at u + (y,), dropping every tuple that
+        contains the identity.  None in degree 0."""
+        p, t, index = self.p, self.t, self.bar_index
+        if p == 0:
+            return
+        gamma = self.module.gamma
+        dim = len(self.bar_mods)
         others = [g for g in range(gamma.order) if g != gamma.identity]
-        for g in others:
-            for s in self.gens:
-                gs, cgs = gamma.mul(g, s), c(g, s)
-                for h in others:
-                    if any((a - b + d - e) % q for a, b, d, e, q in
-                           zip(self._act(g, c(s, h)), c(gs, h),
-                               c(g, gamma.mul(s, h)), cgs, mods)):
-                        return False
-        return True
+        for u in itertools.product(others, repeat=p - 1):
+            terms = [(1, (x,) + u, self.acts[x]) for x in others]
+            terms += [((-1) ** j, u[:j - 1] + (x, gamma.mul(gamma.inv(x), g))
+                       + u[j:], None)
+                      for j, g in enumerate(u, 1) for x in others if x != g]
+            terms += [((-1) ** p, u + (y,), None) for y in others]
+            for i in range(t):
+                col = [0] * dim
+                for sign, tup, amat in terms:
+                    r = index[tup] * t
+                    if amat is None:
+                        col[r + i] += sign
+                    else:
+                        for k in range(t):
+                            col[r + k] += sign * amat[k][i]
+                yield col
 
-    def coboundary_witness(self, vec):
-        """Normalized bar (p-1)-cochain coordinates of b with db = ``vec``,
-        or None when ``vec`` is no coboundary (always in degree 0).  A
-        solution a of [d_(p-1) | diag(mods)] a = from_bar(vec) is b
-        itself in degree 1; in degree 2 it gives b the values a_s on S,
-        and b follows the tree, b(xs) = b(x) + x.a_s - c(x, s)."""
-        phi = self.from_bar(vec)
+    @cached_property
+    def _boundary_smith(self):
+        """The Smith form of [d_(p-1) | diag(mods)], built on first use."""
+        rows = self._rows(self.p - 1)
+        return smith_normal_form(IntMatrix.from_rows(
+            [row + [q if k == r else 0 for k in range(self.dim)]
+             for r, (row, q) in enumerate(zip(rows, self.mods))],
+            cols=self.blocks[self.p - 1] * self.t + self.dim))
+
+    def coboundary_witness(self, c):
+        """The values of a (p-1)-cochain b with db = c, as ``to_cochain``
+        gives them, or None when the p-cochain c is no coboundary (always
+        in degree 0).  For the normalized coordinates vec of
+        c - d(const shift) (``from_cochain``), a solution a of
+        [d_(p-1) | diag(mods)] a = from_bar(vec) is a witness itself in
+        degree 1; in degree 2 it gives the values a_s on S, followed
+        along the tree, b(xs) = b(x) + x.a_s - vec(x, s).  Then b adds
+        the shift."""
+        vec, shift = self.from_cochain(c)
+        phi = None if vec is None else self.from_bar(vec)
         if self.p == 0 or phi is None:
             return None
-        if self._solver is None:
-            rows = self._rows(self.p - 1)
-            self._solver = IntegerSolver(IntMatrix.from_rows(
-                [row + [q if k == r else 0 for k in range(self.dim)]
-                 for r, (row, q) in enumerate(zip(rows, self.mods))],
-                cols=self.blocks[self.p - 1] * self.t + self.dim))
-        sol = self._solver.solve(phi)
+        sol = self._boundary_smith.solve(phi)
         if sol is None:
             return None
         gamma, t = self.module.gamma, self.t
         if self.p == 1:
-            return sol[:t]
-        c = self._bar_value(vec)
-        b = self._tree_sums(lambda x, si: [
-            u - w for u, w in zip(self._act(x, sol[si * t:(si + 1) * t]),
-                                  c(x, self.gens[si]))])
-        return [v for g in range(gamma.order) if g != gamma.identity
-                for v in b[g]]
+            b = {(): sol[:t]}
+        else:
+            cv = self._bar_value(vec)
+            tree = self._tree_sums(lambda x, si: [
+                u - w for u, w in zip(self._act(x, sol[si * t:(si + 1) * t]),
+                                      cv(x, self.gens[si]))])
+            b = {(g,): tree[g] for g in range(gamma.order)}
+        mods = self.module.coeff.invariant_factors
+        return tuple((tup, tuple((x + y) % q for x, y, q in
+                                 zip(v, shift, mods)))
+                     for tup, v in b.items())

@@ -14,8 +14,8 @@ from operator import mul
 
 from .abgroup import DiagonalizableGroup, FGAbelianGroup
 from .errors import InternalCheckError, ValidationError
-from .exactlin import (IntegerSolver, IntMatrix, cokernel_presentation,
-                       column_lattice_basis, kernel_basis)
+from .exactlin import (IntMatrix, cokernel_presentation, column_lattice_basis,
+                       kernel_basis, smith_normal_form)
 from .grouptable import closure, compose
 
 # Largest Weyl group that ``weyl_generate`` enumerates.
@@ -57,6 +57,12 @@ class BasedRootDatum:
         return tuple(self.datum.coroots[i] for i in self.simple_indices)
 
     @cached_property
+    def simple_smith(self):
+        """The Smith form of ``simple_matrix``, kept with the datum: it
+        decides independence in ``defect`` and solves for coefficients."""
+        return smith_normal_form(simple_matrix(self))
+
+    @cached_property
     def simple_coefficients(self):
         """``express_in_simple`` of this datum, computed on first use and
         kept with it."""
@@ -74,7 +80,7 @@ class BasedRootDatum:
                                             for i in idx):
             return "simple_indices is not a subset of the root indices"
         # linear independence: the simple-root matrix has full column rank
-        if idx and kernel_basis(simple_matrix(self)):
+        if idx and self.simple_smith.rank < len(idx):
             return "simple roots are linearly dependent"
         for b, coeffs in zip(self.datum.roots, self.simple_coefficients):
             if coeffs is None:
@@ -198,10 +204,9 @@ def simple_matrix(based: BasedRootDatum) -> IntMatrix:
 
 def express_in_simple(based: BasedRootDatum):
     """Integer coefficients of each root in the simple roots (None for a
-    root outside their span), from one Smith form of the simple-root
-    matrix."""
-    solver = IntegerSolver(simple_matrix(based))
-    return [solver.solve(b) for b in based.datum.roots]
+    root outside their span), from the datum's one Smith form of the
+    simple-root matrix."""
+    return [based.simple_smith.solve(b) for b in based.datum.roots]
 
 
 def reflection(datum: RootDatum, root_index: int) -> IntMatrix:

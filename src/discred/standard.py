@@ -108,7 +108,3 @@ def d4_adjoint() -> BasedRootDatum:
 
 def torus(rank) -> BasedRootDatum:
     return BasedRootDatum(RootDatum(rank, (), ()), ())
-
-
-def gl1() -> BasedRootDatum:
-    return torus(1)

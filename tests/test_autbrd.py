@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from discred import autbrd, exactlin, standard
+from discred import autbrd, exactlin, relations, rootdatum, standard
 from discred.abgroup import AbHom, torsion_at
 from discred.autbrd import (AdHom, BRDAutomorphism, ad_from_generator_images,
                             brd_automorphism, diagram_automorphisms,
@@ -129,6 +129,44 @@ class TestAdHom:
         perms = {a.simple_root_permutation for a in ad.images}
         assert len(perms) == 6
 
+    @pytest.mark.parametrize("gamma", [
+        cyclic(2),
+        from_generators(3, [(1, 0, 2), (1, 2, 0)]),
+        from_generators(4, [(1, 2, 3, 0), (3, 2, 1, 0)]),
+        from_generators(4, [(1, 0, 2, 3), (1, 2, 3, 0)]),
+    ], ids=["C2", "S3", "D4", "S4"])
+    def test_tree_images_match_word_walk(self, gamma):
+        """Each image built from its parent's image along the closure tree
+        equals the product of generator images along the element's word,
+        read off the tree and walked from the identity.  The torus images
+        do not commute and define no homomorphism, so a change in the
+        product order would show."""
+        based = standard.torus(3)
+        mats = [[[1, 1, 0], [0, 1, 0], [0, 0, 1]],
+                [[0, 0, 1], [1, 0, 0], [0, 1, 0]]][:gamma.generator_count]
+        ad = ad_from_generator_images(based, gamma, mats)
+        words = [()]
+        for parent, gi in gamma.closure_tree[1:]:
+            words.append(words[parent] + (gi,))
+        gens = [IntMatrix.from_rows(m) for m in mats]
+        assert len(ad.images) == len(words) == gamma.order
+        for image, word in zip(ad.images, words):
+            walk = IntMatrix.identity(3)
+            for gi in word:
+                walk = walk @ gens[gi]
+            assert image.matrix.entries == walk.entries
+
+    @pytest.mark.parametrize("gamma,count", [
+        (cyclic(2), 0), (cyclic(2), 3), (cyclic(1), 1),
+        (from_generators(3, [(1, 0, 2), (1, 2, 0)]), 1),
+    ], ids=["C2-0", "C2-3", "C1-1", "S3-1"])
+    def test_wrong_matrix_count_rejected(self, gamma, count):
+        based = standard.gl2()
+        swap = [[0, 1], [1, 0]]
+        with pytest.raises(ValidationError, match="one matrix per gamma "
+                                                  "generator"):
+            ad_from_generator_images(based, gamma, [swap] * count)
+
 
 def _all_pairs_failures(ad):
     """Every pair (x, y) with Ad(x)Ad(y) != Ad(xy)."""
@@ -189,30 +227,33 @@ class TestInverseOncePerElement:
     def test_d4_triality_classify_smith_forms(self, monkeypatch, capsys):
         """D4 adjoint has a trivial center, so its tower levels have no
         coordinates and no ad image is inverted; the based datum is
-        validated once, and the center's cokernel keeps the inverse of its
-        transform from its own Smith form: 3 Smith forms in all, where
-        inverting the six images once each took 9, inverting at each of
-        the four levels took 30, validating twice took 12 and inverting
-        the cokernel transform afterwards took 10."""
+        validated once on one Smith form of its simple roots, and the
+        center's cokernel keeps the inverse of its transform from its own
+        Smith form: 2 Smith forms in all, where a second Smith form for
+        the independence check took 3, inverting the six images once each
+        took 9, inverting at each of the four levels took 30, validating
+        twice took 12 and inverting the cokernel transform afterwards
+        took 10."""
         counts = _classify_counts(monkeypatch, capsys,
                                   _problem("d4_adjoint_s3.json"))
-        assert counts == {"smith_normal_form": 3, "inverse_unimodular": 0}
+        assert counts == {"smith_normal_form": 2, "inverse_unimodular": 0}
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_center_tower_inverts_each_distinct_image_once(
             self, monkeypatch, capsys, tmp_path, n):
         """GL2 has center C*, so every level has coordinates.  The swap
         under C2 gives two distinct images, and under C4 four images with
-        two distinct matrices: two inverses and 23 Smith forms for the
-        whole tower either way, where inverting each element's image took
-        four inverses and 25 Smith forms over C4."""
+        two distinct matrices: two inverses and 22 Smith forms for the
+        whole tower either way (23 with a second Smith form for the
+        datum's independence check), where inverting each element's image
+        took four inverses and 25 Smith forms over C4."""
         with open(_problem("gl2_z2_swap.json")) as fh:
             data = json.load(fh)
         data["gamma"] = {"type": "cyclic", "n": n}
         path = tmp_path / "gl2_swap.json"
         path.write_text(json.dumps(data))
         counts = _classify_counts(monkeypatch, capsys, str(path))
-        assert counts == {"smith_normal_form": 23, "inverse_unimodular": 2}
+        assert counts == {"smith_normal_form": 22, "inverse_unimodular": 2}
 
 
 def _problem(name):
@@ -221,7 +262,8 @@ def _problem(name):
 
 
 def _classify_counts(monkeypatch, capsys, problem):
-    """Smith forms and T^{-1} inversions of one ``classify`` CLI call."""
+    """Smith forms and T^{-1} inversions of one ``classify`` CLI call,
+    wherever a module calls them from."""
     counts = {"smith_normal_form": 0, "inverse_unimodular": 0}
 
     def counting(module, name):
@@ -232,7 +274,8 @@ def _classify_counts(monkeypatch, capsys, problem):
             return inner(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    counting(exactlin, "smith_normal_form")
+    for module in (exactlin, autbrd, relations, rootdatum):
+        counting(module, "smith_normal_form")
     counting(autbrd, "inverse_unimodular")
     assert main(["classify", "--input", problem, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["tower_orders"]

@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 from discred import autbrd, standard
 from discred.abgroup import FGAbelianGroup
 from discred.cli import main
-from discred.cohomology import (Cochain, _coboundary_columns, _Space,
-                                cochain_sum, cohomology_group, differential,
-                                is_cocycle, trivial_module)
+from discred.cohomology import (Cochain, cochain_sum, cohomology_group,
+                                differential, is_cocycle, trivial_module)
 from discred.extension import classify
 from discred.grouptable import cyclic, direct_product, from_generators
+from discred.relations import RelationModule
 
 from bar_reference import reference_diff_matrix
 from bruteforce import normalized_coboundaries, zip_flat_add
@@ -61,9 +61,9 @@ def test_coboundary_columns_match_the_bar_matrix(p):
     dense normalized bar d_(p-1), entry for entry and in order, so
     ``modular_echelon`` sees the same input."""
     for M in _modules():
-        space = _Space(M, p)
-        d = reference_diff_matrix(M, p - 1, space.tuples)
-        assert list(_coboundary_columns(M, space)) == [
+        rel = RelationModule(M, p)
+        d = reference_diff_matrix(M, p - 1, list(rel.bar_index))
+        assert list(rel.bar_coboundaries()) == [
             list(d.col(j)) for j in range(d.cols)]
 
 

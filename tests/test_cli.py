@@ -361,16 +361,19 @@ class TestOnceOnly:
         assert counts == {"validate": 1, "validate_ad": 1}
 
     def test_weyl_expresses_roots_once(self, capsys, monkeypatch):
-        """The based datum keeps the roots' simple coefficients, so its
-        verdict and R+ share one solve: 2 Smith forms (independence and
-        coefficients), where solving again for R+ took 3."""
+        """The based datum keeps the roots' simple coefficients and the
+        Smith form they come from, so its verdict and R+ share one
+        solve and one Smith form: its rank decides independence, where
+        a kernel basis took a second Smith form and solving again for R+
+        a third."""
         counts = {}
         _count(monkeypatch, counts, exactlin, "smith_normal_form")
+        _count(monkeypatch, counts, rootdatum, "smith_normal_form")
         _count(monkeypatch, counts, rootdatum, "express_in_simple")
         code, out, _ = run(capsys, "weyl", "--input",
                            problem("d4_adjoint_s3.json"))
         assert code == 0 and "|W| = 192" in out
-        assert counts == {"smith_normal_form": 2, "express_in_simple": 1}
+        assert counts == {"smith_normal_form": 1, "express_in_simple": 1}
 
     def test_oversized_gamma_exits_before_ad_and_modules(
             self, capsys, monkeypatch, tmp_path):

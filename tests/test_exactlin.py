@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discred.errors import ValidationError
-from discred.exactlin import (IntegerSolver, IntMatrix,
-                              cokernel_presentation, column_lattice_basis,
+from discred.exactlin import (IntMatrix, cokernel_presentation, column_lattice_basis,
                               congruence_kernel_basis, echelon_reduce,
                               inverse_unimodular, kernel_basis,
                               modular_echelon, smith_normal_form,
@@ -287,7 +286,7 @@ class TestTrackedInverses:
     def test_congruence_kernel_coordinates(self, A, q, data):
         kernel = congruence_kernel_basis(A, q)
         B, n = kernel.basis, A.cols
-        solver = IntegerSolver(B)
+        solver = smith_normal_form(B)
         vec = st.lists(st.integers(-12, 12), min_size=n, max_size=n)
         inside = B.apply(data.draw(vec))
         for b in (inside, tuple(data.draw(vec))):

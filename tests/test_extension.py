@@ -8,7 +8,8 @@ from discred import extension, grouptable, standard
 from discred.abgroup import AbHom, DiagonalizableGroup, FGAbelianGroup
 from discred.autbrd import ad_from_generator_images, trivial_ad
 from discred.cohomology import (Cochain, cochain_sum, cohomology_group,
-                                differential, gamma_module, trivial_module)
+                                differential, gamma_module, is_cocycle,
+                                trivial_module)
 from discred.errors import ValidationError
 from discred.exactlin import IntMatrix
 from discred.extension import (DisconnectedGroupDescriptor, build_extension,
@@ -17,6 +18,9 @@ from discred.extension import (DisconnectedGroupDescriptor, build_extension,
                                pushout, quotient_mod_center)
 from discred.grouptable import (cyclic, direct_product, find_isomorphism,
                                 from_generators, semidirect_product)
+
+from bar_reference import reference_cocycle_witness
+from test_normalized import _cochain, _modules
 
 
 def counted(monkeypatch, module, name, calls):
@@ -92,6 +96,13 @@ class TestBuild:
         lhs = A.add(M.act(g1, d[(g2, g3)]), d[(g1, G.mul(g2, g3))])
         rhs = A.add(d[(g1, g2)], d[(G.mul(g1, g2), g3)])
         assert lhs != rhs
+
+    def test_witness_of_non_total_cochain(self):
+        M = trivial_module(cyclic(3), Z(3))
+        vals = {(a, b): (0,) for a in range(3) for b in range(3)}
+        del vals[(1, 1)]
+        with pytest.raises(ValidationError, match=r"not total: missing \(1, 1\)"):
+            cocycle_witness(M, Cochain.from_map(2, vals))
 
     def test_twisted_by_action(self):
         # Z/4 extended by Z/2 acting by inversion, trivial cocycle:
@@ -277,6 +288,53 @@ def _normalized_cochains(draw):
         key = (draw(st.sampled_from(others)), draw(st.sampled_from(others)))
         c[key] = draw(st.sampled_from(elems))
     return M, Cochain.from_map(2, c)
+
+
+def _fails(M, c, g1, g2, g3):
+    """Whether the total 2-cochain c fails the cocycle identity at
+    (g1, g2, g3)."""
+    A, G, d = M.coeff, M.gamma, c.as_dict()
+    return (A.add(M.act(g1, d[(g2, g3)]), d[(g1, G.mul(g2, g3))])
+            != A.add(d[(g1, g2)], d[(G.mul(g1, g2), g3)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_light_witness_agrees_with_full_check(data):
+    """Light's test over the generating set finds a failing triple
+    exactly when ``is_cocycle`` and the full |Gamma|^3 loop do, on total
+    2-cochains under the actions of ``test_normalized``: random ones,
+    cocycles that are not normalized (a class representative plus the
+    coboundary of a 1-cochain with b(1) != 0), and such cocycles with
+    one value changed.  The witness is the first failing (g, s, h) with
+    s in ``gamma.generators``, in the order g, s, h."""
+    M = _modules()[data.draw(st.integers(0, len(_modules()) - 1))]
+    A, G = M.coeff, M.gamma
+    kind = data.draw(st.sampled_from(["random", "cocycle", "perturbed"]))
+    if kind == "random":
+        c = _cochain(M, 2, data.draw)
+    else:
+        H = cohomology_group(M, 2)
+        coords = tuple(data.draw(st.integers(0, f - 1))
+                       for f in H.group.invariant_factors)
+        b = _cochain(M, 1, data.draw, nonzero_at_identity=True)
+        c = cochain_sum(A, [(1, H.class_representative(coords)),
+                            (1, differential(M, b))])
+        if kind == "perturbed":
+            values = c.as_dict()
+            tup = data.draw(st.sampled_from(sorted(values)))
+            values[tup] = A.add(values[tup], (1,) + (0,) * (A.ncoords - 1))
+            c = Cochain.from_map(2, values)
+    w = cocycle_witness(M, c)
+    ref = reference_cocycle_witness(M, c)
+    assert (w is None) == (ref is None) == is_cocycle(M, c)
+    if kind == "cocycle":
+        assert w is None
+    first = next(((g, s, h) for g in G.elements() for s in G.generators
+                  for h in G.elements() if _fails(M, c, g, s, h)), None)
+    assert w == first
+    if w is not None:
+        assert _fails(M, c, *w) and _fails(M, c, *ref)
 
 
 class TestOnceOnly:

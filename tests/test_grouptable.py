@@ -58,10 +58,16 @@ class TestGenerators:
         assert s3().identity == 0
 
     def test_words_reconstruct(self):
+        """The words read off the closure tree spell each element in the
+        construction generators."""
         g = s3()
-        gen_elem = {w[0]: i for i, w in enumerate(g.generator_words)
-                    if len(w) == 1}
-        for i, word in enumerate(g.generator_words):
+        assert g.generator_count == 2
+        words = [()]
+        for parent, gi in g.closure_tree[1:]:
+            words.append(words[parent] + (gi,))
+        gen_elem = {w[0]: i for i, w in enumerate(words) if len(w) == 1}
+        assert len(gen_elem) == g.generator_count
+        for i, word in enumerate(words):
             x = g.identity
             for gi in word:
                 x = g.mul(x, gen_elem[gi])
@@ -99,8 +105,12 @@ class TestClosure:
     def test_cyclic_equals_n_cycle_closure(self, n):
         direct, closed = cyclic(n), from_generators(n, [_n_cycle(n)])
         for name in ("order", "table", "identity", "inverse",
-                     "generator_words"):
+                     "closure_tree"):
             assert getattr(direct, name) == getattr(closed, name), name
+        # the identity permutation generates nothing: cyclic(1) has no
+        # generator
+        assert direct.generator_count == int(n > 1)
+        assert closed.generator_count == 1
 
     def test_cyclic_over_cap_raises_before_work(self):
         with pytest.raises(BudgetExceededError,

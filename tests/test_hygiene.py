@@ -1,9 +1,11 @@
 """Source hygiene: no module imports a name it never uses, every
-private helper is read somewhere in the package, and every function the
+private helper is read somewhere in the package, every public function
+and class is read somewhere in the project, and every function the
 benchmark's tracer wraps exists.
 
 The re-exports of ``discred/__init__.py`` are its purpose, so that file
-is exempt.
+is exempt from the unused-import check, and a name it re-exports counts
+as read.
 """
 
 import ast
@@ -13,8 +15,8 @@ import os
 import pytest
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "discred")
-TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
-                      "tracer.py")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
 MODULES = sorted(f for f in os.listdir(SRC)
                  if f.endswith(".py") and f != "__init__.py")
 
@@ -63,27 +65,38 @@ def private_definitions(tree):
     return names
 
 
+def read_names(tree):
+    """Every name an expression of the AST reads, by name or as an
+    attribute."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
 def unread_private_helpers(sources):
     """Private definitions of ``sources`` that no expression in any of
     them reads, by name or as an attribute."""
     trees = [ast.parse(source) for source in sources]
-    read = set()
-    for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+    read = set().union(*map(read_names, trees))
     return [name for tree in trees for name in private_definitions(tree)
             if name not in read]
 
 
+def _sources(directory):
+    out = []
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".py"):
+            with open(os.path.join(directory, name)) as fh:
+                out.append(fh.read())
+    return out
+
+
 def test_no_unread_private_helpers():
-    sources = []
-    for module in sorted(f for f in os.listdir(SRC) if f.endswith(".py")):
-        with open(os.path.join(SRC, module)) as fh:
-            sources.append(fh.read())
-    assert unread_private_helpers(sources) == []
+    assert unread_private_helpers(_sources(SRC)) == []
 
 
 def test_detects_unread_private_helpers():
@@ -101,6 +114,62 @@ def test_detects_unread_private_helpers():
     caller = "from .module import _used\n_used()\n"
     assert unread_private_helpers([module, caller]) == ["_cocycle_rows",
                                                         "_stale"]
+
+
+def public_definitions(tree):
+    """Names of the module-level public functions and classes of an
+    AST."""
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def unread_public_names(sources, readers, exports):
+    """Public module-level functions and classes of ``sources`` that no
+    expression in ``readers`` reads and that ``exports`` does not
+    re-export."""
+    read = set(exports)
+    for source in readers:
+        read |= read_names(ast.parse(source))
+    return [name for source in sources
+            for name in public_definitions(ast.parse(source))
+            if name not in read]
+
+
+def test_no_unread_public_names():
+    """Every public function and class of the package is read somewhere
+    in src/, tests/ or perfbench/, re-exported by ``__init__``, or named
+    by the tracer, which reads its targets by name."""
+    package = _sources(SRC)
+    readers = (package + _sources(os.path.dirname(__file__))
+               + _sources(os.path.join(ROOT, "perfbench")))
+    with open(os.path.join(SRC, "__init__.py")) as fh:
+        init = ast.parse(fh.read())
+    exports = [alias.asname or alias.name for node in ast.walk(init)
+               if isinstance(node, ast.ImportFrom) for alias in node.names]
+    exports += [part for _, _, attr, _ in tracer_targets()
+                for part in attr.split(".")]
+    assert unread_public_names(package, readers, exports) == []
+
+
+def test_detects_unread_public_names():
+    module = ("def gl1():\n"
+              "    return torus(1)\n"
+              "def torus(rank):\n"
+              "    return rank\n"
+              "def sl2():\n"
+              "    pass\n"
+              "class Kept:\n"
+              "    def stale(self):\n"
+              "        pass\n"
+              "class Dropped:\n"
+              "    pass\n"
+              "def _private():\n"
+              "    pass\n")
+    test = "from discred import standard\nstandard.Kept().stale()\n"
+    assert unread_public_names([module], [module, test], ["sl2"]) == [
+        "gl1", "Dropped"]
 
 
 def tracer_targets():
