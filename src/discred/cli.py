@@ -124,7 +124,13 @@ def _parse_ad(data, based, gamma) -> AdHom:
         elif kind == "generators":
             mats = _int_array(a["matrices"], "ad.matrices", 3)
             ngens = gamma.generator_count
-            if ngens is not None and len(mats) != ngens:
+            if ngens is None:
+                raise ValidationError(
+                    "ad.type 'generators' needs a gamma built from "
+                    "generators; a 'table' gamma has none, so give "
+                    "ad.matrices one matrix per gamma element with ad.type "
+                    "'elements'")
+            if len(mats) != ngens:
                 raise ValidationError(
                     f"ad.matrices must hold one matrix per gamma generator "
                     f"({ngens}), got {len(mats)}")

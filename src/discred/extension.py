@@ -23,8 +23,8 @@ from .cohomology import (Cochain, CohomologyGroup, GammaModule, cochain_sum,
                          cohomology_group, gamma_module,
                          require_within_budget, stabilized_h2)
 from .errors import InternalCheckError, ValidationError
-from .grouptable import (FiniteGroup, find_isomorphism, hom_check, quotient,
-                         semidirect_product, validate_table)
+from .grouptable import (FiniteGroup, hom_check, quotient, semidirect_product,
+                         twisted_rows, validate_table)
 from .relations import RelationModule
 from .rootdatum import (BasedRootDatum, CenterData, center_data,
                         require_valid_based)
@@ -84,12 +84,7 @@ def build_extension(M: GammaModule, c: Cochain) -> ExtensionModel:
     add = [[pos[A.add(x, y)] for y in elems] for x in elems]
     acted = [[pos[M.act(g, y)] for y in elems] for g in range(n)]
     cval = [[pos[vals[(g1, g2)]] for g2 in range(n)] for g1 in range(n)]
-    table = []
-    for add_p1 in add:
-        for g1_row, acted_g1, c_g1 in zip(M.gamma.table, acted, cval):
-            table.append(tuple([add[add_p1[q]][c] * n + g2
-                                for q in acted_g1
-                                for c, g2 in zip(c_g1, g1_row)]))
+    table = twisted_rows(add, M.gamma.table, acted, cval)
     order = len(table)
     try:
         group = validate_table(table, identity=idx(A.zero(), ident))
@@ -235,11 +230,15 @@ def pushout(G: FiniteGroup, z_embed, act, model: ExtensionModel) -> PushoutModel
 
 
 def quotient_mod_center(G: FiniteGroup, z_embed, act, push: PushoutModel):
-    """Isomorphism E/Z -> (G/Z) x| Gamma, or None.
+    """The natural isomorphism E/Z -> (G/Z) x| Gamma, or None.
 
-    Z is the embedded copy of A; modding it out of the pushout must
-    recover the semidirect product of the adjoint-side quotient with
-    Gamma.
+    Z is the embedded copy of A.  The class of the semidirect element
+    (g, e) goes to (gZ, pi(e)), with pi(e) read off the pushout's
+    projection, so the map is indexed by the E/Z numbering of
+    ``quotient`` and lands at gZ * |Gamma| + pi(e) in
+    ``semidirect_product(G/Z, Gamma, act mod Z)``.  It is returned only
+    when it is well defined, bijective and a homomorphism (``hom_check``);
+    otherwise the result is None.
     """
     M_gamma = push.gamma
     zset = frozenset(z_embed)
@@ -257,8 +256,19 @@ def quotient_mod_center(G: FiniteGroup, z_embed, act, push: PushoutModel):
         actq.append(tuple(img))
     target = semidirect_product(Gq, M_gamma, tuple(actq))
     zbar = frozenset(push.embed_a)
-    Eq, _ = quotient(push.group, zbar)
-    return find_isomorphism(Eq, target)
+    Eq, ecoset = quotient(push.group, zbar)
+    ne = len(push.coset_of) // G.order
+    f = [None] * Eq.order
+    for i, e in enumerate(push.coset_of):
+        y = gcoset[i // ne] * M_gamma.order + push.project[e]
+        q = ecoset[e]
+        if f[q] is None:
+            f[q] = y
+        elif f[q] != y:
+            return None
+    if Eq.order != target.order or len(set(f)) != Eq.order:
+        return None
+    return tuple(f) if hom_check(f, Eq, target) else None
 
 
 @dataclass(frozen=True)

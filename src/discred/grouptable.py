@@ -250,8 +250,9 @@ def is_normal(G: FiniteGroup, subset) -> bool:
 def quotient(G: FiniteGroup, normal_subset):
     """Quotient by a normal subgroup; returns (group, coset_of) where
     coset_of[i] is the quotient index of element i.  Cosets are numbered
-    by their first element; both the cosets and the quotient table are
-    read off the rows of G."""
+    by their first element; the cosets, the quotient table and its
+    inverses are read off the rows of G.  The table is not checked
+    again: ``is_normal`` accepted the subgroup, so it is a group."""
     s = frozenset(normal_subset)
     if not is_normal(G, s):
         raise ValidationError("subset is not a normal subgroup")
@@ -265,37 +266,48 @@ def quotient(G: FiniteGroup, normal_subset):
                 coset_of[row[x]] = idx
     table = tuple(tuple([coset_of[row[r]] for r in reps])
                   for row in (G.table[g] for g in reps))
-    q = validate_table(table, identity=coset_of[G.identity])
-    return q, tuple(coset_of)
+    inverse = tuple(coset_of[G.inv(r)] for r in reps)
+    return (FiniteGroup(len(reps), table, coset_of[G.identity], inverse),
+            tuple(coset_of))
+
+
+def twisted_rows(n_table, h_table, act, c):
+    """The rows of (x1, h1)(x2, h2) = (x1 act[h1](x2) c[h1][h2], h1 h2)
+    on N x H, with (x, h) at index x * |H| + h; no axiom is checked.
+
+    ``n_table`` and ``h_table`` are multiplication tables, ``act[h]`` an
+    index map on N and ``c[h1][h2]`` an element of N.  Row (x1, h1) is
+    the chain of the blocks (h1, y) over x2, one per y = x1 act[h1](x2);
+    block (h1, y) holds the indices of (y c[h1][h2], h1 h2) over h2.
+    The blocks are built once over one shared list of index cells, so
+    rows share them and their index objects.
+    """
+    nh = len(h_table)
+    cells = [tuple(range(y * nh, (y + 1) * nh)) for y in range(len(n_table))]
+    blocks = [[tuple([cells[y_row[cy]][h] for cy, h in zip(c_h1, h1_row)])
+               for y_row in n_table]
+              for h1_row, c_h1 in zip(h_table, c)]
+    return tuple([tuple(chain.from_iterable([blk[x1_row[x]] for x in a1]))
+                  for x1_row in n_table for a1, blk in zip(act, blocks)])
 
 
 def direct_product(A: FiniteGroup, B: FiniteGroup):
-    """A x B with element (a, b) at index a * |B| + b."""
-    n = A.order * B.order
-    nb = B.order
-
-    def idx(a, b):
-        return a * nb + b
-
-    table = tuple(tuple(idx(A.mul(i // nb, j // nb), B.mul(i % nb, j % nb))
-                        for j in range(n)) for i in range(n))
-    ident = idx(A.identity, B.identity)
-    inverse = tuple(idx(A.inv(i // nb), B.inv(i % nb)) for i in range(n))
-    return FiniteGroup(n, table, ident, inverse)
+    """A x B with element (a, b) at index a * |B| + b: the semidirect
+    product through identity maps."""
+    return semidirect_product(A, B, [tuple(range(A.order))] * B.order)
 
 
 def semidirect_product(N: FiniteGroup, H: FiniteGroup, act):
     """N x| H with act[h] an automorphism of N (as an index map).
 
     Element (x, h) sits at index x * |H| + h; multiplication
-    (x1, h1)(x2, h2) = (x1 * act[h1](x2), h1 h2).  Each distinct map in
-    ``act`` is checked once (``hom_check``, so N must be a group), then
-    act(1) = id, then act(h s) = act(h) act(s) for every h and every s
-    in ``H.generators``: with act(1) = id, induction on the length of a
+    (x1, h1)(x2, h2) = (x1 * act[h1](x2), h1 h2), the ``twisted_rows``
+    with c the identity.  Each distinct map in ``act`` is checked once
+    (``hom_check``, so N must be a group), then act(1) = id, then
+    act(h s) = act(h) act(s) for every h and every s in
+    ``H.generators``: with act(1) = id, induction on the length of a
     word in S makes h -> act(h) a homomorphism H -> Aut(N), which needs
-    H to be a group.  Row (x1, h1) is the chain of the blocks of
-    (y, h1 h2) over h2 in H, one per y = x1 * act[h1](x2); the blocks
-    are built once, so rows share them and their index objects.
+    H to be a group.
     """
     act = tuple(tuple(a) for a in act)
     elements = tuple(range(N.order))
@@ -314,20 +326,13 @@ def semidirect_product(N: FiniteGroup, H: FiniteGroup, act):
             if tuple([a1[x] for x in a_s]) != act[h1_row[s]]:
                 raise ValidationError("act is not a homomorphism")
     nh = H.order
-    cells = [tuple(range(y * nh, (y + 1) * nh)) for y in elements]
-    blocks = [[tuple([cell[h] for h in h1_row]) for cell in cells]
-              for h1_row in H.table]
-    table = []
-    for x1_row in N.table:
-        for a1, blk in zip(act, blocks):
-            table.append(tuple(chain.from_iterable(
-                [blk[x1_row[x]] for x in a1])))
+    table = twisted_rows(N.table, H.table, act, [[N.identity] * nh] * nh)
     inverse = []
     for x in elements:
         for h in range(nh):
             hi = H.inv(h)
-            inverse.append(cells[act[hi][N.inv(x)]][hi])
-    return FiniteGroup(N.order * nh, tuple(table), cells[N.identity][H.identity],
+            inverse.append(act[hi][N.inv(x)] * nh + hi)
+    return FiniteGroup(N.order * nh, table, N.identity * nh + H.identity,
                        tuple(inverse))
 
 
@@ -335,6 +340,9 @@ def find_isomorphism(A: FiniteGroup, B: FiniteGroup):
     """Brute-force isomorphism A -> B (None when not isomorphic).
 
     Backtracks over images of a small generating set; desk scale only.
+    Nothing in the package calls it (``extension.quotient_mod_center``
+    returns the natural map); the tests use it to identify groups, and
+    the benchmark's tracer wraps it.
     """
     if A.order != B.order:
         return None

@@ -1,10 +1,10 @@
 """The group-table routines as they were before they checked on
 generator pairs and read tables off shared rows: ``hom_check`` and the
 ``semidirect_product`` act check over every pair of elements,
-``is_normal`` conjugating with ``mul``/``inv`` calls, and ``quotient``
-and ``semidirect_product`` building their tables entry by entry.  Kept
-as the reference that ``discred.grouptable`` must match verdict for
-verdict, message for message and table for table."""
+``is_normal`` conjugating with ``mul``/``inv`` calls, and ``quotient``,
+``semidirect_product`` and ``direct_product`` building their tables
+entry by entry.  Kept as the reference that ``discred.grouptable`` must
+match verdict for verdict, message for message and table for table."""
 
 from discred.errors import ValidationError
 from discred.grouptable import FiniteGroup, is_subgroup, validate_table
@@ -75,3 +75,17 @@ def reference_semidirect_product(N: FiniteGroup, H: FiniteGroup, act):
             hi = H.inv(h)
             inverse.append(act[hi][N.inv(x)] * nh + hi)
     return FiniteGroup(N.order * nh, tuple(table), ident, tuple(inverse))
+
+
+def reference_direct_product(A: FiniteGroup, B: FiniteGroup):
+    n = A.order * B.order
+    nb = B.order
+
+    def idx(a, b):
+        return a * nb + b
+
+    table = tuple(tuple(idx(A.mul(i // nb, j // nb), B.mul(i % nb, j % nb))
+                        for j in range(n)) for i in range(n))
+    ident = idx(A.identity, B.identity)
+    inverse = tuple(idx(A.inv(i // nb), B.inv(i % nb)) for i in range(n))
+    return FiniteGroup(n, table, ident, inverse)

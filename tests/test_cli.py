@@ -311,6 +311,21 @@ class TestGeneratorMatrixCount:
         assert code == 1 and "ad.matrices" in err
 
 
+    @pytest.mark.parametrize("command", ["check", "classify"])
+    def test_table_gamma_rejected(self, capsys, tmp_path, command):
+        """A table gamma has no construction generators, so generator
+        images cannot be extended; the error names the ad fields and
+        points to per-element matrices."""
+        data = _gl2_swap()
+        data["gamma"] = {"type": "table", "table": [[0, 1], [1, 0]]}
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps(data))
+        code, _, err = run(capsys, command, "--input", str(p))
+        assert code == 1
+        assert "ad.type" in err and "ad.matrices" in err
+        assert "'elements'" in err and "Traceback" not in err
+
+
 class TestElementMatrixCount:
     def test_wrong_count_rejected(self, capsys, tmp_path):
         data = _gl2_swap()

@@ -17,7 +17,8 @@ from discred.extension import (DisconnectedGroupDescriptor, build_extension,
                                extensions_equivalent, extract_cocycle,
                                pushout, quotient_mod_center)
 from discred.grouptable import (cyclic, direct_product, find_isomorphism,
-                                from_generators, semidirect_product)
+                                from_generators, quotient, semidirect_product,
+                                validate_table)
 
 from bar_reference import reference_cocycle_witness
 from test_normalized import _cochain, _modules
@@ -217,6 +218,51 @@ class TestPushout:
             G, z, act, _, model = sl2_like_setup(cls)
             push = pushout(G, z, act, model)
             assert quotient_mod_center(G, z, act, push) is not None
+
+    @pytest.mark.parametrize("case", ["C32/A4/C4", "C8/A2/S3"])
+    def test_quotient_mod_center_is_the_natural_map(self, monkeypatch, case):
+        """The map sends the class of (g, e) to (gZ, pi(e)) and is found
+        without an isomorphism search: on the carry extension Z/16 of C4
+        by Z/4 pushed into C32, and on the nonsplit extension of S3 by
+        Z/2 pushed into C8, with S3 acting on C8 by inversion through the
+        sign."""
+        if case == "C32/A4/C4":
+            M = trivial_module(cyclic(4), Z(4))
+            c = Cochain.from_map(2, {(a, b): ((a + b) // 4,)
+                                     for a in range(4) for b in range(4)})
+            G, z, act = cyclic(32), (0, 8, 16, 24), (tuple(range(32)),) * 4
+        else:
+            gamma = _s3()
+            M = _sign_module(gamma, 2, True)
+            c = cohomology_group(M, 2).class_representative((1,))
+            G = cyclic(8)
+            z = _cyclic_central(G, 2)
+            act = [tuple(G.inv(x) for x in range(8)) if _sign(gamma, g) < 0
+                   else tuple(range(8)) for g in range(gamma.order)]
+        model = build_extension(M, c)
+        push = pushout(G, z, act, model)
+        calls = []
+        for module in (grouptable, extension):
+            if hasattr(module, "find_isomorphism"):
+                counted(monkeypatch, module, "find_isomorphism", calls)
+        f = quotient_mod_center(G, z, act, push)
+        assert calls == []
+        Gq, gcoset = quotient(G, frozenset(z))
+        Eq, ecoset = quotient(push.group, frozenset(push.embed_a))
+        ne, ng = model.group.order, M.gamma.order
+        natural = {}
+        for g in range(G.order):
+            for e in range(ne):
+                natural.setdefault(ecoset[push.coset_of[g * ne + e]],
+                                   set()).add(gcoset[g] * ng + model.project[e])
+        assert all(len(images) == 1 for images in natural.values())
+        assert f == tuple(natural[q].pop() for q in range(Eq.order))
+        rep = {gcoset[x]: x for x in range(G.order)}
+        actq = [tuple(gcoset[a[rep[q]]] for q in range(Gq.order)) for a in act]
+        target = semidirect_product(Gq, M.gamma, actq)
+        assert sorted(f) == list(range(target.order))
+        assert all(f[Eq.mul(x, y)] == target.mul(f[x], f[y])
+                   for x in range(Eq.order) for y in range(Eq.order))
 
     def test_rejects_noncentral_embedding(self):
         M = c2_z2_module()
@@ -560,6 +606,32 @@ class TestRowWiseBuilders:
             act2 = [act[model.project[e]] for e in range(model.group.order)]
             assert push.semidirect.table == _per_entry_semidirect(
                 G, model.group, act2)
+
+    @pytest.mark.parametrize("a", [3, 4])
+    def test_relabeled_gamma(self, a):
+        """A table gamma whose identity is not element 0, acting on Z/a
+        by inversion through the sign: every class, moved by a
+        coboundary, builds the per-entry table."""
+        s3, perm = _s3(), (3, 0, 5, 1, 4, 2)
+        table = [[None] * 6 for _ in range(6)]
+        for i, j in itertools.product(range(6), repeat=2):
+            table[perm[i]][perm[j]] = perm[s3.table[i][j]]
+        gamma = validate_table(table)
+        assert gamma.identity == 3
+        M = _sign_module(gamma, a, True)
+        assert any(M.act(g, (1,)) != (1,) for g in range(6))
+        H = cohomology_group(M, 2)
+        b = [(0,) if g == gamma.identity else (g + 1,) for g in range(6)]
+        for coords in itertools.product(
+                *(range(f) for f in H.group.invariant_factors)):
+            base = H.class_representative(coords).as_dict()
+            c = Cochain.from_map(2, {
+                (g1, g2): M.coeff.add(v, M.coeff.add(M.coeff.sub(
+                    M.act(g1, b[g2]), b[gamma.mul(g1, g2)]), b[g1]))
+                for (g1, g2), v in base.items()})
+            model = build_extension(M, c)
+            assert model.group.table == _per_entry_extension(M, c)
+            assert model.group.identity == model.section[3] == 3
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

@@ -3,7 +3,8 @@ from functools import cache
 from itertools import product
 
 import pytest
-from grouptable_reference import (reference_hom_check, reference_is_normal,
+from grouptable_reference import (reference_direct_product,
+                                  reference_hom_check, reference_is_normal,
                                   reference_quotient,
                                   reference_semidirect_product)
 from hypothesis import example, given, settings
@@ -560,6 +561,24 @@ class TestNormalQuotientReference:
         G, s = case
         assert _outcome(quotient, G, s) == _outcome(reference_quotient, G, s)
 
+    def test_quotient_checks_no_table(self, monkeypatch):
+        """The quotient table and its inverses are read off the rows of
+        G; a quotient by a subgroup that ``is_normal`` accepted is a
+        group, so no ``validate_table`` runs."""
+        calls = []
+        inner = grouptable.validate_table
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(grouptable, "validate_table", counted)
+        for G, s in [(_S4, _S4_SUBGROUPS[2]), (_S4, _S4_SUBGROUPS[3]),
+                     (cyclic(8), frozenset({0, 4}))]:
+            q, coset_of = quotient(G, s)
+            assert q.order * len(s) == G.order
+            assert hom_check(coset_of, G, q)
+        assert calls == []
+
 
 @st.composite
 def _act_lists(draw):
@@ -607,3 +626,13 @@ def test_semidirect_rows_share_index_objects():
     """Rows are chains of shared blocks: each index is one object."""
     sd = semidirect_product(cyclic(32), cyclic(16), [tuple(range(32))] * 16)
     assert len({id(x) for row in sd.table for x in row}) == sd.order
+
+
+@pytest.mark.parametrize("a,b", list(product(range(len(_SMALL_GROUPS)),
+                                             repeat=2)))
+def test_direct_product_matches_reference(a, b):
+    """The direct product through identity maps is the per-entry (a, b)
+    table, identity and inverses included."""
+    A, B = _SMALL_GROUPS[a], _SMALL_GROUPS[b]
+    assert _outcome(direct_product, A, B) == \
+        _outcome(reference_direct_product, A, B)
