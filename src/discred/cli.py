@@ -310,7 +310,8 @@ def build_parser():
                             help="recorded in reports (integer); all "
                                  "computations are deterministic")
             sp.add_argument("--max-k", default=None,
-                            help="torsion tower depth limit (integer >= 1)")
+                            help="levels listed in tower_orders "
+                                 "(at least k_used)")
         sp.set_defaults(fn=fn)
     return p
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import gcd
 
 from .abgroup import AbHom, DiagonalizableGroup, FGAbelianGroup
 from .errors import BudgetExceededError, InternalCheckError, ValidationError
@@ -375,7 +376,7 @@ def push_cochain(inc: AbHom, c: Cochain) -> Cochain:
 
 @dataclass(frozen=True)
 class StabilizedH2:
-    """Stable value of the torsion tower H^2(Gamma, Z[n^k]), its
+    """H^2(Gamma, Z) read off the torsion tower H^2(Gamma, Z[n^k]), its
     generators given by their coordinates in H^2 at level k_used.  The
     generators are chosen by their canonical cocycles
     (``_canonical_basis``), so they do not depend on the coordinates the
@@ -387,7 +388,6 @@ class StabilizedH2:
     module: GammaModule           # the coefficient module at level k_used
     cohomology: CohomologyGroup   # H^2 at level k_used
     tower_orders: tuple           # |H^2| at each computed level
-    comparison_iso: tuple         # iso flags for the H-level comparison maps
 
     @property
     def representatives(self):
@@ -479,13 +479,30 @@ def _canonical_basis(H, struct, gens):
 
 def stabilized_h2(gamma: FiniteGroup, Z: DiagonalizableGroup, module_at,
                   max_k: int = 4, budget: int = 2_000_000) -> StabilizedH2:
-    """H^2(Gamma, Z_fin) via the torsion tower Z[n^k], n = |Gamma|.
+    """H^2(Gamma, Z) from the torsion tower Z[n^k], n = |Gamma|, at a
+    level read off Z.
 
     ``module_at(n_power)`` must return the GammaModule on the torsion
-    subgroup Z[n_power], compatibly across levels.  The stable value is
-    the image of one tower level in the next once those images agree (as
-    measured through the inclusion-induced comparison maps) for two
-    consecutive steps.
+    subgroup Z[n_power], compatibly across levels.  Levels 1 to
+    max(max_k, k_used) are computed and listed in ``tower_orders``.
+
+    Let D' be the n-primary torsion of Z, T' its torus part and e the
+    least e >= 0 with n^e (D'/T') = 0: the n-part of every finite
+    invariant factor divides n^e.  H^i(Gamma, Z) = H^i(Gamma, D') for
+    i >= 2, and n kills H^1 and H^2 (Brown, Cohomology of Groups,
+    III.10).
+    (a) For k >= e, n^k maps D' onto T' with kernel Z[n^k], so the
+        kernel of level k -> H^2(D') is delta_k(H^1(T')); it equals
+        the kernel of level k -> level k+1, as
+        iota o delta_k = delta_(k+1) o n = 0.
+    (b) For k >= e + 1, level k -> H^2(D') is onto: the next map
+        factors through n on H^2(T'), which is 0.
+    So the image of level k_used - 1 in level k_used is H^2(Gamma, Z)
+    for k_used = e + 2.  Without a torus every level from max(e, 1) on
+    is H^2(D'), and k_used = max(e, 1) + 1 (the same when e = 0).  The
+    e + 2 is needed: C2 acting on C* x Z/2 by (t, z) -> (t^-1 (-1)^z, z)
+    has e = 1 and tower orders 1, 2, 2, 2, but the image of level 1 in
+    level 2 is 0, while H^2 = Z/2 is the image of level 2 in level 3.
     """
     from .abgroup import torsion_inclusion
 
@@ -493,54 +510,18 @@ def stabilized_h2(gamma: FiniteGroup, Z: DiagonalizableGroup, module_at,
     if n == 1:
         M = module_at(1)
         H = cohomology_group(M, 2, budget=budget)
-        return StabilizedH2(H.group, 1, (), M, H, (H.order(),), ())
+        return StabilizedH2(H.group, 1, (), M, H, (H.order(),))
 
-    Hs = {}
-    Ms = {}
+    fin = Z.finite_part.invariant_factors
+    e = 0
+    while any(gcd(f, n ** e) != gcd(f, n ** (e + 1)) for f in fin):
+        e += 1
+    k_used = e + 2 if Z.torus_rank else max(e, 1) + 1
 
-    def level(k):
-        if k not in Hs:
-            Ms[k] = module_at(n ** k)
-            Hs[k] = cohomology_group(Ms[k], 2, budget=budget)
-        return Hs[k]
-
-    iso_flags = []
-    images = {}
-
-    def image(a, b):
-        """Image of the level-a H^2 in the level-b H^2."""
-        if (a, b) not in images:
-            images[a, b] = _image_subgroup(
-                level(a), level(b), torsion_inclusion(Z, n ** a, n ** b))
-        return images[a, b]
-
-    def comparison_iso(k):
-        """Is the map image(k, k+1) -> image(k+1, k+2) an isomorphism?
-        It lands on image(k, k+2), a subgroup of image(k+1, k+2), so it
-        is one exactly when the three orders agree."""
-        return (image(k, k + 1)[0].order() == image(k, k + 2)[0].order()
-                == image(k + 1, k + 2)[0].order())
-
-    stable_at = None
-    k = 1
-    while k + 3 <= max_k:
-        ok1 = comparison_iso(k)
-        iso_flags.append(ok1)
-        if ok1 and comparison_iso(k + 1):
-            stable_at = k
-            break
-        k += 1
-
-    if stable_at is None:
-        raise BudgetExceededError(
-            f"torsion tower did not stabilize within max_k={max_k}; "
-            f"partial tower orders: "
-            f"{tuple(Hs[j].order() for j in sorted(Hs))}")
-
-    k_used = stable_at + 1
-    struct, gen_coords = image(stable_at, k_used)
-    tower_orders = tuple(Hs[j].order() for j in sorted(Hs))
-    H = level(k_used)
-    return StabilizedH2(struct, k_used,
-                        _canonical_basis(H, struct, gen_coords),
-                        Ms[k_used], H, tower_orders, tuple(iso_flags))
+    Hs = [cohomology_group(module_at(n ** k), 2, budget=budget)
+          for k in range(1, max(max_k, k_used) + 1)]
+    low, H = Hs[k_used - 2], Hs[k_used - 1]
+    struct, gen_coords = _image_subgroup(
+        low, H, torsion_inclusion(Z, n ** (k_used - 1), n ** k_used))
+    return StabilizedH2(struct, k_used, _canonical_basis(H, struct, gen_coords),
+                        H.module, H, tuple(h.order() for h in Hs))

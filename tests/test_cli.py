@@ -141,9 +141,77 @@ class TestClassify:
         assert code == 2 and "budget" in err.lower()
 
     def test_max_k_too_small(self, capsys):
-        code, _, err = run(capsys, "classify", "--input",
-                           problem("sl2_z2_trivial.json"), "--max-k", "2")
-        assert code == 2 and "stabilize" in err
+        """A max_k below the default only shortens ``tower_orders``; the
+        stable level comes from the center, not from max_k."""
+        reports = []
+        for extra in ([], ["--max-k", "2"]):
+            code, out, _ = run(capsys, "classify", "--input",
+                               problem("sl2_z2_trivial.json"),
+                               "--format", "json", *extra)
+            assert code == 0
+            reports.append(json.loads(out))
+        default, short = reports
+        assert short["tower_orders"] == [2, 2]
+        assert default["tower_orders"] == [2, 2, 2, 2]
+        short["tower_orders"] = default["tower_orders"]
+        assert short == default
+
+
+def _type_a(n, torus=0):
+    """SL_n, times GL1^torus: simply connected, the simple coroots the
+    first n - 1 standard vectors, the simple roots the Cartan rows."""
+    rank = n - 1 + torus
+    roots = [[2 if i == j else -1 if abs(i - j) == 1 else 0
+              for j in range(n - 1)] + [0] * torus for i in range(n - 1)]
+    coroots = [[int(i == j) for j in range(rank)] for i in range(n - 1)]
+    return {"rank": rank, "simple_roots": roots, "simple_coroots": coroots}
+
+
+def _inverting_last(rank):
+    return [[(-1 if i == rank - 1 else 1) * (i == j) for j in range(rank)]
+            for i in range(rank)]
+
+
+class TestTowerLevel:
+    """Inputs whose stable tower level lies beyond level 2: the level is
+    read off the center, so they exit 0 at the default max_k."""
+
+    def _classify(self, capsys, tmp_path, datum, ad):
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps({"schema": 1, "name": "tower", "datum": datum,
+                                 "gamma": {"type": "cyclic", "n": 2},
+                                 "ad": ad}))
+        code, out, err = run(capsys, "classify", "--input", str(p),
+                             "--format", "json")
+        assert code == 0, err
+        data = json.loads(out)
+        return data["h2"]["invariant_factors"], data["k_used"]
+
+    def test_sl4(self, capsys, tmp_path):
+        """H^2(C2, Z/4) = Z/2, from level 2 in level 3."""
+        assert self._classify(capsys, tmp_path, _type_a(4),
+                              {"type": "trivial"}) == ([2], 3)
+
+    def test_sl16(self, capsys, tmp_path):
+        """H^2(C2, Z/16) = Z/2, from level 4 in level 5; comparing image
+        orders over levels 1 to 4 answered 0 here."""
+        assert self._classify(capsys, tmp_path, _type_a(16),
+                              {"type": "trivial"}) == ([2], 5)
+
+    @pytest.mark.parametrize("invert,h2", [(False, [2]), (True, [2, 2])])
+    def test_sl4_times_gl1(self, capsys, tmp_path, invert, h2):
+        """Z/4 x C*: H^2(C2, C*) is 0 under the trivial action and Z/2
+        under inversion; with a torus and e = 2 the level is e + 2."""
+        ad = ({"type": "generators", "matrices": [_inverting_last(4)]}
+              if invert else {"type": "trivial"})
+        assert self._classify(capsys, tmp_path, _type_a(4, 1), ad) == (h2, 4)
+
+    def test_sl2_times_gl1_inversion(self, capsys, tmp_path):
+        """Z/2 x C* with inversion on GL1: Z/2 + Z/2 at level e + 2 = 3."""
+        datum = {"rank": 2, "simple_roots": [[2, 0]],
+                 "simple_coroots": [[1, 0]]}
+        ad = {"type": "generators", "matrices": [_inverting_last(2)]}
+        assert self._classify(capsys, tmp_path, datum, ad) == ([2, 2], 3)
 
 
 class TestRoundTrip:
@@ -424,7 +492,7 @@ class TestParserReuse:
                                   timeout=120)
             fresh.append((proc.returncode, proc.stdout, proc.stderr))
         assert in_process == fresh
-        assert [code for code, _, _ in fresh] == [0, 2, 0]
+        assert [code for code, _, _ in fresh] == [0, 0, 0]
 
 
 class TestStrictFields:
