@@ -9,8 +9,9 @@ closure; raw tables may put the identity anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
+from operator import itemgetter
 
 from .errors import BudgetExceededError, ValidationError
 
@@ -137,6 +138,20 @@ def compose(e, g):
     return tuple(e[k] for k in g)
 
 
+def _times(g):
+    """e -> compose(e, g) as one ``itemgetter``; with a single index an
+    itemgetter returns a scalar, so degree <= 1 keeps ``compose``."""
+    return itemgetter(*g) if len(g) > 1 else partial(compose, g=g)
+
+
+def permutation_closure(degree, perms, cap, what):
+    """``closure`` of the identity of {0..degree-1} under right
+    multiplication by the permutations ``perms`` (tuples), each product
+    read off by one getter per generator."""
+    return closure(tuple(range(degree)), [_times(g) for g in perms],
+                   lambda e, times: times(e), cap, what)
+
+
 def from_generators(degree, perms):
     """Closure of permutation generators on {0..degree-1} as a table.
 
@@ -147,11 +162,10 @@ def from_generators(degree, perms):
     gens = [tuple(p) for p in perms]
     if any(sorted(p) != list(range(degree)) for p in gens):
         raise ValidationError("generator is not a permutation of the degree")
-    elems, index, tree = closure(tuple(range(degree)), gens, compose,
-                                 GROUP_CAP, "group")
+    elems, index, tree = permutation_closure(degree, gens, GROUP_CAP, "group")
     n = len(elems)
-    table = tuple(tuple(index[compose(elems[i], elems[j])] for j in range(n))
-                  for i in range(n))
+    right = [_times(p) for p in elems]
+    table = tuple(tuple([index[times(e)] for times in right]) for e in elems)
     inverse = tuple(index[_invert(p)] for p in elems)
     return FiniteGroup(n, table, 0, inverse, closure_tree=tuple(tree),
                        generator_count=len(gens))

@@ -8,15 +8,16 @@ Degenerate data with no roots are legal and model tori.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from operator import mul
 
 from .abgroup import DiagonalizableGroup, FGAbelianGroup
 from .errors import InternalCheckError, ValidationError
 from .exactlin import (IntMatrix, cokernel_presentation, column_lattice_basis,
                        kernel_basis, smith_normal_form)
-from .grouptable import closure, compose
+from .grouptable import permutation_closure
 
 # Largest Weyl group that ``weyl_generate`` enumerates.
 WEYL_CAP = 100000
@@ -37,13 +38,16 @@ class RootDatum:
         return len(self.roots)
 
     def pairing(self, coroot, root):
-        return sum(a * b for a, b in zip(coroot, root))
+        return sum(map(mul, coroot, root))
 
 
 @dataclass(frozen=True)
 class BasedRootDatum:
     datum: RootDatum
     simple_indices: tuple
+    # the roots' coefficients in the simple roots as ``from_simple``'s
+    # closure found them (None for explicit roots); not compared
+    closure_coefficients: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "simple_indices", tuple(self.simple_indices))
@@ -64,8 +68,12 @@ class BasedRootDatum:
 
     @cached_property
     def simple_coefficients(self):
-        """``express_in_simple`` of this datum, computed on first use and
-        kept with it."""
+        """The roots' coefficients in the simple roots: the closure's
+        record when there is one, else ``express_in_simple``, computed on
+        first use and kept with the datum.  Read only once ``defect`` has
+        found the simple roots independent, so the two agree."""
+        if self.closure_coefficients is not None:
+            return self.closure_coefficients
         return express_in_simple(self)
 
     @cached_property
@@ -141,16 +149,26 @@ def validate(datum: RootDatum):
             return (f"pairing <coroot, root> != 2 for pair {k}: "
                     f"<{bv}, {b}> = {datum.pairing(bv, b)}")
     # pairing[k][j] = <coroot k, root j>: row k serves the reflection at
-    # root k, column k the coreflection; a zero pairing fixes the vector
-    pairing = [[sum(map(mul, bv, b)) for b in datum.roots]
-               for bv in datum.coroots]
+    # root k, column k the coreflection; a zero pairing fixes the vector.
+    # Row k sums x times coordinate column i of the roots over the
+    # nonzero coordinates x = coroot k [i]; every coroot has one, as its
+    # pairing with its root is 2.
+    root_columns = list(zip(*datum.roots))
+    pairing = []
+    for bv in datum.coroots:
+        row = None
+        for x, column in zip(bv, root_columns):
+            if x:
+                row = ([x * y for y in column] if row is None else
+                       [p + x * y for p, y in zip(row, column)])
+        pairing.append(row)
     # Membership by exact linear keys: balanced base-B digits with
     # B > 2 max|coordinate| (1 + max|pairing|) number every root, coroot
     # and image v - m a below injectively, and key(v - m a) is
     # key(v) - m key(a); an image is built only for a failure message.
-    bound = max((abs(x) for v in datum.roots + datum.coroots for x in v),
+    bound = max(map(abs, chain.from_iterable(datum.roots + datum.coroots)),
                 default=0)
-    top = max((abs(m) for row in pairing for m in row), default=0)
+    top = max(map(abs, chain.from_iterable(pairing)), default=0)
     base = 2 * bound * (1 + top) + 1
     powers = [base ** i for i in range(datum.rank)]
     root_keys = [sum(map(mul, b, powers)) for b in datum.roots]
@@ -232,8 +250,8 @@ def weyl_generate(based: BasedRootDatum) -> WeylGroup:
         a, av = datum.roots[k], datum.coroots[k]
         perms.append(tuple(index[_reflect(b, datum.pairing(av, b), a)]
                            for b in datum.roots))
-    elems, _, tree = closure(tuple(range(datum.nroots)), perms, compose,
-                             WEYL_CAP, "Weyl")
+    elems, _, tree = permutation_closure(datum.nroots, perms, WEYL_CAP,
+                                         "Weyl")
     return WeylGroup(datum.rank, tuple(elems), tuple(tree),
                      tuple(reflection(datum, k) for k in based.simple_indices))
 

@@ -6,6 +6,8 @@ reflections, so each datum below is specified by its simple data only.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .errors import ValidationError
 from .rootdatum import BasedRootDatum, RootDatum
 
@@ -17,6 +19,12 @@ ROOT_CAP = 10000
 def from_simple(rank, simple_roots, simple_coroots) -> BasedRootDatum:
     """Full root system generated from simple data by reflection closure.
 
+    Each root keeps the coefficients in the simple roots it was found
+    with: simple root i starts at e_i, and s_i r = r - <alpha_i^v, r>
+    alpha_i lowers coefficient i by that pairing.  They are the unique
+    coefficients once ``defect`` has found the simple roots independent,
+    which it checks before reading any.
+
     Raises ValidationError when the simple data do not generate a finite
     consistent system.
     """
@@ -27,20 +35,23 @@ def from_simple(rank, simple_roots, simple_coroots) -> BasedRootDatum:
     for r, c in zip(simple_roots, simple_coroots):
         if len(r) != rank or len(c) != rank:
             raise ValidationError("simple root/coroot has wrong length")
-        if sum(x * y for x, y in zip(c, r)) != 2:
+        if sum(map(mul, c, r)) != 2:
             raise ValidationError(
                 f"<coroot, root> != 2 for simple pair {r}, {c}")
-    pairs = {r: c for r, c in zip(simple_roots, simple_coroots)}
+    simple = list(enumerate(zip(simple_roots, simple_coroots)))
+    pairs = dict(zip(simple_roots, simple_coroots))
+    coeffs = {r: [int(i == j) for j in range(len(simple))]
+              for i, r in enumerate(simple_roots)}
     frontier = list(pairs)
     while frontier:
         nxt = []
         for r in frontier:
-            c = pairs[r]
-            for a, av in zip(simple_roots, simple_coroots):
-                n = sum(x * y for x, y in zip(av, r))
-                r2 = tuple(x - n * a_i for x, a_i in zip(r, a))
-                m = sum(x * y for x, y in zip(c, a))
-                c2 = tuple(x - m * av_i for x, av_i in zip(c, av))
+            c, k = pairs[r], coeffs[r]
+            for i, (a, av) in simple:
+                n = sum(map(mul, av, r))
+                m = sum(map(mul, c, a))
+                r2 = tuple([x - n * y for x, y in zip(r, a)])
+                c2 = tuple([x - m * y for x, y in zip(c, av)])
                 if r2 in pairs:
                     if pairs[r2] != c2:
                         raise ValidationError(
@@ -49,13 +60,16 @@ def from_simple(rank, simple_roots, simple_coroots) -> BasedRootDatum:
                     raise ValidationError("root system closure runaway")
                 else:
                     pairs[r2] = c2
+                    coeffs[r2] = k2 = k.copy()
+                    k2[i] -= n
                     nxt.append(r2)
         frontier = nxt
     others = sorted(r for r in pairs if r not in simple_roots)
     roots = tuple(simple_roots) + tuple(others)
     coroots = tuple(pairs[r] for r in roots)
     datum = RootDatum(rank, roots, coroots)
-    return BasedRootDatum(datum, tuple(range(len(simple_roots))))
+    return BasedRootDatum(datum, tuple(range(len(simple_roots))),
+                          tuple(tuple(coeffs[r]) for r in roots))
 
 
 def sl2() -> BasedRootDatum:

@@ -3,11 +3,29 @@ generator pairs and read tables off shared rows: ``hom_check`` and the
 ``semidirect_product`` act check over every pair of elements,
 ``is_normal`` conjugating with ``mul``/``inv`` calls, and ``quotient``,
 ``semidirect_product`` and ``direct_product`` building their tables
-entry by entry.  Kept as the reference that ``discred.grouptable`` must
-match verdict for verdict, message for message and table for table."""
+entry by entry, and ``from_generators`` closing and tabulating with one
+``compose`` per product.  Kept as the reference that
+``discred.grouptable`` must match verdict for verdict, message for
+message and table for table."""
 
 from discred.errors import ValidationError
-from discred.grouptable import FiniteGroup, is_subgroup, validate_table
+from discred.grouptable import (GROUP_CAP, FiniteGroup, closure, compose,
+                                is_subgroup, validate_table)
+
+
+def reference_from_generators(degree, perms):
+    gens = [tuple(p) for p in perms]
+    if any(sorted(p) != list(range(degree)) for p in gens):
+        raise ValidationError("generator is not a permutation of the degree")
+    elems, index, tree = closure(tuple(range(degree)), gens, compose,
+                                 GROUP_CAP, "group")
+    n = len(elems)
+    table = tuple(tuple(index[compose(elems[i], elems[j])] for j in range(n))
+                  for i in range(n))
+    inverse = tuple(index[tuple(p.index(k) for k in range(degree))]
+                    for p in elems)
+    return FiniteGroup(n, table, 0, inverse, closure_tree=tuple(tree),
+                       generator_count=len(gens))
 
 
 def reference_hom_check(f, src: FiniteGroup, dst: FiniteGroup) -> bool:

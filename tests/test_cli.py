@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discred import autbrd, cohomology, exactlin, extension, rootdatum
+from discred import (autbrd, cohomology, exactlin, extension, rootdatum,
+                     standard)
 from discred.cli import main
 from discred.grouptable import cyclic, from_generators
 
@@ -443,20 +444,54 @@ class TestOnceOnly:
         assert code == 0
         assert counts == {"validate": 1, "validate_ad": 1}
 
-    def test_weyl_expresses_roots_once(self, capsys, monkeypatch):
-        """The based datum keeps the roots' simple coefficients and the
-        Smith form they come from, so its verdict and R+ share one
-        solve and one Smith form: its rank decides independence, where
-        a kernel basis took a second Smith form and solving again for R+
-        a third."""
+    @staticmethod
+    def _weyl_counts(capsys, monkeypatch, path):
         counts = {}
         _count(monkeypatch, counts, exactlin, "smith_normal_form")
         _count(monkeypatch, counts, rootdatum, "smith_normal_form")
         _count(monkeypatch, counts, rootdatum, "express_in_simple")
-        code, out, _ = run(capsys, "weyl", "--input",
-                           problem("d4_adjoint_s3.json"))
+        code, out, _ = run(capsys, "weyl", "--input", path)
         assert code == 0 and "|W| = 192" in out
+        return counts
+
+    def test_weyl_expresses_roots_once(self, capsys, monkeypatch):
+        """A datum given by simple roots keeps the coefficients its root
+        closure found, so its verdict and R+ take no solve and one Smith
+        form, whose rank decides independence; solving for every root
+        took one ``express_in_simple``, a kernel basis a second Smith
+        form and solving again for R+ a third."""
+        counts = self._weyl_counts(capsys, monkeypatch,
+                                   problem("d4_adjoint_s3.json"))
+        assert counts == {"smith_normal_form": 1, "express_in_simple": 0}
+
+    def test_explicit_roots_solve_once(self, capsys, monkeypatch, tmp_path):
+        """Explicit roots have no closure record: the verdict and R+
+        share one ``express_in_simple`` on the one Smith form."""
+        with open(problem("d4_adjoint_s3.json")) as fh:
+            data = json.load(fh)
+        datum = standard.d4_adjoint().datum
+        data["datum"] = {"rank": datum.rank, "roots": datum.roots,
+                         "coroots": datum.coroots,
+                         "simple_indices": [0, 1, 2, 3]}
+        path = tmp_path / "d4_roots.json"
+        path.write_text(json.dumps(data))
+        counts = self._weyl_counts(capsys, monkeypatch, str(path))
         assert counts == {"smith_normal_form": 1, "express_in_simple": 1}
+
+    @pytest.mark.parametrize("name,calls", [
+        ("sl2_z2_trivial.json", 1), ("gl2_z2_swap.json", 4)])
+    def test_tower_computes_each_distinct_module_once(
+            self, capsys, monkeypatch, name, calls):
+        """SL2 has no torus, so its levels Z(G)[2^k] = Z/2 are one module
+        from level max(e, 1) = 1 on and share one H^2, where each of the
+        four levels took its own; GL2's levels C*[2^k] all differ."""
+        counts = {}
+        _count(monkeypatch, counts, cohomology, "cohomology_group")
+        code, out, _ = run(capsys, "classify", "--input", problem(name),
+                           "--format", "json")
+        assert code == 0
+        assert len(json.loads(out)["tower_orders"]) == 4
+        assert counts == {"cohomology_group": calls}
 
     def test_oversized_gamma_exits_before_ad_and_modules(
             self, capsys, monkeypatch, tmp_path):

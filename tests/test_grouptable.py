@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 from grouptable_reference import (reference_direct_product,
+                                  reference_from_generators,
                                   reference_hom_check, reference_is_normal,
                                   reference_quotient,
                                   reference_semidirect_product)
@@ -162,6 +163,35 @@ def test_from_generators_inverses_match_the_table(degree, perms):
         y = G.inv(x)
         assert G.mul(x, y) == G.mul(y, x) == G.identity
     assert G.inverse == tuple(row.index(G.identity) for row in G.table)
+
+
+# generators of the groups of _PERMUTATION_GROUPS (C6 as a 6-cycle, C2 x C4
+# on 2 + 4 points), then every degree below 3
+_GENERATOR_INPUTS = [
+    (3, [(1, 0, 2), (1, 2, 0)]), (6, [(1, 2, 3, 4, 5, 0)]),
+    (6, [(1, 0, 2, 3, 4, 5), (0, 1, 3, 4, 5, 2)]),
+    (4, [(1, 2, 3, 0), (1, 0, 2, 3)]), (4, [(1, 2, 0, 3), (1, 0, 3, 2)]),
+    (5, [(1, 2, 3, 4, 0), (4, 3, 2, 1, 0)]),
+    (0, []), (0, [()]), (1, []), (1, [(0,)]), (1, [(0,), (0,)]),
+    (2, []), (2, [(0, 1)]), (2, [(1, 0)]), (2, [(0, 1), (1, 0), (1, 0)])]
+
+
+@pytest.mark.parametrize("degree,perms", _GENERATOR_INPUTS)
+def test_from_generators_matches_compose_reference(degree, perms):
+    """The table read off one itemgetter per element, and the closure
+    through one getter per generator, are the ``compose``-built ones."""
+    G = from_generators(degree, perms)
+    ref = reference_from_generators(degree, perms)
+    assert G == ref
+    assert (G.closure_tree, G.generator_count) == \
+        (ref.closure_tree, ref.generator_count)
+
+
+def test_generator_inputs_build_the_permutation_groups():
+    built = [from_generators(d, p) for d, p in _GENERATOR_INPUTS[:6]]
+    assert [G.order for G in built] == [G.order for G in _PERMUTATION_GROUPS]
+    assert built[0] == _PERMUTATION_GROUPS[0]
+    assert built[1] == _PERMUTATION_GROUPS[1]
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 from discred import rootdatum, standard
 from discred.errors import BudgetExceededError, ValidationError
 from discred.exactlin import IntMatrix
-from discred.grouptable import closure
+from discred.grouptable import closure, compose
 from validate_reference import reference_validate
 
 from discred.rootdatum import (BasedRootDatum, RootDatum, almost_product_check,
-                               center, dynkin, positive_roots,
-                               positive_systems, reflection, validate,
-                               validate_based, weyl_generate)
+                               center, dynkin, express_in_simple,
+                               positive_roots, positive_systems, reflection,
+                               validate, validate_based, weyl_generate)
 
 ALL_DATA = {
     "sl2": standard.sl2,
@@ -307,6 +307,101 @@ class TestPermutationWeyl:
             weyl_generate(bad)
         with pytest.raises(ValidationError, match=r"^duplicate root \(1, 1\)$"):
             positive_systems(weyl_generate(based), bad)
+
+
+class TestGetterWeyl:
+    """``weyl_generate`` closes W through one itemgetter per simple
+    reflection; the permutations and the tree are those of the closure
+    under ``compose``."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_DATA))
+    def test_against_compose_closure(self, name):
+        based = REFERENCE_DATA[name]()
+        datum = based.datum
+        index = {b: j for j, b in enumerate(datum.roots)}
+        perms = []
+        for k in based.simple_indices:
+            s = reflection(datum, k)
+            perms.append(tuple(index[s.apply(b)] for b in datum.roots))
+        elems, _, tree = closure(tuple(range(datum.nroots)), perms, compose,
+                                 rootdatum.WEYL_CAP, "Weyl")
+        W = weyl_generate(based)
+        assert W.permutations == tuple(elems)
+        assert W.tree == tuple(tree)
+
+
+_SIMPLE_FACTORS = ["sl2", "pgl2", "gl2", "sl3", "pgl3", "b2", "g2"]
+
+
+@st.composite
+def _simple_products(draw):
+    """Simple roots and coroots of a product of A1, A2, B2 and G2
+    factors, block-diagonally, moved by a random unimodular T (roots to
+    T a, coroots to T^{-t} a^v) and listed in a drawn order."""
+    blocks = [ALL_DATA[name]() for name in draw(st.lists(
+        st.sampled_from(_SIMPLE_FACTORS), min_size=1, max_size=3))]
+    rank = sum(b.datum.rank for b in blocks)
+    roots, coroots, offset = [], [], 0
+    for b in blocks:
+        pad = (offset, rank - offset - b.datum.rank)
+        roots += [[0] * pad[0] + list(a) + [0] * pad[1]
+                  for a in b.simple_roots]
+        coroots += [[0] * pad[0] + list(av) + [0] * pad[1]
+                    for av in b.simple_coroots]
+        offset += b.datum.rank
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.integers(0, rank - 1)), draw(st.integers(0, rank - 1))
+        c = draw(st.integers(-2, 2))
+        if i == j:
+            continue
+        for a in roots:        # T = 1 + c e_ij
+            a[i] += c * a[j]
+        for av in coroots:     # T^{-t} = 1 - c e_ji
+            av[j] -= c * av[i]
+    order = draw(st.permutations(range(len(roots))))
+    return (rank, [tuple(roots[i]) for i in order],
+            [tuple(coroots[i]) for i in order])
+
+
+class TestRecordedCoefficients:
+    """``from_simple`` records each root's coefficients in the simple
+    roots as its closure finds the root; they are the ones
+    ``express_in_simple`` solves for."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_DATA))
+    def test_standard_data(self, name):
+        based = REFERENCE_DATA[name]()
+        assert validate_based(based) is None
+        assert based.closure_coefficients is not None
+        assert list(based.simple_coefficients) == express_in_simple(based)
+
+    def test_explicit_roots_are_solved(self):
+        based = standard.b2()
+        explicit = BasedRootDatum(based.datum, based.simple_indices)
+        assert explicit == based and explicit.closure_coefficients is None
+        assert explicit.simple_coefficients == express_in_simple(based) == \
+            list(based.simple_coefficients)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_simple_products())
+    def test_products_under_base_change(self, case):
+        based = standard.from_simple(*case)
+        assert validate_based(based) is None
+        assert list(based.simple_coefficients) == express_in_simple(based)
+
+    def test_dependent_simple_roots_rejected(self):
+        """A2 with alpha_1 + alpha_2 as a third simple root closes to the
+        six roots of A2, where the closure records a mixed-sign
+        coefficient vector; the rank of the simple roots rejects them
+        before any coefficient is read."""
+        based = standard.from_simple(2, [(2, -1), (-1, 2), (1, 1)],
+                                     [(1, 0), (0, 1), (1, 1)])
+        assert validate(based.datum) is None
+        assert any(min(k) < 0 < max(k) for k in based.closure_coefficients)
+        msg = "simple roots are linearly dependent"
+        assert validate_based(based) == msg
+        with pytest.raises(ValidationError, match=f"^{msg}$"):
+            weyl_generate(based)
 
 
 class TestDynkin:
