@@ -485,7 +485,9 @@ def stabilized_h2(gamma: FiniteGroup, Z: DiagonalizableGroup, module_at,
     ``module_at(n_power)`` must return the GammaModule on the torsion
     subgroup Z[n_power], compatibly across levels.  Levels 1 to
     max(max_k, k_used) are listed in ``tower_orders``; equal levels
-    share one H^2 (without a torus, every level from max(e, 1) on).
+    share one H^2.  Without a torus Z[n^k] is the same module for every
+    k >= max(e, 1), so ``module_at`` runs only up to that level and the
+    higher levels reuse its module and H^2.
 
     Let D' be the n-primary torsion of Z, T' its torus part and e the
     least e >= 0 with n^e (D'/T') = 0: the n-part of every finite
@@ -519,10 +521,12 @@ def stabilized_h2(gamma: FiniteGroup, Z: DiagonalizableGroup, module_at,
         e += 1
     k_used = e + 2 if Z.torus_rank else max(e, 1) + 1
 
-    Hs, M = [], None
-    for k in range(1, max(max_k, k_used) + 1):
-        M, prev = module_at(n ** k), M
-        Hs.append(Hs[-1] if M == prev else cohomology_group(M, 2, budget))
+    # the levels below ``built`` differ in their coefficient groups
+    top = max(max_k, k_used)
+    built = top if Z.torus_rank else max(e, 1)
+    Hs = [cohomology_group(module_at(n ** k), 2, budget)
+          for k in range(1, built + 1)]
+    Hs += [Hs[-1]] * (top - built)
     low, H = Hs[k_used - 2], Hs[k_used - 1]
     struct, gen_coords = _image_subgroup(
         low, H, torsion_inclusion(Z, n ** (k_used - 1), n ** k_used))

@@ -4,9 +4,11 @@ A 2-cocycle c on Gamma with values in a finite module A determines a
 group law on A x Gamma; associativity of that law is literally the
 cocycle identity, and the model carries the embedding of A, the
 projection to Gamma, and the canonical section.  Pushing such a model
-out along a central embedding A -> G of a finite stand-in for the
+out along a central embedding z: A -> G of a finite stand-in for the
 connected group produces the disconnected group E = (G x| E~)/D, with D
-the antidiagonal copy of A.
+the antidiagonal copy of A.  E is built directly on G x Gamma, its law
+twisted by z(c), and the quotient map from G x| E~ is checked as a
+homomorphism with kernel D; no table of G x| E~ is built.
 
 Classification of the disconnected groups over a root datum lives here
 too: one descriptor per class in the stabilized H^2 of the center.
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .abgroup import DiagonalizableGroup, FGAbelianGroup, torsion_at
 from .autbrd import AdHom, center_action_at, presented_action
@@ -23,8 +26,8 @@ from .cohomology import (Cochain, CohomologyGroup, GammaModule, cochain_sum,
                          cohomology_group, gamma_module,
                          require_within_budget, stabilized_h2)
 from .errors import InternalCheckError, ValidationError
-from .grouptable import (FiniteGroup, hom_check, quotient, semidirect_product,
-                         twisted_rows, validate_table)
+from .grouptable import (FiniteGroup, check_action, hom_check, quotient,
+                         semidirect_product, twisted_rows, validate_table)
 from .relations import RelationModule
 from .rootdatum import (BasedRootDatum, CenterData, center_data,
                         require_valid_based)
@@ -140,6 +143,11 @@ def extensions_equivalent(M: GammaModule, c1: Cochain, c2: Cochain,
 
 @dataclass(frozen=True)
 class PushoutChecks:
+    """The contracts a pushout checked.  The antidiagonal D is normal
+    as the kernel of the checked homomorphism G x| E~ -> E, so
+    ``antidiagonal_is_normal`` holds exactly when
+    ``kernel_is_antidiagonal`` does."""
+
     antidiagonal_is_normal: bool
     kernel_is_antidiagonal: bool
     order: int
@@ -148,17 +156,32 @@ class PushoutChecks:
 
 @dataclass(frozen=True)
 class PushoutModel:
-    """E = (G x| E~)/D with D the antidiagonal copy of A."""
+    """E = (G x| E~)/D with D the antidiagonal copy of A, built on
+    G x Gamma: (g, gamma) at index g * |Gamma| + gamma.
+
+    ``coset_of`` maps G x| E~ (index g * |E~| + e) onto E; the table of
+    G x| E~ itself is built only when ``semidirect`` is read.
+    """
 
     group: FiniteGroup
     gamma: FiniteGroup
-    semidirect: FiniteGroup
     coset_of: tuple       # semidirect index -> E index
     antidiagonal: frozenset
     embed_g: tuple        # G element -> E index
     embed_a: tuple        # coefficient position -> E index (through G)
     project: tuple        # E index -> gamma element
     checks: PushoutChecks
+    connected: FiniteGroup
+    act: tuple            # gamma element -> automorphism of G
+    extension: ExtensionModel
+
+    @cached_property
+    def semidirect(self) -> FiniteGroup:
+        """G x| E~ with E~ acting through its projection to Gamma, the
+        domain of ``coset_of``."""
+        model = self.extension
+        return semidirect_product(self.connected, model.group,
+                                  [self.act[h] for h in model.project])
 
 
 def pushout(G: FiniteGroup, z_embed, act, model: ExtensionModel) -> PushoutModel:
@@ -168,12 +191,37 @@ def pushout(G: FiniteGroup, z_embed, act, model: ExtensionModel) -> PushoutModel
     on G factors through the projection, which encodes the contract that
     the embedded copy of A acts trivially.  Requires z central, injective,
     and equivariant: act[g](z(a)) = z(g.a).
+
+    E is built directly on G x Gamma by one ``twisted_rows`` call, with
+    the law (g1, h1)(g2, h2) = (g1 act[h1](g2) z(c(h1, h2)), h1 h2), c the
+    cocycle of the model read off s(h1) s(h2) = (c(h1, h2), h1 h2).  The
+    law is associative: both (x1 x2) x3 and x1 (x2 x3) have second
+    coordinate h1 h2 h3, and the first coordinates are
+
+        g1 act[h1](g2) z(c(h1, h2)) act[h1 h2](g3) z(c(h1 h2, h3)),
+        g1 act[h1](g2 act[h2](g3) z(c(h2, h3))) z(c(h1, h2 h3)).
+
+    act is a homomorphism Gamma -> Aut(G) and z is equivariant, so the
+    second is g1 act[h1](g2) act[h1 h2](g3) z(h1.c(h2, h3)) z(c(h1, h2 h3));
+    z(c(h1, h2)) is central, so the first is
+    g1 act[h1](g2) act[h1 h2](g3) z(c(h1, h2)) z(c(h1 h2, h3)); z is a
+    homomorphism and c a cocycle (the model's table passed
+    ``validate_table``), so the two agree, and (1, 1) is the identity as
+    c is normalized.  Each fact is checked here or when the model was
+    built; ``quotient`` likewise builds its table unchecked.
+
+    The quotient map phi(g, (a, h)) = (g z(a), h) is computed
+    arithmetically and checked to be a homomorphism G x| E~ -> E on the
+    generators (s, 1) and (1, t), with products read pointwise; it is
+    onto, as phi(g, (0, h)) = (g, h), so E = (G x| E~)/ker phi, and
+    ker phi is compared with D.
     """
     M = model.module
-    if len(act) != M.gamma.order:
+    gamma = M.gamma
+    n = gamma.order
+    if len(act) != n:
         raise ValidationError(
-            f"act has {len(act)} maps, need one per gamma element "
-            f"({M.gamma.order})")
+            f"act has {len(act)} maps, need one per gamma element ({n})")
     A = M.coeff
     elems = A.elements()
     if len(z_embed) != len(elems) or len(set(z_embed)) != len(elems):
@@ -189,56 +237,72 @@ def pushout(G: FiniteGroup, z_embed, act, model: ExtensionModel) -> PushoutModel
         zx = zmap[x]
         if any(G.mul(zx, s) != G.mul(s, zx) for s in G.generators):
             raise ValidationError(f"image of {x} is not central in G")
-
-    Et = model.group
-    act2 = tuple(tuple(act[model.project[e]]) for e in range(Et.order))
-    # checks each act[g] once; E~ element g = (0, g) is the first to carry
-    # act[g], so a rejection names g
-    sd = semidirect_product(G, Et, act2)
-    for g in range(M.gamma.order):
+    act = check_action(G, gamma, act)
+    for g in range(n):
         for x in elems:
             if act[g][zmap[x]] != zmap[M.act(g, x)]:
                 raise ValidationError(
                     f"act[{g}] is not equivariant on the embedded center")
+
+    # E~ element (a, h) sits at pos(a) * |Gamma| + h (``build_extension``)
+    Et, sec = model.group, model.section
     ne = Et.order
+    zc = [[z_embed[Et.table[s1][s2] // n] for s2 in sec] for s1 in sec]
+    table = twisted_rows(G.table, gamma.table, act, zc)
+    ident = G.identity * n + gamma.identity
+    zh = [(z_embed[e // n], e % n) for e in range(ne)]
+    coset_of = tuple([g_row[za] * n + h for g_row in G.table for za, h in zh])
+
+    # phi(1) = 1 and phi(x y) = phi(x) phi(y) for every x and every
+    # generator y of G x| E~ make phi a homomorphism (``hom_check``)
+    if coset_of[G.identity * ne + Et.identity] != ident:
+        raise InternalCheckError("the pushout map does not fix the identity")
+
+    def respects(y, xy):
+        fy = coset_of[y]
+        if xy != [table[fx][fy] for fx in coset_of]:
+            raise InternalCheckError("the pushout map is not a homomorphism")
+    for s in G.generators:
+        # (g, e)(s, 1) = (g act[pi(e)](s), e)
+        s_by_e = [act[h][s] for h in model.project]
+        respects(s * ne + Et.identity,
+                 [coset_of[g_row[se] * ne + e] for g_row in G.table
+                  for e, se in enumerate(s_by_e)])
+    for t in Et.generators:
+        # (g, e)(1, t) = (g, e t)
+        et = [e_row[t] for e_row in Et.table]
+        respects(G.identity * ne + t,
+                 [coset_of[base + x] for base in range(0, G.order * ne, ne)
+                  for x in et])
+    E = FiniteGroup(len(table), table, ident,
+                    tuple(row.index(ident) for row in table))
+
     anti = frozenset(G.inv(zmap[e]) * ne + model.embed[i]
                      for i, e in enumerate(elems))
-    try:
-        E, coset_of = quotient(sd, anti)
-    except ValidationError:
-        raise InternalCheckError("antidiagonal is not a normal subgroup")
-    ident_coset = coset_of[sd.identity]
-    kernel_ok = frozenset(i for i in range(sd.order)
-                          if coset_of[i] == ident_coset) == anti
-    embed_g = tuple(coset_of[g * ne + Et.identity] for g in range(G.order))
-    embed_a = tuple(embed_g[zmap[e]] for e in elems)
-    project = [None] * E.order
-    for i in range(sd.order):
-        g = model.project[i % ne]
-        if project[coset_of[i]] is None:
-            project[coset_of[i]] = g
-        elif project[coset_of[i]] != g:
-            raise InternalCheckError("projection to gamma is not well-defined")
-    if not hom_check(project, E, M.gamma):
+    kernel_ok = frozenset(
+        i for i, q in enumerate(coset_of) if q == ident) == anti
+    embed_g = tuple(g * n + gamma.identity for g in range(G.order))
+    embed_a = tuple(embed_g[z] for z in z_embed)
+    project = tuple(i % n for i in range(E.order))
+    if not hom_check(project, E, gamma):
         raise InternalCheckError("projection of the pushout is not a homomorphism")
-    checks = PushoutChecks(antidiagonal_is_normal=True,
+    checks = PushoutChecks(antidiagonal_is_normal=kernel_ok,
                            kernel_is_antidiagonal=kernel_ok,
                            order=E.order,
-                           expected_order=G.order * M.gamma.order)
-    return PushoutModel(E, M.gamma, sd, tuple(coset_of), anti, embed_g,
-                        embed_a, tuple(project), checks)
+                           expected_order=G.order * n)
+    return PushoutModel(E, gamma, coset_of, anti, embed_g, embed_a, project,
+                        checks, G, act, model)
 
 
 def quotient_mod_center(G: FiniteGroup, z_embed, act, push: PushoutModel):
     """The natural isomorphism E/Z -> (G/Z) x| Gamma, or None.
 
-    Z is the embedded copy of A.  The class of the semidirect element
-    (g, e) goes to (gZ, pi(e)), with pi(e) read off the pushout's
-    projection, so the map is indexed by the E/Z numbering of
-    ``quotient`` and lands at gZ * |Gamma| + pi(e) in
-    ``semidirect_product(G/Z, Gamma, act mod Z)``.  It is returned only
-    when it is well defined, bijective and a homomorphism (``hom_check``);
-    otherwise the result is None.
+    Z is the embedded copy of A.  E element (g, gamma), at index
+    g * |Gamma| + gamma, goes to (gZ, gamma), so the map is indexed by
+    the E/Z numbering of ``quotient`` and lands at gZ * |Gamma| + gamma
+    in ``semidirect_product(G/Z, Gamma, act mod Z)``.  It is returned
+    only when it is well defined, bijective and a homomorphism
+    (``hom_check``); otherwise the result is None.
     """
     M_gamma = push.gamma
     zset = frozenset(z_embed)
@@ -257,11 +321,11 @@ def quotient_mod_center(G: FiniteGroup, z_embed, act, push: PushoutModel):
     target = semidirect_product(Gq, M_gamma, tuple(actq))
     zbar = frozenset(push.embed_a)
     Eq, ecoset = quotient(push.group, zbar)
-    ne = len(push.coset_of) // G.order
+    ng = M_gamma.order
     f = [None] * Eq.order
-    for i, e in enumerate(push.coset_of):
-        y = gcoset[i // ne] * M_gamma.order + push.project[e]
-        q = ecoset[e]
+    for x, q in enumerate(ecoset):
+        g, h = divmod(x, ng)
+        y = gcoset[g] * ng + h
         if f[q] is None:
             f[q] = y
         elif f[q] != y:

@@ -75,7 +75,7 @@ def validate_table(table, identity=None):
     table = tuple(tuple(row) for row in table)
     if any(len(row) != n for row in table):
         raise ValidationError("multiplication table is not square")
-    if any(x < 0 or x >= n for row in table for x in row):
+    if n and (min(map(min, table)) < 0 or max(map(max, table)) >= n):
         raise ValidationError("table entry out of range")
     elements = tuple(range(n))
     column = tuple(zip(*table))   # column[x][a] = a * x
@@ -89,8 +89,11 @@ def validate_table(table, identity=None):
         raise ValidationError(f"element {identity} is not an identity")
     inverse = []
     for x, row in enumerate(table):
-        y = next((y for y, xy in enumerate(row)
-                  if xy == identity and column[x][y] == identity), None)
+        # the first right inverse is the answer when it is two-sided
+        y = row.index(identity) if identity in row else None
+        if y is not None and column[x][y] != identity:
+            y = next((y for y, xy in enumerate(row)
+                      if xy == identity and column[x][y] == identity), None)
         if y is None:
             raise ValidationError(f"element {x} has no inverse")
         inverse.append(y)
@@ -311,17 +314,16 @@ def direct_product(A: FiniteGroup, B: FiniteGroup):
     return semidirect_product(A, B, [tuple(range(A.order))] * B.order)
 
 
-def semidirect_product(N: FiniteGroup, H: FiniteGroup, act):
-    """N x| H with act[h] an automorphism of N (as an index map).
+def check_action(N: FiniteGroup, H: FiniteGroup, act):
+    """``act`` as a tuple of index maps, checked to be a homomorphism
+    H -> Aut(N); raises ValidationError at the first failure.
 
-    Element (x, h) sits at index x * |H| + h; multiplication
-    (x1, h1)(x2, h2) = (x1 * act[h1](x2), h1 h2), the ``twisted_rows``
-    with c the identity.  Each distinct map in ``act`` is checked once
-    (``hom_check``, so N must be a group), then act(1) = id, then
-    act(h s) = act(h) act(s) for every h and every s in
-    ``H.generators``: with act(1) = id, induction on the length of a
-    word in S makes h -> act(h) a homomorphism H -> Aut(N), which needs
-    H to be a group.
+    Each distinct map in ``act`` is checked once (``hom_check``, so N
+    must be a group), then act(1) = id, then act(h s) = act(h) act(s)
+    for every h and every s in ``H.generators``: with act(1) = id,
+    induction on the length of a word in S makes h -> act(h) a
+    homomorphism H -> Aut(N), which needs H to be a group.  A rejected
+    map is named by the first h that carries it.
     """
     act = tuple(tuple(a) for a in act)
     elements = tuple(range(N.order))
@@ -339,10 +341,21 @@ def semidirect_product(N: FiniteGroup, H: FiniteGroup, act):
         for a1, h1_row in zip(act, H.table):
             if tuple([a1[x] for x in a_s]) != act[h1_row[s]]:
                 raise ValidationError("act is not a homomorphism")
+    return act
+
+
+def semidirect_product(N: FiniteGroup, H: FiniteGroup, act):
+    """N x| H with act[h] an automorphism of N (as an index map).
+
+    Element (x, h) sits at index x * |H| + h; multiplication
+    (x1, h1)(x2, h2) = (x1 * act[h1](x2), h1 h2), the ``twisted_rows``
+    with c the identity.  ``check_action`` checks act first.
+    """
+    act = check_action(N, H, act)
     nh = H.order
     table = twisted_rows(N.table, H.table, act, [[N.identity] * nh] * nh)
     inverse = []
-    for x in elements:
+    for x in range(N.order):
         for h in range(nh):
             hi = H.inv(h)
             inverse.append(act[hi][N.inv(x)] * nh + hi)

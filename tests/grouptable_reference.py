@@ -3,14 +3,51 @@ generator pairs and read tables off shared rows: ``hom_check`` and the
 ``semidirect_product`` act check over every pair of elements,
 ``is_normal`` conjugating with ``mul``/``inv`` calls, and ``quotient``,
 ``semidirect_product`` and ``direct_product`` building their tables
-entry by entry, and ``from_generators`` closing and tabulating with one
-``compose`` per product.  Kept as the reference that
-``discred.grouptable`` must match verdict for verdict, message for
-message and table for table."""
+entry by entry, ``from_generators`` closing and tabulating with one
+``compose`` per product, and ``validate_table`` scanning every entry
+for its range and every row for a two-sided inverse in Python.  Kept as
+the reference that ``discred.grouptable`` must match verdict for
+verdict, message for message and table for table."""
 
 from discred.errors import ValidationError
 from discred.grouptable import (GROUP_CAP, FiniteGroup, closure, compose,
                                 is_subgroup, validate_table)
+
+
+def reference_validate_table(table, identity=None):
+    n = len(table)
+    table = tuple(tuple(row) for row in table)
+    if any(len(row) != n for row in table):
+        raise ValidationError("multiplication table is not square")
+    if any(x < 0 or x >= n for row in table for x in row):
+        raise ValidationError("table entry out of range")
+    elements = tuple(range(n))
+    column = tuple(zip(*table))
+    if identity is None:
+        identity = next((e for e in range(n)
+                         if table[e] == elements and column[e] == elements),
+                        None)
+        if identity is None:
+            raise ValidationError("table has no identity element")
+    elif table[identity] != elements or column[identity] != elements:
+        raise ValidationError(f"element {identity} is not an identity")
+    inverse = []
+    for x, row in enumerate(table):
+        y = next((y for y, xy in enumerate(row)
+                  if xy == identity and column[x][y] == identity), None)
+        if y is None:
+            raise ValidationError(f"element {x} has no inverse")
+        inverse.append(y)
+    G = FiniteGroup(n, table, identity, tuple(inverse))
+    for s in G.generators:
+        s_row = table[s]
+        for a, a_row in enumerate(table):
+            as_row = table[column[s][a]]
+            if as_row != tuple([a_row[sc] for sc in s_row]):
+                c = next(c for c in range(n) if as_row[c] != a_row[s_row[c]])
+                raise ValidationError(
+                    f"associativity fails at triple ({a}, {s}, {c})")
+    return G
 
 
 def reference_from_generators(degree, perms):

@@ -21,6 +21,8 @@ from discred.grouptable import (cyclic, direct_product, find_isomorphism,
                                 validate_table)
 
 from bar_reference import reference_cocycle_witness
+from pushout_reference import reference_pushout
+from test_acceptance import _pushout_instances
 from test_normalized import _cochain, _modules
 
 
@@ -227,10 +229,7 @@ class TestPushout:
         Z/2 pushed into C8, with S3 acting on C8 by inversion through the
         sign."""
         if case == "C32/A4/C4":
-            M = trivial_module(cyclic(4), Z(4))
-            c = Cochain.from_map(2, {(a, b): ((a + b) // 4,)
-                                     for a in range(4) for b in range(4)})
-            G, z, act = cyclic(32), (0, 8, 16, 24), (tuple(range(32)),) * 4
+            G, z, act, M, c = _c32_carry_setup()
         else:
             gamma = _s3()
             M = _sign_module(gamma, 2, True)
@@ -404,25 +403,37 @@ class TestOnceOnly:
                 assert len(calls) == 1
 
     @pytest.mark.parametrize("cls", [0, 1])
-    def test_one_normality_test_per_pushout(self, monkeypatch, cls):
-        G, z, act, _, model = sl2_like_setup(cls)
-        calls = []
-        # every module that holds the function, as ``pushout`` once did
+    def test_pushout_builds_on_g_times_gamma(self, monkeypatch, cls):
+        """``pushout`` builds E by one ``twisted_rows`` call of
+        |G| |Gamma| rows and no table of G x| E~: it calls neither
+        ``is_normal``, ``quotient`` nor ``semidirect_product``.  G x| E~
+        is built when ``semidirect`` is first read."""
+        G, z, act, M, model = sl2_like_setup(cls)
+        calls, rows = [], []
         for module in (grouptable, extension):
-            if hasattr(module, "is_normal"):
-                counted(monkeypatch, module, "is_normal", calls)
+            for name in ("is_normal", "quotient", "semidirect_product"):
+                if hasattr(module, name):
+                    counted(monkeypatch, module, name, calls)
+        inner = extension.twisted_rows
+
+        def twisted_rows(*args):
+            out = inner(*args)
+            rows.append(len(out))
+            return out
+        monkeypatch.setattr(extension, "twisted_rows", twisted_rows)
         push = pushout(G, z, act, model)
-        assert sum(args[0] is push.semidirect for args in calls) == 1
-        assert push.checks.antidiagonal_is_normal
+        assert calls == []
+        assert rows == [G.order * M.gamma.order]
+        assert "semidirect" not in vars(push)
+        monkeypatch.undo()
+        assert push.semidirect == semidirect_product(
+            G, model.group, [act[h] for h in model.project])
 
     def test_one_generating_set_per_group(self, monkeypatch):
         """A pushout and its ``quotient_mod_center`` on the C32/A4/C4
         model (Z/16 = Z/4 . C4 by the carry cocycle, pushed out into
         C32) compute each group's generating set at most once."""
-        M = trivial_module(cyclic(4), Z(4))
-        carry = Cochain.from_map(2, {(a, b): ((a + b) // 4,)
-                                     for a in range(4) for b in range(4)})
-        G, z, act = cyclic(32), (0, 8, 16, 24), (tuple(range(32)),) * 4
+        G, z, act, M, carry = _c32_carry_setup()
         calls = []
         counted(monkeypatch, grouptable, "generating_set", calls)
         model = build_extension(M, carry)
@@ -578,6 +589,44 @@ def _cyclic_central(G, a):
     return tuple(emb)
 
 
+def _relabeled_s3():
+    """S3 as a table whose identity is element 3."""
+    s3, perm = _s3(), (3, 0, 5, 1, 4, 2)
+    table = [[None] * 6 for _ in range(6)]
+    for i, j in itertools.product(range(6), repeat=2):
+        table[perm[i]][perm[j]] = perm[s3.table[i][j]]
+    return validate_table(table)
+
+
+def _moved(M, c, b):
+    """The cocycle c + db for the 1-cochain given as the list b."""
+    A, gamma = M.coeff, M.gamma
+    return Cochain.from_map(2, {
+        (g1, g2): A.add(v, A.add(A.sub(M.act(g1, b[g2]),
+                                       b[gamma.mul(g1, g2)]), b[g1]))
+        for (g1, g2), v in c.as_dict().items()})
+
+
+def _relabeled_cocycles(M):
+    """A representative of every class of H^2 of the relabeled S3,
+    moved by one fixed normalized coboundary."""
+    gamma = M.gamma
+    H = cohomology_group(M, 2)
+    b = [(0,) if g == gamma.identity else (g + 1,) for g in range(6)]
+    return [_moved(M, H.class_representative(coords), b)
+            for coords in itertools.product(
+                *(range(f) for f in H.group.invariant_factors))]
+
+
+def _shape_setup(shape):
+    """(G, z, act, M) of ``TestRowWiseBuilders.SHAPES[shape]``."""
+    G, a, gamma, inv = TestRowWiseBuilders.SHAPES[shape]
+    act = [tuple(G.inv(x) for x in range(G.order))
+           if inv and _sign(gamma, g) < 0 else tuple(range(G.order))
+           for g in range(gamma.order)]
+    return G, _cyclic_central(G, a), act, _sign_module(gamma, a, inv)
+
+
 class TestRowWiseBuilders:
     """Pushout shapes of the extension-model benchmark: (G, |A|, gamma,
     gamma acting on G and A by inversion through the sign)."""
@@ -589,12 +638,7 @@ class TestRowWiseBuilders:
 
     @pytest.mark.parametrize("shape", range(len(SHAPES)))
     def test_pushout_tables(self, shape):
-        G, a, gamma, inv = self.SHAPES[shape]
-        M = _sign_module(gamma, a, inv)
-        z = _cyclic_central(G, a)
-        act = [tuple(G.inv(x) for x in range(G.order))
-               if inv and _sign(gamma, g) < 0 else tuple(range(G.order))
-               for g in range(gamma.order)]
+        G, z, act, M = _shape_setup(shape)
         H = cohomology_group(M, 2)
         assert H.group.order() >= 2
         for coords in itertools.product(
@@ -612,23 +656,11 @@ class TestRowWiseBuilders:
         """A table gamma whose identity is not element 0, acting on Z/a
         by inversion through the sign: every class, moved by a
         coboundary, builds the per-entry table."""
-        s3, perm = _s3(), (3, 0, 5, 1, 4, 2)
-        table = [[None] * 6 for _ in range(6)]
-        for i, j in itertools.product(range(6), repeat=2):
-            table[perm[i]][perm[j]] = perm[s3.table[i][j]]
-        gamma = validate_table(table)
+        gamma = _relabeled_s3()
         assert gamma.identity == 3
         M = _sign_module(gamma, a, True)
         assert any(M.act(g, (1,)) != (1,) for g in range(6))
-        H = cohomology_group(M, 2)
-        b = [(0,) if g == gamma.identity else (g + 1,) for g in range(6)]
-        for coords in itertools.product(
-                *(range(f) for f in H.group.invariant_factors)):
-            base = H.class_representative(coords).as_dict()
-            c = Cochain.from_map(2, {
-                (g1, g2): M.coeff.add(v, M.coeff.add(M.coeff.sub(
-                    M.act(g1, b[g2]), b[gamma.mul(g1, g2)]), b[g1]))
-                for (g1, g2), v in base.items()})
+        for c in _relabeled_cocycles(M):
             model = build_extension(M, c)
             assert model.group.table == _per_entry_extension(M, c)
             assert model.group.identity == model.section[3] == 3
@@ -678,3 +710,132 @@ class TestRowWiseBuilders:
             act = [tuple(range(N.order))] * H.order
         assert semidirect_product(N, H, act).table == \
             _per_entry_semidirect(N, H, act)
+
+
+# The pushout built on G x Gamma against the quotient of the whole
+# G x| E~ table that it replaced (tests/pushout_reference.py).
+
+def _c32_carry_setup():
+    """Z/16 as the extension of C4 by Z/4 with the carry cocycle, pushed
+    out into C32: (G, z, act, M, c)."""
+    M = trivial_module(cyclic(4), Z(4))
+    carry = Cochain.from_map(2, {(a, b): ((a + b) // 4,)
+                                 for a in range(4) for b in range(4)})
+    return cyclic(32), (0, 8, 16, 24), (tuple(range(32)),) * 4, M, carry
+
+
+def _agrees_with_reference(G, z, act, M, c):
+    """class(g, e) -> coset_of[(g, e)] is a well-defined, bijective
+    homomorphism from the reference E onto the new E that carries the
+    reference's inverses, embeddings and projection to the new ones;
+    the checks and the antidiagonal agree."""
+    model = build_extension(M, c)
+    ref = reference_pushout(G, z, act, model)
+    push = pushout(G, z, act, model)
+    R, E = ref.group, push.group
+    f = [None] * R.order
+    for q, x in zip(ref.coset_of, push.coset_of):
+        assert f[q] in (None, x)
+        f[q] = x
+    assert sorted(f) == list(range(E.order))
+    assert all(f[R.mul(x, y)] == E.mul(f[x], f[y])
+               for x in range(R.order) for y in range(R.order))
+    assert [f[R.inv(x)] for x in range(R.order)] == \
+        [E.inv(f[x]) for x in range(R.order)]
+    assert push.checks == ref.checks
+    assert push.antidiagonal == ref.antidiagonal
+    assert push.embed_a == tuple(f[x] for x in ref.embed_a)
+    assert push.embed_g == tuple(f[x] for x in ref.embed_g)
+    assert [push.project[f[x]] for x in range(R.order)] == list(ref.project)
+
+
+def _reference_cases(kind):
+    if kind == "shapes":
+        out = []
+        for shape in range(len(TestRowWiseBuilders.SHAPES)):
+            G, z, act, M = _shape_setup(shape)
+            H = cohomology_group(M, 2)
+            out += [(G, z, act, M, H.class_representative(coords))
+                    for coords in itertools.product(
+                        *(range(f) for f in H.group.invariant_factors))]
+        return out
+    if kind == "acceptance":
+        return _pushout_instances()
+    if kind == "C32/A4/C4":
+        return [_c32_carry_setup()]
+    out = []
+    for a in (3, 4):       # relabeled S3, identity 3, on G = C_2a
+        M = _sign_module(_relabeled_s3(), a, True)
+        G = cyclic(2 * a)
+        act = [tuple(G.inv(x) for x in range(G.order))
+               if _sign(M.gamma, g) < 0 else tuple(range(G.order))
+               for g in range(6)]
+        out += [(G, _cyclic_central(G, a), act, M, c)
+                for c in _relabeled_cocycles(M)]
+    return out
+
+
+class TestReferencePushout:
+    @pytest.mark.parametrize("kind", ["shapes", "acceptance", "C32/A4/C4",
+                                      "relabeled"])
+    def test_matches_reference(self, kind):
+        cases = _reference_cases(kind)
+        assert cases
+        for case in cases:
+            _agrees_with_reference(*case)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_moved_cocycles_match_reference(self, data):
+        """Every class of a benchmark shape, moved by the coboundary of
+        a random normalized 1-cochain, so that E~ is not built from a
+        class representative."""
+        G, z, act, M = _shape_setup(data.draw(
+            st.integers(0, len(TestRowWiseBuilders.SHAPES) - 1)))
+        H = cohomology_group(M, 2)
+        c = H.class_representative([data.draw(st.integers(0, f - 1))
+                                    for f in H.group.invariant_factors])
+        q = M.coeff.invariant_factors[0]
+        b = [M.coeff.zero() if g == M.gamma.identity
+             else (data.draw(st.integers(0, q - 1)),)
+             for g in range(M.gamma.order)]
+        _agrees_with_reference(G, z, act, M, _moved(M, c, b))
+
+    @pytest.mark.parametrize("case", [
+        "act[0] not an automorphism", "act[1] not an automorphism",
+        "too few maps", "too many maps", "act at the identity",
+        "act not a homomorphism", "not central", "not equivariant"])
+    def test_rejections_match_reference(self, case):
+        """Both builds reject bad input with the same message."""
+        G, z, act, M, model = sl2_like_setup(1)
+        act = list(act)
+        inv4 = (0, 3, 2, 1)
+        if case.startswith("act["):
+            act[int(case[4])] = (1, 2, 3, 0)
+        elif case == "too few maps":
+            act = act[:1]
+        elif case == "too many maps":
+            act = act * 2
+        elif case == "act at the identity":
+            act = [inv4, inv4]
+        elif case == "act not a homomorphism":
+            M = trivial_module(cyclic(4), Z(2))
+            model = build_extension(M, zero_cochain(M))
+            act = [tuple(range(4)), inv4, tuple(range(4)), tuple(range(4))]
+        elif case == "not central":
+            G = _s3()
+            z = (G.identity, next(x for x in G.elements()
+                                  if G.element_order(x) == 2))
+            act = [tuple(range(6))] * 2
+        else:
+            M = gamma_module(cyclic(2), Z(4),
+                             (AbHom.identity(Z(4)),
+                              AbHom(Z(4), Z(4), IntMatrix.from_rows([[3]]))))
+            model = build_extension(M, zero_cochain(M))
+            G, z, act = cyclic(8), (0, 2, 4, 6), [tuple(range(8))] * 2
+        messages = []
+        for build in (reference_pushout, pushout):
+            with pytest.raises(ValidationError) as err:
+                build(G, z, tuple(act), model)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]

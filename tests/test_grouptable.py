@@ -7,7 +7,8 @@ from grouptable_reference import (reference_direct_product,
                                   reference_from_generators,
                                   reference_hom_check, reference_is_normal,
                                   reference_quotient,
-                                  reference_semidirect_product)
+                                  reference_semidirect_product,
+                                  reference_validate_table)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -442,6 +443,47 @@ class TestLightsTest:
         with pytest.raises(ValidationError,
                            match=r"associativity fails at triple \(\d+, 2, "):
             validate_table(table)
+
+
+@st.composite
+def _malformed_tables(draw):
+    """Tables of order <= 6 with entries in [-1, n], a row of another
+    length a fifth of the time."""
+    n = draw(st.integers(0, 6))
+    table = [draw(st.lists(st.integers(-1, n), min_size=n, max_size=n))
+             for _ in range(n)]
+    if n and draw(st.integers(0, 4)) == 0:
+        table[draw(st.integers(0, n - 1))] = draw(
+            st.lists(st.integers(0, n - 1), max_size=n + 1))
+    return table
+
+
+@st.composite
+def _tables_and_identities(draw):
+    """A random, perturbed, loop or malformed table, with its identity
+    named a third of the time."""
+    table = draw(st.one_of(_tables_with_identity_and_inverses(),
+                           _perturbed_group_tables(), _random_loops(),
+                           _malformed_tables()))
+    n = len(table)
+    named = n and all(len(row) == n for row in table) and \
+        draw(st.integers(0, 2)) == 0
+    return table, draw(st.integers(0, n - 1)) if named else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_tables_and_identities())
+# the first right inverse of 1 is 2, which is no left inverse; 3 is
+@example(case=([[0, 1, 2, 3], [1, 2, 0, 0], [2, 3, 0, 1], [3, 0, 1, 2]],
+               None))
+@example(case=([], None))
+@example(case=([[0, 1], [1]], None))
+def test_validate_table_matches_reference(case):
+    """The range check and the inverse scan run in C with the same
+    verdict and message as the Python scans they replaced."""
+    table, identity = case
+    assert _outcome(validate_table, table, identity) == \
+        _outcome(reference_validate_table, table, identity)
 
 
 @settings(max_examples=100, deadline=None)

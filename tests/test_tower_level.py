@@ -19,12 +19,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from discred import standard
 from discred.abgroup import (AbHom, DiagonalizableGroup, FGAbelianGroup,
                              torsion_at)
-from discred.cohomology import gamma_module, stabilized_h2, trivial_module
+from discred.autbrd import ad_from_generator_images, trivial_ad
+from discred.cohomology import (cohomology_group, gamma_module, stabilized_h2,
+                                trivial_module)
 from discred.errors import BudgetExceededError
 from discred.exactlin import IntMatrix
-from discred.grouptable import closure, compose, from_generators
+from discred.extension import center_modules
+from discred.grouptable import closure, compose, cyclic, from_generators
+from discred.rootdatum import center_data
 from tower_reference import reference_stabilized_h2
 
 # Gamma by permutation generators; from_generators numbers the elements
@@ -206,3 +211,29 @@ def test_permutation_torus_gives_schur_multiplier(label):
     res = stabilized_h2(gamma, Zg, module_at)
     assert res.group.invariant_factors == multiplier
     assert res.k_used == 2
+
+
+@pytest.mark.parametrize("case,calls", [("SL2/C2", 1), ("GL2-swap", 4)])
+def test_module_at_runs_up_to_the_equal_levels(case, calls):
+    """Without a torus the levels from max(e, 1) on are one module:
+    SL2 under a trivial C2 (e = 1) builds level 1 only and lists it for
+    all four levels; GL2 under the swap has a torus and builds every
+    level.  The listed orders are those of every level built alone."""
+    if case == "SL2/C2":
+        based = standard.sl2()
+        ad = trivial_ad(based, cyclic(2))
+    else:
+        based = standard.gl2()
+        ad = ad_from_generator_images(based, cyclic(2), [[[0, -1], [-1, 0]]])
+    cd = center_data(based.datum)
+    inner, levels = center_modules(cd, ad), []
+
+    def module_at(m):
+        levels.append(m)
+        return inner(m)
+    res = stabilized_h2(ad.gamma, cd.group, module_at)
+    assert len(levels) == calls
+    n = ad.gamma.order
+    assert res.tower_orders == tuple(
+        cohomology_group(inner(n ** k), 2).order() for k in range(1, 5))
+    assert res.module == inner(n ** res.k_used)
