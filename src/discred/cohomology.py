@@ -2,20 +2,15 @@
 
 A cochain, as the public ``Cochain``, is a total map Gamma^p -> A.
 Every degree is computed on one complex, A -> A^S -> Hom_Gamma(R, A),
-from the relation module R of the Cayley graph of (Gamma, S), S a
-generating set (``relations.RelationModule``): t, |S| t and
-(n|S| - n + 1) t unknowns in degrees 0, 1, 2 instead of (n-1)^p t.
-Bar cochains stay the API and convert at the boundary, in
-``relations``, which alone knows the flat layout of normalized bar
-cochains (Brown, Cohomology of Groups, GTM 87, section I.5): a bar
-cocycle to the complex (``coordinates_of``), a cochain of the complex
-back to a normalized bar cocycle (``generators``,
-``class_representative``).  This module does the lattice work: kernels
-and images by exact integer linear algebra, Smith normal forms of
-integer matrices with explicit modulus relations, and the triangular
-basis of the normalized bar coboundaries that canonical representatives
-reduce against.  The full bar ``differential`` stays as the public
-checker.
+from the relation module R of the Cayley graph of (Gamma, S)
+(``relations.RelationModule``): t, |S| t and (n|S| - n + 1) t unknowns
+in degrees 0, 1, 2 instead of (n-1)^p t.  Bar cochains stay the API;
+``relations`` alone knows their normalized flat layout (Brown,
+Cohomology of Groups, GTM 87, section I.5) and converts at the
+boundary.  This module does the lattice work: congruence kernels and
+cokernels with explicit modulus relations, and the triangular basis of
+the normalized bar coboundaries that canonical representatives reduce
+against.  The full bar ``differential`` stays as the public checker.
 
 Classes travel up the torsion tower and into ``classify`` as coordinate
 vectors; a ``Cochain`` is built only when a caller asks for one
@@ -28,13 +23,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .abgroup import AbHom, DiagonalizableGroup, FGAbelianGroup
 from .errors import BudgetExceededError, InternalCheckError, ValidationError
-from .exactlin import (IntMatrix, cokernel_presentation,
-                       congruence_kernel_basis, echelon_reduce, kernel_basis,
-                       modular_echelon)
+from .exactlin import (IntMatrix, cokernel_presentation, echelon_reduce,
+                       kernel_basis, modular_echelon, unit_pivot_kernel)
 from .grouptable import FiniteGroup
 from .relations import RelationModule
 
@@ -49,6 +44,16 @@ class GammaModule:
 
     def act(self, g, x):
         return self.action[g].apply(x)
+
+    @cached_property
+    def index_tables(self):
+        """(acted, add) on positions in ``coeff.elements()``: acted[g][j]
+        is that of g.a_j, add[i][j] that of a_i + a_j."""
+        elems = self.coeff.elements()
+        pos = {e: i for i, e in enumerate(elems)}
+        return ([[pos[self.act(g, y)] for y in elems]
+                 for g in self.gamma.elements()],
+                [[pos[self.coeff.add(x, y)] for y in elems] for x in elems])
 
 
 def gamma_module(gamma: FiniteGroup, coeff: FGAbelianGroup, action) -> GammaModule:
@@ -152,7 +157,6 @@ class CohomologyGroup:
         self._kernel = kernel
         self._pres = pres
         self._gen_vecs = tuple(gen_vecs)
-        self._echelon = None
         self._canonical = {}
 
     @property
@@ -167,8 +171,8 @@ class CohomologyGroup:
 
     def _normalized(self, c: Cochain):
         """(normalized coordinates, cochain of the complex) of the cocycle
-        ``c`` (shifted by the coboundary of the constant map at c(1, 1) in
-        degree 2), or ValidationError when it is no cocycle."""
+        ``c``, shifted as ``from_cochain`` does; ValidationError when it is
+        no cocycle."""
         vec, _ = self._rel.from_cochain(c)
         phi = None if vec is None else self._rel.from_bar(vec)
         if phi is None:
@@ -197,17 +201,18 @@ class CohomologyGroup:
         values = self._rel.coboundary_witness(c)
         return None if values is None else Cochain(self.degree - 1, values)
 
+    @cached_property
+    def _echelon(self):
+        """Triangular basis of the lattice of the coboundaries of
+        normalized (p-1)-cochains and the modulus relations."""
+        return modular_echelon(self._rel.bar_coboundaries(),
+                               self._rel.bar_mods)
+
     def _canonical_vec(self, vec):
         """Lexicographically smallest normalized cocycle vector in the
-        class of the normalized cocycle ``vec``: greedy reduction against
-        a triangular basis of the lattice L spanned by the coboundaries of
-        normalized (p-1)-cochains and the modulus relations, built from
-        the bar d_(p-1) on first use."""
-        mods = self._rel.bar_mods
-        if self._echelon is None:
-            self._echelon = modular_echelon(self._rel.bar_coboundaries(),
-                                            mods)
-        return echelon_reduce(self._echelon, vec, mods)
+        class of the normalized cocycle ``vec``, by greedy reduction
+        against ``_echelon``."""
+        return echelon_reduce(self._echelon, vec, self._rel.bar_mods)
 
     def _class_vector(self, coords):
         """Unreduced combination of the generator vectors (of which
@@ -231,10 +236,9 @@ class CohomologyGroup:
         return self._canonical[key]
 
     def normalize(self, c: Cochain) -> Cochain:
-        """The canonical representative of the class of ``c``: the
-        lexicographically smallest normalized cocycle in that class (in
-        flat coordinates, entries in [0, q)), for every cocycle; raises
-        ValidationError on any other cochain."""
+        """The canonical representative of the class of the cocycle
+        ``c``: the lexicographically smallest normalized cocycle in it
+        (flat entries in [0, q)); ValidationError on other cochains."""
         vec, _ = self._normalized(c)
         return Cochain(self.degree,
                        self._rel.to_cochain(self._canonical_vec(vec)))
@@ -268,18 +272,16 @@ class CohomologyClass:
 
 def require_within_budget(gamma: FiniteGroup, t: int, p: int, budget: int,
                           canonical: bool = False):
-    """Raise BudgetExceededError when the matrices that H^p eliminates,
-    for t coefficient coordinates, have more than ``budget`` entries.
-
-    The complex A -> A^S -> Hom_Gamma(R, A) of ``cohomology_group`` has
-    c_0 = t, c_1 = |S| t and c_2 = m t coordinates, m = n|S| - n + 1
-    with S = ``gamma.generators``, and c_-1 = 0.  Degree p eliminates the
-    cocycle rows, r_p x c_p with r_0 = |S| t, r_1 = m t and
-    r_2 = |S| m t, and the cokernel relations, (c_(p-1) + c_p) x c_p,
-    so it counts max(r_p, c_(p-1) + c_p) c_p entries.  With
-    ``canonical`` it first counts the dense triangular basis that
-    canonical representatives of H^2 reduce against, ((n-1)^2 t)^2
-    entries; that check needs no generating set."""
+    """Raise BudgetExceededError when the matrices of H^p, for t
+    coefficient coordinates, would have more than ``budget`` cells as
+    dense matrices: an upper bound, as only the core of d_p and the
+    cokernel take dense Smith forms.  With c_-1 = 0, c_0 = t,
+    c_1 = |S| t, c_2 = m t (m = n|S| - n + 1, S = ``gamma.generators``)
+    and d_p r_p x c_p (r_0 = |S| t, r_1 = m t, r_2 = |S| m t), degree p
+    counts max(r_p, c_(p-1) + c_p) c_p.  With ``canonical`` it first
+    counts the dense triangular basis that canonical representatives of
+    H^2 reduce against, ((n-1)^2 t)^2 entries; that check needs no
+    generating set."""
     n = gamma.order
     if canonical:
         dim = (n - 1) ** 2 * t
@@ -298,18 +300,17 @@ def require_within_budget(gamma: FiniteGroup, t: int, p: int, budget: int,
 def cohomology_group(M: GammaModule, p: int, budget: int = 2_000_000) -> CohomologyGroup:
     """H^p(Gamma, A) by exact integer linear algebra.
 
-    Every degree works on the complex A -> A^S -> Hom_Gamma(R, A) of the
-    relation module R of the Cayley graph (``relations.RelationModule``),
-    lifted to Z with explicit modulus relations: the cocycles are the
-    congruence kernel of d_p (in degree 2 the equivariance rows that cut
-    Hom_Gamma(R, A) out of A^m), the images of d_(p-1) the coboundaries,
-    and the quotient is a cokernel presentation.  Two Smith forms in
-    all: the congruence kernel's basis B = V diag(s) comes with V^-1, so
-    the boundary generators get their coordinates diag(s)^-1 V^-1 b in B
-    without a second elimination (a modulus relation q_i e_i is q_i
-    times column i of V^-1), and the cokernel keeps the inverse of its
-    transform.  ``budget`` caps the matrix sizes, as
-    ``require_within_budget`` counts them.
+    On the complex A -> A^S -> Hom_Gamma(R, A) (``relations``), lifted
+    to Z with modulus relations, the cocycles are the congruence kernel
+    of d_p mod Q, the exponent of A; the images of d_(p-1) are the
+    coboundaries and H^p a cokernel.  The kernel eliminates the unit
+    pivots of the sparse rows of d_p (``unit_pivot_kernel``); only the
+    core left takes a Smith form.  A unit entry in column p forces
+    q_p = Q, so the modulus relation of a pivot column is the kernel
+    basis vector Q e_p and drops out with its coordinate: the cokernel,
+    the other Smith form, relates the core coordinates by the boundary
+    generators and the free columns' modulus relations.  ``budget``
+    caps the sizes that ``require_within_budget`` bounds.
     """
     if p not in (0, 1, 2):
         raise ValidationError("cohomology supported only in degrees 0..2")
@@ -319,24 +320,24 @@ def cohomology_group(M: GammaModule, p: int, budget: int = 2_000_000) -> Cohomol
         return CohomologyGroup(M, p, FGAbelianGroup(0, ()), rel, None, None,
                                ())
     Q = M.coeff.exponent()
-    kernel = congruence_kernel_basis(rel.cocycle_matrix(Q), Q)
+    kernel = unit_pivot_kernel(rel.cocycle_rows(Q), rel.dim, Q)
 
-    # boundary generators in the kernel basis, then the modulus
-    # relations q_i e_i
+    # boundary generators in the core basis, then the modulus relations
+    # q_f e_f of the free columns
     coords_rows = [kernel.coordinates(b) for b in rel.coboundaries()]
-    coords_rows.extend(kernel.unit_coordinates(i, q)
-                       for i, q in enumerate(rel.mods))
+    coords_rows.extend(kernel.unit_coordinates(k, rel.mods[f])
+                       for k, f in enumerate(kernel.free))
     if None in coords_rows:
         raise InternalCheckError("boundary generator is not a cocycle")
     pres = cokernel_presentation(IntMatrix.from_rows(coords_rows,
-                                                     cols=rel.dim))
+                                                     cols=len(kernel.free)))
     if pres.free_rank != 0:
         raise InternalCheckError("cohomology of a finite module came out infinite")
     group = FGAbelianGroup(0, pres.invariant_factors)
 
     return CohomologyGroup(M, p, group, rel, kernel, pres, [
         [x % q for x, q in
-         zip(kernel.basis.apply(pres.from_presented.col(pos)), rel.mods)]
+         zip(kernel.vector(pres.from_presented.col(pos)), rel.mods)]
         for pos, m in enumerate(pres.moduli) if m > 1])
 
 

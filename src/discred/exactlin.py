@@ -2,11 +2,12 @@
 
 Everything runs on Python's arbitrary-precision ints; intermediate entries
 of a Smith reduction may blow up well past machine words and that is fine.
-The Smith normal form is the single engine behind integer solving, kernel
-computation, and cokernel presentations used by the rest of the library.
-It keeps the inverses of its transforms as it goes, so each lattice job
-(a congruence kernel with coordinates in its basis, a cokernel with both
-presentation maps) reads everything from one elimination.
+The Smith normal form is the dense engine behind integer solving,
+kernels and cokernel presentations; it keeps the inverses of its
+transforms as it goes, so each lattice job reads everything from one
+elimination.  A sparse congruence kernel first eliminates its pivots
+that are units mod q (``unit_pivot_kernel``): only the core left over
+reaches a Smith form.
 
 Pivoting is deterministic: the smallest nonzero absolute value wins, ties
 broken by lowest (row, col) index, so decompositions are reproducible.
@@ -15,6 +16,7 @@ broken by lowest (row, col) index, so decompositions are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import islice
 from math import gcd
 from operator import mul
@@ -68,9 +70,6 @@ class IntMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
-
-    def row(self, i):
-        return self.entries[i]
 
     def col(self, j):
         return tuple(r[j] for r in self.entries)
@@ -406,6 +405,139 @@ def congruence_kernel_basis(A: IntMatrix, q: int) -> CongruenceKernel:
     basis = IntMatrix(n, n, tuple(tuple(x * s for x, s in zip(row, scales))
                                   for row in snf.V.entries))
     return CongruenceKernel(basis, scales, snf.V_inv)
+
+
+@dataclass(frozen=True)
+class UnitPivotKernel:
+    """K = {x in Z^n : A x = 0 (mod q)} from ``unit_pivot_kernel``:
+    x_p = sum_k e_k x_(free[k]) (mod q) on K for each (p, {k: e_k}) in
+    ``pivots``; ``core`` is the congruence kernel of the rows left over,
+    on the free columns (None: no row left).  The core basis, extended
+    by the pivot values, and the q e_p are a basis of K; coordinates are
+    in the core basis, modulo the q e_p."""
+
+    n: int
+    q: int
+    free: tuple
+    pivots: tuple
+    core: CongruenceKernel | None
+
+    def coordinates(self, b):
+        """Core coordinates of b; None off K."""
+        if len(b) != self.n:
+            raise ValidationError("vector length does not match the lattice")
+        x = [b[f] for f in self.free]
+        for p, e in self.pivots:
+            if (b[p] - sum(c * x[k] for k, c in e.items())) % self.q:
+                return None
+        return tuple(x) if self.core is None else self.core.coordinates(x)
+
+    def unit_coordinates(self, k, c):
+        """Core coordinates of c e_f, f = free[k]; None off K."""
+        if any(c * e.get(k, 0) % self.q for _, e in self.pivots):
+            return None
+        if self.core is not None:
+            return self.core.unit_coordinates(k, c)
+        return tuple(c * (i == k) for i in range(len(self.free)))
+
+    def vector(self, coords):
+        """The vector of K with these core coordinates, pivots in [0, q)."""
+        x = coords if self.core is None else self.core.basis.apply(coords)
+        b = [0] * self.n
+        for f, v in zip(self.free, x):
+            b[f] = v
+        for p, e in self.pivots:
+            b[p] = sum(c * x[k] for k, c in e.items()) % self.q
+        return b
+
+
+def unit_pivot_kernel(rows, n, q) -> UnitPivotKernel:
+    """The congruence kernel mod q >= 1 of an n-column matrix given by
+    sparse rows of (column, value) pairs, columns distinct.
+
+    Structured Gaussian elimination (LaMacchia and Odlyzko, CRYPTO '90):
+    a pivot a = A[i][j] prime to q gives x_j = -a^-1 sum_k A[i][k] x_k
+    (mod q) and is cleared from column j by row operations mod q.  The
+    least Markowitz cost (len(row i) - 1)(len(column j) - 1) goes first,
+    ties to the lowest (i, j), off a lazy heap; back-substitution writes
+    the pivots in the free columns.  The rows left go to
+    ``congruence_kernel_basis``."""
+    if q < 1:
+        raise ValidationError("modulus must be >= 1")
+    # drop zero rows and copies
+    rows = list({frozenset(r.items()): r for r in
+                 ({j: v % q for j, v in row if v % q} for row in rows)
+                 if r}.values())
+    cols = [set() for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+
+    def entries(pairs):
+        return [((len(rows[i]) - 1) * (len(cols[j]) - 1), i, j)
+                for i, j in pairs if gcd(rows[i][j], q) == 1]
+
+    heap = entries((i, j) for i, row in enumerate(rows) for j in row)
+    heapify(heap)
+    steps = []
+    while heap:
+        cost, i, j = heappop(heap)
+        row = rows[i]
+        if not row or gcd(row.get(j, 0), q) != 1:
+            continue
+        now = (len(row) - 1) * (len(cols[j]) - 1)
+        if cost != now:
+            if cost < now:     # its cost rose
+                heappush(heap, (now, i, j))
+            continue
+        rows[i] = None
+        counts = {}
+        for k in row:
+            counts[k] = len(cols[k])
+            cols[k].discard(i)
+        inv = pow(row[j], -1, q)
+        # a live unit keeps a heap entry of at most its cost: new units
+        # get one, and so do shrunk rows and columns
+        fresh = []
+        for r in tuple(cols[j]):
+            other = rows[r]
+            size = len(other)
+            f = other[j] * inv % q
+            for k, a in row.items():
+                old = other.get(k, 0)
+                x = (old - f * a) % q
+                if x:
+                    other[k] = x
+                    cols[k].add(r)
+                    if gcd(old, q) != 1:
+                        fresh.append((r, k))
+                elif old:
+                    del other[k]
+                    cols[k].discard(r)
+            if len(other) < size:
+                fresh.extend((r, k) for k in other)
+        steps.append((j, row, inv))
+        fresh.extend((r, k) for k in row if len(cols[k]) < counts[k]
+                     for r in cols[k])
+        for entry in entries(fresh):
+            heappush(heap, entry)
+
+    pivoted = {j for j, _, _ in steps}
+    free = tuple(j for j in range(n) if j not in pivoted)
+    at = {f: k for k, f in enumerate(free)}
+    expr = {}
+    for j, row, inv in reversed(steps):
+        e = {}
+        for k, a in row.items():
+            if k != j:
+                for m, c in ({at[k]: 1} if k in at else expr[k]).items():
+                    e[m] = (e.get(m, 0) - inv * a * c) % q
+        expr[j] = {m: c for m, c in e.items() if c}
+    core = [[row.get(f, 0) for f in free] for row in rows if row]
+    return UnitPivotKernel(
+        n, q, free, tuple((j, expr[j]) for j, _, _ in steps),
+        congruence_kernel_basis(IntMatrix.from_rows(core, len(free)), q)
+        if core else None)
 
 
 @dataclass(frozen=True)

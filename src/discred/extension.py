@@ -83,9 +83,8 @@ def build_extension(M: GammaModule, c: Cochain) -> ExtensionModel:
     def idx(a, g):
         return pos[a] * n + g
 
-    # positions in elems: of a sum, of g.a, and of c(g1, g2)
-    add = [[pos[A.add(x, y)] for y in elems] for x in elems]
-    acted = [[pos[M.act(g, y)] for y in elems] for g in range(n)]
+    # positions in elems: of g.a, of a sum, and of c(g1, g2)
+    acted, add = M.index_tables
     cval = [[pos[vals[(g1, g2)]] for g2 in range(n)] for g1 in range(n)]
     table = twisted_rows(add, M.gamma.table, acted, cval)
     order = len(table)
@@ -222,27 +221,23 @@ def pushout(G: FiniteGroup, z_embed, act, model: ExtensionModel) -> PushoutModel
     if len(act) != n:
         raise ValidationError(
             f"act has {len(act)} maps, need one per gamma element ({n})")
-    A = M.coeff
-    elems = A.elements()
+    elems = M.coeff.elements()
     if len(z_embed) != len(elems) or len(set(z_embed)) != len(elems):
         raise ValidationError("central embedding is not injective/total")
-    zmap = {e: z_embed[i] for i, e in enumerate(elems)}
-    addtab = [[zmap[A.add(x, y)] for y in elems] for x in elems]
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            if G.mul(zmap[x], zmap[y]) != addtab[i][j]:
-                raise ValidationError("z is not a homomorphism A -> G")
+    acted, add = M.index_tables
+    for zx, row in zip(z_embed, add):
+        zx_row = G.table[zx]
+        if any(zx_row[zy] != z_embed[k] for zy, k in zip(z_embed, row)):
+            raise ValidationError("z is not a homomorphism A -> G")
     # the centralizer of z(x) is a subgroup: commuting with S suffices
-    for x in elems:
-        zx = zmap[x]
+    for x, zx in zip(elems, z_embed):
         if any(G.mul(zx, s) != G.mul(s, zx) for s in G.generators):
             raise ValidationError(f"image of {x} is not central in G")
     act = check_action(G, gamma, act)
-    for g in range(n):
-        for x in elems:
-            if act[g][zmap[x]] != zmap[M.act(g, x)]:
-                raise ValidationError(
-                    f"act[{g}] is not equivariant on the embedded center")
+    for g, row in enumerate(acted):
+        if any(act[g][zy] != z_embed[k] for zy, k in zip(z_embed, row)):
+            raise ValidationError(
+                f"act[{g}] is not equivariant on the embedded center")
 
     # E~ element (a, h) sits at pos(a) * |Gamma| + h (``build_extension``)
     Et, sec = model.group, model.section
@@ -277,8 +272,8 @@ def pushout(G: FiniteGroup, z_embed, act, model: ExtensionModel) -> PushoutModel
     E = FiniteGroup(len(table), table, ident,
                     tuple(row.index(ident) for row in table))
 
-    anti = frozenset(G.inv(zmap[e]) * ne + model.embed[i]
-                     for i, e in enumerate(elems))
+    anti = frozenset(G.inv(zx) * ne + e
+                     for zx, e in zip(z_embed, model.embed))
     kernel_ok = frozenset(
         i for i, q in enumerate(coset_of) if q == ident) == anti
     embed_g = tuple(g * n + gamma.identity for g in range(G.order))

@@ -234,15 +234,30 @@ def generating_set(G: FiniteGroup):
     earlier ones, in index order.  The span is the closure of the
     identity under right multiplication, so on a table not yet known to
     be associative the result still reaches every element from the
-    identity, which is what ``validate_table`` needs."""
-    gens = []
-    span = subgroup_closure(G, [])
+    identity, which is what ``validate_table`` needs.  One span grows:
+    the old one is closed under the earlier generators, so a new
+    generator is applied to it, and every generator to what that adds."""
+    table, gens = G.table, []
+    span, seen = [G.identity], {G.identity}
     for x in range(G.order):
         if len(span) == G.order:
             break
-        if x not in span:
-            gens.append(x)
-            span = subgroup_closure(G, gens)
+        if x in seen:
+            continue
+        gens.append(x)
+        i = len(span)
+        for y in span[:i]:
+            z = table[y][x]
+            if z not in seen:
+                seen.add(z)
+                span.append(z)
+        while i < len(span):
+            row = table[span[i]]
+            for g in gens:
+                if row[g] not in seen:
+                    seen.add(row[g])
+                    span.append(row[g])
+            i += 1
     return gens
 
 

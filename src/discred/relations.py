@@ -120,28 +120,26 @@ class RelationModule:
         return v
 
     def _rows(self, k):
-        """The matrix of d_k : C^k -> C^(k+1) as rows, k in {0, 1, 2}.
-        Row (s, r) of d_0 is row r of s - 1.  Column (s, i) of d_1 is
-        phi of the unit vector e_i at s.  Row (s, j, r) of d_2 reads
-        s.C_j on the edges outside the tree, where it has its
-        coordinates in the basis."""
+        """The matrix of d_k : C^k -> C^(k+1) as sparse rows, lists of
+        (column, value) pairs with value != 0, k in {0, 1, 2}.  Row (s, r)
+        of d_0 is row r of s - 1.  Column (s, i) of d_1 is phi of the
+        unit vector e_i at s.  Row (s, j, r) of d_2 reads s.C_j on the
+        edges outside the tree, where it has its coordinates in the
+        basis."""
         t, mul = self.t, self.module.gamma.mul
         if k == 0:
-            return [[a - (i == r) for i, a in enumerate(self.acts[s][r])]
-                    for s in self.gens for r in range(t)]
-        if k == 1:
-            rows = [[0] * (self.blocks[1] * t)
-                    for _ in range(self.blocks[2] * t)]
-            for j, terms in enumerate(self.cycles):
-                for y, si, c in terms:
-                    amat = self.acts[y]
-                    for r in range(t):
-                        row = rows[j * t + r]
-                        for i in range(t):
-                            row[si * t + i] += c * amat[r][i]
-            return rows
+            return [[(i, a - (i == r)) for i, a in enumerate(self.acts[s][r])
+                     if a != (i == r)] for s in self.gens for r in range(t)]
         rows = []
-        width = self.blocks[2] * t
+        if k == 1:
+            for terms in self.cycles:
+                for r in range(t):
+                    row = {}
+                    for y, si, c in terms:
+                        for i, a in enumerate(self.acts[y][r], si * t):
+                            row[i] = row.get(i, 0) + c * a
+                    rows.append([(i, v) for i, v in row.items() if v])
+            return rows
         for s in self.gens:
             amat = self.acts[s]
             for j, terms in enumerate(self.cycles):
@@ -150,23 +148,19 @@ class RelationModule:
                 coef = [(self.edge_index.get((mul(s, x), si)), c)
                         for x, si, c in terms]
                 for r in range(t):
-                    row = [0] * width
-                    for e, c in coef:
-                        if e is not None:
-                            row[e * t + r] = c
-                    for col, a in enumerate(amat[r]):
-                        row[j * t + col] -= a
-                    rows.append(row)
+                    row = {e * t + r: c for e, c in coef if e is not None}
+                    for i, a in enumerate(amat[r], j * t):
+                        row[i] = row.get(i, 0) - a
+                    rows.append([(i, v) for i, v in row.items() if v])
         return rows
 
-    def cocycle_matrix(self, Q):
-        """The rows of d_p, row r scaled by Q / q_r for the modulus q_r
-        of its coordinate, so that the cocycles are the congruence
-        kernel mod Q."""
+    def cocycle_rows(self, Q):
+        """The rows of d_p, sparse as ``_rows`` gives them, row r scaled
+        by Q / q_r for the modulus q_r of its coordinate, so that the
+        cocycles are the congruence kernel mod Q."""
         mods = self.module.coeff.invariant_factors
-        return IntMatrix.from_rows(
-            [[(Q // mods[r % self.t]) * x for x in row]
-             for r, row in enumerate(self._rows(self.p))], cols=self.dim)
+        return [[(j, (Q // mods[r % self.t]) * v) for j, v in row]
+                for r, row in enumerate(self._rows(self.p))]
 
     def coboundaries(self):
         """The columns of d_(p-1), the images of the unit vectors of
@@ -174,8 +168,12 @@ class RelationModule:
         if self.p == 0:
             return []
         rows = self._rows(self.p - 1)
-        return [[row[j] for row in rows]
-                for j in range(self.blocks[self.p - 1] * self.t)]
+        cols = [[0] * len(rows)
+                for _ in range(self.blocks[self.p - 1] * self.t)]
+        for r, row in enumerate(rows):
+            for j, v in row:
+                cols[j][r] = v
+        return cols
 
     @cached_property
     def bar_index(self):
@@ -392,11 +390,15 @@ class RelationModule:
     @cached_property
     def _boundary_smith(self):
         """The Smith form of [d_(p-1) | diag(mods)], built on first use."""
-        rows = self._rows(self.p - 1)
-        return smith_normal_form(IntMatrix.from_rows(
-            [row + [q if k == r else 0 for k in range(self.dim)]
-             for r, (row, q) in enumerate(zip(rows, self.mods))],
-            cols=self.blocks[self.p - 1] * self.t + self.dim))
+        width = self.blocks[self.p - 1] * self.t
+        dense = []
+        for r, (row, q) in enumerate(zip(self._rows(self.p - 1), self.mods)):
+            dense.append([0] * (width + self.dim))
+            for j, v in row:
+                dense[r][j] = v
+            dense[r][width + r] = q
+        return smith_normal_form(IntMatrix.from_rows(dense,
+                                                     cols=width + self.dim))
 
     def coboundary_witness(self, c):
         """The values of a (p-1)-cochain b with db = c, as ``to_cochain``

@@ -4,14 +4,15 @@ generator pairs and read tables off shared rows: ``hom_check`` and the
 ``is_normal`` conjugating with ``mul``/``inv`` calls, and ``quotient``,
 ``semidirect_product`` and ``direct_product`` building their tables
 entry by entry, ``from_generators`` closing and tabulating with one
-``compose`` per product, and ``validate_table`` scanning every entry
-for its range and every row for a two-sided inverse in Python.  Kept as
+``compose`` per product, ``validate_table`` scanning every entry
+for its range and every row for a two-sided inverse in Python, and
+``generating_set`` closing its span afresh after each generator.  Kept as
 the reference that ``discred.grouptable`` must match verdict for
 verdict, message for message and table for table."""
 
 from discred.errors import ValidationError
 from discred.grouptable import (GROUP_CAP, FiniteGroup, closure, compose,
-                                is_subgroup, validate_table)
+                                is_subgroup, subgroup_closure, validate_table)
 
 
 def reference_validate_table(table, identity=None):
@@ -144,3 +145,17 @@ def reference_direct_product(A: FiniteGroup, B: FiniteGroup):
     ident = idx(A.identity, B.identity)
     inverse = tuple(idx(A.inv(i // nb), B.inv(i % nb)) for i in range(n))
     return FiniteGroup(n, table, ident, inverse)
+
+
+def reference_generating_set(G: FiniteGroup):
+    """The greedy generating set, re-closing the span from the identity
+    after each generator it adds."""
+    gens = []
+    span = subgroup_closure(G, [])
+    for x in range(G.order):
+        if len(span) == G.order:
+            break
+        if x not in span:
+            gens.append(x)
+            span = subgroup_closure(G, gens)
+    return gens

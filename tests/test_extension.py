@@ -443,6 +443,19 @@ class TestOnceOnly:
         groups = [args[0] for args in calls]
         assert groups and len(groups) == len({id(g) for g in groups})
 
+    def test_act_and_add_once_per_module(self, monkeypatch):
+        """``build_extension`` and ``pushout`` read the action and the
+        addition of A off ``GammaModule.index_tables``, built once per
+        module, and call neither ``act`` nor ``add`` again."""
+        G, z, act, M, carry = _c32_carry_setup()
+        model = build_extension(M, carry)
+        pushout(G, z, act, model)
+        calls = []
+        counted(monkeypatch, type(M), "act", calls)
+        counted(monkeypatch, FGAbelianGroup, "add", calls)
+        pushout(G, z, act, build_extension(M, carry))
+        assert calls == []
+
     @pytest.mark.parametrize("g", [0, 1])
     @pytest.mark.parametrize("bad", [
         (0, 0, 0, 0),         # not a bijection
@@ -627,6 +640,47 @@ def _shape_setup(shape):
     return G, _cyclic_central(G, a), act, _sign_module(gamma, a, inv)
 
 
+class TestIndexTables:
+    """``GammaModule.index_tables`` against ``act`` and ``add`` on the
+    module shapes of the extension-model benchmark, a relabeled S3 and a
+    coefficient group with two coordinates."""
+
+    MODULES = [(cyclic(2), 2, False), (cyclic(4), 2, False),
+               (cyclic(4), 4, True), (cyclic(6), 2, True),
+               (cyclic(8), 2, False), (_s3(), 2, True), (cyclic(4), 4, False),
+               (cyclic(6), 8, False), (cyclic(4), 16, False),
+               (_s3(), 8, True), (_relabeled_s3(), 3, True)]
+
+    @staticmethod
+    def _powers(gamma, A, rows):
+        """The cyclic group ``gamma`` acting on A by powers of ``rows``."""
+        g = AbHom(A, A, IntMatrix.from_rows(rows))
+        action = [AbHom.identity(A)]
+        for _ in range(gamma.order - 1):
+            action.append(AbHom(A, A, action[-1].matrix @ g.matrix))
+        return gamma_module(gamma, A, action)
+
+    @pytest.mark.parametrize("k", range(len(MODULES) + 3))
+    def test_tables(self, k):
+        if k < len(self.MODULES):
+            M = _sign_module(*self.MODULES[k])
+        else:
+            # an action of order 2 on two coordinates, and actions of
+            # order 4 and 3 that tell g from its inverse
+            gamma, A, rows = [(cyclic(2), Z(2, 4), [[1, 0], [2, 1]]),
+                              (cyclic(4), Z(5), [[2]]),
+                              (cyclic(3), Z(2, 2), [[0, 1], [1, 1]])][
+                k - len(self.MODULES)]
+            M = self._powers(gamma, A, rows)
+        elems = M.coeff.elements()
+        acted, add = M.index_tables
+        assert acted == [[elems.index(M.act(g, y)) for y in elems]
+                         for g in range(M.gamma.order)]
+        assert add == [[elems.index(M.coeff.add(x, y)) for y in elems]
+                       for x in elems]
+        assert M.index_tables is M.index_tables
+
+
 class TestRowWiseBuilders:
     """Pushout shapes of the extension-model benchmark: (G, |A|, gamma,
     gamma acting on G and A by inversion through the sign)."""
@@ -804,7 +858,8 @@ class TestReferencePushout:
     @pytest.mark.parametrize("case", [
         "act[0] not an automorphism", "act[1] not an automorphism",
         "too few maps", "too many maps", "act at the identity",
-        "act not a homomorphism", "not central", "not equivariant"])
+        "act not a homomorphism", "z not a homomorphism", "not central",
+        "not equivariant"])
     def test_rejections_match_reference(self, case):
         """Both builds reject bad input with the same message."""
         G, z, act, M, model = sl2_like_setup(1)
@@ -822,6 +877,9 @@ class TestReferencePushout:
             M = trivial_module(cyclic(4), Z(2))
             model = build_extension(M, zero_cochain(M))
             act = [tuple(range(4)), inv4, tuple(range(4)), tuple(range(4))]
+        elif case == "z not a homomorphism":
+            z = (G.identity, next(x for x in G.elements()
+                                  if G.element_order(x) == 4))
         elif case == "not central":
             G = _s3()
             z = (G.identity, next(x for x in G.elements()

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from grouptable_reference import (reference_direct_product,
                                   reference_from_generators,
+                                  reference_generating_set,
                                   reference_hom_check, reference_is_normal,
                                   reference_quotient,
                                   reference_semidirect_product,
@@ -443,6 +444,31 @@ class TestLightsTest:
         with pytest.raises(ValidationError,
                            match=r"associativity fails at triple \(\d+, 2, "):
             validate_table(table)
+
+
+class TestGrowingSpan:
+    """``generating_set`` grows one span where the reference closes it
+    afresh from the identity after each generator: the same greedy set
+    on groups, and on the unchecked tables ``validate_table`` hands it,
+    associative or not."""
+
+    def test_groups(self):
+        for G in _SMALL_GROUPS + _PERMUTATION_GROUPS:
+            assert grouptable.generating_set(G) == \
+                reference_generating_set(G)
+
+    @settings(max_examples=150, deadline=None)
+    @given(table=st.one_of(_random_loops(),
+                           _tables_with_identity_and_inverses(),
+                           _products_with_cyclic()))
+    def test_unchecked_tables(self, table):
+        n = len(table)
+        identity = next(e for e in range(n)
+                        if all(table[e][x] == x == table[x][e]
+                               for x in range(n)))
+        G = grouptable.FiniteGroup(n, tuple(map(tuple, table)), identity,
+                                   tuple(range(n)))
+        assert grouptable.generating_set(G) == reference_generating_set(G)
 
 
 @st.composite
