@@ -7,10 +7,11 @@ from the relation module R of the Cayley graph of (Gamma, S)
 in degrees 0, 1, 2 instead of (n-1)^p t.  Bar cochains stay the API;
 ``relations`` alone knows their normalized flat layout (Brown,
 Cohomology of Groups, GTM 87, section I.5) and converts at the
-boundary.  This module does the lattice work: congruence kernels and
-cokernels with explicit modulus relations, and the triangular basis of
-the normalized bar coboundaries that canonical representatives reduce
-against.  The full bar ``differential`` stays as the public checker.
+boundary.  This module does the lattice work: congruence kernels,
+cokernels with explicit modulus relations, coboundary witnesses on them
+and the triangular basis of the normalized bar coboundaries that
+canonical representatives reduce against.  The full bar
+``differential`` stays as the public checker.
 
 Classes travel up the torsion tower and into ``classify`` as coordinate
 vectors; a ``Cochain`` is built only when a caller asks for one
@@ -27,11 +28,12 @@ from functools import cached_property
 from math import gcd
 
 from .abgroup import AbHom, DiagonalizableGroup, FGAbelianGroup
-from .errors import BudgetExceededError, InternalCheckError, ValidationError
+from .errors import InternalCheckError, ValidationError
 from .exactlin import (IntMatrix, cokernel_presentation, echelon_reduce,
-                       kernel_basis, modular_echelon, unit_pivot_kernel)
+                       kernel_basis, modular_echelon, smith_normal_form,
+                       unit_pivot_kernel)
 from .grouptable import FiniteGroup
-from .relations import RelationModule
+from .relations import RelationModule, require_within_budget
 
 
 @dataclass(frozen=True)
@@ -146,18 +148,23 @@ class CohomologyGroup:
     """H^p as a finite abelian group with representative cocycles per
     canonical generator, stored as flat vectors of degree-p cochains of
     the complex A -> A^S -> Hom_Gamma(R, A) of the Cayley graph
-    (``relations.RelationModule``)."""
+    (``relations.RelationModule``): the cokernel of ``boundary`` on the
+    core coordinates of the cocycles ``kernel``, 0 without a kernel."""
 
-    def __init__(self, module, degree, group, relations, kernel, pres,
-                 gen_vecs):
-        self.module = module
-        self.degree = degree
-        self.group = group
-        self._rel = relations
-        self._kernel = kernel
-        self._pres = pres
-        self._gen_vecs = tuple(gen_vecs)
+    def __init__(self, module, degree, relations, kernel, boundary):
+        self.module, self.degree, self._rel = module, degree, relations
+        self._kernel, self._boundary = kernel, boundary
         self._canonical = {}
+        self.group, self._pres, self._gen_vecs = FGAbelianGroup(0, ()), None, ()
+        if kernel is not None:
+            self._pres = pres = cokernel_presentation(boundary)
+            if pres.free_rank != 0:
+                raise InternalCheckError("cohomology of a finite module came out infinite")
+            self.group = FGAbelianGroup(0, pres.invariant_factors)
+            self._gen_vecs = tuple(
+                [x % q for x, q in zip(kernel.vector(pres.from_presented.col(i)),
+                                       relations.mods)]
+                for i, m in enumerate(pres.moduli) if m > 1)
 
     @property
     def generators(self):
@@ -197,9 +204,18 @@ class CohomologyGroup:
 
     def coboundary_witness(self, c: Cochain):
         """A (p-1)-cochain b with db = c, or None when c is not a
-        coboundary."""
-        values = self._rel.coboundary_witness(c)
+        coboundary, solved in the core coordinates of the cocycles
+        (``cohomology_group``)."""
+        rel, kernel = self._rel, self._kernel
+        values = rel.coboundary_witness(c, lambda phi: (
+            [0] * rel.blocks[self.degree - 1] * rel.t if kernel is None
+            else self._witness_smith.solve(kernel.coordinates(phi))))
         return None if values is None else Cochain(self.degree - 1, values)
+
+    @cached_property
+    def _witness_smith(self):
+        """The Smith form of boundary^T, taken on the first witness."""
+        return smith_normal_form(self._boundary.transpose())
 
     @cached_property
     def _echelon(self):
@@ -270,55 +286,28 @@ class CohomologyClass:
     group_structure: FGAbelianGroup
 
 
-def require_within_budget(gamma: FiniteGroup, t: int, p: int, budget: int,
-                          canonical: bool = False):
-    """Raise BudgetExceededError when the matrices of H^p, for t
-    coefficient coordinates, would have more than ``budget`` cells as
-    dense matrices: an upper bound, as only the core of d_p and the
-    cokernel take dense Smith forms.  With c_-1 = 0, c_0 = t,
-    c_1 = |S| t, c_2 = m t (m = n|S| - n + 1, S = ``gamma.generators``)
-    and d_p r_p x c_p (r_0 = |S| t, r_1 = m t, r_2 = |S| m t), degree p
-    counts max(r_p, c_(p-1) + c_p) c_p.  With ``canonical`` it first
-    counts the dense triangular basis that canonical representatives of
-    H^2 reduce against, ((n-1)^2 t)^2 entries; that check needs no
-    generating set."""
-    n = gamma.order
-    if canonical:
-        dim = (n - 1) ** 2 * t
-        if dim * dim > budget:
-            raise BudgetExceededError(
-                f"canonical form size {dim}x{dim} exceeds budget {budget}")
-    s = len(gamma.generators)
-    m = n * s - n + 1
-    c = (0, t, s * t, m * t, s * m * t)   # c_-1 .. c_2, then r_2
-    rows, cols = max(c[p + 2], c[p] + c[p + 1]), c[p + 1]
-    if rows * cols > budget:
-        raise BudgetExceededError(
-            f"cochain problem size {rows}x{cols} exceeds budget {budget}")
-
-
 def cohomology_group(M: GammaModule, p: int, budget: int = 2_000_000) -> CohomologyGroup:
     """H^p(Gamma, A) by exact integer linear algebra.
 
     On the complex A -> A^S -> Hom_Gamma(R, A) (``relations``), lifted
     to Z with modulus relations, the cocycles are the congruence kernel
-    of d_p mod Q, the exponent of A; the images of d_(p-1) are the
-    coboundaries and H^p a cokernel.  The kernel eliminates the unit
+    of d_p mod Q, the exponent of A.  The kernel eliminates the unit
     pivots of the sparse rows of d_p (``unit_pivot_kernel``); only the
-    core left takes a Smith form.  A unit entry in column p forces
-    q_p = Q, so the modulus relation of a pivot column is the kernel
-    basis vector Q e_p and drops out with its coordinate: the cokernel,
-    the other Smith form, relates the core coordinates by the boundary
-    generators and the free columns' modulus relations.  ``budget``
-    caps the sizes that ``require_within_budget`` bounds.
+    core left takes a Smith form.  A unit entry in column j forces
+    q_j = Q, so a pivot column's modulus relation has core coordinates
+    0, and H^p, the other Smith form, is the cokernel of ``boundary``:
+    the core coordinates of the columns of d_(p-1), then of the free
+    columns' q_f e_f.  A cocycle with core coordinates 0 is 0 mod Q, so
+    a witness a of phi = d_(p-1) a (mod mods) heads a solution lambda of
+    boundary^T lambda = coordinates(phi).  ``budget`` caps what
+    ``require_within_budget`` bounds.
     """
     if p not in (0, 1, 2):
         raise ValidationError("cohomology supported only in degrees 0..2")
     require_within_budget(M.gamma, M.coeff.ncoords, p, budget)
     rel = RelationModule(M, p)
     if rel.dim == 0 or M.coeff.order() == 1:
-        return CohomologyGroup(M, p, FGAbelianGroup(0, ()), rel, None, None,
-                               ())
+        return CohomologyGroup(M, p, rel, None, None)
     Q = M.coeff.exponent()
     kernel = unit_pivot_kernel(rel.cocycle_rows(Q), rel.dim, Q)
 
@@ -329,25 +318,20 @@ def cohomology_group(M: GammaModule, p: int, budget: int = 2_000_000) -> Cohomol
                        for k, f in enumerate(kernel.free))
     if None in coords_rows:
         raise InternalCheckError("boundary generator is not a cocycle")
-    pres = cokernel_presentation(IntMatrix.from_rows(coords_rows,
-                                                     cols=len(kernel.free)))
-    if pres.free_rank != 0:
-        raise InternalCheckError("cohomology of a finite module came out infinite")
-    group = FGAbelianGroup(0, pres.invariant_factors)
-
-    return CohomologyGroup(M, p, group, rel, kernel, pres, [
-        [x % q for x, q in
-         zip(kernel.vector(pres.from_presented.col(pos)), rel.mods)]
-        for pos, m in enumerate(pres.moduli) if m > 1])
+    return CohomologyGroup(M, p, rel, kernel, IntMatrix.from_rows(
+        coords_rows, cols=len(kernel.free)))
 
 
 def eckmann_check(M: GammaModule, p: int, H: CohomologyGroup = None) -> bool:
     """|Gamma| * H^p = 0 for p >= 1 (the transfer argument); failure
-    would be a bug, never an input problem."""
+    would be a bug, never an input problem.  ValidationError when ``H``
+    is given and is not H^p of M."""
     if p < 1:
         raise ValidationError("the transfer bound only holds in degree >= 1")
     if H is None:
         H = cohomology_group(M, p)
+    elif H.module != M or H.degree != p:
+        raise ValidationError(f"H is not H^{p} of the module M")
     n = M.gamma.order
     return not any(any(H._coords_of_vec([n * x for x in gv]))
                    for gv in H._gen_vecs)

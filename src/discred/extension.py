@@ -23,12 +23,11 @@ from functools import cached_property
 from .abgroup import DiagonalizableGroup, FGAbelianGroup, torsion_at
 from .autbrd import AdHom, center_action_at, presented_action
 from .cohomology import (Cochain, CohomologyGroup, GammaModule, cochain_sum,
-                         cohomology_group, gamma_module,
-                         require_within_budget, stabilized_h2)
+                         cohomology_group, gamma_module, stabilized_h2)
 from .errors import InternalCheckError, ValidationError
 from .grouptable import (FiniteGroup, check_action, hom_check, quotient,
                          semidirect_product, twisted_rows, validate_table)
-from .relations import RelationModule
+from .relations import RelationModule, require_within_budget
 from .rootdatum import (BasedRootDatum, CenterData, center_data,
                         require_valid_based)
 
@@ -133,9 +132,12 @@ def extract_cocycle(M: GammaModule, E: FiniteGroup, embed, project,
 def extensions_equivalent(M: GammaModule, c1: Cochain, c2: Cochain,
                           H: CohomologyGroup = None):
     """A 1-cochain b with c1 - c2 = db when the extensions are
-    equivalent, else None."""
+    equivalent, else None; ValidationError when ``H`` is given and is
+    not H^2 of M."""
     if H is None:
         H = cohomology_group(M, 2)
+    elif H.module != M or H.degree != 2:
+        raise ValidationError("H is not H^2 of the module M")
     diff = cochain_sum(M.coeff, [(1, c1), (-1, c2)])
     return H.coboundary_witness(diff)
 

@@ -11,7 +11,9 @@ lattice work; this module supplies the matrices and owns the normalized
 bar cochains that the API speaks (Brown, Cohomology of Groups, GTM 87,
 section I.5): their flat layout, the conversion to and from total
 cochains and the complex, the bar coboundary columns that canonical
-representatives reduce against, and Light's test for 2-cocycles.
+representatives reduce against, Light's test for 2-cocycles and the
+tree lift of coboundary witnesses.  ``require_within_budget`` bounds
+the cells of its matrices before any is built.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .errors import ValidationError
-from .exactlin import IntMatrix, smith_normal_form
-from .grouptable import closure
+from .errors import BudgetExceededError, ValidationError
+from .grouptable import FiniteGroup, closure
 
 
 class RelationModule:
@@ -387,33 +388,18 @@ class RelationModule:
                             col[r + k] += sign * amat[k][i]
                 yield col
 
-    @cached_property
-    def _boundary_smith(self):
-        """The Smith form of [d_(p-1) | diag(mods)], built on first use."""
-        width = self.blocks[self.p - 1] * self.t
-        dense = []
-        for r, (row, q) in enumerate(zip(self._rows(self.p - 1), self.mods)):
-            dense.append([0] * (width + self.dim))
-            for j, v in row:
-                dense[r][j] = v
-            dense[r][width + r] = q
-        return smith_normal_form(IntMatrix.from_rows(dense,
-                                                     cols=width + self.dim))
-
-    def coboundary_witness(self, c):
+    def coboundary_witness(self, c, solve):
         """The values of a (p-1)-cochain b with db = c, as ``to_cochain``
         gives them, or None when the p-cochain c is no coboundary (always
         in degree 0).  For the normalized coordinates vec of
-        c - d(const shift) (``from_cochain``), a solution a of
-        [d_(p-1) | diag(mods)] a = from_bar(vec) is a witness itself in
-        degree 1; in degree 2 it gives the values a_s on S, followed
-        along the tree, b(xs) = b(x) + x.a_s - vec(x, s).  Then b adds
-        the shift."""
+        c - d(const shift) (``from_cochain``), ``solve(from_bar(vec))``
+        starts with a, d_(p-1) a = from_bar(vec) (mod mods), or is None;
+        a is a witness itself in degree 1; in degree 2 it gives the a_s
+        on S, followed along the tree, b(xs) = b(x) + x.a_s - vec(x, s).
+        Then b adds the shift."""
         vec, shift = self.from_cochain(c)
         phi = None if vec is None else self.from_bar(vec)
-        if self.p == 0 or phi is None:
-            return None
-        sol = self._boundary_smith.solve(phi)
+        sol = None if self.p == 0 or phi is None else solve(phi)
         if sol is None:
             return None
         gamma, t = self.module.gamma, self.t
@@ -429,3 +415,30 @@ class RelationModule:
         return tuple((tup, tuple((x + y) % q for x, y, q in
                                  zip(v, shift, mods)))
                      for tup, v in b.items())
+
+
+def require_within_budget(gamma: FiniteGroup, t: int, p: int, budget: int,
+                          canonical: bool = False):
+    """Raise BudgetExceededError when the matrices of H^p, for t
+    coefficient coordinates, would have more than ``budget`` cells as
+    dense matrices: an upper bound, as only the core of d_p and the
+    cokernel take dense Smith forms.  With c_-1 = 0, c_0 = t,
+    c_1 = |S| t, c_2 = m t (m = n|S| - n + 1, S = ``gamma.generators``)
+    and d_p r_p x c_p (r_0 = |S| t, r_1 = m t, r_2 = |S| m t), degree p
+    counts max(r_p, c_(p-1) + c_p) c_p.  With ``canonical`` it first
+    counts the dense triangular basis that canonical representatives of
+    H^2 reduce against, ((n-1)^2 t)^2 entries; that check needs no
+    generating set."""
+    n = gamma.order
+    if canonical:
+        dim = (n - 1) ** 2 * t
+        if dim * dim > budget:
+            raise BudgetExceededError(
+                f"canonical form size {dim}x{dim} exceeds budget {budget}")
+    s = len(gamma.generators)
+    m = n * s - n + 1
+    c = (0, t, s * t, m * t, s * m * t)   # c_-1 .. c_2, then r_2
+    rows, cols = max(c[p + 2], c[p] + c[p + 1]), c[p + 1]
+    if rows * cols > budget:
+        raise BudgetExceededError(
+            f"cochain problem size {rows}x{cols} exceeds budget {budget}")

@@ -2,10 +2,15 @@
 it eliminated unit pivots: ``congruence_kernel_basis`` of the whole of
 d_p as a dense matrix, the boundary generators and every modulus
 relation q_i e_i in its basis, and one ``cokernel_presentation`` of
-them.  Kept as the reference that the sparse elimination must match."""
+them.  Kept as the reference that the sparse elimination must match.
 
+``dense_witness`` is the coboundary witness as it was solved before it
+used the cokernel's relations: one dense Smith form of
+[d_(p-1) | diag(mods)]."""
+
+from discred.cohomology import Cochain
 from discred.exactlin import (IntMatrix, cokernel_presentation,
-                              congruence_kernel_basis)
+                              congruence_kernel_basis, smith_normal_form)
 from discred.relations import RelationModule
 
 
@@ -47,3 +52,18 @@ class DenseH:
         y = self.pres.to_presented.apply(x)
         return tuple(y[i] % m for i, m in enumerate(self.pres.moduli)
                      if m > 1)
+
+
+def dense_witness(M, c):
+    """A (p-1)-cochain b with db = c, or None, for a p-cochain c, p in
+    {1, 2}: the tree lift of ``RelationModule.coboundary_witness`` on a
+    solution of [d_(p-1) | diag(mods)] x = phi, the first |C^(p-1)|
+    entries of x being a with d_(p-1) a = phi (mod mods)."""
+    p = c.degree
+    rel = RelationModule(M, p)
+    width = rel.blocks[p - 1] * rel.t
+    rows = [row + [(width + r, q)]
+            for r, (row, q) in enumerate(zip(rel._rows(p - 1), rel.mods))]
+    smith = smith_normal_form(dense_rows(rows, width + rel.dim))
+    values = rel.coboundary_witness(c, smith.solve)
+    return None if values is None else Cochain(p - 1, values)

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from discred import autbrd, exactlin, relations, rootdatum, standard
+from discred import autbrd, cohomology, exactlin, rootdatum, standard
 from discred.abgroup import AbHom, torsion_at
 from discred.autbrd import (AdHom, BRDAutomorphism, ad_from_generator_images,
                             brd_automorphism, diagram_automorphisms,
@@ -283,7 +283,7 @@ def _classify_counts(monkeypatch, capsys, problem):
             return inner(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    for module in (exactlin, autbrd, relations, rootdatum):
+    for module in (exactlin, autbrd, cohomology, rootdatum):
         counting(module, "smith_normal_form")
     counting(autbrd, "inverse_unimodular")
     assert main(["classify", "--input", problem, "--format", "json"]) == 0

@@ -257,6 +257,14 @@ class TestEckmann:
         with pytest.raises(ValidationError):
             eckmann_check(trivial_module(cyclic(2), Z(8)), 0)
 
+    def test_rejects_h_of_another_degree_or_module(self):
+        M = trivial_module(cyclic(2), Z(8))
+        assert eckmann_check(M, 2, cohomology_group(M, 2))
+        for H in (cohomology_group(M, 1),
+                  cohomology_group(inversion_module(cyclic(2), 8), 2)):
+            with pytest.raises(ValidationError, match="H is not H\\^2"):
+                eckmann_check(M, 2, H)
+
     @pytest.mark.parametrize("p", [1, 2])
     def test_various_modules(self, p):
         mods = [trivial_module(cyclic(2), Z(8)),

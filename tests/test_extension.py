@@ -171,6 +171,22 @@ class TestEquivalence:
         assert extensions_equivalent(M, H.class_representative((0,)),
                                      H.class_representative((1,)), H) is None
 
+    def test_rejects_h_of_another_module_or_degree(self):
+        """c(1, 1) = 2 on the trivial Z/4 is a coboundary, as
+        H^2 = Z/4 / 2; the H^2 of C2 inverting Z/4, or H^1, would answer
+        for the wrong group."""
+        M = trivial_module(cyclic(2), Z(4))
+        c = Cochain.from_map(2, {(a, b): (2 * a * b,)
+                                 for a in range(2) for b in range(2)})
+        zero = zero_cochain(M)
+        assert extensions_equivalent(M, c, zero, cohomology_group(M, 2))
+        a = M.coeff
+        inv = gamma_module(cyclic(2), a, (
+            AbHom.identity(a), AbHom(a, a, IntMatrix.from_rows([[3]]))))
+        for H in (cohomology_group(inv, 2), cohomology_group(M, 1)):
+            with pytest.raises(ValidationError, match="H is not H\\^2"):
+                extensions_equivalent(M, c, zero, H)
+
 
 def sl2_like_setup(cocycle_class):
     """G = Z/4 standing in for SL2's torsion, A = Z/2 = {0, 2}."""
