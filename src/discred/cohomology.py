@@ -149,10 +149,16 @@ class CohomologyGroup:
     canonical generator, stored as flat vectors of degree-p cochains of
     the complex A -> A^S -> Hom_Gamma(R, A) of the Cayley graph
     (``relations.RelationModule``): the cokernel of ``boundary`` on the
-    core coordinates of the cocycles ``kernel``, 0 without a kernel."""
+    core coordinates of the cocycles ``kernel``, 0 without a kernel.
+    The ``budget`` of ``cohomology_group`` also bounds the dense
+    canonical basis (``_echelon``) before ``normalize``,
+    ``class_representative`` or ``classes`` builds it.  The canonical
+    generators that ``stabilized_h2`` picks are bounded by its caller:
+    ``extension.classify`` checks the same estimate first."""
 
-    def __init__(self, module, degree, relations, kernel, boundary):
+    def __init__(self, module, degree, relations, kernel, boundary, budget):
         self.module, self.degree, self._rel = module, degree, relations
+        self._budget = budget
         self._kernel, self._boundary = kernel, boundary
         self._canonical = {}
         self.group, self._pres, self._gen_vecs = FGAbelianGroup(0, ()), None, ()
@@ -224,6 +230,12 @@ class CohomologyGroup:
         return modular_echelon(self._rel.bar_coboundaries(),
                                self._rel.bar_mods)
 
+    def _require_canonical_budget(self):
+        """BudgetExceededError when ``_echelon`` would have more dense
+        cells than the budget, checked before any cochain is converted."""
+        require_within_budget(self.module.gamma, self._rel.t, self.degree,
+                              self._budget, canonical=True)
+
     def _canonical_vec(self, vec):
         """Lexicographically smallest normalized cocycle vector in the
         class of the normalized cocycle ``vec``, by greedy reduction
@@ -255,6 +267,7 @@ class CohomologyGroup:
         """The canonical representative of the class of the cocycle
         ``c``: the lexicographically smallest normalized cocycle in it
         (flat entries in [0, q)); ValidationError on other cochains."""
+        self._require_canonical_budget()
         vec, _ = self._normalized(c)
         return Cochain(self.degree,
                        self._rel.to_cochain(self._canonical_vec(vec)))
@@ -262,6 +275,7 @@ class CohomologyGroup:
     def class_representative(self, coords) -> Cochain:
         """The lexicographically smallest normalized cocycle in the class
         with the given coordinates."""
+        self._require_canonical_budget()
         return Cochain(self.degree,
                        self._rel.to_cochain(self._canonical_class(coords)))
 
@@ -300,14 +314,15 @@ def cohomology_group(M: GammaModule, p: int, budget: int = 2_000_000) -> Cohomol
     columns' q_f e_f.  A cocycle with core coordinates 0 is 0 mod Q, so
     a witness a of phi = d_(p-1) a (mod mods) heads a solution lambda of
     boundary^T lambda = coordinates(phi).  ``budget`` caps what
-    ``require_within_budget`` bounds.
+    ``require_within_budget`` bounds, here and for the canonical
+    representatives of the group.
     """
     if p not in (0, 1, 2):
         raise ValidationError("cohomology supported only in degrees 0..2")
     require_within_budget(M.gamma, M.coeff.ncoords, p, budget)
     rel = RelationModule(M, p)
     if rel.dim == 0 or M.coeff.order() == 1:
-        return CohomologyGroup(M, p, rel, None, None)
+        return CohomologyGroup(M, p, rel, None, None, budget)
     Q = M.coeff.exponent()
     kernel = unit_pivot_kernel(rel.cocycle_rows(Q), rel.dim, Q)
 
@@ -319,7 +334,7 @@ def cohomology_group(M: GammaModule, p: int, budget: int = 2_000_000) -> Cohomol
     if None in coords_rows:
         raise InternalCheckError("boundary generator is not a cocycle")
     return CohomologyGroup(M, p, rel, kernel, IntMatrix.from_rows(
-        coords_rows, cols=len(kernel.free)))
+        coords_rows, cols=len(kernel.free)), budget)
 
 
 def eckmann_check(M: GammaModule, p: int, H: CohomologyGroup = None) -> bool:
@@ -372,7 +387,7 @@ class StabilizedH2:
     generator_coords: tuple       # canonical stable generators, coordinates
     module: GammaModule           # the coefficient module at level k_used
     cohomology: CohomologyGroup   # H^2 at level k_used
-    tower_orders: tuple           # |H^2| at each computed level
+    tower_orders: tuple           # |H^2| at levels 1 to max(max_k, k_used)
 
     @property
     def representatives(self):
@@ -469,10 +484,11 @@ def stabilized_h2(gamma: FiniteGroup, Z: DiagonalizableGroup, module_at,
 
     ``module_at(n_power)`` must return the GammaModule on the torsion
     subgroup Z[n_power], compatibly across levels.  Levels 1 to
-    max(max_k, k_used) are listed in ``tower_orders``; equal levels
-    share one H^2.  Without a torus Z[n^k] is the same module for every
-    k >= max(e, 1), so ``module_at`` runs only up to that level and the
-    higher levels reuse its module and H^2.
+    max(max_k, k_used) are listed in ``tower_orders``, but ``module_at``
+    and H^2 run only up to the level from which on every order is the
+    same, and the higher levels list its order: without a torus Z[n^k]
+    is one module for every k >= max(e, 1); with one, (c) below holds
+    from k_used on.
 
     Let D' be the n-primary torsion of Z, T' its torus part and e the
     least e >= 0 with n^e (D'/T') = 0: the n-part of every finite
@@ -485,6 +501,10 @@ def stabilized_h2(gamma: FiniteGroup, Z: DiagonalizableGroup, module_at,
         iota o delta_k = delta_(k+1) o n = 0.
     (b) For k >= e + 1, level k -> H^2(D') is onto: the next map
         factors through n on H^2(T'), which is 0.
+    (c) So for k >= e + 1 level k is an extension of H^2(Gamma, D') by
+        H^1(Gamma, T'): the kernel delta_k(H^1(T')) is all of H^1(T'),
+        as H^1(D') -> H^1(T') factors through n on H^1(T') too.  Its
+        order does not depend on k.
     So the image of level k_used - 1 in level k_used is H^2(Gamma, Z)
     for k_used = e + 2.  Without a torus every level from max(e, 1) on
     is H^2(D'), and k_used = max(e, 1) + 1 (the same when e = 0).  The
@@ -506,14 +526,17 @@ def stabilized_h2(gamma: FiniteGroup, Z: DiagonalizableGroup, module_at,
         e += 1
     k_used = e + 2 if Z.torus_rank else max(e, 1) + 1
 
-    # the levels below ``built`` differ in their coefficient groups
+    # every level from ``built`` on has the order of level ``built``:
+    # one module without a torus, (c) with one
     top = max(max_k, k_used)
-    built = top if Z.torus_rank else max(e, 1)
+    built = k_used if Z.torus_rank else max(e, 1)
     Hs = [cohomology_group(module_at(n ** k), 2, budget)
           for k in range(1, built + 1)]
-    Hs += [Hs[-1]] * (top - built)
-    low, H = Hs[k_used - 2], Hs[k_used - 1]
+    orders = [h.order() for h in Hs]
+    # without a torus, levels k_used - 1 = built and k_used share a module
+    low, H = Hs[k_used - 2], Hs[-1]
     struct, gen_coords = _image_subgroup(
         low, H, torsion_inclusion(Z, n ** (k_used - 1), n ** k_used))
     return StabilizedH2(struct, k_used, _canonical_basis(H, struct, gen_coords),
-                        H.module, H, tuple(h.order() for h in Hs))
+                        H.module, H,
+                        tuple(orders + [orders[-1]] * (top - built)))

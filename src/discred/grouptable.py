@@ -39,6 +39,19 @@ class FiniteGroup:
         """
         return tuple(generating_set(self))
 
+    @cached_property
+    def _cayley_graphs(self):
+        return {}
+
+    def cayley_graph(self):
+        """The ``CayleyGraph`` of the group on S = ``generators``, built
+        once per S: a group whose S changes gets a graph on the new S."""
+        gens = self.generators
+        graph = self._cayley_graphs.get(gens)
+        if graph is None:
+            graph = self._cayley_graphs[gens] = CayleyGraph(self, gens)
+        return graph
+
     def mul(self, i, j):
         return self.table[i][j]
 
@@ -134,6 +147,109 @@ def closure(identity, gens, mul, cap, what):
                 elements.append(y)
                 tree.append((i, gi))
     return elements, index, tree
+
+
+class CayleyGraph:
+    """The Cayley graph of the finite group ``gamma`` on the generating
+    tuple ``gens`` = S: the combinatorics of the complex
+    A -> A^S -> Hom_Gamma(R, A) of ``relations.RelationModule``, which
+    depend on (Gamma, S) alone, so that every module, degree and tower
+    level over Gamma shares them (``FiniteGroup.cayley_graph``).
+
+    The edges are the pairs (x, s index), from x to xs.  The
+    breadth-first tree of ``closure`` from the identity holds n - 1 of
+    them, one into each vertex but the identity (``parent``); each of
+    the other m = n|S| - n + 1 edges (``edges``, numbered by
+    ``edge_index``) closes the fundamental cycle C_(x,s): the edge, plus
+    the tree path to x, minus the tree path to xs.  These cycles are a
+    Z-basis of the cycle space R.  The closure reaches each s in S from
+    the identity first, so the edges (1, s) are tree edges."""
+
+    def __init__(self, gamma, gens):
+        # the table, not the group: the group keeps the graph
+        self.table, self.gens = gamma.table, gens
+        elems, _, tree = closure(gamma.identity, gens, gamma.mul,
+                                 gamma.order, "group")
+        self.vertices = elems
+        # tree edge into each vertex but the identity: (parent, s index)
+        self.parent = {z: (elems[i], si)
+                       for z, (i, si) in zip(elems[1:], tree[1:])}
+        tree_edges = set(self.parent.values())
+        self.edges = [(x, si) for x in elems for si in range(len(gens))
+                      if (x, si) not in tree_edges]
+        self.edge_index = {e: k for k, e in enumerate(self.edges)}
+
+    @cached_property
+    def cycles(self):
+        """The basis cycles as lists of (vertex, s index, coefficient)
+        edge terms, built on first use: d_0 reads none."""
+        return [self._cycle(x, si) for x, si in self.edges]
+
+    def _path(self, y):
+        """Vertices whose tree edges lead from the identity to y."""
+        path = []
+        while y in self.parent:
+            path.append(y)
+            y = self.parent[y][0]
+        return path[::-1]
+
+    def _cycle(self, x, si):
+        """The basis cycle of the edge (x, s); the tree paths to its two
+        ends share their first edges, which cancel."""
+        to_x = self._path(x)
+        to_xs = self._path(self.table[x][self.gens[si]])
+        common = 0
+        while (common < min(len(to_x), len(to_xs))
+               and to_x[common] == to_xs[common]):
+            common += 1
+        return ([(x, si, 1)]
+                + [self.parent[z] + (1,) for z in to_x[common:]]
+                + [self.parent[z] + (-1,) for z in to_xs[common:]])
+
+    @cached_property
+    def translates(self):
+        """translates[s index][j]: the (edge number, coefficient) terms of
+        s.C_j on the edges outside the tree, where it has its coordinates
+        in the basis of R.  The edges of a cycle are distinct, and so are
+        their translates."""
+        index = self.edge_index
+        out = []
+        for s in self.gens:
+            row = self.table[s]
+            per_cycle = []
+            for terms in self.cycles:
+                coef = [(index.get((row[x], si)), c) for x, si, c in terms]
+                per_cycle.append([(e, c) for e, c in coef if e is not None])
+            out.append(per_cycle)
+        return out
+
+    @cached_property
+    def d1_blocks(self):
+        """The rows of d_1 under the trivial action, one per basis cycle:
+        (s index, sum of the coefficients of the edges (y, s) of the
+        cycle) pairs, nonzero, s in order of first appearance.  Row r of
+        d_1 on t coordinates has the entries (s t + r, sum)."""
+        rows = []
+        for terms in self.cycles:
+            row = {}
+            for _, si, c in terms:
+                row[si] = row.get(si, 0) + c
+            rows.append([(si, v) for si, v in row.items() if v])
+        return rows
+
+    @cached_property
+    def d2_blocks(self):
+        """The rows of d_2 under the trivial action, one per (s, C_j):
+        phi(s.C_j) - phi(C_j) as (cycle number, coefficient) pairs,
+        nonzero.  Row r of d_2 on t coordinates has the entries
+        (k t + r, coefficient)."""
+        rows = []
+        for per_cycle in self.translates:
+            for j, coef in enumerate(per_cycle):
+                row = dict(coef)
+                row[j] = row.get(j, 0) - 1
+                rows.append([(k, v) for k, v in row.items() if v])
+        return rows
 
 
 def compose(e, g):

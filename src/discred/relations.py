@@ -6,14 +6,18 @@ Lyndon's exact sequence 0 -> R -> Z Gamma^S -> Z Gamma -> Z -> 0
 1960), with R the cycle space of the Cayley graph of (Gamma, S), gives
 the complex A -> A^S -> Hom_Gamma(R, A): H^0 = ker d_0,
 H^1 = ker d_1 / im d_0 and H^2 = coker d_1, the Hom_Gamma(R, A) inside
-A^m cut out by the equivariance map d_2.  ``cohomology`` does the
-lattice work; this module supplies the matrices and owns the normalized
-bar cochains that the API speaks (Brown, Cohomology of Groups, GTM 87,
-section I.5): their flat layout, the conversion to and from total
-cochains and the complex, the bar coboundary columns that canonical
-representatives reduce against, Light's test for 2-cocycles and the
-tree lift of coboundary witnesses.  ``require_within_budget`` bounds
-the cells of its matrices before any is built.
+A^m cut out by the equivariance map d_2.  The graph belongs to Gamma
+(``grouptable.CayleyGraph``, one per (Gamma, S)): its tree, cycles,
+their translates and the rows of d_1 and d_2 under the trivial action
+are shared by every module, degree and tower level over Gamma.
+``cohomology`` does the lattice work; this module supplies the
+matrices and owns the normalized bar cochains that the API speaks
+(Brown, Cohomology of Groups, GTM 87, section I.5): their flat layout,
+the conversion to and from total cochains and the complex, the bar
+coboundary columns that canonical representatives reduce against,
+Light's test for 2-cocycles and the tree lift of coboundary witnesses.
+``require_within_budget`` bounds the cells of its matrices before any
+is built.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import itertools
 from functools import cached_property
 
 from .errors import BudgetExceededError, ValidationError
-from .grouptable import FiniteGroup, closure
+from .grouptable import FiniteGroup
 
 
 class RelationModule:
@@ -32,12 +36,15 @@ class RelationModule:
     coefficient coordinates: one block in degree 0, one per s in S in
     degree 1 and one per basis cycle of R in degree 2.
 
-    The edges of the graph are the pairs (x, s), from x to xs.  The
-    breadth-first tree of ``closure`` from the identity holds n - 1 of
-    them; each of the other m = n|S| - n + 1 edges (x, s) closes the
-    fundamental cycle C_(x,s) (the edge, plus the tree path to x, minus
-    the tree path to xs), and these cycles are a Z-basis of R.  A map
-    phi on R is stored by its values phi(C_k) on the basis.
+    The graph is Gamma's own (``gamma.cayley_graph()``), built once per
+    (Gamma, S) and read here.  Its edges are the pairs (x, s), from x to
+    xs.  The breadth-first tree of ``closure`` from the identity holds
+    n - 1 of them; each of the other m = n|S| - n + 1 edges (x, s) closes
+    the fundamental cycle C_(x,s) (the edge, plus the tree path to x,
+    minus the tree path to xs), and these cycles are a Z-basis of R.  A
+    map phi on R is stored by its values phi(C_k) on the basis.  The
+    module keeps the matrix of each element of Gamma, None where it is
+    the identity, which then costs no t x t product.
 
     The differentials: d_0 a = (s.a - a)_s; d_1 a = phi_a, with
     phi_a(C) the sum of the terms y.a_s over the edges (y, s) of C; and
@@ -60,63 +67,34 @@ class RelationModule:
     c(x, ys) = c(x, y) + c(xy, s) - x.c(y, s)."""
 
     def __init__(self, M, p):
-        gamma = M.gamma
         self.module = M
         self.p = p
-        self.gens = gamma.generators
-        elems, _, tree = closure(gamma.identity, self.gens, gamma.mul,
-                                 gamma.order, "group")
-        self.vertices = elems
-        # tree edge into each vertex but the identity: (parent, s index)
-        self.parent = {z: (elems[i], si)
-                       for z, (i, si) in zip(elems[1:], tree[1:])}
-        tree_edges = set(self.parent.values())
-        self.edges = [(x, si) for x in elems for si in range(len(self.gens))
-                      if (x, si) not in tree_edges]
-        self.edge_index = {e: k for k, e in enumerate(self.edges)}
+        # the tree, the cycles and their translates belong to Gamma
+        self.graph = graph = M.gamma.cayley_graph()
+        self.gens = graph.gens
         self.t = t = M.coeff.ncoords
         # blocks of t coordinates in C^0, C^1, C^2
-        self.blocks = (1, len(self.gens), len(self.edges))
+        self.blocks = (1, len(self.gens), len(graph.edges))
         self.dim = self.blocks[self.p] * t
         self.mods = M.coeff.invariant_factors * self.blocks[self.p]
-        self.acts = {g: M.action[g].matrix.entries for g in elems}
-
-    @cached_property
-    def cycles(self):
-        """The basis cycles, built on first use: d_0 reads none."""
-        return [self._cycle(x, si) for x, si in self.edges]
-
-    def _path(self, y):
-        """Vertices whose tree edges lead from the identity to y."""
-        path = []
-        while y in self.parent:
-            path.append(y)
-            y = self.parent[y][0]
-        return path[::-1]
-
-    def _cycle(self, x, si):
-        """The basis cycle of the edge (x, s) as (vertex, s index,
-        coefficient) edge terms; the tree paths to its two ends share
-        their first edges, which cancel."""
-        to_x = self._path(x)
-        to_xs = self._path(self.module.gamma.mul(x, self.gens[si]))
-        common = 0
-        while (common < min(len(to_x), len(to_xs))
-               and to_x[common] == to_xs[common]):
-            common += 1
-        return ([(x, si, 1)]
-                + [self.parent[z] + (1,) for z in to_x[common:]]
-                + [self.parent[z] + (-1,) for z in to_xs[common:]])
+        ident = tuple(tuple(int(i == j) for j in range(t)) for i in range(t))
+        # the matrix of each element, None for the identity
+        self.acts = [None if a.matrix.entries == ident else a.matrix.entries
+                     for a in M.action]
+        self.trivial = all(a is None for a in self.acts)
 
     def _act(self, g, v):
-        return [sum(a * b for a, b in zip(row, v)) for row in self.acts[g]]
+        a = self.acts[g]
+        return v if a is None else [sum(x * y for x, y in zip(row, v))
+                                    for row in a]
 
     def _tree_sums(self, step):
         """v(1) = 0 and v(xs) = v(x) + step(x, s index) along the tree
         edges: v at every vertex."""
-        v = {self.vertices[0]: [0] * self.t}
-        for z in self.vertices[1:]:
-            x, si = self.parent[z]
+        vertices, parent = self.graph.vertices, self.graph.parent
+        v = {vertices[0]: [0] * self.t}
+        for z in vertices[1:]:
+            x, si = parent[z]
             v[z] = [a + b for a, b in zip(v[x], step(x, si))]
         return v
 
@@ -126,32 +104,42 @@ class RelationModule:
         of d_0 is row r of s - 1.  Column (s, i) of d_1 is phi of the
         unit vector e_i at s.  Row (s, j, r) of d_2 reads s.C_j on the
         edges outside the tree, where it has its coordinates in the
-        basis."""
-        t, mul = self.t, self.module.gamma.mul
+        basis.  Under the trivial action rows 1 and 2 expand the graph's
+        block rows over the t coordinates."""
+        t, acts, graph = self.t, self.acts, self.graph
         if k == 0:
-            return [[(i, a - (i == r)) for i, a in enumerate(self.acts[s][r])
+            return [[] if acts[s] is None else
+                    [(i, a - (i == r)) for i, a in enumerate(acts[s][r])
                      if a != (i == r)] for s in self.gens for r in range(t)]
+        if self.trivial:
+            blocks = graph.d1_blocks if k == 1 else graph.d2_blocks
+            return [[(b * t + r, v) for b, v in row]
+                    for row in blocks for r in range(t)]
         rows = []
         if k == 1:
-            for terms in self.cycles:
+            for terms in graph.cycles:
                 for r in range(t):
-                    row = {}
+                    row = {}    # s index -> the t values of its block
                     for y, si, c in terms:
-                        for i, a in enumerate(self.acts[y][r], si * t):
-                            row[i] = row.get(i, 0) + c * a
-                    rows.append([(i, v) for i, v in row.items() if v])
+                        block = row.setdefault(si, [0] * t)
+                        if acts[y] is None:
+                            block[r] += c
+                        else:
+                            for i, a in enumerate(acts[y][r]):
+                                block[i] += c * a
+                    rows.append([(si * t + i, v) for si, block in row.items()
+                                 for i, v in enumerate(block) if v])
             return rows
-        for s in self.gens:
-            amat = self.acts[s]
-            for j, terms in enumerate(self.cycles):
-                # the edges of a cycle are distinct, and so are their
-                # translates
-                coef = [(self.edge_index.get((mul(s, x), si)), c)
-                        for x, si, c in terms]
+        for s, per_cycle in zip(self.gens, graph.translates):
+            amat = acts[s]
+            for j, coef in enumerate(per_cycle):
                 for r in range(t):
-                    row = {e * t + r: c for e, c in coef if e is not None}
-                    for i, a in enumerate(amat[r], j * t):
-                        row[i] = row.get(i, 0) - a
+                    row = {e * t + r: c for e, c in coef}
+                    if amat is None:
+                        row[j * t + r] = row.get(j * t + r, 0) - 1
+                    else:
+                        for i, a in enumerate(amat[r], j * t):
+                            row[i] = row.get(i, 0) - a
                     rows.append([(i, v) for i, v in row.items() if v])
         return rows
 
@@ -159,9 +147,12 @@ class RelationModule:
         """The rows of d_p, sparse as ``_rows`` gives them, row r scaled
         by Q / q_r for the modulus q_r of its coordinate, so that the
         cocycles are the congruence kernel mod Q."""
-        mods = self.module.coeff.invariant_factors
-        return [[(j, (Q // mods[r % self.t]) * v) for j, v in row]
-                for r, row in enumerate(self._rows(self.p))]
+        scale = [Q // q for q in self.module.coeff.invariant_factors]
+        rows = self._rows(self.p)
+        if all(x == 1 for x in scale):
+            return rows
+        return [[(j, scale[r % self.t] * v) for j, v in row]
+                for r, row in enumerate(rows)]
 
     def coboundaries(self):
         """The columns of d_(p-1), the images of the unit vectors of
@@ -268,13 +259,15 @@ class RelationModule:
         A x Gamma, such elements are closed under products, and S reaches
         all of the finite group Gamma by non-empty words."""
         gamma, mods = self.module.gamma, self.module.coeff.invariant_factors
-        mul, n = gamma.mul, gamma.order
+        mul, n, act = gamma.mul, gamma.order, self._act
         for g in range(n):
+            trivial = self.acts[g] is None
             for s in self.gens:
                 gs, cgs = mul(g, s), c(g, s)
                 for h in range(n):
+                    csh = c(s, h)
                     if any((a - b + d - e) % q for a, b, d, e, q in
-                           zip(self._act(g, c(s, h)), c(gs, h),
+                           zip(csh if trivial else act(g, csh), c(gs, h),
                                c(g, mul(s, h)), cgs, mods)):
                         return (g, s, h)
         return None
@@ -316,7 +309,7 @@ class RelationModule:
             return None
         beta = self._tree_sums(lambda x, si: c(x, self.gens[si]))
         out = []
-        for x, si in self.edges:
+        for x, si in self.graph.edges:
             s = self.gens[si]
             out.extend(a + b - d for a, b, d in
                        zip(beta[x], c(x, s), beta[mul(x, s)]))
@@ -328,7 +321,8 @@ class RelationModule:
         edges (x, s), extended along the tree in the second argument.
         The closure reaches each s in S from the identity first, so the
         edges (1, s) are tree edges and the cocycle vanishes at the
-        identity."""
+        identity.  Along the tree edge (p, s) into y,
+        c(x, y) = c(x, p) + c(xp, s), as c(p, s) = 0."""
         gamma, t = self.module.gamma, self.t
         if self.p == 0:
             return self._reduce_bar(phi)
@@ -338,20 +332,17 @@ class RelationModule:
             return self._reduce_bar([v for (g,) in self.bar_index
                                      for v in f[g]])
         zero = [0] * t
-
-        def edge(x, si):
-            k = self.edge_index.get((x, si))
-            return zero if k is None else phi[k * t:(k + 1) * t]
-
-        elements = range(gamma.order)
+        graph = self.graph
+        index, table = graph.edge_index, gamma.table
         col = {gamma.identity: [zero] * gamma.order}   # col[y][x] = c(x, y)
-        for y in self.vertices[1:]:
-            p, si = self.parent[y]
+        for y in graph.vertices[1:]:
+            p, si = graph.parent[y]
             cp = col[p]
-            col[y] = [[a + b - d for a, b, d in
-                       zip(cp[x], edge(gamma.mul(x, p), si),
-                           self._act(x, edge(p, si)))]
-                      for x in elements]
+            col[y] = out = []
+            for x, cx in enumerate(cp):
+                k = index.get((table[x][p], si))
+                out.append(cx if k is None else
+                           [a + b for a, b in zip(cx, phi[k * t:(k + 1) * t])])
         vec = [0] * len(self.bar_mods)
         for (x, y), i in self.bar_index.items():
             vec[i * t:(i + 1) * t] = col[y][x]
@@ -427,11 +418,11 @@ def require_within_budget(gamma: FiniteGroup, t: int, p: int, budget: int,
     and d_p r_p x c_p (r_0 = |S| t, r_1 = m t, r_2 = |S| m t), degree p
     counts max(r_p, c_(p-1) + c_p) c_p.  With ``canonical`` it first
     counts the dense triangular basis that canonical representatives of
-    H^2 reduce against, ((n-1)^2 t)^2 entries; that check needs no
+    H^p reduce against, ((n-1)^p t)^2 entries; that check needs no
     generating set."""
     n = gamma.order
     if canonical:
-        dim = (n - 1) ** 2 * t
+        dim = (n - 1) ** p * t
         if dim * dim > budget:
             raise BudgetExceededError(
                 f"canonical form size {dim}x{dim} exceeds budget {budget}")

@@ -248,20 +248,22 @@ class TestInverseOncePerElement:
         C4.  The generator acts on the level Z/m by inversion, so d_2 has
         the one row 2 e_C mod m: a unit-pivot elimination leaves a 1 x 1
         core for a congruence kernel Smith form at every level but C2's
-        first (m = 2, where the row is 0 mod 2): 13 Smith forms over C2
-        and 14 over C4, where the dense kernel of d_2 took one at every
-        level, 14 either way.  The center has no finite part, so the
-        stable group is the one image of level 1 in level 2 (two Smith
-        forms); the comparison loop that picked the level also formed the
-        images of level 1 in 3, 2 in 3, 2 in 4 and 3 in 4, two Smith
-        forms each, 22 in all."""
+        first (m = 2, where the row is 0 mod 2).  The center is a torus
+        with e = 0, so only levels 1 and k_used = 2 are computed, and
+        levels 3 and 4 list the order of level 2: 9 Smith forms over C2
+        and 10 over C4, where computing all four levels took 13 and 14,
+        and the dense kernel of d_2 one more at every level.  The stable
+        group is the one image of level 1 in level 2 (two Smith forms);
+        the comparison loop that picked the level also formed the images
+        of level 1 in 3, 2 in 3, 2 in 4 and 3 in 4, two Smith forms
+        each, 22 in all."""
         with open(_problem("gl2_z2_swap.json")) as fh:
             data = json.load(fh)
         data["gamma"] = {"type": "cyclic", "n": n}
         path = tmp_path / "gl2_swap.json"
         path.write_text(json.dumps(data))
         counts = _classify_counts(monkeypatch, capsys, str(path))
-        assert counts == {"smith_normal_form": {2: 13, 4: 14}[n],
+        assert counts == {"smith_normal_form": {2: 9, 4: 10}[n],
                           "inverse_unimodular": 2}
 
 

@@ -479,12 +479,14 @@ class TestOnceOnly:
         assert counts == {"smith_normal_form": 1, "express_in_simple": 1}
 
     @pytest.mark.parametrize("name,calls", [
-        ("sl2_z2_trivial.json", 1), ("gl2_z2_swap.json", 4)])
+        ("sl2_z2_trivial.json", 1), ("gl2_z2_swap.json", 2)])
     def test_tower_computes_each_distinct_module_once(
             self, capsys, monkeypatch, name, calls):
         """SL2 has no torus, so its levels Z(G)[2^k] = Z/2 are one module
         from level max(e, 1) = 1 on and share one H^2, where each of the
-        four levels took its own; GL2's levels C*[2^k] all differ."""
+        four levels took its own.  GL2's levels C*[2^k] all differ, but
+        from level e + 1 = 1 on they have one order, so only levels 1
+        and k_used = 2 are computed, where all four were."""
         counts = {}
         _count(monkeypatch, counts, cohomology, "cohomology_group")
         code, out, _ = run(capsys, "classify", "--input", problem(name),
@@ -492,6 +494,24 @@ class TestOnceOnly:
         assert code == 0
         assert len(json.loads(out)["tower_orders"]) == 4
         assert counts == {"cohomology_group": calls}
+
+    def test_huge_max_k_lists_levels_without_computing_them(
+            self, capsys, monkeypatch):
+        """C* under inversion has a torus and e = 0: levels from 1 on have
+        one order, so ``--max-k 1000000`` lists a million orders and
+        computes H^2 at levels 1 and k_used = 2 only, where it built
+        every level."""
+        counts = {}
+        _count(monkeypatch, counts, cohomology, "cohomology_group")
+        code, out, err = run(capsys, "classify", "--input",
+                             problem("torus_inversion.json"),
+                             "--max-k", "1000000", "--format", "json")
+        assert code == 0 and "Traceback" not in err
+        report = json.loads(out)
+        orders, k_used = report["tower_orders"], report["k_used"]
+        assert len(orders) == 10 ** 6
+        assert set(orders[k_used - 1:]) == {orders[k_used - 1]}
+        assert counts["cohomology_group"] <= k_used
 
     def test_oversized_gamma_exits_before_ad_and_modules(
             self, capsys, monkeypatch, tmp_path):

@@ -213,12 +213,15 @@ def test_permutation_torus_gives_schur_multiplier(label):
     assert res.k_used == 2
 
 
-@pytest.mark.parametrize("case,calls", [("SL2/C2", 1), ("GL2-swap", 4)])
+@pytest.mark.parametrize("case,calls", [("SL2/C2", 1), ("GL2-swap", 2)])
 def test_module_at_runs_up_to_the_equal_levels(case, calls):
     """Without a torus the levels from max(e, 1) on are one module:
     SL2 under a trivial C2 (e = 1) builds level 1 only and lists it for
-    all four levels; GL2 under the swap has a torus and builds every
-    level.  The listed orders are those of every level built alone."""
+    all four levels.  GL2 under the swap has a torus with e = 0: the
+    levels from e + 1 on have one order, so it builds levels 1 and
+    k_used = 2 and lists the order of level 2 for levels 3 and 4, where
+    it built all four.  The listed orders are those of every level
+    built alone."""
     if case == "SL2/C2":
         based = standard.sl2()
         ad = trivial_ad(based, cyclic(2))
@@ -237,3 +240,23 @@ def test_module_at_runs_up_to_the_equal_levels(case, calls):
     assert res.tower_orders == tuple(
         cohomology_group(inner(n ** k), 2).order() for k in range(1, 5))
     assert res.module == inner(n ** res.k_used)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_listed_orders_match_the_levels_computed_alone(data):
+    """With a torus the levels from e + 1 on have one order, so levels
+    past k_used list the order of k_used without computing H^2; on the
+    signed permutation tori each listed order is that of its level's
+    H^2, computed alone."""
+    name = data.draw(st.sampled_from(sorted(GAMMAS)))
+    r = data.draw(st.integers(1, 3))
+    mats = data.draw(st.sampled_from(_actions(name, r)))
+    max_k = data.draw(st.integers(2, 6))
+    gamma = from_generators(*GAMMAS[name])
+    Zg, module_at = _torus_tower(gamma, mats)
+    res = stabilized_h2(gamma, Zg, module_at, max_k=max_k)
+    n = gamma.order
+    assert res.tower_orders == tuple(
+        cohomology_group(module_at(n ** k), 2).order()
+        for k in range(1, max_k + 1))

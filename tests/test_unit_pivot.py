@@ -13,9 +13,10 @@ from dense_h2_reference import DenseH, dense_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discred import exactlin
+from discred import cohomology, exactlin
 from discred.abgroup import FGAbelianGroup
 from discred.cohomology import Cochain, cohomology_group, trivial_module
+from discred.errors import BudgetExceededError
 from discred.exactlin import congruence_kernel_basis, unit_pivot_kernel
 from discred.grouptable import from_generators
 from discred.relations import RelationModule
@@ -237,3 +238,23 @@ def test_s6_at_the_default_budget(monkeypatch, q):
     assert len(shapes) == 1 + len(cores) and len(cores) == (q == 4)
     bound = max([r * c for r, c in cores] + [free * relations])
     assert max(r * c for r, c in shapes) <= bound < 1000
+
+
+def test_s6_canonical_forms_exceed_the_budget_before_any_conversion(
+        monkeypatch):
+    """H^2(S6, Z/2) fits the default budget, but its dense canonical basis
+    would have ((n - 1)^2 t)^2 = 516961^2 cells.  ``normalize``,
+    ``class_representative`` and ``classes`` name that estimate in a
+    BudgetExceededError before any cochain is read or converted: the
+    cochain given to ``normalize`` is not even total."""
+    H = cohomology_group(trivial_module(S6, FGAbelianGroup(0, (2,))), 2)
+
+    def never(*args):
+        raise AssertionError("the dense canonical basis was built")
+    monkeypatch.setattr(cohomology, "modular_echelon", never)
+    dim = 719 ** 2
+    message = f"canonical form size {dim}x{dim} exceeds budget 2000000"
+    for call in (lambda: H.normalize(Cochain(2, ())),
+                 lambda: H.class_representative((1, 0)), H.classes):
+        with pytest.raises(BudgetExceededError, match=message):
+            call()
