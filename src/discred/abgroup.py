@@ -221,6 +221,19 @@ def torsion_at(G: DiagonalizableGroup, n: int) -> FGAbelianGroup:
     return FGAbelianGroup(0, tuple(factors))
 
 
+def stable_level(G: DiagonalizableGroup, n: int) -> int:
+    """The level k_used at which ``cohomology.stabilized_h2`` reads
+    H^2(Gamma, G) off the tower G[n^k], n = |Gamma| > 1 (its docstring
+    proves it): e + 2 with a torus, max(e, 1) + 1 without, for the least
+    e >= 0 with n^e killing the n-part of every finite invariant
+    factor."""
+    fin = G.finite_part.invariant_factors
+    e = 0
+    while any(gcd(f, n ** e) != gcd(f, n ** (e + 1)) for f in fin):
+        e += 1
+    return e + 2 if G.torus_rank else max(e, 1) + 1
+
+
 def torsion_inclusion(G: DiagonalizableGroup, n: int, N: int) -> AbHom:
     """Canonical inclusion Z(G)[n] -> Z(G)[N] for n | N.
 

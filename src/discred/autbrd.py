@@ -241,14 +241,18 @@ def validate_ad(based: BasedRootDatum, ad: AdHom):
     and if Ad(x)Ad(w) = Ad(xw) for all x then
     Ad(x)Ad(ws) = Ad(x)Ad(w)Ad(s) = Ad(xw)Ad(s) = Ad(xws), so with
     Ad(1) = 1 it holds for all x and y by induction on the length of
-    y."""
+    y.  Each distinct image matrix is checked once; a rejected one is
+    named by the first element that carries it."""
     gamma = ad.gamma
     if len(ad.images) != gamma.order:
         return "images are not total on gamma"
+    checked = set()
     for i, im in enumerate(ad.images):
-        chk = is_brd_automorphism(based, im.matrix)
-        if not chk.ok:
-            return f"image of element {i} fails: {chk.witness}"
+        if im.matrix not in checked:
+            chk = is_brd_automorphism(based, im.matrix)
+            if not chk.ok:
+                return f"image of element {i} fails: {chk.witness}"
+            checked.add(im.matrix)
     ident = ad.images[gamma.identity].matrix
     if ident.entries != IntMatrix.identity(based.datum.rank).entries:
         return "image of the identity is not the identity matrix"

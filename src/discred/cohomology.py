@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
 
 from .abgroup import AbHom, DiagonalizableGroup, FGAbelianGroup
 from .errors import InternalCheckError, ValidationError
@@ -512,7 +511,7 @@ def stabilized_h2(gamma: FiniteGroup, Z: DiagonalizableGroup, module_at,
     has e = 1 and tower orders 1, 2, 2, 2, but the image of level 1 in
     level 2 is 0, while H^2 = Z/2 is the image of level 2 in level 3.
     """
-    from .abgroup import torsion_inclusion
+    from .abgroup import stable_level, torsion_inclusion
 
     n = gamma.order
     if n == 1:
@@ -520,16 +519,11 @@ def stabilized_h2(gamma: FiniteGroup, Z: DiagonalizableGroup, module_at,
         H = cohomology_group(M, 2, budget=budget)
         return StabilizedH2(H.group, 1, (), M, H, (H.order(),))
 
-    fin = Z.finite_part.invariant_factors
-    e = 0
-    while any(gcd(f, n ** e) != gcd(f, n ** (e + 1)) for f in fin):
-        e += 1
-    k_used = e + 2 if Z.torus_rank else max(e, 1) + 1
-
+    k_used = stable_level(Z, n)
     # every level from ``built`` on has the order of level ``built``:
     # one module without a torus, (c) with one
     top = max(max_k, k_used)
-    built = k_used if Z.torus_rank else max(e, 1)
+    built = k_used if Z.torus_rank else k_used - 1
     Hs = [cohomology_group(module_at(n ** k), 2, budget)
           for k in range(1, built + 1)]
     orders = [h.order() for h in Hs]

@@ -20,11 +20,12 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .abgroup import DiagonalizableGroup, FGAbelianGroup, torsion_at
+from .abgroup import (DiagonalizableGroup, FGAbelianGroup, stable_level,
+                      torsion_at)
 from .autbrd import AdHom, center_action_at, presented_action
 from .cohomology import (Cochain, CohomologyGroup, GammaModule, cochain_sum,
                          cohomology_group, gamma_module, stabilized_h2)
-from .errors import InternalCheckError, ValidationError
+from .errors import BudgetExceededError, InternalCheckError, ValidationError
 from .grouptable import (FiniteGroup, check_action, hom_check, quotient,
                          semidirect_product, twisted_rows, validate_table)
 from .relations import RelationModule, require_within_budget
@@ -394,6 +395,12 @@ def classify(based: BasedRootDatum, ad: AdHom, max_k: int = 4,
     # the coefficient rank is the same at every tower level n^k, k >= 1
     require_within_budget(gamma, torsion_at(Z, gamma.order).ncoords, 2,
                           budget, canonical=True)
+    # the report lists one order per level 1 to max(max_k, k_used)
+    levels = (1 if gamma.order == 1 else
+              max(max_k, stable_level(Z, gamma.order)))
+    if levels > budget:
+        raise BudgetExceededError(
+            f"tower_orders length {levels} exceeds budget {budget}")
     require_valid_ad(based, ad)
 
     res = stabilized_h2(gamma, Z, center_modules(cd, ad), max_k=max_k,

@@ -46,7 +46,9 @@ class BasedRootDatum:
     datum: RootDatum
     simple_indices: tuple
     # the roots' coefficients in the simple roots as ``from_simple``'s
-    # closure found them (None for explicit roots); not compared
+    # closure found them (None for explicit roots); not compared.  A
+    # datum that carries them is trusted to be closed: ``defect`` skips
+    # ``validate`` for it
     closure_coefficients: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -79,8 +81,23 @@ class BasedRootDatum:
     @cached_property
     def defect(self):
         """``validate_based``'s verdict, computed on first use and kept
-        with the datum."""
-        msg = validate(self.datum)
+        with the datum.
+
+        A datum that ``standard.from_simple`` closed (it carries
+        ``closure_coefficients``) satisfies every axiom of ``validate``
+        except, possibly, distinct roots: its closure transported each
+        coroot consistently along every edge, so <c(r), r> = 2 and the
+        reflections and coreflections at every root are conjugates
+        w s_j w^{-1} and w^{-t} s_j^v w^t of simple ones, which permute
+        the closed sets R and R^v (the proof is ``from_simple``'s).  Its
+        non-simple roots are distinct keys of the closure, none of them
+        simple, so only a repeated simple root is left to find, with
+        ``validate``'s message.  Explicit roots take the full
+        ``validate``."""
+        if self.closure_coefficients is None:
+            msg = validate(self.datum)
+        else:
+            msg = _repeated_simple_root(self.simple_roots)
         if msg is not None:
             return msg
         idx = self.simple_indices
@@ -191,6 +208,17 @@ def validate(datum: RootDatum):
             bv, av = datum.coroots[j], datum.coroots[k]
             return (f"coreflection at root {k} does not permute the "
                     f"coroots (image of {bv} is {_reflect(bv, col[j], av)})")
+    return None
+
+
+def _repeated_simple_root(simple_roots):
+    """``validate``'s "duplicate root" message for the first simple root
+    equal to an earlier one, else None."""
+    seen = set()
+    for b in simple_roots:
+        if b in seen:
+            return f"duplicate root {b}"
+        seen.add(b)
     return None
 
 

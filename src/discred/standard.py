@@ -25,6 +25,20 @@ def from_simple(rank, simple_roots, simple_coroots) -> BasedRootDatum:
     coefficients once ``defect`` has found the simple roots independent,
     which it checks before reading any.
 
+    The closure is also the check of the root-datum axioms.  Every edge
+    (r, c) -> (s_i r, s_i^v c) is visited once, and a root reached again
+    must carry the same coroot, so every root is w alpha_j with coroot
+    w^{-t} alpha_j^v, w a product of the s_i (s_i^v is the transpose of
+    the involution s_i).  The pairing is W-invariant, so
+    <c(r), r> = <alpha_j^v, alpha_j> = 2; s_r = w s_j w^{-1} permutes R
+    and s_r^v = w^{-t} s_j^v w^t permutes R^v, as R is closed under every
+    s_i and R^v under every s_i^v (Springer, Linear Algebraic Groups,
+    7.4).  The only axiom of ``rootdatum.validate`` left to fail is a
+    repeated simple root, and ``BasedRootDatum.defect`` checks just
+    that.  When <alpha_i^v, r> = 0, s_i r = r and the transported
+    coroot c - <c, alpha_i> alpha_i^v is c exactly when
+    <c, alpha_i> = 0, so only that pairing is computed.
+
     Raises ValidationError when the simple data do not generate a finite
     consistent system.
     """
@@ -50,6 +64,11 @@ def from_simple(rank, simple_roots, simple_coroots) -> BasedRootDatum:
             for i, (a, av) in simple:
                 n = sum(map(mul, av, r))
                 m = sum(map(mul, c, a))
+                if not n:
+                    if m:
+                        raise ValidationError(
+                            "inconsistent coroot transport during closure")
+                    continue
                 r2 = tuple([x - n * y for x, y in zip(r, a)])
                 c2 = tuple([x - m * y for x, y in zip(c, av)])
                 if r2 in pairs:

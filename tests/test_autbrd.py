@@ -108,6 +108,36 @@ class TestAdHom:
         ad = trivial_ad(based, cyclic(3))
         assert validate_ad(based, ad) is None
 
+    def test_each_distinct_image_checked_once(self, monkeypatch, capsys):
+        """A trivial ad over C2 has one distinct image matrix, so it is
+        checked once, where each element's image took its own check."""
+        calls = []
+        inner = autbrd.is_brd_automorphism
+        monkeypatch.setattr(autbrd, "is_brd_automorphism",
+                            lambda *a: calls.append(a) or inner(*a))
+        assert main(["check", "--input",
+                     _problem("sl2_z2_trivial.json")]) == 0
+        assert len(calls) == 1
+
+    def test_shared_bad_image_named_by_first_element(self, monkeypatch):
+        """Elements 1 and 2 of C3 carry one non-unimodular matrix: it is
+        checked once and named by element 1, as when each element's image
+        was checked."""
+        based = standard.sl2()
+        gamma = cyclic(3)
+        bad = BRDAutomorphism(IntMatrix.from_rows([[2]]), (0,))
+        images = [BRDAutomorphism.identity(based), bad, bad]
+        calls = []
+        inner = autbrd.is_brd_automorphism
+        monkeypatch.setattr(autbrd, "is_brd_automorphism",
+                            lambda *a: calls.append(a) or inner(*a))
+        assert validate_ad(based, AdHom(gamma, tuple(images))) == (
+            "image of element 1 fails: matrix is not unimodular (det 2)")
+        assert len(calls) == 2
+        good = BRDAutomorphism.identity(based)
+        assert validate_ad(based, AdHom(gamma, (good, good, bad))) == (
+            "image of element 2 fails: matrix is not unimodular (det 2)")
+
     def test_flip_under_z2(self):
         based = standard.sl3()
         ad = ad_from_generator_images(based, cyclic(2), [[[0, 1], [1, 0]]])

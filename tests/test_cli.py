@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -434,14 +435,46 @@ def _count(monkeypatch, counts, module, name):
     monkeypatch.setattr(module, name, wrapper)
 
 
+def _d4_roots_problem(tmp_path):
+    """d4_adjoint_s3.json with its datum given by explicit roots."""
+    with open(problem("d4_adjoint_s3.json")) as fh:
+        data = json.load(fh)
+    datum = standard.d4_adjoint().datum
+    data["datum"] = {"rank": datum.rank, "roots": datum.roots,
+                     "coroots": datum.coroots,
+                     "simple_indices": [0, 1, 2, 3]}
+    path = tmp_path / "d4_roots.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
 class TestOnceOnly:
-    def test_classify_validates_datum_and_ad_once(self, capsys, monkeypatch):
+    @staticmethod
+    def _classify_checks(capsys, monkeypatch, path):
         counts = {}
         _count(monkeypatch, counts, rootdatum, "validate")
         _count(monkeypatch, counts, autbrd, "validate_ad")
-        code, _, _ = run(capsys, "classify", "--input",
-                         problem("d4_adjoint_s3.json"), "--format", "json")
+        code, out, _ = run(capsys, "classify", "--input", path,
+                           "--format", "json")
         assert code == 0
+        with open(os.path.join(os.path.dirname(__file__), "golden",
+                               "d4_adjoint_s3.json")) as fh:
+            assert out == fh.read()
+        return counts
+
+    def test_classify_validates_datum_and_ad_once(self, capsys, monkeypatch):
+        """Simple roots: the closure of ``from_simple`` is the check of
+        the root-datum axioms, so ``validate`` never runs."""
+        counts = self._classify_checks(capsys, monkeypatch,
+                                       problem("d4_adjoint_s3.json"))
+        assert counts == {"validate": 0, "validate_ad": 1}
+
+    def test_classify_validates_explicit_roots_once(
+            self, capsys, monkeypatch, tmp_path):
+        """Explicit roots have no closure behind them: ``validate`` runs
+        once, and the report is the same."""
+        counts = self._classify_checks(capsys, monkeypatch,
+                                       _d4_roots_problem(tmp_path))
         assert counts == {"validate": 1, "validate_ad": 1}
 
     @staticmethod
@@ -467,15 +500,8 @@ class TestOnceOnly:
     def test_explicit_roots_solve_once(self, capsys, monkeypatch, tmp_path):
         """Explicit roots have no closure record: the verdict and R+
         share one ``express_in_simple`` on the one Smith form."""
-        with open(problem("d4_adjoint_s3.json")) as fh:
-            data = json.load(fh)
-        datum = standard.d4_adjoint().datum
-        data["datum"] = {"rank": datum.rank, "roots": datum.roots,
-                         "coroots": datum.coroots,
-                         "simple_indices": [0, 1, 2, 3]}
-        path = tmp_path / "d4_roots.json"
-        path.write_text(json.dumps(data))
-        counts = self._weyl_counts(capsys, monkeypatch, str(path))
+        counts = self._weyl_counts(capsys, monkeypatch,
+                                   _d4_roots_problem(tmp_path))
         assert counts == {"smith_normal_form": 1, "express_in_simple": 1}
 
     @pytest.mark.parametrize("name,calls", [
@@ -512,6 +538,35 @@ class TestOnceOnly:
         assert len(orders) == 10 ** 6
         assert set(orders[k_used - 1:]) == {orders[k_used - 1]}
         assert counts["cohomology_group"] <= k_used
+
+    def test_oversized_max_k_exits_before_ad_and_modules(
+            self, capsys, monkeypatch):
+        """The report lists max(max_k, k_used) tower orders, and the
+        budget counts them: ``--max-k 100000000`` (about 700 MB of
+        report) exits 2 before any ``ad`` check or module."""
+        counts = {}
+        _count(monkeypatch, counts, autbrd, "validate_ad")
+        _count(monkeypatch, counts, cohomology, "gamma_module")
+        _count(monkeypatch, counts, extension, "gamma_module")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "classify", "--input",
+                             problem("torus_inversion.json"),
+                             "--max-k", "100000000", "--format", "json")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == ("budget exceeded: tower_orders length 100000000 "
+                       "exceeds budget 2000000\n")
+        assert counts == {"validate_ad": 0, "gamma_module": 0}
+
+    def test_max_k_at_the_budget_is_listed(self, capsys):
+        code, out, _ = run(capsys, "classify", "--input",
+                           problem("torus_inversion.json"), "--max-k", "40",
+                           "--budget", "40", "--format", "json")
+        assert code == 0 and len(json.loads(out)["tower_orders"]) == 40
+        code, _, err = run(capsys, "classify", "--input",
+                           problem("torus_inversion.json"), "--max-k", "41",
+                           "--budget", "40")
+        assert code == 2 and "tower_orders length 41 exceeds budget 40" in err
 
     def test_oversized_gamma_exits_before_ad_and_modules(
             self, capsys, monkeypatch, tmp_path):

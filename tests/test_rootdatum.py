@@ -1,3 +1,7 @@
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,7 +10,8 @@ from discred import rootdatum, standard
 from discred.errors import BudgetExceededError, ValidationError
 from discred.exactlin import IntMatrix
 from discred.grouptable import closure, compose
-from validate_reference import reference_validate
+from discred.cli import main
+from validate_reference import reference_defect, reference_validate
 
 from discred.rootdatum import (BasedRootDatum, RootDatum, almost_product_check,
                                center, dynkin, express_in_simple,
@@ -402,6 +407,137 @@ class TestRecordedCoefficients:
         assert validate_based(based) == msg
         with pytest.raises(ValidationError, match=f"^{msg}$"):
             weyl_generate(based)
+
+
+_PERTURBATIONS = ["none", "repeat", "repeat_coroot", "dependent",
+                  "non_base", "negate", "bc1"]
+
+
+@st.composite
+def _perturbed_simple(draw):
+    """``_simple_products`` simple data, perturbed (unless ``none`` is
+    drawn) by one of: a simple pair repeated; a simple root repeated
+    with another coroot that also pairs to 2 with it; a root of the
+    system and its coroot added as a dependent simple pair; a simple pair
+    replaced by another root of the system (a non-base set such as
+    alpha_1 + alpha_2, or a duplicate) or by its negative; or a BC_1
+    block e, 2e with coroots 2e, e on a new coordinate."""
+    rank, roots, coroots = draw(_simple_products())
+    roots, coroots = list(roots), list(coroots)
+    kind = draw(st.sampled_from(_PERTURBATIONS))
+    k = draw(st.integers(0, len(roots) - 1))
+    at = draw(st.integers(0, len(roots)))
+    if kind == "repeat":
+        roots.insert(at, roots[k])
+        coroots.insert(at, coroots[k])
+    elif kind == "repeat_coroot":
+        # c + 2u - <u, a> c pairs to 2 with a, as <c, a> = 2
+        a, c = roots[k], coroots[k]
+        u = draw(st.lists(st.integers(-1, 1), min_size=rank, max_size=rank))
+        m = sum(x * y for x, y in zip(u, a))
+        roots.insert(at, a)
+        coroots.insert(at, tuple(x + 2 * y - m * x for x, y in zip(c, u)))
+    elif kind in ("dependent", "non_base"):
+        datum = standard.from_simple(rank, roots, coroots).datum
+        j = draw(st.integers(0, datum.nroots - 1))
+        if kind == "dependent":
+            roots.insert(at, datum.roots[j])
+            coroots.insert(at, datum.coroots[j])
+        else:
+            roots[k], coroots[k] = datum.roots[j], datum.coroots[j]
+    elif kind == "negate":
+        roots[k] = tuple(-x for x in roots[k])
+        coroots[k] = tuple(-x for x in coroots[k])
+    elif kind == "bc1":
+        rank += 1
+        roots = [r + (0,) for r in roots]
+        coroots = [c + (0,) for c in coroots]
+        e = (0,) * (rank - 1)
+        pairs = [(e + (1,), e + (2,)), (e + (2,), e + (1,))]
+        for r, c in draw(st.permutations(pairs)):
+            roots.insert(at, r)
+            coroots.insert(at, c)
+    return rank, roots, coroots
+
+
+def _closure_verdict(case):
+    """(exit code, stderr) that the CLI owes the simple data ``case``:
+    ``from_simple``'s own error, else the verdict of ``reference_defect``
+    on the datum it closed."""
+    try:
+        based = standard.from_simple(*case)
+    except ValidationError as e:
+        msg = str(e)
+    else:
+        msg = reference_defect(based)
+    return (0, "") if msg is None else (1, f"error: {msg}\n")
+
+
+class TestClosureVerdict:
+    """A datum closed by ``from_simple`` skips ``validate``: its verdict
+    is only the distinctness of the simple roots, then the rank and sign
+    checks.  It must equal the verdict of the full check
+    (``reference_defect``) whenever ``from_simple`` returns."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_DATA))
+    def test_standard_data(self, name):
+        based = REFERENCE_DATA[name]()
+        assert based.defect is None and reference_defect(based) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(_perturbed_simple())
+    def test_perturbed_products(self, case):
+        try:
+            based = standard.from_simple(*case)
+        except ValidationError:
+            return
+        assert based.defect == reference_defect(based)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_perturbed_simple())
+    def test_cli_exit_and_message(self, tmp_path_factory, case):
+        rank, roots, coroots = case
+        path = tmp_path_factory.mktemp("simple") / "problem.json"
+        path.write_text(json.dumps({
+            "schema": 1, "datum": {"rank": rank, "simple_roots": roots,
+                                   "simple_coroots": coroots}}))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["center", "--input", str(path)])
+        assert (code, err.getvalue()) == _closure_verdict(case)
+
+    @pytest.mark.parametrize("rank,roots,coroots,msg", [
+        (1, [(2,), (2,)], [(1,), (1,)], "duplicate root (2,)"),
+        (2, [(1, 0), (0, 1), (1, 0)], [(2, -1), (-1, 2), (2, -1)],
+         "duplicate root (1, 0)"),
+        (1, [(1,), (2,)], [(2,), (1,)],
+         "simple roots are linearly dependent"),
+        (2, [(2, -1), (1, 1)], [(1, 0), (1, 1)],
+         "root (-1, 2) is neither positive nor negative (coeffs (-1, 1))"),
+        (2, [(-2, 1), (-1, 2)], [(-1, 0), (0, 1)],
+         "root (-1, -1) is neither positive nor negative (coeffs (1, -1))"),
+    ])
+    def test_named_cases(self, rank, roots, coroots, msg):
+        """A repeated simple pair, BC_1 and two non-bases of A2 pass the
+        closure; each keeps the message of the full check."""
+        based = standard.from_simple(rank, roots, coroots)
+        assert based.defect == reference_defect(based) == msg
+        assert validate(based.datum) == (
+            msg if msg.startswith("duplicate") else None)
+
+    @pytest.mark.parametrize("roots,coroots", [
+        ([(1, 0), (1, 0)], [(2, 0), (2, 1)]),
+        ([(1, 0), (0, 1)], [(2, 0), (1, 2)]),
+    ])
+    def test_inconsistent_coroots_fail_the_closure(self, roots, coroots):
+        """A simple root repeated with another coroot, and a zero pairing
+        <alpha_1^v, alpha_2> = 0 against <alpha_2^v, alpha_1> = 1: s_1
+        fixes alpha_2 but would move its coroot.  The closure raises at
+        the first such edge; without the check the second one never
+        closes."""
+        with pytest.raises(ValidationError,
+                           match="^inconsistent coroot transport"):
+            standard.from_simple(2, roots, coroots)
 
 
 class TestDynkin:

@@ -1,8 +1,14 @@
 """``rootdatum.validate`` as it was before reflected roots and coroots
 were found by their linear keys: every image with a nonzero pairing is
 built as a tuple and looked up in a set of tuples.  Kept as the
-reference that ``rootdatum.validate`` must match message for message."""
+reference that ``rootdatum.validate`` must match message for message.
 
+``reference_defect`` is ``BasedRootDatum.defect`` as it was before a
+datum closed by ``standard.from_simple`` skipped ``validate``: the full
+axiom check on every datum, then the simple indices, the rank of the
+simple roots and the signs of every root's coefficients."""
+
+from fractions import Fraction
 from operator import mul
 
 
@@ -41,4 +47,42 @@ def reference_validate(datum):
                 if img not in coroot_set:
                     return (f"coreflection at root {k} does not permute the "
                             f"coroots (image of {bv} is {img})")
+    return None
+
+
+def _rank(vectors):
+    """Rank of a list of integer vectors, by elimination over Q."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def reference_defect(based):
+    datum = based.datum
+    msg = reference_validate(datum)
+    if msg is not None:
+        return msg
+    idx = based.simple_indices
+    if len(set(idx)) != len(idx) or any(i < 0 or i >= datum.nroots
+                                        for i in idx):
+        return "simple_indices is not a subset of the root indices"
+    if idx and _rank([datum.roots[i] for i in idx]) < len(idx):
+        return "simple roots are linearly dependent"
+    for b, coeffs in zip(datum.roots, based.simple_coefficients):
+        if coeffs is None:
+            return (f"root {b} is not an integer combination of the "
+                    f"simple roots")
+        if not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):
+            return (f"root {b} is neither positive nor negative "
+                    f"(coeffs {coeffs})")
     return None
