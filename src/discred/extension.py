@@ -26,8 +26,9 @@ from .autbrd import AdHom, center_action_at, presented_action
 from .cohomology import (Cochain, CohomologyGroup, GammaModule, cochain_sum,
                          cohomology_group, gamma_module, stabilized_h2)
 from .errors import BudgetExceededError, InternalCheckError, ValidationError
-from .grouptable import (FiniteGroup, check_action, hom_check, quotient,
-                         semidirect_product, twisted_rows, validate_table)
+from .grouptable import (FiniteGroup, check_action, hom_check, is_normal,
+                         quotient, semidirect_product, twisted_rows,
+                         validate_table)
 from .relations import RelationModule, require_within_budget
 from .rootdatum import (BasedRootDatum, CenterData, center_data,
                         require_valid_based)
@@ -62,30 +63,40 @@ def build_extension(M: GammaModule, c: Cochain) -> ExtensionModel:
     (a1, g1)(a2, g2) = (a1 + g1.a2 + c(g1, g2), g1 g2).  Raises with the
     failing triple when c is not a cocycle (the table check: the law's
     associator is dc) and rejects non-normalized cochains, whose law has
-    no identity at (0, 1).
+    no identity at (0, 1).  Each value is looked up among
+    ``coeff.elements()`` as given and reduced only when it is not one of
+    them (unreduced, or a list).
     """
-    ident = M.gamma.identity
-    vals = {k: M.coeff.reduce(v) for k, v in c.values}
-    if c.degree != 2:
-        raise ValidationError("expected a degree-2 cochain")
-    needed = {(g1, g2) for g1 in range(M.gamma.order)
-              for g2 in range(M.gamma.order)}
-    if set(vals) != needed:
-        raise ValidationError("cochain is not total on Gamma x Gamma")
-    if any(vals[k] != M.coeff.zero() for k in vals if ident in k):
-        raise ValidationError("cochain is not normalized: c vanishes on "
-                              "neither all (1, g) nor all (g, 1)")
     A = M.coeff
     elems = A.elements()
     pos = {e: i for i, e in enumerate(elems)}
+
+    def position(v):
+        try:
+            return pos[v]
+        except (KeyError, TypeError):
+            return pos[A.reduce(v)]
+    vals = {k: position(v) for k, v in c.values}
+    if c.degree != 2:
+        raise ValidationError("expected a degree-2 cochain")
     n = M.gamma.order
+    gs = range(n)
+    if len(vals) != n * n or not all(
+            isinstance(k, tuple) and len(k) == 2 and k[0] in gs and k[1] in gs
+            for k in vals):
+        raise ValidationError("cochain is not total on Gamma x Gamma")
+    cval = [[vals[(g1, g2)] for g2 in gs] for g1 in gs]
+    ident, zero = M.gamma.identity, pos[A.zero()]
+    if any(p != zero for p in cval[ident]) or any(
+            row[ident] != zero for row in cval):
+        raise ValidationError("cochain is not normalized: c vanishes on "
+                              "neither all (1, g) nor all (g, 1)")
 
     def idx(a, g):
         return pos[a] * n + g
 
     # positions in elems: of g.a, of a sum, and of c(g1, g2)
     acted, add = M.index_tables
-    cval = [[pos[vals[(g1, g2)]] for g2 in range(n)] for g1 in range(n)]
     table = twisted_rows(add, M.gamma.table, acted, cval)
     order = len(table)
     try:
@@ -118,11 +129,14 @@ def extract_cocycle(M: GammaModule, E: FiniteGroup, embed, project,
     for g in range(n):
         if project[section[g]] != g:
             raise ValidationError(f"section does not split the projection at {g}")
+    table = E.table
+    # s(g)^{-1} for each g
+    inv_sec = [E.inverse[x] for x in section]
     out = {}
-    for g1 in range(n):
-        for g2 in range(n):
-            prod = E.mul(E.mul(section[g1], section[g2]),
-                         E.inv(section[M.gamma.mul(g1, g2)]))
+    for g1, g_row in enumerate(M.gamma.table):
+        s1_row = table[section[g1]]
+        for g2, g12 in enumerate(g_row):
+            prod = table[s1_row[section[g2]]][inv_sec[g12]]
             if prod not in back:
                 raise ValidationError(
                     "section defect leaves the embedded coefficient group")
@@ -295,19 +309,33 @@ def pushout(G: FiniteGroup, z_embed, act, model: ExtensionModel) -> PushoutModel
 def quotient_mod_center(G: FiniteGroup, z_embed, act, push: PushoutModel):
     """The natural isomorphism E/Z -> (G/Z) x| Gamma, or None.
 
-    Z is the embedded copy of A.  E element (g, gamma), at index
-    g * |Gamma| + gamma, goes to (gZ, gamma), so the map is indexed by
-    the E/Z numbering of ``quotient`` and lands at gZ * |Gamma| + gamma
-    in ``semidirect_product(G/Z, Gamma, act mod Z)``.  It is returned
-    only when it is well defined, bijective and a homomorphism
-    (``hom_check``); otherwise the result is None.
+    Z is the embedded copy of A.  phi(g, gamma) = (gZ, gamma) sends E
+    index g * |Gamma| + gamma to gZ * |Gamma| + gamma, with G/Z numbered
+    by ``quotient`` and Gamma acting by act mod Z.  phi is checked to be
+    a homomorphism on ``E.generators``, target products read off the
+    tables of G/Z and Gamma and act mod Z, so no table of the target or
+    of E/Z is built; then its kernel is compared with Z.  phi is onto,
+    so it induces an isomorphism E/Z -> target, and that map is the
+    identity of indices: ``quotient`` numbers cosets in the order of
+    their least elements, the coset gZ of G by the rank of min gZ, and
+    the coset of (g, gamma) in E, the fibre {(gz, gamma) : z in Z} of
+    phi, has least element min gZ * |Gamma| + gamma, so the cosets of E
+    come in the order of the pairs (gZ, gamma).  When the check fails
+    the result is None, or a ValidationError when Z is not normal in E,
+    as ``quotient`` of E by Z would raise.
     """
-    M_gamma = push.gamma
-    zset = frozenset(z_embed)
-    Gq, gcoset = quotient(G, zset)
+    gamma = push.gamma
+    n = gamma.order
+    if len(act) != n:
+        raise ValidationError(
+            f"act has {len(act)} maps, need one per gamma element ({n})")
+    for g, a in enumerate(act):
+        if len(a) != G.order:
+            raise ValidationError(f"act[{g}] is not an automorphism")
+    Gq, gcoset = quotient(G, frozenset(z_embed))
     # the action descends to G/Z
     actq = []
-    for g in range(M_gamma.order):
+    for g in range(n):
         img = [None] * Gq.order
         for x in range(G.order):
             t = gcoset[act[g][x]]
@@ -316,21 +344,29 @@ def quotient_mod_center(G: FiniteGroup, z_embed, act, push: PushoutModel):
             elif img[gcoset[x]] != t:
                 raise ValidationError("action does not descend to G/Z")
         actq.append(tuple(img))
-    target = semidirect_product(Gq, M_gamma, tuple(actq))
+    actq = check_action(Gq, gamma, actq)
+
+    E = push.group
+    phi = tuple(q * n + h for q in gcoset for h in range(n))
+    target_id = Gq.identity * n + gamma.identity
+
+    def respects(s):
+        """phi(x s) = phi(x) phi(s) for every x, the target product
+        (q1, h1)(qs, hs) = (q1 actq[h1](qs), h1 hs) read off the tables."""
+        qs, hs = divmod(phi[s], n)
+        by_h = [(a[qs], h_row[hs]) for a, h_row in zip(actq, gamma.table)]
+        times_s = [q_row[aq] * n + h for q_row in Gq.table for aq, h in by_h]
+        return [phi[row[s]] for row in E.table] == [times_s[p] for p in phi]
+    # phi(1) = 1, E's identity being (1, 1), so this makes phi a
+    # homomorphism by the argument of ``hom_check``
+    ok = all(respects(s) for s in E.generators)
     zbar = frozenset(push.embed_a)
-    Eq, ecoset = quotient(push.group, zbar)
-    ng = M_gamma.order
-    f = [None] * Eq.order
-    for x, q in enumerate(ecoset):
-        g, h = divmod(x, ng)
-        y = gcoset[g] * ng + h
-        if f[q] is None:
-            f[q] = y
-        elif f[q] != y:
-            return None
-    if Eq.order != target.order or len(set(f)) != Eq.order:
-        return None
-    return tuple(f) if hom_check(f, Eq, target) else None
+    if ok and frozenset(
+            x for x, p in enumerate(phi) if p == target_id) == zbar:
+        return tuple(range(Gq.order * n))
+    if not is_normal(E, zbar):
+        raise ValidationError("subset is not a normal subgroup")
+    return None
 
 
 @dataclass(frozen=True)

@@ -65,8 +65,12 @@ class BasedRootDatum:
     @cached_property
     def simple_smith(self):
         """The Smith form of ``simple_matrix``, kept with the datum: it
-        decides independence in ``defect`` and solves for coefficients."""
-        return smith_normal_form(simple_matrix(self))
+        decides independence in ``defect`` and solves for coefficients
+        (``express_in_simple``).  A datum with ``closure_coefficients``
+        reads its coefficients off the closure and only the rank here,
+        so its form keeps no transform."""
+        keep = () if self.closure_coefficients is not None else ("U", "V")
+        return smith_normal_form(simple_matrix(self), keep=keep)
 
     @cached_property
     def simple_coefficients(self):
@@ -251,8 +255,12 @@ def simple_matrix(based: BasedRootDatum) -> IntMatrix:
 def express_in_simple(based: BasedRootDatum):
     """Integer coefficients of each root in the simple roots (None for a
     root outside their span), from the datum's one Smith form of the
-    simple-root matrix."""
-    return [based.simple_smith.solve(b) for b in based.datum.roots]
+    simple-root matrix; a datum whose closure recorded them keeps no
+    transforms there, so solving on one takes a Smith form of its own."""
+    snf = based.simple_smith
+    if snf.U is None:
+        snf = smith_normal_form(simple_matrix(based))
+    return [snf.solve(b) for b in based.datum.roots]
 
 
 def reflection(datum: RootDatum, root_index: int) -> IntMatrix:

@@ -387,6 +387,27 @@ class TestRecordedCoefficients:
         assert explicit.simple_coefficients == express_in_simple(based) == \
             list(based.simple_coefficients)
 
+    def test_simple_smith_keeps_transforms_only_to_solve(self, monkeypatch):
+        """The D4 of ``from_simple`` reads only the rank of its Smith
+        form and keeps no transform; the same D4 given by explicit roots
+        keeps U and V, which ``express_in_simple`` solves with."""
+        keeps = []
+        inner = rootdatum.smith_normal_form
+
+        def recording(A, keep=("U", "V")):
+            keeps.append(keep)
+            return inner(A, keep=keep)
+        monkeypatch.setattr(rootdatum, "smith_normal_form", recording)
+        closed = standard.d4_adjoint()
+        explicit = BasedRootDatum(closed.datum, closed.simple_indices)
+        for based in (closed, explicit):
+            assert validate_based(based) is None
+        assert keeps == [(), ("U", "V")]
+        assert closed.simple_smith.U is None and closed.simple_smith.V is None
+        assert closed.simple_smith.rank == explicit.simple_smith.rank == 4
+        assert list(closed.simple_coefficients) == \
+            explicit.simple_coefficients
+
     @settings(max_examples=150, deadline=None)
     @given(_simple_products())
     def test_products_under_base_change(self, case):
