@@ -20,7 +20,6 @@ from .abgroup import DiagonalizableGroup
 from .autbrd import (AdHom, ad_from_element_images, ad_from_generator_images,
                      require_valid_ad, trivial_ad)
 from .errors import BudgetExceededError, InternalCheckError, ValidationError
-from .extension import Classification, classify
 from .grouptable import FiniteGroup, cyclic, from_generators, validate_table
 from .rootdatum import (BasedRootDatum, RootDatum, center, dynkin,
                         positive_systems, require_valid_based, weyl_generate)
@@ -165,7 +164,7 @@ def _cochain_json(c):
     return [[list(k), list(v)] for k, v in c.values]
 
 
-def _classification_json(cls: Classification):
+def _classification_json(cls):
     return {
         "center": _diag_json(cls.center),
         "h2": _group_json(cls.group),
@@ -249,6 +248,10 @@ def cmd_dynkin(args):
 
 
 def cmd_classify(args):
+    # only classify needs the cohomology engine (extension, cohomology,
+    # relations); the other commands never compile it
+    from .extension import classify
+
     budget = _int_option(args.budget, "--budget", 1)
     seed = _int_option(args.seed, "--seed")
     data = load_problem(args.input)

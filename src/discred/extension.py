@@ -322,8 +322,16 @@ def quotient_mod_center(G: FiniteGroup, z_embed, act, push: PushoutModel):
     phi, has least element min gZ * |Gamma| + gamma, so the cosets of E
     come in the order of the pairs (gZ, gamma).  When the check fails
     the result is None, or a ValidationError when Z is not normal in E,
-    as ``quotient`` of E by Z would raise.
+    as ``quotient`` of E by Z would raise.  A G other than the pushout's
+    connected group raises ValidationError before any work.
     """
+    connected = push.connected
+    if G.order != connected.order:
+        raise ValidationError(f"G has order {G.order}, the pushout's "
+                              f"connected group {connected.order}")
+    if G is not connected and G.table != connected.table:
+        raise ValidationError("G is not the pushout's connected group: "
+                              "their tables differ")
     gamma = push.gamma
     n = gamma.order
     if len(act) != n:

@@ -328,15 +328,22 @@ def positive_systems(weyl: WeylGroup, based: BasedRootDatum):
     require_valid_based(based)
     pos = _positive_indices(based)
     roots = based.datum.roots
+    # the roots are distinct, so sorted ranks order the systems as the
+    # sorted root tuples would; roots are built only for the result
+    by_rank = sorted(range(len(roots)), key=roots.__getitem__)
+    rank = [0] * len(roots)
+    for r, j in enumerate(by_rank):
+        rank[j] = r
     systems = {}
     for i, w in enumerate(weyl.permutations):
-        img = tuple(sorted(roots[w[j]] for j in pos))
-        if img in systems:
+        key = tuple(sorted([rank[w[j]] for j in pos]))
+        if key in systems:
             raise InternalCheckError(
                 "two Weyl elements map the base system to the same positive "
                 "system (simple transitivity fails)")
-        systems[img] = i
-    return [PositiveSystem(s, weyl, systems[s]) for s in sorted(systems)]
+        systems[key] = i
+    return [PositiveSystem(tuple(roots[by_rank[r]] for r in key), weyl,
+                           systems[key]) for key in sorted(systems)]
 
 
 def dynkin(based: BasedRootDatum) -> DynkinDiagram:

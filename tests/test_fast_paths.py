@@ -2,7 +2,9 @@
 against the versions they replaced (tests/pushout_reference.py): on
 every class of Z/2 and Z/4 over C2 to C8 and S3, under the trivial
 action and inversion through the sign, and on tampered inputs, both
-give the same map, table, None or exception."""
+give the same map, table, None or exception, except for a G other than
+the pushout's connected group: ``quotient_mod_center`` names it, where
+the reference returned None or raised IndexError."""
 
 import dataclasses
 import functools
@@ -220,11 +222,18 @@ def test_tampered_inputs_agree_with_reference(data):
         other = H.class_representative(data.draw(st.sampled_from(classes)))
         push = pushout(G, z, act, build_extension(M, other))
     elif fault == "other G":
-        # the cyclic group of twice or half the order, not E's G
+        # the cyclic group of twice or half the order, not E's G: named
+        # before any work
         order = data.draw(st.sampled_from([2 * G.order] + (
             [G.order // 2] if G.order // 2 % a == 0 and abelian else [])))
-        G = cyclic(order)
-        z, act = _cyclic_central(G, a), _act(G, M.gamma, inv)
+        other = cyclic(order)
+        z, act = _cyclic_central(other, a), _act(other, M.gamma, inv)
+        with pytest.raises(ValidationError, match=(
+                f"^G has order {order}, the pushout's connected group "
+                f"{G.order}$")):
+            quotient_mod_center(other, z, act, push)
+        event("quotient_mod_center: other G")
+        return
     elif fault == "forged embed_a":
         # a pushout whose Z in E is {1, y} for a drawn y: a subgroup
         # other than Z, or not normal, or not a subgroup
@@ -251,6 +260,24 @@ def test_act_shape_rejected(shape, message):
            "short maps": tuple(a[:-1] for a in act)}[shape]
     with pytest.raises(ValidationError, match=f"^{message}$"):
         quotient_mod_center(G, z, bad, push)
+
+
+@pytest.mark.parametrize("cls", [0, 1])
+@pytest.mark.parametrize("other,z,message", [
+    (cyclic(8), (0, 4), "G has order 8, the pushout's connected group 4"),
+    (cyclic(2), (0, 1), "G has order 2, the pushout's connected group 4"),
+    (grouptable.from_generators(4, [(1, 0, 3, 2), (2, 3, 0, 1)]), (0, 1),
+     "G is not the pushout's connected group: their tables differ"),
+])
+def test_other_connected_group_rejected(cls, other, z, message):
+    """A G other than the pushout's C4 is named before any work: C8 with
+    z = (0, 4) used to return None, C2 with z = (0, 1) to raise a bare
+    IndexError; V4 has C4's order but another table."""
+    G, _, act, _, model = sl2_like_setup(cls)
+    push = pushout(G, (0, 2), act, model)
+    ident = tuple(tuple(range(other.order)) for _ in act)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        quotient_mod_center(other, z, ident, push)
 
 
 @pytest.mark.parametrize("cls", [0, 1])

@@ -1,5 +1,8 @@
+import dataclasses
 import io
 import json
+import os
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -7,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discred import rootdatum, standard
-from discred.errors import BudgetExceededError, ValidationError
+from discred.errors import (BudgetExceededError, InternalCheckError,
+                            ValidationError)
 from discred.exactlin import IntMatrix
 from discred.grouptable import closure, compose
-from discred.cli import main
+from discred.cli import _parse_based, load_problem, main
+from rootdatum_reference import reference_positive_systems
 from validate_reference import reference_defect, reference_validate
 
 from discred.rootdatum import (BasedRootDatum, RootDatum, almost_product_check,
@@ -610,3 +615,58 @@ class TestAlmostProduct:
     def test_torus(self):
         ap = almost_product_check(standard.torus(2).datum)
         assert ap.index == 1 and len(ap.sublattice_2) == 2
+
+
+PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "src",
+                        "discred", "problems")
+
+
+def _same_positive_systems(W, based):
+    """``positive_systems`` and the parent's version give the same
+    systems, roots and Weyl indices in the same order."""
+    got = positive_systems(W, based)
+    want = reference_positive_systems(W, based)
+    assert [(s.roots, s.index) for s in got] == \
+        [(s.roots, s.index) for s in want]
+    assert all(s.weyl is W for s in got)
+    return got
+
+
+class TestRankKeyedPositiveSystems:
+    """``positive_systems`` keys each w.R+ by the sorted ranks of its
+    root indices, against the root-tuple keys it replaced
+    (``rootdatum_reference``)."""
+
+    @pytest.mark.parametrize("name", sorted(
+        f for f in os.listdir(PROBLEMS) if f.endswith(".json")))
+    def test_bundled_problems(self, name):
+        based = _parse_based(load_problem(os.path.join(PROBLEMS, name)))
+        _same_positive_systems(weyl_generate(based), based)
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_DATA))
+    def test_standard_data(self, name):
+        based = REFERENCE_DATA[name]()
+        _same_positive_systems(weyl_generate(based), based)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_simple_products())
+    def test_products_under_base_change(self, case):
+        based = standard.from_simple(*case)
+        systems = _same_positive_systems(weyl_generate(based), based)
+        assert sorted(s.index for s in systems) == list(
+            range(len(systems)))
+
+    @pytest.mark.parametrize("name", ["sl2", "b2", "d4"])
+    def test_simple_transitivity_failure(self, name):
+        """A W listing one permutation twice maps R+ to one system twice:
+        both versions raise the same InternalCheckError."""
+        based = ALL_DATA[name]()
+        W = weyl_generate(based)
+        twice = dataclasses.replace(
+            W, permutations=W.permutations + W.permutations[-1:])
+        msg = ("two Weyl elements map the base system to the same positive "
+               "system (simple transitivity fails)")
+        for fn in (positive_systems, reference_positive_systems):
+            with pytest.raises(InternalCheckError,
+                               match=f"^{re.escape(msg)}$"):
+                fn(twice, based)
