@@ -5,13 +5,13 @@ Every degree is computed on one complex, A -> A^S -> Hom_Gamma(R, A),
 from the relation module R of the Cayley graph of (Gamma, S)
 (``relations.RelationModule``): t, |S| t and (n|S| - n + 1) t unknowns
 in degrees 0, 1, 2 instead of (n-1)^p t.  Bar cochains stay the API;
-``relations`` alone knows their normalized flat layout (Brown,
-Cohomology of Groups, GTM 87, section I.5) and converts at the
-boundary.  This module does the lattice work: congruence kernels,
-cokernels with explicit modulus relations, coboundary witnesses on them
-and the triangular basis of the normalized bar coboundaries that
-canonical representatives reduce against.  The full bar
-``differential`` stays as the public checker.
+``relations`` reads each once, by position (``read_cochain``), and
+alone knows their normalized layout (Brown, Cohomology of Groups, GTM
+87, I.5).  This module does the lattice work: congruence kernels,
+cokernels with modulus relations, coboundary witnesses on them and the
+triangular basis of the normalized bar coboundaries that canonical
+representatives reduce against.  The full bar ``differential``, on the
+same reader, is the public checker.
 
 Classes travel up the torsion tower and into ``classify`` as coordinate
 vectors; a ``Cochain`` is built only when a caller asks for one
@@ -26,13 +26,15 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .abgroup import AbHom, DiagonalizableGroup, FGAbelianGroup
+from .abgroup import (AbHom, DiagonalizableGroup, FGAbelianGroup,
+                      stable_level, torsion_inclusion)
 from .errors import InternalCheckError, ValidationError
-from .exactlin import (IntMatrix, cokernel_presentation, echelon_reduce,
-                       kernel_basis, modular_echelon, smith_normal_form,
-                       unit_pivot_kernel)
+from .exactlin import (IntMatrix, cokernel_presentation,
+                       congruence_kernel_basis, echelon_reduce,
+                       modular_echelon, smith_normal_form, unit_pivot_kernel)
 from .grouptable import FiniteGroup
-from .relations import RelationModule, require_within_budget
+from .relations import (RelationModule, cochain_pairs, read_cochain,
+                        reduce_columns, require_within_budget)
 
 
 @dataclass(frozen=True)
@@ -105,55 +107,51 @@ class Cochain:
                    for key, val in self.values if identity in key)
 
 
-def _bar_terms(gamma: FiniteGroup, tup):
-    """(sign, source_tuple, acting_element_or_None) terms of the bar
-    differential evaluated at ``tup``."""
-    p1 = len(tup)
-    terms = [(1, tup[1:], tup[0])]
-    sign = -1
-    for i in range(1, p1):
-        merged = tup[:i - 1] + (gamma.mul(tup[i - 1], tup[i]),) + tup[i + 1:]
-        terms.append((sign, merged, None))
-        sign = -sign
-    terms.append((sign, tup[:-1], None))
-    return terms
-
-
 def differential(M: GammaModule, c: Cochain) -> Cochain:
-    """Bar differential C^p -> C^{p+1}, supported for p <= 2."""
-    if c.degree > 2:
+    """Bar differential C^p -> C^(p+1), p <= 2, at all n^(p+1) tuples:
+    dc(x, ..) = x.c(..) + sum_i (-1)^i c(.., x_(i-1) x_i, ..)
+    + (-1)^(p+1) c(.., x_(p-1)) on raw integers, reduced once.  The
+    public checker: it shares only the reader with the engine."""
+    p = c.degree
+    if p not in (0, 1, 2):
         raise ValidationError("differential supported only up to degree 2")
-    d = c.as_dict()
-    coeff = M.coeff
-    out = {}
-    for tup in itertools.product(range(M.gamma.order), repeat=c.degree + 1):
-        total = coeff.zero()
-        for sign, src, actor in _bar_terms(M.gamma, tup):
-            v = coeff.reduce(d[src])
-            if actor is not None:
-                v = M.act(actor, v)
-            total = coeff.add(total, coeff.scale(sign, v))
-        out[tup] = total
-    return Cochain.from_map(c.degree + 1, out)
+    c, n, table = read_cochain(M, p, c), M.gamma.order, M.gamma.table
+    ident = AbHom.identity(M.coeff).matrix.entries
+    cols = []       # dc, one coordinate r at a time
+    for r in range(M.coeff.ncoords):
+        cr, col = [x[r] for x in c], []
+        for g, a in enumerate(a.matrix.entries for a in M.action):
+            gc = cr if a == ident else [     # coordinate r of g.c
+                sum(m * v for m, v in zip(a[r], x)) for x in c]
+            if p == 0:
+                col.append(gc[0] - cr[0])
+            elif p == 1:
+                col.extend([u - cr[gh] + cr[g] for u, gh in zip(gc, table[g])])
+            else:
+                cg = cr[g * n:(g + 1) * n]
+                for h, gh in enumerate(table[g]):
+                    col.extend([u - v + cg[hk] - cg[h] for u, v, hk in zip(
+                        gc[h * n:(h + 1) * n], cr[gh * n:(gh + 1) * n],
+                        table[h])])
+        cols.append(col)
+    return Cochain(p + 1, cochain_pairs(M.gamma, p + 1, reduce_columns(
+        M.coeff, cols, n ** (p + 1))))
 
 
 def is_cocycle(M: GammaModule, c: Cochain) -> bool:
-    dc = differential(M, c)
-    zero = M.coeff.zero()
-    return all(v == zero for _, v in dc.values)
+    return not any(any(v) for _, v in differential(M, c).values)
 
 
 class CohomologyGroup:
     """H^p as a finite abelian group with representative cocycles per
-    canonical generator, stored as flat vectors of degree-p cochains of
-    the complex A -> A^S -> Hom_Gamma(R, A) of the Cayley graph
-    (``relations.RelationModule``): the cokernel of ``boundary`` on the
-    core coordinates of the cocycles ``kernel``, 0 without a kernel.
+    canonical generator, as flat degree-p cochains of the complex of the
+    Cayley graph (``relations.RelationModule``): the cokernel of
+    ``boundary`` on the core coordinates of the cocycles ``kernel``, 0
+    without a kernel.
     The ``budget`` of ``cohomology_group`` also bounds the dense
     canonical basis (``_echelon``) before ``normalize``,
-    ``class_representative`` or ``classes`` builds it.  The canonical
-    generators that ``stabilized_h2`` picks are bounded by its caller:
-    ``extension.classify`` checks the same estimate first."""
+    ``class_representative`` or ``classes`` builds it; ``classify``
+    checks it before ``stabilized_h2`` picks canonical generators."""
 
     def __init__(self, module, degree, relations, kernel, boundary, budget):
         self.module, self.degree, self._rel = module, degree, relations
@@ -183,8 +181,8 @@ class CohomologyGroup:
 
     def _normalized(self, c: Cochain):
         """(normalized coordinates, cochain of the complex) of the cocycle
-        ``c``, shifted as ``from_cochain`` does; ValidationError when it is
-        no cocycle."""
+        ``c``, shifted as ``from_cochain`` does; ValidationError on other
+        cochains."""
         vec, _ = self._rel.from_cochain(c)
         phi = None if vec is None else self._rel.from_bar(vec)
         if phi is None:
@@ -235,12 +233,6 @@ class CohomologyGroup:
         require_within_budget(self.module.gamma, self._rel.t, self.degree,
                               self._budget, canonical=True)
 
-    def _canonical_vec(self, vec):
-        """Lexicographically smallest normalized cocycle vector in the
-        class of the normalized cocycle ``vec``, by greedy reduction
-        against ``_echelon``."""
-        return echelon_reduce(self._echelon, vec, self._rel.bar_mods)
-
     def _class_vector(self, coords):
         """Unreduced combination of the generator vectors (of which
         there is at least one)."""
@@ -259,17 +251,19 @@ class CohomologyGroup:
                 vec = self._rel.to_bar(self._class_vector(key))
             else:
                 vec = [0] * len(self._rel.bar_mods)
-            self._canonical[key] = tuple(self._canonical_vec(vec))
+            self._canonical[key] = tuple(echelon_reduce(
+                self._echelon, vec, self._rel.bar_mods))
         return self._canonical[key]
 
     def normalize(self, c: Cochain) -> Cochain:
         """The canonical representative of the class of the cocycle
         ``c``: the lexicographically smallest normalized cocycle in it
-        (flat entries in [0, q)); ValidationError on other cochains."""
+        (flat entries in [0, q)), by greedy reduction against
+        ``_echelon``; ValidationError on other cochains."""
         self._require_canonical_budget()
-        vec, _ = self._normalized(c)
-        return Cochain(self.degree,
-                       self._rel.to_cochain(self._canonical_vec(vec)))
+        vec = echelon_reduce(self._echelon, self._normalized(c)[0],
+                             self._rel.bar_mods)
+        return Cochain(self.degree, self._rel.to_cochain(vec))
 
     def class_representative(self, coords) -> Cochain:
         """The lexicographically smallest normalized cocycle in the class
@@ -281,13 +275,11 @@ class CohomologyGroup:
     def classes(self):
         """Every cohomology class with its canonical (lexicographically
         smallest normalized) representative."""
-        out = []
-        for coords in itertools.product(
-                *(range(f) for f in self.group.invariant_factors)):
-            rep = self.class_representative(coords)
-            out.append(CohomologyClass(self.module, self.degree, rep,
-                                       coords, self.group))
-        return out
+        return [CohomologyClass(self.module, self.degree,
+                                self.class_representative(coords), coords,
+                                self.group)
+                for coords in itertools.product(
+                    *(range(f) for f in self.group.invariant_factors))]
 
 
 @dataclass(frozen=True)
@@ -357,11 +349,12 @@ def cochain_sum(coeff: FGAbelianGroup, terms) -> Cochain:
     if not terms:
         raise ValidationError("empty cochain sum")
     degree = terms[0][1].degree
-    keys = [k for k, _ in terms[0][1].values]
-    out = {k: coeff.zero() for k in keys}
+    out = {k: coeff.zero() for k, _ in terms[0][1].values}
     for mult, c in terms:
         if c.degree != degree:
             raise ValidationError("cochain degree mismatch in sum")
+        if {k for k, _ in c.values} != out.keys():
+            raise ValidationError("cochains in a sum differ in their tuples")
         for k, v in c.values:
             out[k] = coeff.add(out[k], coeff.scale(mult, v))
     return Cochain.from_map(degree, out)
@@ -397,34 +390,28 @@ class StabilizedH2:
 
 
 def _span(coords, factors):
-    """(structure, generator coordinate vectors) of the subgroup of
-    sum_i Z/factors[i] generated by the coordinate vectors ``coords``:
-    Z^g modulo the kernel of Z^g -> sum_i Z/factors[i]."""
-    g = len(coords)
-    if g == 0:
+    """(structure, generators) of the subgroup of sum_i Z/f_i (f_i =
+    factors[i] | Q = f_r) that ``coords`` generate: Z^g / K, K the
+    congruence kernel mod Q of the rows scaled by Q / f_i, with basis
+    V diag(s): Z^g / K = sum_j Z/s_j on the images of V's columns."""
+    if not coords or not factors:
         return FGAbelianGroup(0, ()), []
-    nf = len(factors)
-    rows = [tuple(coords[j][i] for j in range(g))
-            + tuple(f if k == i else 0 for k in range(nf))
-            for i, f in enumerate(factors)]
-    K = kernel_basis(IntMatrix.from_rows(rows, cols=g + nf))
-    pres = cokernel_presentation(IntMatrix.from_rows([k[:g] for k in K],
-                                                     cols=g))
-    if pres.free_rank != 0:
-        raise InternalCheckError("image subgroup came out infinite")
-    gens = []
-    for pos in [i for i, m in enumerate(pres.moduli) if m > 1]:
-        x = pres.from_presented.col(pos)
-        gens.append(tuple(sum(x[j] * coords[j][i] for j in range(g)) % f
-                          for i, f in enumerate(factors)))
-    return FGAbelianGroup(0, pres.invariant_factors), gens
+    Q = factors[-1]
+    K = congruence_kernel_basis(IntMatrix.from_rows(
+        [[x[i] * (Q // f) for x in coords] for i, f in enumerate(factors)],
+        cols=len(coords)), Q)
+    s = K.scales
+    order = sorted((j for j in range(len(s)) if s[j] > 1), key=s.__getitem__)
+    return FGAbelianGroup(0, tuple(s[j] for j in order)), [
+        tuple(sum(row[j] // s[j] * x[i] for row, x in
+                  zip(K.basis.entries, coords)) % f
+              for i, f in enumerate(factors)) for j in order]
 
 
 def _push_class(Hs, Ht, inclusion, coords):
-    """Coordinates in Ht of the class with coordinates ``coords`` in Hs,
-    pushed along the coefficient inclusion block by block on flat
-    vectors.  Both groups share Gamma and so the same Cayley graph, so
-    the blocks line up."""
+    """Coordinates in Ht of the class ``coords`` of Hs, pushed along the
+    coefficient inclusion block by block: both share Gamma, so the same
+    Cayley graph and the same blocks."""
     if not Hs._gen_vecs:
         return (0,) * len(Ht.group.invariant_factors)
     vec, t = Hs._class_vector(coords), Hs._rel.t
@@ -511,8 +498,6 @@ def stabilized_h2(gamma: FiniteGroup, Z: DiagonalizableGroup, module_at,
     has e = 1 and tower orders 1, 2, 2, 2, but the image of level 1 in
     level 2 is 0, while H^2 = Z/2 is the image of level 2 in level 3.
     """
-    from .abgroup import stable_level, torsion_inclusion
-
     n = gamma.order
     if n == 1:
         M = module_at(1)

@@ -23,13 +23,14 @@ from functools import cached_property
 from .abgroup import (DiagonalizableGroup, FGAbelianGroup, stable_level,
                       torsion_at)
 from .autbrd import AdHom, center_action_at, presented_action
-from .cohomology import (Cochain, CohomologyGroup, GammaModule, cochain_sum,
+from .cohomology import (Cochain, CohomologyGroup, GammaModule,
                          cohomology_group, gamma_module, stabilized_h2)
 from .errors import BudgetExceededError, InternalCheckError, ValidationError
 from .grouptable import (FiniteGroup, check_action, hom_check, is_normal,
                          quotient, semidirect_product, twisted_rows,
                          validate_table)
-from .relations import RelationModule, require_within_budget
+from .relations import (RelationModule, cochain_pairs, read_cochain,
+                        require_within_budget)
 from .rootdatum import (BasedRootDatum, CenterData, center_data,
                         require_valid_based)
 
@@ -148,13 +149,16 @@ def extensions_equivalent(M: GammaModule, c1: Cochain, c2: Cochain,
                           H: CohomologyGroup = None):
     """A 1-cochain b with c1 - c2 = db when the extensions are
     equivalent, else None; ValidationError when ``H`` is given and is
-    not H^2 of M."""
+    not H^2 of M, or when the reader (``relations.read_cochain``)
+    rejects c1 or c2."""
     if H is None:
         H = cohomology_group(M, 2)
     elif H.module != M or H.degree != 2:
         raise ValidationError("H is not H^2 of the module M")
-    diff = cochain_sum(M.coeff, [(1, c1), (-1, c2)])
-    return H.coboundary_witness(diff)
+    diff = [[x - y for x, y in zip(u, v)] for u, v in
+            zip(read_cochain(M, 2, c1), read_cochain(M, 2, c2))]
+    return H.coboundary_witness(
+        Cochain(2, cochain_pairs(M.gamma, 2, diff)))
 
 
 @dataclass(frozen=True)

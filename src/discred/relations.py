@@ -11,19 +11,22 @@ A^m cut out by the equivariance map d_2.  The graph belongs to Gamma
 their translates and the rows of d_1 and d_2 under the trivial action
 are shared by every module, degree and tower level over Gamma.
 ``cohomology`` does the lattice work; this module supplies the
-matrices and owns the normalized bar cochains that the API speaks
-(Brown, Cohomology of Groups, GTM 87, section I.5): their flat layout,
-the conversion to and from total cochains and the complex, the bar
-coboundary columns that canonical representatives reduce against,
-Light's test for 2-cocycles and the tree lift of coboundary witnesses.
-``require_within_budget`` bounds the cells of its matrices before any
-is built.
+matrices and owns the bar cochains that the API speaks (Brown,
+Cohomology of Groups, GTM 87, section I.5).  A total p-cochain has one
+layout, its n^p values in product order, read once and checked by
+``read_cochain``; its normalized bar coordinates are the values at
+``bar_positions``.  On that layout: the conversions to and from the
+complex, the bar coboundary columns that canonical representatives
+reduce against, Light's test for 2-cocycles and the tree lift of
+coboundary witnesses.  ``require_within_budget`` bounds the cells of
+its matrices before any is built.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cached_property
+from operator import add
 
 from .errors import BudgetExceededError, ValidationError
 from .grouptable import FiniteGroup
@@ -53,9 +56,9 @@ class RelationModule:
 
     Bar cochains convert at the boundary.  A normalized bar p-cochain
     vanishes on every tuple containing the identity and is kept flat,
-    one block of t coordinates per p-tuple over Gamma minus the identity,
-    tuples in lexicographic order (``bar_index``).  Every class has a
-    normalized representative, and a 2-cocycle c becomes one by
+    one block of t coordinates per p-tuple over Gamma minus the identity:
+    the values at ``bar_positions``, in lexicographic order.  Every class
+    has a normalized representative, and a 2-cocycle c becomes one by
     subtracting the coboundary of the constant map at c(1, 1)
     (``from_cochain``).  Degree 0 is the same vector.
     A normalized 1-cocycle f gives (f(s))_s; back, f(1) = 0 and
@@ -168,35 +171,30 @@ class RelationModule:
         return cols
 
     @cached_property
-    def bar_index(self):
-        """The normalized bar layout of degree p, built on first use: each
-        p-tuple over Gamma minus the identity, in lexicographic order, to
-        the number of its block of t coordinates."""
+    def bar_positions(self):
+        """The normalized bar layout of degree p, built on first use: the
+        position in ``read_cochain``'s product order of each p-tuple over
+        Gamma minus the identity, in lexicographic order.  Block i of t
+        normalized coordinates is the value at bar_positions[i]."""
         gamma = self.module.gamma
-        others = [g for g in range(gamma.order) if g != gamma.identity]
-        return {tup: i for i, tup in
-                enumerate(itertools.product(others, repeat=self.p))}
+        return [i for i, tup in enumerate(itertools.product(
+            range(gamma.order), repeat=self.p)) if gamma.identity not in tup]
 
     @cached_property
     def bar_mods(self):
         """The modulus of each normalized bar coordinate."""
-        return self.module.coeff.invariant_factors * len(self.bar_index)
+        return self.module.coeff.invariant_factors * len(self.bar_positions)
 
     def _reduce_bar(self, vec):
         return [v % q for v, q in zip(vec, self.bar_mods)]
 
-    def _total(self, c):
-        """The values of the p-cochain c by tuple, in product order;
-        ValidationError unless c has degree p and is total."""
-        if c.degree != self.p:
-            raise ValidationError("cochain degree mismatch")
-        d = c.as_dict()
-        try:
-            return {tup: d[tup] for tup in itertools.product(
-                range(self.module.gamma.order), repeat=self.p)}
-        except KeyError as e:
-            raise ValidationError(
-                f"cochain is not total: missing {e.args[0]}") from None
+    def _spread(self, vec):
+        """The values by position of the total p-cochain with normalized
+        bar coordinates ``vec``: its blocks there, zero elsewhere."""
+        out = [(0,) * self.t] * self.module.gamma.order ** self.p
+        for i, block in zip(self.bar_positions, zip(*[iter(vec)] * self.t)):
+            out[i] = block
+        return out
 
     def from_cochain(self, c):
         """(vec, shift): the normalized bar coordinates of c - d(const
@@ -204,81 +202,57 @@ class RelationModule:
         is None when that difference is not normalized, which no cocycle
         allows: a 2-cocycle has c(1, g) = c(1, 1) and
         c(g, 1) = g.c(1, 1), and a 1-cocycle has c(1) = 0."""
-        d = self._total(c)
-        M, index, t = self.module, self.bar_index, self.t
-        coeff, ident = M.coeff, M.gamma.identity
-        shift = coeff.zero()
-        if self.p == 2:
-            shift = coeff.reduce(d[(ident, ident)])
-        acted = [M.act(g, shift) for g in range(M.gamma.order)] \
-            if any(shift) else None
-        vec = [0] * len(self.bar_mods)
-        normalized = True
-        for tup, val in d.items():
-            if acted is not None:
-                val = [x - y for x, y in zip(val, acted[tup[0]])]
-            val = coeff.reduce(val)
-            i = index.get(tup)
-            if i is None:
-                normalized = normalized and not any(val)
-            else:
-                vec[i * t:(i + 1) * t] = val
-        return (vec if normalized else None), shift
+        M = self.module
+        n, e = M.gamma.order, M.gamma.identity
+        values = read_cochain(M, self.p, c)
+        shift = values[e * n + e] if self.p == 2 else (0,) * self.t
+        if any(shift):
+            acted = [self._act(g, shift) for g in range(n)]
+            values = [tuple((x - y) % q for x, y, q in zip(
+                v, acted[i // n], M.coeff.invariant_factors))
+                for i, v in enumerate(values)]
+        blocks = [values[i] for i in self.bar_positions]
+        normalized = sum(map(any, values)) == sum(map(any, blocks))
+        return ([x for v in blocks for x in v] if normalized else None), shift
 
     def to_cochain(self, vec):
         """The (tuple, value) pairs, in product order as ``Cochain`` keeps
         them, of the total p-cochain with normalized bar coordinates
         ``vec``."""
-        gamma, t = self.module.gamma, self.t
-        vec = self._reduce_bar(vec)
-        zero = (0,) * t
-        # the normalized tuples come in the product order of all tuples
-        blocks = iter([tuple(vec[i * t:(i + 1) * t])
-                       for i in range(len(self.bar_index))])
-        return tuple(
-            (tup, zero if gamma.identity in tup else next(blocks))
-            for tup in itertools.product(range(gamma.order), repeat=self.p))
-
-    def _bar_value(self, vec):
-        """c(x, y) from normalized bar coordinates of degree 2; zero at
-        the identity."""
-        index, t = self.bar_index, self.t
-        zero = [0] * t
-
-        def value(x, y):
-            i = index.get((x, y))
-            return zero if i is None else vec[i * t:(i + 1) * t]
-        return value
+        return cochain_pairs(self.module.gamma, self.p,
+                             self._spread(tuple(self._reduce_bar(vec))))
 
     def _light_witness(self, c):
         """The first (g, s, h), in the order g, s in S, h, at which the
-        total 2-cochain c(x, y) fails g.c(s, h) - c(gs, h) + c(g, sh)
-        - c(g, s) = 0, or None.  These triples imply the rest, normalized
-        or not (Light's test): they say that each (a, s) associates in the
-        middle of the law (a, x)(b, y) = (a + x.b + c(x, y), xy) on
-        A x Gamma, such elements are closed under products, and S reaches
-        all of the finite group Gamma by non-empty words."""
+        total 2-cochain c, its values by position, fails g.c(s, h)
+        - c(gs, h) + c(g, sh) - c(g, s) = 0, or None.  These triples imply
+        the rest, normalized or not (Light's test): they say that each
+        (a, s) associates in the middle of the law
+        (a, x)(b, y) = (a + x.b + c(x, y), xy) on A x Gamma, such elements
+        are closed under products, and S reaches all of the finite group
+        Gamma by non-empty words."""
         gamma, mods = self.module.gamma, self.module.coeff.invariant_factors
-        mul, n, act = gamma.mul, gamma.order, self._act
-        for g in range(n):
-            trivial = self.acts[g] is None
+        table, n, act = gamma.table, gamma.order, self._act
+        rows = [c[x * n:(x + 1) * n] for x in range(n)]  # rows[x][y] = c(x, y)
+        for g, cg in enumerate(rows):
             for s in self.gens:
-                gs, cgs = mul(g, s), c(g, s)
-                for h in range(n):
-                    csh = c(s, h)
-                    if any((a - b + d - e) % q for a, b, d, e, q in
-                           zip(csh if trivial else act(g, csh), c(gs, h),
-                               c(g, mul(s, h)), cgs, mods)):
-                        return (g, s, h)
+                # the residues at every h, one coordinate at a time
+                gcs, rgs, e = rows[s], rows[table[g][s]], cg[s]
+                if self.acts[g] is not None:
+                    gcs = [act(g, v) for v in gcs]
+                fails, cgsh = [0] * n, [cg[x] for x in table[s]]
+                for i, q in enumerate(mods):
+                    fails = [f or (a[i] - b[i] + d[i] - e[i]) % q
+                             for f, a, b, d in zip(fails, gcs, rgs, cgsh)]
+                if any(fails):
+                    return g, s, next(h for h, f in enumerate(fails) if f)
         return None
 
     def cocycle_witness(self, c):
         """Light's test on the total 2-cochain c: None when it is a
         cocycle, else the first failing triple (g, s, h) with s in S;
-        ValidationError when c is not total."""
-        coeff = self.module.coeff
-        d = {k: coeff.reduce(v) for k, v in self._total(c).items()}
-        return self._light_witness(lambda x, y: d[x, y])
+        ValidationError when ``read_cochain`` rejects c."""
+        return self._light_witness(read_cochain(self.module, 2, c))
 
     def from_bar(self, vec):
         """The cochain in C^p of the normalized bar p-cocycle ``vec``, or
@@ -292,27 +266,23 @@ class RelationModule:
                    for s in self.gens):
                 return None
             return self._reduce_bar(vec)
-        gamma, t = self.module.gamma, self.t
-        mul = gamma.mul
+        table, n = self.module.gamma.table, self.module.gamma.order
+        c = self._spread(vec)
         if self.p == 1:
-            f = {gamma.identity: [0] * t}
-            for (g,), i in self.bar_index.items():
-                f[g] = vec[i * t:(i + 1) * t]
-            for x, fx in f.items():
+            for x, fx in enumerate(c):
                 for s in self.gens:
                     if any((a + b - d) % q for a, b, d, q in
-                           zip(fx, self._act(x, f[s]), f[mul(x, s)], mods)):
+                           zip(fx, self._act(x, c[s]), c[table[x][s]], mods)):
                         return None
-            return [v % q for s in self.gens for v, q in zip(f[s], mods)]
-        c = self._bar_value(vec)
+            return [v % q for s in self.gens for v, q in zip(c[s], mods)]
         if self._light_witness(c) is not None:
             return None
-        beta = self._tree_sums(lambda x, si: c(x, self.gens[si]))
+        beta = self._tree_sums(lambda x, si: c[x * n + self.gens[si]])
         out = []
         for x, si in self.graph.edges:
             s = self.gens[si]
             out.extend(a + b - d for a, b, d in
-                       zip(beta[x], c(x, s), beta[mul(x, s)]))
+                       zip(beta[x], c[x * n + s], beta[table[x][s]]))
         return [v % q for v, q in zip(out, self.mods)]
 
     def to_bar(self, phi):
@@ -329,54 +299,54 @@ class RelationModule:
         if self.p == 1:
             f = self._tree_sums(
                 lambda x, si: self._act(x, phi[si * t:(si + 1) * t]))
-            return self._reduce_bar([v for (g,) in self.bar_index
+            return self._reduce_bar([v for g in self.bar_positions
                                      for v in f[g]])
-        zero = [0] * t
-        graph = self.graph
-        index, table = graph.edge_index, gamma.table
-        col = {gamma.identity: [zero] * gamma.order}   # col[y][x] = c(x, y)
+        n, graph = gamma.order, self.graph
+        # on[s index][z]: phi at the edge (z, s), None on tree edges
+        on = [[None] * n for _ in self.gens]
+        for (z, si), block in zip(graph.edges, zip(*[iter(phi)] * t)):
+            on[si][z] = block
+        by_col = list(zip(*gamma.table))    # by_col[p][x] = xp
+        col = [[(0,) * t] * n] * n    # col[y][x] = c(x, y), 0 at y = 1
         for y in graph.vertices[1:]:
             p, si = graph.parent[y]
-            cp = col[p]
-            col[y] = out = []
-            for x, cx in enumerate(cp):
-                k = index.get((table[x][p], si))
-                out.append(cx if k is None else
-                           [a + b for a, b in zip(cx, phi[k * t:(k + 1) * t])])
-        vec = [0] * len(self.bar_mods)
-        for (x, y), i in self.bar_index.items():
-            vec[i * t:(i + 1) * t] = col[y][x]
-        return self._reduce_bar(vec)
+            col[y] = [cx if b is None else tuple(map(add, cx, b)) for cx, b
+                      in zip(col[p], map(on[si].__getitem__, by_col[p]))]
+        return self._reduce_bar([v for i in self.bar_positions
+                                 for v in col[i % n][i // n]])
 
     def bar_coboundaries(self):
         """The normalized bar coboundaries d(delta_(u, i)) in the degree-p
-        bar layout, for the basis (p-1)-cochains delta_(u, i), u over the
-        (p-1)-tuples over Gamma minus the identity in lexicographic order
-        and i over the coefficient coordinates: x.e_i at (x,) + u,
-        (-1)^j e_i at each tuple whose entries j and j + 1 multiply to
-        u_j, and (-1)^p e_i at u + (y,), dropping every tuple that
-        contains the identity.  None in degree 0."""
-        p, t, index = self.p, self.t, self.bar_index
+        bar layout, p <= 2, for the basis (p-1)-cochains delta_(u, i), u
+        over the (p-1)-tuples over Gamma minus the identity in
+        lexicographic order and i over the coefficient coordinates:
+        x.e_i at (x,) + u, -e_i at each (x, y) with xy = u_1, and
+        (-1)^p e_i at u + (y,), dropping every tuple that contains the
+        identity; a normalized tuple's block is sum_j rank(x_j)
+        (n-1)^(p-1-j).  None in degree 0."""
+        p, t = self.p, self.t
         if p == 0:
             return
         gamma = self.module.gamma
-        dim = len(self.bar_mods)
+        dim, mul, inv = len(self.bar_mods), gamma.mul, gamma.inv
         others = [g for g in range(gamma.order) if g != gamma.identity]
+        m = len(others)
+        rank = [x - (x > gamma.identity) for x in range(gamma.order)]
         for u in itertools.product(others, repeat=p - 1):
-            terms = [(1, (x,) + u, self.acts[x]) for x in others]
-            terms += [((-1) ** j, u[:j - 1] + (x, gamma.mul(gamma.inv(x), g))
-                       + u[j:], None)
-                      for j, g in enumerate(u, 1) for x in others if x != g]
-            terms += [((-1) ** p, u + (y,), None) for y in others]
+            b = rank[u[0]] if u else 0
+            terms = [(1, rank[x] * m ** (p - 1) + b, self.acts[x])
+                     for x in others]
+            terms += [(-1, rank[x] * m + rank[mul(inv(x), g)], None)
+                      for g in u for x in others if x != g]
+            terms += [((-1) ** p, b * m + rank[y], None) for y in others]
             for i in range(t):
                 col = [0] * dim
-                for sign, tup, amat in terms:
-                    r = index[tup] * t
+                for sign, r, amat in terms:
                     if amat is None:
-                        col[r + i] += sign
+                        col[r * t + i] += sign
                     else:
                         for k in range(t):
-                            col[r + k] += sign * amat[k][i]
+                            col[r * t + k] += sign * amat[k][i]
                 yield col
 
     def coboundary_witness(self, c, solve):
@@ -395,17 +365,58 @@ class RelationModule:
             return None
         gamma, t = self.module.gamma, self.t
         if self.p == 1:
-            b = {(): sol[:t]}
+            b = [sol[:t]]
         else:
-            cv = self._bar_value(vec)
+            cv, n = self._spread(vec), gamma.order
             tree = self._tree_sums(lambda x, si: [
                 u - w for u, w in zip(self._act(x, sol[si * t:(si + 1) * t]),
-                                      cv(x, self.gens[si]))])
-            b = {(g,): tree[g] for g in range(gamma.order)}
+                                      cv[x * n + self.gens[si]])])
+            b = [tree[g] for g in range(n)]
         mods = self.module.coeff.invariant_factors
-        return tuple((tup, tuple((x + y) % q for x, y, q in
-                                 zip(v, shift, mods)))
-                     for tup, v in b.items())
+        return cochain_pairs(gamma, self.p - 1, [
+            tuple((x + y) % q for x, y, q in zip(v, shift, mods)) for v in b])
+
+
+def read_cochain(M, p, c):
+    """The one reader of the cochains the API takes: the values of the
+    total p-cochain c over M in product order, (x_0, .., x_(p-1)) at
+    position sum_j x_j n^(p-1-j), each reduced once.  ValidationError
+    unless c has degree p, a value at every tuple of Gamma^p (naming the
+    first missing), no other tuple and t coordinates in every value."""
+    if c.degree != p:
+        raise ValidationError("cochain degree mismatch")
+    given = dict(c.values)
+    try:
+        values = [given.pop(tup) for tup in
+                  itertools.product(range(M.gamma.order), repeat=p)]
+    except KeyError as e:
+        raise ValidationError(
+            f"cochain is not total: missing {e.args[0]}") from None
+    if given:
+        raise ValidationError(
+            f"cochain tuple {next(iter(given))} is not in Gamma^{p}")
+    t = M.coeff.ncoords
+    if any(len(v) != t for v in values):
+        raise ValidationError("coordinate length mismatch")
+    return reduce_columns(M.coeff, zip(*values), len(values))
+
+
+def reduce_columns(coeff, cols, count):
+    """The ``count`` values of coeff with coordinates ``cols``, one
+    sequence of numbers per coordinate, as tuples reduced the way
+    ``coeff.reduce`` reduces them: the free coordinates stay."""
+    mods = [0] * coeff.free_rank + list(coeff.invariant_factors)
+    return list(zip(*[[x % q for x in col] if q else col
+                      for col, q in zip(cols, mods)])) or [()] * count
+
+
+def cochain_pairs(gamma, p, values):
+    """The (tuple, value) pairs, as ``Cochain`` keeps them, of the total
+    p-cochain over ``gamma`` with ``values`` in product order."""
+    # the tuples first: pairs made with fresh ones stay tracked by the
+    # garbage collector, which then walks them all at every collection
+    return tuple(zip(list(itertools.product(range(gamma.order), repeat=p)),
+                     values))
 
 
 def require_within_budget(gamma: FiniteGroup, t: int, p: int, budget: int,

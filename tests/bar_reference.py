@@ -7,12 +7,51 @@ matrix, built row by row from the bar terms of each target tuple, as
 and for the triangular basis of canonical representatives; the columns
 ``RelationModule.bar_coboundaries`` builds directly must equal it, in
 the same order.  ``reference_cocycle_witness`` is the full |Gamma|^3
-loop over the 2-cocycle identity that Light's test replaced."""
+loop over the 2-cocycle identity that Light's test replaced.
+
+``reference_differential`` is the public bar ``differential`` as it was
+before cochains were read by position: a dict of the cochain, every term
+of ``bar_terms`` reduced, acted on and added one at a time.  The
+library's ``differential`` must equal it, value for value and in its
+errors."""
 
 import itertools
 
-from discred.cohomology import _bar_terms
+from discred.cohomology import Cochain
+from discred.errors import ValidationError
 from discred.exactlin import IntMatrix
+
+
+def bar_terms(gamma, tup):
+    """(sign, source_tuple, acting_element_or_None) terms of the bar
+    differential evaluated at ``tup``."""
+    p1 = len(tup)
+    terms = [(1, tup[1:], tup[0])]
+    sign = -1
+    for i in range(1, p1):
+        merged = tup[:i - 1] + (gamma.mul(tup[i - 1], tup[i]),) + tup[i + 1:]
+        terms.append((sign, merged, None))
+        sign = -sign
+    terms.append((sign, tup[:-1], None))
+    return terms
+
+
+def reference_differential(M, c) -> Cochain:
+    """Bar differential C^p -> C^{p+1}, supported for p <= 2."""
+    if c.degree > 2:
+        raise ValidationError("differential supported only up to degree 2")
+    d = c.as_dict()
+    coeff = M.coeff
+    out = {}
+    for tup in itertools.product(range(M.gamma.order), repeat=c.degree + 1):
+        total = coeff.zero()
+        for sign, src, actor in bar_terms(M.gamma, tup):
+            v = coeff.reduce(d[src])
+            if actor is not None:
+                v = M.act(actor, v)
+            total = coeff.add(total, coeff.scale(sign, v))
+        out[tup] = total
+    return Cochain.from_map(c.degree + 1, out)
 
 
 def normalized_tuples(M, p):
@@ -32,7 +71,7 @@ def reference_diff_matrix(M, p, rows) -> IntMatrix:
     dim = len(index) * t
     out = [[0] * dim for _ in range(len(rows) * t)]
     for i, tup in enumerate(rows):
-        for sign, stup, actor in _bar_terms(M.gamma, tup):
+        for sign, stup, actor in bar_terms(M.gamma, tup):
             j = index.get(stup)
             if j is None:
                 continue

@@ -4,11 +4,19 @@ Gamma's own (``grouptable.CayleyGraph``) and identity actions skipped
 their products: this class rebuilds the tree, the cycles and the edge
 index from ``closure`` for every module and applies every element's
 matrix.  The tests check the library's ``_rows``, ``to_bar``,
-``from_bar`` and ``_light_witness`` against it, row for row."""
+``from_bar`` and ``_light_witness`` against it, row for row.
+
+It also keeps the reading of total cochains as it was before cochains
+were read by position: ``_total`` as a dict keyed by tuple,
+``from_cochain`` reducing value by value, ``to_cochain`` through
+``bar_index`` and Light's test through the ``_bar_value`` closure
+(``cocycle_witness``).  The library's reader must give the same vectors,
+witnesses and errors on every cochain whose tuples lie in Gamma^p."""
 
 import itertools
 from functools import cached_property
 
+from discred.errors import ValidationError
 from discred.grouptable import closure
 
 
@@ -130,6 +138,62 @@ class ReferenceRelationModule:
 
     def _reduce_bar(self, vec):
         return [v % q for v, q in zip(vec, self.bar_mods)]
+
+    def _total(self, c):
+        """The values of the p-cochain c by tuple, in product order;
+        ValidationError unless c has degree p and is total."""
+        if c.degree != self.p:
+            raise ValidationError("cochain degree mismatch")
+        d = c.as_dict()
+        try:
+            return {tup: d[tup] for tup in itertools.product(
+                range(self.module.gamma.order), repeat=self.p)}
+        except KeyError as e:
+            raise ValidationError(
+                f"cochain is not total: missing {e.args[0]}") from None
+
+    def from_cochain(self, c):
+        """(vec, shift): the normalized bar coordinates of c - d(const
+        shift), where shift = c(1, 1) in degree 2 and zero below, vec
+        None when that difference is not normalized."""
+        d = self._total(c)
+        M, index, t = self.module, self.bar_index, self.t
+        coeff, ident = M.coeff, M.gamma.identity
+        shift = coeff.zero()
+        if self.p == 2:
+            shift = coeff.reduce(d[(ident, ident)])
+        acted = [M.act(g, shift) for g in range(M.gamma.order)] \
+            if any(shift) else None
+        vec = [0] * len(self.bar_mods)
+        normalized = True
+        for tup, val in d.items():
+            if acted is not None:
+                val = [x - y for x, y in zip(val, acted[tup[0]])]
+            val = coeff.reduce(val)
+            i = index.get(tup)
+            if i is None:
+                normalized = normalized and not any(val)
+            else:
+                vec[i * t:(i + 1) * t] = val
+        return (vec if normalized else None), shift
+
+    def to_cochain(self, vec):
+        """The (tuple, value) pairs, in product order, of the total
+        p-cochain with normalized bar coordinates ``vec``."""
+        gamma, t = self.module.gamma, self.t
+        vec = self._reduce_bar(vec)
+        zero = (0,) * t
+        blocks = iter([tuple(vec[i * t:(i + 1) * t])
+                       for i in range(len(self.bar_index))])
+        return tuple(
+            (tup, zero if gamma.identity in tup else next(blocks))
+            for tup in itertools.product(range(gamma.order), repeat=self.p))
+
+    def cocycle_witness(self, c):
+        """Light's test on the total 2-cochain c, read as a dict."""
+        coeff = self.module.coeff
+        d = {k: coeff.reduce(v) for k, v in self._total(c).items()}
+        return self._light_witness(lambda x, y: d[x, y])
 
     def _bar_value(self, vec):
         """c(x, y) from normalized bar coordinates of degree 2; zero at

@@ -20,7 +20,7 @@ from discred.extension import classify
 from discred.grouptable import cyclic, direct_product, from_generators
 from discred.relations import RelationModule
 
-from bar_reference import reference_diff_matrix
+from bar_reference import normalized_tuples, reference_diff_matrix
 from bruteforce import normalized_coboundaries, zip_flat_add
 from test_acceptance import _oracle_instances
 from test_cohomology import _trivial_tower
@@ -62,7 +62,7 @@ def test_coboundary_columns_match_the_bar_matrix(p):
     ``modular_echelon`` sees the same input."""
     for M in _modules():
         rel = RelationModule(M, p)
-        d = reference_diff_matrix(M, p - 1, list(rel.bar_index))
+        d = reference_diff_matrix(M, p - 1, normalized_tuples(M, p))
         assert list(rel.bar_coboundaries()) == [
             list(d.col(j)) for j in range(d.cols)]
 

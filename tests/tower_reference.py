@@ -7,12 +7,42 @@ image(k+1, k+2), so it is an isomorphism exactly when the three orders
 agree.  Once two consecutive comparisons hold, at k and k + 1, the
 answer is image(k, k+1) at level k + 1.  It raises when no such k fits
 below max_k, which it does on inputs that have an answer (SL4 under a
-trivial C2 at max_k 4, for one)."""
+trivial C2 at max_k 4, for one).
 
-from discred.abgroup import torsion_inclusion
+``reference_span`` is the image subgroup as ``cohomology._span`` once
+took it, with two eliminations: the kernel of Z^g -> sum_i Z/f_i, then
+the cokernel of that kernel.  The one congruence kernel that replaced
+them must give the same structure and subgroup."""
+
+from discred.abgroup import FGAbelianGroup, torsion_inclusion
 from discred.cohomology import (StabilizedH2, _canonical_basis,
                                 _image_subgroup, cohomology_group)
-from discred.errors import BudgetExceededError
+from discred.errors import BudgetExceededError, InternalCheckError
+from discred.exactlin import IntMatrix, cokernel_presentation, kernel_basis
+
+
+def reference_span(coords, factors):
+    """(structure, generator coordinate vectors) of the subgroup of
+    sum_i Z/factors[i] generated by the coordinate vectors ``coords``:
+    Z^g modulo the kernel of Z^g -> sum_i Z/factors[i]."""
+    g = len(coords)
+    if g == 0:
+        return FGAbelianGroup(0, ()), []
+    nf = len(factors)
+    rows = [tuple(coords[j][i] for j in range(g))
+            + tuple(f if k == i else 0 for k in range(nf))
+            for i, f in enumerate(factors)]
+    K = kernel_basis(IntMatrix.from_rows(rows, cols=g + nf))
+    pres = cokernel_presentation(IntMatrix.from_rows([k[:g] for k in K],
+                                                     cols=g))
+    if pres.free_rank != 0:
+        raise InternalCheckError("image subgroup came out infinite")
+    gens = []
+    for pos in [i for i, m in enumerate(pres.moduli) if m > 1]:
+        x = pres.from_presented.col(pos)
+        gens.append(tuple(sum(x[j] * coords[j][i] for j in range(g)) % f
+                          for i, f in enumerate(factors)))
+    return FGAbelianGroup(0, pres.invariant_factors), gens
 
 
 def reference_stabilized_h2(gamma, Z, module_at, max_k=4,
