@@ -10,9 +10,13 @@ arithmetic.
 imported from its module on first access (PEP 562) and kept in the
 package namespace, so a run compiles only the modules it uses:
 ``discred.cohomology_group`` loads ``errors``, ``exactlin``, ``abgroup``,
-``grouptable``, ``relations`` and ``cohomology``, never ``extension``.
-``_EXPORTS`` is the one table of re-exports; each module it lists is
-exported by name too.
+``grouptable``, ``record``, ``relations`` and ``cohomology``, never
+``extension``; ``discred.build_extension`` adds ``extension`` and loads
+neither ``rootdatum`` nor ``autbrd``, which ``classify`` imports when
+called.  ``_EXPORTS`` is the one table of re-exports; each module it
+lists is exported by name too.  The value classes are ``record.Record``
+subclasses, whose methods are made at class creation without
+compiling code.
 """
 
 __version__ = "0.1.0"

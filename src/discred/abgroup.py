@@ -13,15 +13,14 @@ arithmetic happens in the n-torsion subgroups (Z/n)^m (+) (+)_i Z/gcd(f_i, n).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd, prod
 
 from .errors import ValidationError
 from .exactlin import IntMatrix, cokernel_presentation
+from .record import Record
 
 
-@dataclass(frozen=True)
-class FGAbelianGroup:
+class FGAbelianGroup(Record):
     free_rank: int
     invariant_factors: tuple  # each > 1, f_i | f_{i+1}
 
@@ -130,8 +129,7 @@ def _same_reduced_columns(target: FGAbelianGroup, A: IntMatrix,
                                          target.invariant_factors)))
 
 
-@dataclass(frozen=True)
-class AbHom:
+class AbHom(Record):
     """Homomorphism between f.g. abelian groups, as an integer matrix on
     the chosen generators (column-vector convention)."""
 
@@ -188,8 +186,7 @@ class AbHom:
         return cls(G, G, IntMatrix.identity(G.ncoords))
 
 
-@dataclass(frozen=True)
-class DiagonalizableGroup:
+class DiagonalizableGroup(Record):
     """(C*)^torus_rank x finite_part; houses Z(G) and its torsion."""
 
     torus_rank: int

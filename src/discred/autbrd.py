@@ -12,7 +12,6 @@ characters by precomposition with T^{-1}.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
@@ -20,12 +19,12 @@ from .abgroup import AbHom, torsion_at
 from .errors import InternalCheckError, ValidationError
 from .exactlin import IntMatrix, inverse_unimodular, smith_normal_form
 from .grouptable import FiniteGroup
+from .record import Record
 from .rootdatum import (BasedRootDatum, CenterData, cartan_pairing,
                         simple_matrix)
 
 
-@dataclass(frozen=True)
-class BRDAutomorphism:
+class BRDAutomorphism(Record):
     matrix: IntMatrix
     simple_root_permutation: tuple  # position p of Pi -> position of image
 
@@ -46,8 +45,7 @@ class BRDAutomorphism:
         return cls(IntMatrix.identity(based.datum.rank), tuple(range(k)))
 
 
-@dataclass(frozen=True)
-class BrdCheck:
+class BrdCheck(Record):
     ok: bool
     witness: str | None
     permutation: tuple | None
@@ -96,8 +94,7 @@ def brd_automorphism(based: BasedRootDatum, T: IntMatrix) -> BRDAutomorphism:
     return BRDAutomorphism(T, chk.permutation)
 
 
-@dataclass(frozen=True)
-class DiagramAutomorphisms:
+class DiagramAutomorphisms(Record):
     automorphisms: tuple          # BRDAutomorphism, lexicographic in permutation
     non_lifting: tuple            # diagram symmetries with no lattice lift
 
@@ -190,8 +187,7 @@ def induced_center_action(cd: CenterData, T: BRDAutomorphism, n: int) -> AbHom:
     return center_action_at(cd, M, n)
 
 
-@dataclass(frozen=True)
-class AdHom:
+class AdHom(Record):
     """Homomorphism from a finite group into the distinguished
     automorphisms, one image per group element."""
     gamma: FiniteGroup

@@ -23,7 +23,6 @@ Degree 3 cochains exist only as differential targets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from .abgroup import (AbHom, DiagonalizableGroup, FGAbelianGroup,
@@ -33,12 +32,12 @@ from .exactlin import (IntMatrix, cokernel_presentation,
                        congruence_kernel_basis, echelon_reduce,
                        modular_echelon, smith_normal_form, unit_pivot_kernel)
 from .grouptable import FiniteGroup
+from .record import Record
 from .relations import (RelationModule, cochain_pairs, read_cochain,
                         reduce_columns, require_within_budget)
 
 
-@dataclass(frozen=True)
-class GammaModule:
+class GammaModule(Record):
     """Finite abelian coefficient group with an action of a finite group."""
 
     gamma: FiniteGroup
@@ -86,8 +85,7 @@ def trivial_module(gamma: FiniteGroup, coeff: FGAbelianGroup) -> GammaModule:
     return GammaModule(gamma, coeff, tuple(ident for _ in range(gamma.order)))
 
 
-@dataclass(frozen=True)
-class Cochain:
+class Cochain(Record):
     """Total map Gamma^degree -> coefficient group, values keyed by
     tuples of gamma element indices."""
 
@@ -282,8 +280,7 @@ class CohomologyGroup:
                     *(range(f) for f in self.group.invariant_factors))]
 
 
-@dataclass(frozen=True)
-class CohomologyClass:
+class CohomologyClass(Record):
     module: GammaModule
     degree: int
     representative: Cochain
@@ -366,8 +363,7 @@ def push_cochain(inc: AbHom, c: Cochain) -> Cochain:
                             {tup: inc.apply(val) for tup, val in c.values})
 
 
-@dataclass(frozen=True)
-class StabilizedH2:
+class StabilizedH2(Record):
     """H^2(Gamma, Z) read off the torsion tower H^2(Gamma, Z[n^k]), its
     generators given by their coordinates in H^2 at level k_used.  The
     generators are chosen by their canonical cocycles

@@ -15,17 +15,16 @@ broken by lowest (row, col) index, so decompositions are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import islice
 from math import gcd
 from operator import mul
 
 from .errors import ValidationError
+from .record import Record
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Record):
     """Immutable rectangular integer matrix (row-major tuple of tuples).
 
     The shape is stored explicitly so that 0xN and Nx0 matrices keep
@@ -121,8 +120,7 @@ class IntMatrix:
         return self.rows == self.cols and self.det() in (1, -1)
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Record):
     """U @ A @ V == D with U, V unimodular and D diagonal nonnegative,
     each diagonal entry dividing the next.  ``U_inv`` and ``V_inv`` are
     the inverses of U and V; a transform the caller did not ask to keep
@@ -359,8 +357,7 @@ def kernel_basis(A: IntMatrix):
     return basis
 
 
-@dataclass(frozen=True)
-class CongruenceKernel:
+class CongruenceKernel(Record):
     """A basis B = V diag(s) of a full-rank lattice, as columns, with
     V^-1 from the same elimination: coordinates in B are
     x = diag(s)^-1 V^-1 b, one product and no second elimination."""
@@ -407,8 +404,7 @@ def congruence_kernel_basis(A: IntMatrix, q: int) -> CongruenceKernel:
     return CongruenceKernel(basis, scales, snf.V_inv)
 
 
-@dataclass(frozen=True)
-class UnitPivotKernel:
+class UnitPivotKernel(Record):
     """K = {x in Z^n : A x = 0 (mod q)} from ``unit_pivot_kernel``:
     x_p = sum_k e_k x_(free[k]) (mod q) on K for each (p, {k: e_k}) in
     ``pivots``; ``core`` is the congruence kernel of the rows left over,
@@ -540,8 +536,7 @@ def unit_pivot_kernel(rows, n, q) -> UnitPivotKernel:
         if core else None)
 
 
-@dataclass(frozen=True)
-class CokernelPresentation:
+class CokernelPresentation(Record):
     """coker(relations on Z^cols) ~= Z^free_rank (+) sum_i Z/f_i.
 
     ``to_presented`` maps standard coordinates to presented coordinates

@@ -12,27 +12,28 @@ homomorphism with kernel D; no table of G x| E~ is built.
 
 Classification of the disconnected groups over a root datum lives here
 too: one descriptor per class in the stabilized H^2 of the center.
+``center_modules`` and ``classify`` import the root-datum layer
+(``rootdatum``, ``autbrd``) when called, so the extension models load
+neither; ``AdHom``, ``BasedRootDatum`` and ``CenterData`` in their
+annotations are those modules' classes.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from .abgroup import (DiagonalizableGroup, FGAbelianGroup, stable_level,
                       torsion_at)
-from .autbrd import AdHom, center_action_at, presented_action
 from .cohomology import (Cochain, CohomologyGroup, GammaModule,
                          cohomology_group, gamma_module, stabilized_h2)
 from .errors import BudgetExceededError, InternalCheckError, ValidationError
 from .grouptable import (FiniteGroup, check_action, hom_check, is_normal,
                          quotient, semidirect_product, twisted_rows,
                          validate_table)
+from .record import Record
 from .relations import (RelationModule, cochain_pairs, read_cochain,
                         require_within_budget)
-from .rootdatum import (BasedRootDatum, CenterData, center_data,
-                        require_valid_based)
 
 
 def cocycle_witness(M: GammaModule, c: Cochain):
@@ -45,8 +46,7 @@ def cocycle_witness(M: GammaModule, c: Cochain):
     return RelationModule(M, 2).cocycle_witness(c)
 
 
-@dataclass(frozen=True)
-class ExtensionModel:
+class ExtensionModel(Record):
     """Finite group on A x Gamma with the group law twisted by a
     normalized 2-cocycle."""
 
@@ -64,29 +64,17 @@ def build_extension(M: GammaModule, c: Cochain) -> ExtensionModel:
     (a1, g1)(a2, g2) = (a1 + g1.a2 + c(g1, g2), g1 g2).  Raises with the
     failing triple when c is not a cocycle (the table check: the law's
     associator is dc) and rejects non-normalized cochains, whose law has
-    no identity at (0, 1).  Each value is looked up among
-    ``coeff.elements()`` as given and reduced only when it is not one of
-    them (unreduced, or a list).
+    no identity at (0, 1).  The values are read by ``read_cochain``, so
+    unreduced values and lists are accepted.
     """
+    if c.degree != 2:
+        raise ValidationError("expected a degree-2 cochain")
     A = M.coeff
     elems = A.elements()
     pos = {e: i for i, e in enumerate(elems)}
-
-    def position(v):
-        try:
-            return pos[v]
-        except (KeyError, TypeError):
-            return pos[A.reduce(v)]
-    vals = {k: position(v) for k, v in c.values}
-    if c.degree != 2:
-        raise ValidationError("expected a degree-2 cochain")
     n = M.gamma.order
-    gs = range(n)
-    if len(vals) != n * n or not all(
-            isinstance(k, tuple) and len(k) == 2 and k[0] in gs and k[1] in gs
-            for k in vals):
-        raise ValidationError("cochain is not total on Gamma x Gamma")
-    cval = [[vals[(g1, g2)] for g2 in gs] for g1 in gs]
+    vals = [pos[v] for v in read_cochain(M, 2, c)]
+    cval = [vals[g * n:(g + 1) * n] for g in range(n)]
     ident, zero = M.gamma.identity, pos[A.zero()]
     if any(p != zero for p in cval[ident]) or any(
             row[ident] != zero for row in cval):
@@ -161,8 +149,7 @@ def extensions_equivalent(M: GammaModule, c1: Cochain, c2: Cochain,
         Cochain(2, cochain_pairs(M.gamma, 2, diff)))
 
 
-@dataclass(frozen=True)
-class PushoutChecks:
+class PushoutChecks(Record):
     """The contracts a pushout checked.  The antidiagonal D is normal
     as the kernel of the checked homomorphism G x| E~ -> E, so
     ``antidiagonal_is_normal`` holds exactly when
@@ -174,8 +161,7 @@ class PushoutChecks:
     expected_order: int
 
 
-@dataclass(frozen=True)
-class PushoutModel:
+class PushoutModel(Record):
     """E = (G x| E~)/D with D the antidiagonal copy of A, built on
     G x Gamma: (g, gamma) at index g * |Gamma| + gamma.
 
@@ -381,8 +367,7 @@ def quotient_mod_center(G: FiniteGroup, z_embed, act, push: PushoutModel):
     return None
 
 
-@dataclass(frozen=True)
-class DisconnectedGroupDescriptor:
+class DisconnectedGroupDescriptor(Record):
     """One equivalence class of disconnected groups E with identity
     component prescribed by the root datum and component group Gamma."""
 
@@ -392,8 +377,7 @@ class DisconnectedGroupDescriptor:
     torsion_level: int
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Record):
     center: DiagonalizableGroup
     group: FGAbelianGroup          # stabilized H^2
     k_used: int
@@ -411,6 +395,8 @@ def center_modules(cd: CenterData, ad: AdHom):
     (``center_action_at``), once per distinct image, and the result
     equals the module built from ``induced_center_action`` at every
     element."""
+    from .autbrd import center_action_at, presented_action
+
     gamma = ad.gamma
     keys = [im.matrix.entries for im in ad.images]
     has_coords = torsion_at(cd.group, gamma.order).ncoords > 0
@@ -435,6 +421,7 @@ def classify(based: BasedRootDatum, ad: AdHom, max_k: int = 4,
     Each descriptor carries the canonical cocycle of its class: the
     lexicographically smallest normalized cocycle, for every input."""
     from .autbrd import require_valid_ad
+    from .rootdatum import center_data, require_valid_based
 
     require_valid_based(based)
     gamma = ad.gamma

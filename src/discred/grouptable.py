@@ -8,19 +8,18 @@ closure; raw tables may put the identity anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain
 from operator import itemgetter
 
 from .errors import BudgetExceededError, ValidationError
+from .record import Record, field
 
 # Largest group that ``from_generators`` and ``cyclic`` build.
 GROUP_CAP = 10000
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Record):
     order: int
     table: tuple          # table[i][j] = index of x_i * x_j
     identity: int

@@ -8,7 +8,6 @@ Degenerate data with no roots are legal and model tori.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from operator import mul
@@ -18,13 +17,13 @@ from .errors import InternalCheckError, ValidationError
 from .exactlin import (IntMatrix, cokernel_presentation, column_lattice_basis,
                        kernel_basis, smith_normal_form)
 from .grouptable import permutation_closure
+from .record import Record, field
 
 # Largest Weyl group that ``weyl_generate`` enumerates.
 WEYL_CAP = 100000
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(Record):
     rank: int
     roots: tuple      # tuple of integer vectors in X^* coordinates
     coroots: tuple    # tuple of integer vectors in X_* coordinates, bijective
@@ -41,8 +40,7 @@ class RootDatum:
         return sum(map(mul, coroot, root))
 
 
-@dataclass(frozen=True)
-class BasedRootDatum:
+class BasedRootDatum(Record):
     datum: RootDatum
     simple_indices: tuple
     # the roots' coefficients in the simple roots as ``from_simple``'s
@@ -121,8 +119,7 @@ class BasedRootDatum:
         return None
 
 
-@dataclass(frozen=True)
-class WeylGroup:
+class WeylGroup(Record):
     """W as permutations of the root indices, in BFS order from the
     identity: ``permutations[i][j]`` is the index of w_i(root j).  W acts
     faithfully on the roots of a valid datum (it fixes the coroot-
@@ -147,8 +144,7 @@ class WeylGroup:
         return tuple(mats)
 
 
-@dataclass(frozen=True)
-class DynkinDiagram:
+class DynkinDiagram(Record):
     vertices: tuple   # simple-root indices into the datum's root list
     edges: tuple      # (i, j, <alpha_j^v, alpha_i>, <alpha_i^v, alpha_j>) with i < j
                       # positions i, j index into ``vertices``
@@ -309,8 +305,7 @@ def positive_roots(based: BasedRootDatum):
     return tuple(based.datum.roots[j] for j in _positive_indices(based))
 
 
-@dataclass(frozen=True)
-class PositiveSystem:
+class PositiveSystem(Record):
     roots: tuple       # sorted tuple of root vectors
     weyl: WeylGroup
     index: int         # of the w carrying the base system onto this one
@@ -371,8 +366,7 @@ def cartan_pairing(based: BasedRootDatum, i: int, j: int) -> int:
     return based.datum.pairing(based.simple_coroots[i], based.simple_roots[j])
 
 
-@dataclass(frozen=True)
-class CenterData:
+class CenterData(Record):
     """Z(G) = Hom(X^*/ZR, C*) together with the SNF presentation of
     X^*/ZR used to transport automorphism actions exactly.
 
@@ -404,8 +398,7 @@ def center(datum: RootDatum) -> DiagonalizableGroup:
     return center_data(datum).group
 
 
-@dataclass(frozen=True)
-class AlmostProduct:
+class AlmostProduct(Record):
     sublattice_1: tuple   # basis of X^*(H/Z(G)) = the root lattice ZR
     sublattice_2: tuple   # basis of {lambda : <alpha^v, lambda> = 0 for all alpha}
     index: int

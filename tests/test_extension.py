@@ -107,6 +107,30 @@ class TestBuild:
         with pytest.raises(ValidationError, match=r"not total: missing \(1, 1\)"):
             cocycle_witness(M, Cochain.from_map(2, vals))
 
+    def test_non_total_cochain_named_by_the_reader(self):
+        """A C2 cochain without (1, 1) gets the message every other
+        cochain reader gives; a non-total cochain of degree 3 is named
+        for its degree first."""
+        M = c2_z2_module()
+        vals = nontrivial_c2_cocycle().as_dict()
+        del vals[(1, 1)]
+        c = Cochain.from_map(2, vals)
+        with pytest.raises(ValidationError,
+                           match=r"^cochain is not total: missing \(1, 1\)$"):
+            build_extension(M, c)
+        with pytest.raises(ValidationError,
+                           match="^expected a degree-2 cochain$"):
+            build_extension(M, Cochain(3, c.values))
+
+    def test_list_and_unreduced_values_accepted(self):
+        M = c2_z2_module()
+        given = Cochain(2, (((0, 0), [0]), ((0, 1), (2,)), ((1, 0), [-2]),
+                            ((1, 1), (3,))))
+        model = build_extension(M, given)
+        assert model.group == build_extension(
+            M, nontrivial_c2_cocycle()).group
+        assert model.cocycle is given
+
     def test_twisted_by_action(self):
         # Z/4 extended by Z/2 acting by inversion, trivial cocycle:
         # the dihedral group of order 8

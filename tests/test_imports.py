@@ -59,7 +59,14 @@ def test_h2_names_load_only_the_cohomology_engine():
     modules, _ = loaded_after(
         "from discred import cohomology_group, gamma_module")
     assert modules == {"errors", "exactlin", "abgroup", "grouptable",
-                       "relations", "cohomology"}
+                       "record", "relations", "cohomology"}
+
+
+def test_extension_models_skip_the_root_datum_layer():
+    modules, _ = loaded_after(
+        "from discred import build_extension, pushout, quotient_mod_center")
+    assert modules == {"errors", "exactlin", "abgroup", "grouptable",
+                       "record", "relations", "cohomology", "extension"}
 
 
 @pytest.mark.parametrize("cmd", ["check", "center", "weyl", "dynkin"])
@@ -83,6 +90,24 @@ def test_classify_loads_the_engine():
     assert code == 0 and ENGINE <= modules
 
 
+# what ``dataclasses`` imports on the way; records are built without it
+HEAVY = ["dataclasses", "inspect"]
+
+
+@pytest.mark.parametrize("code", [
+    "from discred import classify",
+    "import contextlib, io\nfrom discred.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    main(['classify', '--input', {path!r}])",
+], ids=["library", "cli"])
+def test_classify_loads_neither_dataclasses_nor_inspect(code):
+    path = os.path.join(SRC, "discred", "problems", "sl2_z2_trivial.json")
+    _, loaded = loaded_after(
+        code.format(path=path)
+        + f"\nresult = [m for m in {HEAVY!r} if m in sys.modules]")
+    assert loaded == []
+
+
 def test_star_import_and_dir_keep_the_eager_names():
     modules, names = loaded_after(
         "import discred\n"
@@ -92,8 +117,8 @@ def test_star_import_and_dir_keep_the_eager_names():
     listed, star = names
     assert set(listed) == set(star) == EAGER_EXPORTS
     assert modules == {"abgroup", "autbrd", "cohomology", "errors",
-                       "exactlin", "extension", "grouptable", "relations",
-                       "rootdatum"}
+                       "exactlin", "extension", "grouptable", "record",
+                       "relations", "rootdatum"}
 
 
 def test_exports_are_the_module_objects():

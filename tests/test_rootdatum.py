@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import os
@@ -662,8 +661,9 @@ class TestRankKeyedPositiveSystems:
         both versions raise the same InternalCheckError."""
         based = ALL_DATA[name]()
         W = weyl_generate(based)
-        twice = dataclasses.replace(
-            W, permutations=W.permutations + W.permutations[-1:])
+        twice = rootdatum.WeylGroup(
+            W.rank, W.permutations + W.permutations[-1:], W.tree,
+            W.generators)
         msg = ("two Weyl elements map the base system to the same positive "
                "system (simple transitivity fails)")
         for fn in (positive_systems, reference_positive_systems):
