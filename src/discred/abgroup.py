@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from math import gcd, prod
+from operator import mul
 
 from .errors import ValidationError
 from .exactlin import IntMatrix, cokernel_presentation
@@ -116,16 +117,15 @@ def direct_sum(A: FGAbelianGroup, B: FGAbelianGroup) -> FGAbelianGroup:
     return FGAbelianGroup(A.free_rank + B.free_rank, g.invariant_factors)
 
 
-def _same_reduced_columns(target: FGAbelianGroup, A: IntMatrix,
-                          B: IntMatrix) -> bool:
-    """Whether A and B, two matrices of the same shape into ``target``,
-    have equal columns once reduced in ``target``: the images of the
-    source generators, so the two maps agree.  Compared row by row: free
-    rows exactly, a torsion row modulo its invariant factor."""
+def _same_reduced_rows(target: FGAbelianGroup, A, B) -> bool:
+    """Whether A and B, the row tuples of two matrices of one shape into
+    ``target``, have equal columns once reduced in ``target``: the images
+    of the source generators, so the two maps agree.  Compared row by
+    row: free rows exactly, a torsion row modulo its invariant factor."""
     f = target.free_rank
-    return (A.entries[:f] == B.entries[:f]
+    return (A[:f] == B[:f]
             and all(not any((a - b) % q for a, b in zip(ra, rb))
-                    for ra, rb, q in zip(A.entries[f:], B.entries[f:],
+                    for ra, rb, q in zip(A[f:], B[f:],
                                          target.invariant_factors)))
 
 
@@ -167,19 +167,29 @@ class AbHom(Record):
     def equal_as_map(self, other: "AbHom") -> bool:
         return (self.source.same_structure(other.source)
                 and self.target.same_structure(other.target)
-                and _same_reduced_columns(self.target, self.matrix,
-                                          other.matrix))
+                and _same_reduced_rows(self.target, self.matrix.entries,
+                                       other.matrix.entries))
 
     def composite_equals(self, other: "AbHom", h: "AbHom") -> bool:
         """Whether self after other equals h as a map: ``compose`` then
-        ``equal_as_map``, on the product matrix alone."""
+        ``equal_as_map``, on the rows of the product alone."""
         if not other.target.same_structure(self.source):
             raise ValidationError("hom composition mismatch")
-        return (other.source.same_structure(h.source)
-                and self.target.same_structure(h.target)
-                and _same_reduced_columns(self.target,
-                                          self.matrix @ other.matrix,
-                                          h.matrix))
+        if not (other.source.same_structure(h.source)
+                and self.target.same_structure(h.target)):
+            return False
+        B = other.matrix
+        cols = tuple(zip(*B.entries)) if B.rows else ((),) * B.cols
+        return _same_reduced_rows(
+            self.target, tuple(tuple(sum(map(mul, r, c)) for c in cols)
+                               for r in self.matrix.entries), h.matrix.entries)
+
+    def is_identity_of(self, G: FGAbelianGroup) -> bool:
+        """Whether this is the identity map of G: ``equal_as_map`` with
+        ``identity(G)``, on the rows alone."""
+        return (self.source.same_structure(G) and self.target.same_structure(G)
+                and _same_reduced_rows(G, self.matrix.entries,
+                                       IntMatrix.identity(G.ncoords).entries))
 
     @classmethod
     def identity(cls, G: FGAbelianGroup):

@@ -18,7 +18,7 @@ from math import gcd
 from .abgroup import AbHom, torsion_at
 from .errors import InternalCheckError, ValidationError
 from .exactlin import IntMatrix, inverse_unimodular, smith_normal_form
-from .grouptable import FiniteGroup
+from .grouptable import FiniteGroup, first_failing_pair
 from .record import Record
 from .rootdatum import (BasedRootDatum, CenterData, cartan_pairing,
                         simple_matrix)
@@ -169,7 +169,8 @@ def center_action_at(cd: CenterData, M: IntMatrix | None, n: int) -> AbHom:
                     "induced action does not preserve the torsion subgroup")
             row.append((e // (n // g[i])) % g[i])
         rows.append(tuple(row))
-    return AbHom(tor, tor, IntMatrix(tor.ncoords, tor.ncoords, tuple(rows)))
+    return AbHom(tor, tor,
+                 IntMatrix._of(tor.ncoords, tor.ncoords, tuple(rows)))
 
 
 def induced_center_action(cd: CenterData, T: BRDAutomorphism, n: int) -> AbHom:
@@ -237,8 +238,9 @@ def validate_ad(based: BasedRootDatum, ad: AdHom):
     and if Ad(x)Ad(w) = Ad(xw) for all x then
     Ad(x)Ad(ws) = Ad(x)Ad(w)Ad(s) = Ad(xw)Ad(s) = Ad(xws), so with
     Ad(1) = 1 it holds for all x and y by induction on the length of
-    y.  Each distinct image matrix is checked once; a rejected one is
-    named by the first element that carries it."""
+    y.  Each distinct image matrix is checked once, and so is each
+    distinct triple of them (``first_failing_pair``); a rejected one is
+    named by the first element, or the first pair, that carries it."""
     gamma = ad.gamma
     if len(ad.images) != gamma.order:
         return "images are not total on gamma"
@@ -252,13 +254,11 @@ def validate_ad(based: BasedRootDatum, ad: AdHom):
     ident = ad.images[gamma.identity].matrix
     if ident.entries != IntMatrix.identity(based.datum.rank).entries:
         return "image of the identity is not the identity matrix"
-    for x in range(gamma.order):
-        for s in gamma.generators:
-            lhs = ad.images[x].matrix @ ad.images[s].matrix
-            rhs = ad.images[gamma.mul(x, s)].matrix
-            if lhs.entries != rhs.entries:
-                return (f"homomorphism property fails at pair ({x}, {s}): "
-                        f"Ad(x)Ad(y) != Ad(xy)")
+    bad = first_failing_pair(gamma, [im.matrix for im in ad.images],
+                             lambda a, b, ab: (a @ b).entries == ab.entries)
+    if bad is not None:
+        return (f"homomorphism property fails at pair {bad}: "
+                f"Ad(x)Ad(y) != Ad(xy)")
     return None
 
 

@@ -31,10 +31,10 @@ from .errors import InternalCheckError, ValidationError
 from .exactlin import (IntMatrix, cokernel_presentation,
                        congruence_kernel_basis, echelon_reduce,
                        modular_echelon, smith_normal_form, unit_pivot_kernel)
-from .grouptable import FiniteGroup
+from .grouptable import FiniteGroup, first_failing_pair
 from .record import Record
-from .relations import (RelationModule, cochain_pairs, read_cochain,
-                        reduce_columns, require_within_budget)
+from .relations import (RelationModule, cochain_pairs, columns_vanish,
+                        read_cochain, reduce_columns, require_within_budget)
 
 
 class GammaModule(Record):
@@ -70,19 +70,16 @@ def gamma_module(gamma: FiniteGroup, coeff: FGAbelianGroup, action) -> GammaModu
     action = tuple(action)
     if len(action) != gamma.order:
         raise ValidationError("need one action map per gamma element")
-    if not action[gamma.identity].equal_as_map(AbHom.identity(coeff)):
+    if not action[gamma.identity].is_identity_of(coeff):
         raise ValidationError("action of the identity is not the identity")
-    for x, ax in enumerate(action):
-        for s in gamma.generators:
-            if not ax.composite_equals(action[s], action[gamma.mul(x, s)]):
-                raise ValidationError(
-                    f"action is not a homomorphism at pair ({x}, {s})")
+    bad = first_failing_pair(gamma, action, AbHom.composite_equals)
+    if bad is not None:
+        raise ValidationError(f"action is not a homomorphism at pair {bad}")
     return GammaModule(gamma, coeff, action)
 
 
 def trivial_module(gamma: FiniteGroup, coeff: FGAbelianGroup) -> GammaModule:
-    ident = AbHom.identity(coeff)
-    return GammaModule(gamma, coeff, tuple(ident for _ in range(gamma.order)))
+    return GammaModule(gamma, coeff, (AbHom.identity(coeff),) * gamma.order)
 
 
 class Cochain(Record):
@@ -105,17 +102,12 @@ class Cochain(Record):
                    for key, val in self.values if identity in key)
 
 
-def differential(M: GammaModule, c: Cochain) -> Cochain:
-    """Bar differential C^p -> C^(p+1), p <= 2, at all n^(p+1) tuples:
-    dc(x, ..) = x.c(..) + sum_i (-1)^i c(.., x_(i-1) x_i, ..)
-    + (-1)^(p+1) c(.., x_(p-1)) on raw integers, reduced once.  The
-    public checker: it shares only the reader with the engine."""
+def _bar_columns(M: GammaModule, c: Cochain):
     p = c.degree
     if p not in (0, 1, 2):
         raise ValidationError("differential supported only up to degree 2")
     c, n, table = read_cochain(M, p, c), M.gamma.order, M.gamma.table
-    ident = AbHom.identity(M.coeff).matrix.entries
-    cols = []       # dc, one coordinate r at a time
+    ident = IntMatrix.identity(M.coeff.ncoords).entries
     for r in range(M.coeff.ncoords):
         cr, col = [x[r] for x in c], []
         for g, a in enumerate(a.matrix.entries for a in M.action):
@@ -131,13 +123,21 @@ def differential(M: GammaModule, c: Cochain) -> Cochain:
                     col.extend([u - v + cg[hk] - cg[h] for u, v, hk in zip(
                         gc[h * n:(h + 1) * n], cr[gh * n:(gh + 1) * n],
                         table[h])])
-        cols.append(col)
-    return Cochain(p + 1, cochain_pairs(M.gamma, p + 1, reduce_columns(
-        M.coeff, cols, n ** (p + 1))))
+        yield col   # coordinate r of dc, raw, in product order
+
+
+def differential(M: GammaModule, c: Cochain) -> Cochain:
+    """Bar differential C^p -> C^(p+1), p <= 2, at all n^(p+1) tuples:
+    dc(x, ..) = x.c(..) + sum_i (-1)^i c(.., x_(i-1) x_i, ..)
+    + (-1)^(p+1) c(.., x_(p-1)) on raw integers, reduced once.  The
+    public checker: it shares only the reader with the engine."""
+    p = c.degree + 1
+    return Cochain(p, cochain_pairs(M.gamma, p, reduce_columns(
+        M.coeff, list(_bar_columns(M, c)), M.gamma.order ** p)))
 
 
 def is_cocycle(M: GammaModule, c: Cochain) -> bool:
-    return not any(any(v) for _, v in differential(M, c).values)
+    return columns_vanish(M.coeff, _bar_columns(M, c))
 
 
 class CohomologyGroup:

@@ -11,10 +11,18 @@ reaches a Smith form.
 
 Pivoting is deterministic: the smallest nonzero absolute value wins, ties
 broken by lowest (row, col) index, so decompositions are reproducible.
+
+Matrices are built once.  ``IntMatrix(rows, cols, entries)`` (and
+``from_rows``) copies the entries into tuples and checks the shape: that
+is for data from callers.  A matrix the package makes from row tuples it
+built itself with the shape it declares (a product, a transpose, the
+identity, a Smith form's D and transforms, a kernel basis, an action on
+a torsion subgroup) is wrapped with ``IntMatrix._of``, which skips both.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import islice
 from math import gcd
@@ -48,9 +56,8 @@ class IntMatrix(Record):
         length ``cols`` that the caller built with that shape; the
         constructor's copy and shape check are skipped."""
         m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "entries", entries)
+        d = m.__dict__      # where ``object.__setattr__`` puts the fields
+        d["rows"], d["cols"], d["entries"] = rows, cols, entries
         return m
 
     @classmethod
@@ -64,7 +71,8 @@ class IntMatrix(Record):
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+        return cls._of(n, n, tuple((0,) * i + (1,) + (0,) * (n - i - 1)
+                                   for i in range(n)))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -133,10 +141,11 @@ class SmithDecomposition(Record):
     U_inv: IntMatrix | None = None
     V_inv: IntMatrix | None = None
 
-    @property
+    @cached_property
     def diagonal(self):
         m, n = self.original_shape
-        return tuple(self.D[i, i] for i in range(min(m, n)))
+        return tuple(row[i] for i, row in
+                     zip(range(min(m, n)), self.D.entries))
 
     @property
     def rank(self):
@@ -170,19 +179,6 @@ class SmithDecomposition(Record):
 TRANSFORMS = ("U", "V", "U_inv", "V_inv")
 
 
-def _submul(a, b, q):
-    """a - q * b, entrywise."""
-    return [x - q * y for x, y in zip(a, b)]
-
-
-def _eye(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def _transposed(rows, n):
-    return IntMatrix(n, n, tuple(zip(*rows)))
-
-
 def _pivot(D, t, m, n):
     """Position of the nonzero entry of least absolute value in the
     submatrix D[t:, t:], the first in row-major order among equals, or
@@ -202,6 +198,85 @@ def _pivot(D, t, m, n):
     return piv
 
 
+def _identity_rows(k):
+    rows = []
+    for i in range(k):
+        row = [0] * k
+        row[i] = 1
+        rows.append(row)
+    return rows
+
+
+def _negate_row(t, D, U, Ui_t):
+    D[t] = [-x for x in D[t]]
+    if U is not None:
+        U[t] = [-x for x in U[t]]
+    if Ui_t is not None:
+        Ui_t[t] = [-x for x in Ui_t[t]]
+
+
+def _clear(t, m, n, D, U, Ui_t, V_t, Vi):
+    """Diagonalize position t of D, each operation mirrored on the kept
+    transforms (None when not kept); False when D[t:, t:] is zero."""
+    while True:
+        piv = _pivot(D, t, m, n)
+        if piv is None:
+            return False
+        i, j = piv
+        if i != t:
+            D[t], D[i] = D[i], D[t]
+            if U is not None:
+                U[t], U[i] = U[i], U[t]
+            if Ui_t is not None:
+                Ui_t[t], Ui_t[i] = Ui_t[i], Ui_t[t]
+        if j != t:
+            for row in D:
+                row[t], row[j] = row[j], row[t]
+            if V_t is not None:
+                V_t[t], V_t[j] = V_t[j], V_t[t]
+            if Vi is not None:
+                Vi[t], Vi[j] = Vi[j], Vi[t]
+        row_t = D[t]
+        p = row_t[t]
+        done = True
+        # once earlier pivots have cleared their columns, row t vanishes
+        # before column t and row updates start there
+        k = t if t and not any(islice(row_t, t)) else 0
+        tail = row_t[k:]
+        for i in range(t + 1, m):
+            row = D[i]
+            if row[t]:
+                # row_i -= q row_t
+                q = row[t] // p
+                row[k:] = [x - q * y
+                           for x, y in zip(islice(row, k, None), tail)]
+                if U is not None:
+                    U[i] = [x - q * y for x, y in zip(U[i], U[t])]
+                if Ui_t is not None:
+                    Ui_t[t] = [x + q * y for x, y in zip(Ui_t[t], Ui_t[i])]
+                if row[t]:
+                    done = False
+        rows = None     # the rows of D with a nonzero entry in column t
+        for j in range(t + 1, n):
+            if row_t[j]:
+                # col_j -= q col_t
+                if rows is None:
+                    rows = [row for row in D if row[t]]
+                q = row_t[j] // p
+                for row in rows:
+                    row[j] -= q * row[t]
+                if V_t is not None:
+                    V_t[j] = [x - q * y for x, y in zip(V_t[j], V_t[t])]
+                if Vi is not None:
+                    Vi[t] = [x + q * y for x, y in zip(Vi[t], Vi[j])]
+                if row_t[j]:
+                    done = False
+        if done:
+            if p < 0:
+                _negate_row(t, D, U, Ui_t)
+            return True
+
+
 def smith_normal_form(A: IntMatrix, keep=("U", "V")) -> SmithDecomposition:
     """Smith normal form with the transforms named in ``keep`` (any of
     ``TRANSFORMS``); the others are not tracked and come back as None.
@@ -211,97 +286,27 @@ def smith_normal_form(A: IntMatrix, keep=("U", "V")) -> SmithDecomposition:
     col_j += q col_i on U^-1, and col_i -= q col_j on V is
     row_j += q row_i on V^-1; swaps and negations act alike on both.
     U^-1 and V are stored transposed, so every update is a row update.
+    D and the transforms are lists of row lists, updated in place and
+    wrapped once at the end.
     """
-    if not set(keep) <= set(TRANSFORMS):
-        raise ValidationError(f"unknown transform in {keep!r}")
     m, n = A.rows, A.cols
-    D = [list(r) for r in A.entries]
-    U = _eye(m) if "U" in keep else None
-    Ui_t = _eye(m) if "U_inv" in keep else None   # (U^-1)^T
-    V_t = _eye(n) if "V" in keep else None        # V^T
-    Vi = _eye(n) if "V_inv" in keep else None
-
-    def swap(M, i, j):
-        if M is not None:
-            M[i], M[j] = M[j], M[i]
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        swap(U, i, j)
-        swap(Ui_t, i, j)
-
-    def swap_cols(i, j):
-        for row in D:
-            row[i], row[j] = row[j], row[i]
-        swap(V_t, i, j)
-        swap(Vi, i, j)
-
-    def submul_row(i, j, q, k):
-        # row_i -= q * row_j, where row_j vanishes before column k
-        if k:
-            D[i][k:] = [x - q * y for x, y in
-                        zip(islice(D[i], k, None), islice(D[j], k, None))]
+    U = Ui_t = V_t = Vi = None      # Ui_t = (U^-1)^T, V_t = V^T
+    for name in keep:
+        if name == "U":
+            U = _identity_rows(m)
+        elif name == "V":
+            V_t = _identity_rows(n)
+        elif name == "U_inv":
+            Ui_t = _identity_rows(m)
+        elif name == "V_inv":
+            Vi = _identity_rows(n)
         else:
-            D[i] = _submul(D[i], D[j], q)
-        if U is not None:
-            U[i] = _submul(U[i], U[j], q)
-        if Ui_t is not None:
-            Ui_t[j] = _submul(Ui_t[j], Ui_t[i], -q)
+            raise ValidationError(f"unknown transform in {keep!r}")
+    D = [list(r) for r in A.entries]
+    state = (D, U, Ui_t, V_t, Vi)
 
-    def submul_col(i, j, q, rows):
-        # col_i -= q * col_j, where ``rows`` holds every row of D with a
-        # nonzero entry in column j
-        for row in rows:
-            row[i] -= q * row[j]
-        if V_t is not None:
-            V_t[i] = _submul(V_t[i], V_t[j], q)
-        if Vi is not None:
-            Vi[j] = _submul(Vi[j], Vi[i], -q)
-
-    def negate_row(i):
-        D[i] = [-x for x in D[i]]
-        if U is not None:
-            U[i] = [-x for x in U[i]]
-        if Ui_t is not None:
-            Ui_t[i] = [-x for x in Ui_t[i]]
-
-    def clear(t):
-        """Diagonalize position t; returns False when the remaining
-        submatrix is zero."""
-        while True:
-            piv = _pivot(D, t, m, n)
-            if piv is None:
-                return False
-            if piv[0] != t:
-                swap_rows(t, piv[0])
-            if piv[1] != t:
-                swap_cols(t, piv[1])
-            row_t = D[t]
-            p = row_t[t]
-            done = True
-            # once earlier pivots have cleared their columns, row t
-            # vanishes before column t and row updates start there
-            k = t if t and not any(islice(row_t, t)) else 0
-            for i in range(t + 1, m):
-                if D[i][t]:
-                    submul_row(i, t, D[i][t] // p, k)
-                    if D[i][t]:
-                        done = False
-            rows = None
-            for j in range(t + 1, n):
-                if row_t[j]:
-                    if rows is None:
-                        rows = [row for row in D if row[t]]
-                    submul_col(j, t, row_t[j] // p, rows)
-                    if row_t[j]:
-                        done = False
-            if done:
-                if D[t][t] < 0:
-                    negate_row(t)
-                return True
-
-    r = 0
-    while r < min(m, n) and clear(r):
+    r, top = 0, min(m, n)
+    while r < top and _clear(r, m, n, *state):
         r += 1
 
     # Enforce the divisibility chain d_1 | d_2 | ...
@@ -311,23 +316,29 @@ def smith_normal_form(A: IntMatrix, keep=("U", "V")) -> SmithDecomposition:
         for i in range(r - 1):
             a, b = D[i][i], D[i + 1][i + 1]
             if a and b % a:
-                submul_col(i, i + 1, -1, [row for row in D if row[i + 1]])
-                clear(i)
-                clear(i + 1)
+                # col_i += col_(i+1)
+                for row in D:
+                    row[i] += row[i + 1]
+                if V_t is not None:
+                    V_t[i] = [x + y for x, y in zip(V_t[i], V_t[i + 1])]
+                if Vi is not None:
+                    Vi[i + 1] = [x - y for x, y in zip(Vi[i + 1], Vi[i])]
+                _clear(i, m, n, *state)
+                _clear(i + 1, m, n, *state)
                 changed = True
-    # clear(i + 1) may pivot on a later row and leave its diagonal negative
+    # _clear(i + 1) may pivot on a later row and leave its diagonal negative
     for i in range(r):
         if D[i][i] < 0:
-            negate_row(i)
+            _negate_row(i, D, U, Ui_t)
 
+    of = IntMatrix._of
     return SmithDecomposition(
-        U=IntMatrix(m, m, tuple(map(tuple, U))) if U is not None else None,
-        D=IntMatrix(m, n, tuple(map(tuple, D))),
-        V=_transposed(V_t, n) if V_t is not None else None,
-        original_shape=(m, n),
-        U_inv=_transposed(Ui_t, m) if Ui_t is not None else None,
-        V_inv=IntMatrix(n, n, tuple(map(tuple, Vi))) if Vi is not None else None,
-    )
+        None if U is None else of(m, m, tuple(map(tuple, U))),
+        of(m, n, tuple(map(tuple, D))),
+        None if V_t is None else of(n, n, tuple(zip(*V_t))),
+        (m, n),
+        None if Ui_t is None else of(m, m, tuple(zip(*Ui_t))),
+        None if Vi is None else of(n, n, tuple(map(tuple, Vi))))
 
 
 def inverse_unimodular(M: IntMatrix) -> IntMatrix:
@@ -399,8 +410,8 @@ def congruence_kernel_basis(A: IntMatrix, q: int) -> CongruenceKernel:
     n = A.cols
     scales = tuple(q // gcd(diag[j], q) if j < len(diag) and diag[j] else 1
                    for j in range(n))
-    basis = IntMatrix(n, n, tuple(tuple(x * s for x, s in zip(row, scales))
-                                  for row in snf.V.entries))
+    basis = IntMatrix._of(n, n, tuple(tuple(x * s for x, s in zip(row, scales))
+                                      for row in snf.V.entries))
     return CongruenceKernel(basis, scales, snf.V_inv)
 
 
@@ -476,7 +487,8 @@ def unit_pivot_kernel(rows, n, q) -> UnitPivotKernel:
     heap = entries((i, j) for i, row in enumerate(rows) for j in row)
     heapify(heap)
     steps = []
-    while heap:
+    live = len(rows)    # rows neither pivoted nor zero: the rest is stale
+    while live and heap:
         cost, i, j = heappop(heap)
         row = rows[i]
         if not row or gcd(row.get(j, 0), q) != 1:
@@ -487,14 +499,15 @@ def unit_pivot_kernel(rows, n, q) -> UnitPivotKernel:
                 heappush(heap, (now, i, j))
             continue
         rows[i] = None
+        live -= 1
         counts = {}
         for k in row:
             counts[k] = len(cols[k])
             cols[k].discard(i)
         inv = pow(row[j], -1, q)
         # a live unit keeps a heap entry of at most its cost: new units
-        # get one, and so do shrunk rows and columns
-        fresh = []
+        # get one, and so do shrunk rows and columns, once a step
+        fresh = set()
         for r in tuple(cols[j]):
             other = rows[r]
             size = len(other)
@@ -506,14 +519,16 @@ def unit_pivot_kernel(rows, n, q) -> UnitPivotKernel:
                     other[k] = x
                     cols[k].add(r)
                     if gcd(old, q) != 1:
-                        fresh.append((r, k))
+                        fresh.add((r, k))
                 elif old:
                     del other[k]
                     cols[k].discard(r)
             if len(other) < size:
-                fresh.extend((r, k) for k in other)
+                if not other:
+                    live -= 1
+                fresh.update((r, k) for k in other)
         steps.append((j, row, inv))
-        fresh.extend((r, k) for k in row if len(cols[k]) < counts[k]
+        fresh.update((r, k) for k in row if len(cols[k]) < counts[k]
                      for r in cols[k])
         for entry in entries(fresh):
             heappush(heap, entry)

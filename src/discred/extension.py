@@ -28,9 +28,9 @@ from .abgroup import (DiagonalizableGroup, FGAbelianGroup, stable_level,
 from .cohomology import (Cochain, CohomologyGroup, GammaModule,
                          cohomology_group, gamma_module, stabilized_h2)
 from .errors import BudgetExceededError, InternalCheckError, ValidationError
-from .grouptable import (FiniteGroup, check_action, hom_check, is_normal,
-                         quotient, semidirect_product, twisted_rows,
-                         validate_table)
+from .grouptable import (FiniteGroup, check_action, first_failing_pair,
+                         hom_check, is_normal, quotient, semidirect_product,
+                         twisted_rows, validate_table)
 from .record import Record
 from .relations import (RelationModule, cochain_pairs, read_cochain,
                         require_within_budget)
@@ -64,8 +64,9 @@ def build_extension(M: GammaModule, c: Cochain) -> ExtensionModel:
     (a1, g1)(a2, g2) = (a1 + g1.a2 + c(g1, g2), g1 g2).  Raises with the
     failing triple when c is not a cocycle (the table check: the law's
     associator is dc) and rejects non-normalized cochains, whose law has
-    no identity at (0, 1).  The values are read by ``read_cochain``, so
-    unreduced values and lists are accepted.
+    no identity at (0, 1), and actions that are not homomorphisms, with
+    the message of ``gamma_module``.  The values are read by
+    ``read_cochain``, so unreduced values and lists are accepted.
     """
     if c.degree != 2:
         raise ValidationError("expected a degree-2 cochain")
@@ -86,6 +87,14 @@ def build_extension(M: GammaModule, c: Cochain) -> ExtensionModel:
 
     # positions in elems: of g.a, of a sum, and of c(g1, g2)
     acted, add = M.index_tables
+    # the action as ``gamma_module`` checks it, on the index maps: a
+    # module built directly may hold a map that is none
+    if acted[ident] != list(range(len(elems))):
+        raise ValidationError("action of the identity is not the identity")
+    bad = first_failing_pair(M.gamma, list(map(tuple, acted)),
+                             lambda a, b, ab: tuple([a[k] for k in b]) == ab)
+    if bad is not None:
+        raise ValidationError(f"action is not a homomorphism at pair {bad}")
     table = twisted_rows(add, M.gamma.table, acted, cval)
     order = len(table)
     try:

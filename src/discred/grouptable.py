@@ -337,6 +337,23 @@ def hom_check(f, src: FiniteGroup, dst: FiniteGroup) -> bool:
     return True
 
 
+def first_failing_pair(G: FiniteGroup, images, agrees):
+    """The first pair (x, s), by x and then by s in ``G.generators``,
+    with agrees(images[x], images[s], images[xs]) false, or None.  Each
+    distinct triple of (hashable) images is tried once, so a map that
+    repeats over G is checked once per distinct triple it is part of."""
+    index, checked = {}, set()
+    ids = [index.setdefault(a, len(index)) for a in images]
+    for x in range(G.order):
+        for s in G.generators:
+            xs = G.mul(x, s)
+            if (ids[x], ids[s], ids[xs]) not in checked:
+                if not agrees(images[x], images[s], images[xs]):
+                    return x, s
+                checked.add((ids[x], ids[s], ids[xs]))
+    return None
+
+
 def subgroup_closure(G: FiniteGroup, seed):
     """Element set of the subgroup generated by ``seed`` (in a finite
     group, the closure of the identity under right multiplication)."""

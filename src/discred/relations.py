@@ -405,9 +405,22 @@ def reduce_columns(coeff, cols, count):
     """The ``count`` values of coeff with coordinates ``cols``, one
     sequence of numbers per coordinate, as tuples reduced the way
     ``coeff.reduce`` reduces them: the free coordinates stay."""
-    mods = [0] * coeff.free_rank + list(coeff.invariant_factors)
     return list(zip(*[[x % q for x in col] if q else col
-                      for col, q in zip(cols, mods)])) or [()] * count
+                      for col, q in zip(cols, _moduli(coeff))])) or (
+        [()] * count)
+
+
+def columns_vanish(coeff, cols):
+    """Whether every value of coeff with coordinates ``cols`` (as for
+    ``reduce_columns``) is 0, the columns read one at a time up to the
+    first that is not."""
+    return not any(any(map(q.__rmod__, col) if q else col)
+                   for col, q in zip(cols, _moduli(coeff)))
+
+
+def _moduli(coeff):
+    """One modulus per coordinate of coeff, 0 for a free one."""
+    return [0] * coeff.free_rank + list(coeff.invariant_factors)
 
 
 def cochain_pairs(gamma, p, values):

@@ -244,8 +244,8 @@ def simple_matrix(based: BasedRootDatum) -> IntMatrix:
     """rank x (number of simple roots) matrix with simple roots as columns."""
     rank = based.datum.rank
     cols = based.simple_roots
-    return IntMatrix(rank, len(cols),
-                     tuple(tuple(c[i] for c in cols) for i in range(rank)))
+    return IntMatrix._of(rank, len(cols),
+                         tuple(tuple(c[i] for c in cols) for i in range(rank)))
 
 
 def express_in_simple(based: BasedRootDatum):
@@ -266,8 +266,9 @@ def reflection(datum: RootDatum, root_index: int) -> IntMatrix:
     b = datum.roots[root_index]
     bv = datum.coroots[root_index]
     n = datum.rank
-    return IntMatrix(n, n, tuple(tuple(int(i == j) - b[i] * bv[j]
-                                       for j in range(n)) for i in range(n)))
+    return IntMatrix._of(n, n, tuple(tuple(int(i == j) - b[i] * bv[j]
+                                           for j in range(n))
+                                     for i in range(n)))
 
 
 def weyl_generate(based: BasedRootDatum) -> WeylGroup:
@@ -409,9 +410,9 @@ def almost_product_check(datum: RootDatum) -> AlmostProduct:
     the direct sum does not have finite index (invalid datum)."""
     rank = datum.rank
     if datum.nroots:
-        root_cols = IntMatrix(rank, datum.nroots,
-                              tuple(tuple(r[i] for r in datum.roots)
-                                    for i in range(rank)))
+        root_cols = IntMatrix._of(rank, datum.nroots,
+                                  tuple(tuple(r[i] for r in datum.roots)
+                                        for i in range(rank)))
         basis1 = column_lattice_basis(root_cols)
         coroot_rows = IntMatrix.from_rows(list(datum.coroots), cols=rank)
         basis2 = kernel_basis(coroot_rows)
@@ -423,8 +424,8 @@ def almost_product_check(datum: RootDatum) -> AlmostProduct:
         raise ValidationError(
             f"rank mismatch: ZR has rank {len(basis1)} and the coroot-perp "
             f"lattice rank {len(basis2)}, sum != {rank}")
-    M = IntMatrix(rank, rank, tuple(tuple(v[i] for v in combined)
-                                    for i in range(rank)))
+    M = IntMatrix._of(rank, rank, tuple(tuple(v[i] for v in combined)
+                                        for i in range(rank)))
     d = M.det()
     if d == 0:
         raise ValidationError("sublattices do not span a finite-index subgroup")

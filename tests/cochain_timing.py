@@ -1,8 +1,10 @@
 """Wall time of reading cochains in and out of H^2, on two groups whose
 H^2 itself takes a fraction of a second:
 
-- the public ``differential`` of one H^2(S5, Z/2) generator, the full bar
-  formula over all 120^3 triples;
+- ``is_cocycle`` of one H^2(S5, Z/2) generator in a child process, with
+  the child's peak RSS (H^2 itself included): the full bar formula over
+  all 120^3 triples, read one coordinate at a time, no pairs built;
+- the public ``differential`` of the same generator;
 - on H^2(S6, Z/2): ``generators`` (a cocycle of 720^2 values per
   invariant factor), ``coordinates_of`` of the first generator and
   ``coboundary_witness`` of the coboundary db of a fixed 1-cochain b,
@@ -14,11 +16,14 @@ Prints one line per step, best of ``--repeat`` runs (default 1).
 """
 
 import argparse
+import resource
+import subprocess
+import sys
 import time
 
 from discred.abgroup import FGAbelianGroup
 from discred.cohomology import (Cochain, cohomology_group, differential,
-                                trivial_module)
+                                is_cocycle, trivial_module)
 from discred.grouptable import from_generators
 
 
@@ -37,10 +42,34 @@ def best(repeat, fn):
     return min(times), out
 
 
+def is_cocycle_child(repeat):
+    """In a fresh process: the best time of ``is_cocycle`` on one
+    H^2(S5, Z/2) generator and the process's peak RSS in MB
+    (``ru_maxrss`` is in KB on Linux, in bytes on macOS)."""
+    s5 = trivial_module(symmetric(5), FGAbelianGroup(0, (2,)))
+    gen = cohomology_group(s5, 2).generators[0]
+    secs, ok = best(repeat, lambda: is_cocycle(s5, gen))
+    assert ok
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print(secs, peak / (2 ** 20 if sys.platform == "darwin" else 2 ** 10))
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeat", type=int, default=1)
-    repeat = ap.parse_args().repeat
+    ap.add_argument("--is-cocycle-child", action="store_true",
+                    help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    repeat = args.repeat
+    if args.is_cocycle_child:
+        return is_cocycle_child(repeat)
+    # first, while this process is small: a child's peak RSS on Linux
+    # starts from its parent's at the fork
+    out = subprocess.run([sys.executable, __file__, "--is-cocycle-child",
+                          "--repeat", str(repeat)], check=True,
+                         capture_output=True, text=True).stdout.split()
+    print(f"S5 is_cocycle of a generator: {float(out[0]):.2f} s, child peak "
+          f"RSS {float(out[1]):.0f} MB")
     z2 = FGAbelianGroup(0, (2,))
 
     t0 = time.perf_counter()

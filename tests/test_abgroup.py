@@ -170,6 +170,32 @@ class TestColumnComparison:
         assert f.composite_equals(g, fg)
         assert f.composite_equals(g, h) == _unit_vector_equal(fg, h)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_composite_equals_is_compose_then_equal_as_map(self, data):
+        """On the product rows alone, ``composite_equals`` says what
+        ``compose`` then ``equal_as_map`` says: free ranks, maps of any
+        shape (0 coordinates too), h a variant of the composite or any
+        hom at all, and the composition mismatch raised by both."""
+        f, g = data.draw(_homs()), data.draw(_homs())
+        if not g.target.same_structure(f.source):
+            with pytest.raises(ValidationError, match="composition mismatch"):
+                f.composite_equals(g, f)
+            with pytest.raises(ValidationError, match="composition mismatch"):
+                f.compose(g)
+            g = data.draw(_homs(target=f.source))
+        fg = f.compose(g)
+        h = data.draw(st.one_of(_variants(fg), _homs()))
+        assert f.composite_equals(g, h) == fg.equal_as_map(h)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_is_identity_of(self, data):
+        G = data.draw(st.sampled_from(_GROUPS))
+        f = data.draw(st.one_of(_variants(AbHom.identity(G)), _homs()))
+        assert f.is_identity_of(G) == f.equal_as_map(AbHom.identity(G))
+        assert AbHom.identity(G).is_identity_of(G)
+
     def test_mismatched_structures(self):
         z2, z4 = FGAbelianGroup(0, (2,)), FGAbelianGroup(0, (4,))
         f = AbHom(z4, z4, IntMatrix.from_rows([[1]]))

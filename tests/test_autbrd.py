@@ -101,6 +101,21 @@ class TestInducedCenterAction:
         assert act.compose(act).equal_as_map(
             AbHom.identity(torsion_at(cd.group, 8)))
 
+    @pytest.mark.parametrize("builder", [standard.gl2, standard.sl3,
+                                         standard.sl2, standard.d4_adjoint,
+                                         lambda: standard.torus(3)])
+    def test_matrix_well_formed(self, builder):
+        """The action matrix, wrapped without the constructor's check,
+        has the shape it declares, at levels with and without torsion
+        coordinates."""
+        based = builder()
+        cd = center_data(based.datum)
+        T = BRDAutomorphism.identity(based)
+        for n in (1, 2, 3, 4, 6):
+            M = induced_center_action(cd, T, n).matrix
+            assert IntMatrix(M.rows, M.cols, M.entries) == M
+            assert all(type(r) is tuple for r in M.entries)
+
 
 class TestAdHom:
     def test_trivial_valid(self):
@@ -242,6 +257,35 @@ class TestGeneratorPairs:
                 pair = tuple(map(int, re.search(r"pair \((\d+), (\d+)\)",
                                                 msg).groups()))
                 assert pair in bad
+        assert verdicts == {True, False}
+
+    def test_first_failing_pair_with_repeated_images(self):
+        """Each distinct triple of image matrices is checked once; a
+        rejection still names the first pair (x, s), s in
+        ``gamma.generators``, that fails when the pairs are checked one
+        by one.  The maps: S3 to the identity and two triality images,
+        every element with its own copy, so triples repeat."""
+        based = standard.d4_adjoint()
+        s3 = from_generators(3, [(1, 0, 2), (1, 2, 0)])
+        swap02 = [[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]]
+        cyc = [[0, 0, 0, 1], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0]]
+        triality = ad_from_generator_images(based, s3, [swap02, cyc]).images
+        pool = [triality[s3.identity]] + [triality[s] for s in s3.generators]
+        others = [g for g in s3.elements() if g != s3.identity]
+        verdicts = set()
+        for choice in itertools.product(pool, repeat=len(others)):
+            im = [triality[s3.identity]] * s3.order
+            for g, a in zip(others, choice):
+                im[g] = BRDAutomorphism(IntMatrix.from_rows(a.matrix.entries),
+                                        a.simple_root_permutation)
+            want = next(((x, s) for x in s3.elements() for s in s3.generators
+                         if (im[x].matrix @ im[s].matrix).entries
+                         != im[s3.mul(x, s)].matrix.entries), None)
+            msg = validate_ad(based, AdHom(s3, tuple(im)))
+            verdicts.add(want is None)
+            assert msg == (None if want is None else
+                           f"homomorphism property fails at pair "
+                           f"({want[0]}, {want[1]}): Ad(x)Ad(y) != Ad(xy)")
         assert verdicts == {True, False}
 
 

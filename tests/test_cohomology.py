@@ -86,6 +86,62 @@ _GROUPS = [cyclic(4), cyclic(6), direct_product(cyclic(2), cyclic(2)),
            from_generators(3, [(1, 0, 2), (1, 2, 0)])]
 
 
+def _first_failing_pair(G, action):
+    """The first pair (x, s), s in ``G.generators``, at which x.(s.a) =
+    (xs).a fails, each pair checked on its own; None when none does."""
+    return next(((x, s) for x in G.elements() for s in G.generators
+                 if not action[x].compose(action[s]).equal_as_map(
+                     action[G.mul(x, s)])), None)
+
+
+@st.composite
+def repeated_actions(draw):
+    """(G, A, action): the identity at 1 and every other map drawn from
+    two automorphisms of A, each element getting its own copy (equal,
+    not the same object), so triples of maps repeat over the pairs and
+    a failing one usually fails at several pairs."""
+    G = draw(st.sampled_from(_GROUPS))
+    A = draw(st.sampled_from([Z(3), Z(4), Z(5), Z(2, 4)]))
+    pool = draw(st.lists(st.sampled_from(_automorphisms(A)), min_size=2,
+                         max_size=2))
+    action = [AbHom.identity(A) if g == G.identity else
+              AbHom(A, A, draw(st.sampled_from(pool)).matrix)
+              for g in G.elements()]
+    return G, A, action
+
+
+class TestRepeatedTriples:
+    @settings(max_examples=200, deadline=None)
+    @given(repeated_actions())
+    def test_first_failing_pair_is_named(self, case):
+        """Each distinct triple of maps is checked once, and a rejection
+        still names the first failing pair of the check pair by pair."""
+        G, A, action = case
+        want = _first_failing_pair(G, action)
+        if want is None:
+            gamma_module(G, A, action)
+        else:
+            with pytest.raises(ValidationError) as err:
+                gamma_module(G, A, action)
+            assert str(err.value) == (f"action is not a homomorphism at "
+                                      f"pair ({want[0]}, {want[1]})")
+
+    def test_trivial_action_checks_one_triple(self, monkeypatch):
+        """A trivial action over C6 by maps that are equal but not the
+        same object: one ``composite_equals`` call."""
+        A = Z(6)
+        action = [AbHom(A, A, IntMatrix.from_rows([[1]])) for _ in range(6)]
+        calls = []
+        inner = AbHom.composite_equals
+
+        def composite_equals(*args):
+            calls.append(args)
+            return inner(*args)
+        monkeypatch.setattr(AbHom, "composite_equals", composite_equals)
+        gamma_module(cyclic(6), A, action)
+        assert len(calls) == 1
+
+
 class TestDifferential:
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(0, 3), min_size=2, max_size=2))

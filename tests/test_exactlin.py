@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,13 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discred.errors import ValidationError
-from discred.exactlin import (IntMatrix, cokernel_presentation, column_lattice_basis,
-                              congruence_kernel_basis, echelon_reduce,
+from discred.exactlin import (TRANSFORMS, IntMatrix, cokernel_presentation,
+                              column_lattice_basis, congruence_kernel_basis,
+                              echelon_reduce,
                               inverse_unimodular, kernel_basis,
                               modular_echelon, smith_normal_form,
                               solve_integer)
 
 from smith_reference import reference_smith
+
+KEEPS = [keep for k in range(len(TRANSFORMS) + 1)
+         for keep in itertools.combinations(TRANSFORMS, k)]
 
 small_matrices = st.integers(1, 4).flatmap(
     lambda r: st.integers(1, 4).flatmap(
@@ -22,6 +27,15 @@ small_matrices = st.integers(1, 4).flatmap(
 
 def mat(rows):
     return IntMatrix.from_rows(rows)
+
+
+def well_formed(M):
+    """Whether M, perhaps wrapped by ``IntMatrix._of`` without a check,
+    is what the checked constructor makes of its fields: a tuple of
+    ``rows`` tuples of length ``cols``."""
+    return (type(M.entries) is tuple
+            and all(type(r) is tuple for r in M.entries)
+            and IntMatrix(M.rows, M.cols, M.entries) == M)
 
 
 class TestIntMatrix:
@@ -43,6 +57,28 @@ class TestIntMatrix:
     def test_unimodular(self):
         assert mat([[1, 5], [0, 1]]).is_unimodular()
         assert not mat([[2, 0], [0, 1]]).is_unimodular()
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_identity(self, n):
+        eye = IntMatrix.identity(n)
+        assert well_formed(eye) and eye.rows == eye.cols == n
+        assert eye.entries == tuple(tuple(int(i == j) for j in range(n))
+                                    for i in range(n))
+
+    def test_unchecked_wrapper_is_the_checked_matrix(self):
+        """``_of`` gives the record the constructor gives: equal, the
+        same hash and repr, frozen."""
+        entries = ((1, 2, 3), (4, 5, 6))
+        a, b = IntMatrix._of(2, 3, entries), IntMatrix(2, 3, entries)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        with pytest.raises(AttributeError):
+            a.rows = 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_matrices, st.integers(1, 12))
+    def test_kernel_basis_well_formed(self, rows, q):
+        K = congruence_kernel_basis(mat(rows), q)
+        assert well_formed(K.basis) and well_formed(K.V_inv)
 
     def test_inverse_unimodular(self):
         a = mat([[1, 5], [0, 1]])
@@ -82,10 +118,19 @@ class TestSmithAgainstReference:
     routine that walked whole rows (``smith_reference``)."""
 
     @staticmethod
-    def _same(A):
-        want, fixups = reference_smith(A)
-        snf = smith_normal_form(A, keep=("U", "V", "U_inv", "V_inv"))
-        assert (snf.U, snf.D, snf.V, snf.U_inv, snf.V_inv) == want
+    def _same(A, keep=TRANSFORMS):
+        """The transforms in ``keep`` are the reference's, the others
+        None; D and its diagonal are the reference's whatever is kept."""
+        (U, D, V, U_inv, V_inv), fixups = reference_smith(A)
+        snf = smith_normal_form(A, keep=keep)
+        for M in (snf.U, snf.D, snf.V, snf.U_inv, snf.V_inv):
+            assert M is None or well_formed(M)
+        assert snf.D == D and snf.original_shape == (A.rows, A.cols)
+        assert snf.diagonal == tuple(D[i, i]
+                                     for i in range(min(A.rows, A.cols)))
+        for name, want in zip(("U", "V", "U_inv", "V_inv"),
+                              (U, V, U_inv, V_inv)):
+            assert getattr(snf, name) == (want if name in keep else None), name
         return fixups
 
     def test_random_matrices(self):
@@ -98,6 +143,37 @@ class TestSmithAgainstReference:
                       for _ in range(n)] for _ in range(m)])
             fixups += self._same(A) > 0
         assert fixups > 0
+
+    @pytest.mark.parametrize("keep", KEEPS)
+    def test_every_keep(self, keep):
+        """Each subset of the transforms, on matrices with 0 to 6 rows
+        and columns."""
+        rng = random.Random(len(keep) * 31 + sum(map(len, keep)))
+        fixups = 0
+        for _ in range(120):
+            m, n = rng.randint(0, 6), rng.randint(0, 6)
+            bound = rng.choice([1, 3, 9, 40])
+            A = IntMatrix(m, n, tuple(tuple(rng.randint(-bound, bound)
+                                            if rng.random() < 0.7 else 0
+                                            for _ in range(n))
+                                      for _ in range(m)))
+            fixups += self._same(A, keep) > 0
+        assert fixups > 0
+
+    @pytest.mark.parametrize("keep", KEEPS)
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 1), (1, 0), (2, 0),
+                                       (3, 0), (5, 0), (0, 4)])
+    def test_empty_shapes(self, shape, keep):
+        """0 x n and m x 0, the shapes the workloads also take."""
+        m, n = shape
+        A = IntMatrix(m, n, ((),) * m)
+        self._same(A, keep)
+        snf = smith_normal_form(A, keep=keep)
+        assert snf.diagonal == () and snf.rank == 0
+
+    def test_unknown_transform(self):
+        with pytest.raises(ValidationError, match="unknown transform"):
+            smith_normal_form(mat([[1]]), keep=("U", "W"))
 
     @pytest.mark.parametrize("rows", [
         [[2, 0], [0, 3]],

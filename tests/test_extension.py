@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from discred import extension, grouptable, standard
 from discred.abgroup import AbHom, DiagonalizableGroup, FGAbelianGroup
 from discred.autbrd import ad_from_generator_images, trivial_ad
-from discred.cohomology import (Cochain, cochain_sum, cohomology_group,
-                                differential, gamma_module, is_cocycle,
-                                trivial_module)
+from discred.cohomology import (Cochain, GammaModule, cochain_sum,
+                                cohomology_group, differential, gamma_module,
+                                is_cocycle, trivial_module)
 from discred.errors import ValidationError
 from discred.exactlin import IntMatrix
 from discred.extension import (DisconnectedGroupDescriptor, build_extension,
@@ -23,6 +23,7 @@ from discred.grouptable import (cyclic, direct_product, find_isomorphism,
 from bar_reference import reference_cocycle_witness
 from pushout_reference import reference_pushout
 from test_acceptance import _pushout_instances
+from test_cohomology import repeated_actions
 from test_normalized import _cochain, _modules
 
 
@@ -141,6 +142,44 @@ class TestBuild:
         d8 = from_generators(4, [(1, 2, 3, 0), (0, 3, 2, 1)])
         assert d8.order == 8
         assert find_isomorphism(model.group, d8) is not None
+
+
+class TestActionCheck:
+    """A ``GammaModule`` built directly, not by ``gamma_module``, may
+    carry a map that is no action: ``build_extension`` rejects it with
+    ``gamma_module``'s message before it builds a table."""
+
+    def test_non_homomorphic_action(self):
+        a = Z(3)
+        neg = AbHom(a, a, IntMatrix.from_rows([[-1]]))
+        M = GammaModule(cyclic(3), a, (AbHom.identity(a), neg, neg))
+        with pytest.raises(ValidationError, match=r"^action is not a "
+                                                  r"homomorphism at pair "
+                                                  r"\(1, 1\)$"):
+            build_extension(M, zero_cochain(M))
+
+    def test_identity_must_act_trivially(self):
+        a = Z(3)
+        neg = AbHom(a, a, IntMatrix.from_rows([[-1]]))
+        M = GammaModule(cyclic(2), a, (neg, AbHom.identity(a)))
+        with pytest.raises(ValidationError, match="^action of the identity "
+                                                  "is not the identity$"):
+            build_extension(M, zero_cochain(M))
+
+    @settings(max_examples=150, deadline=None)
+    @given(repeated_actions())
+    def test_same_verdict_as_gamma_module(self, case):
+        G, A, action = case
+        M = GammaModule(G, A, tuple(action))
+        try:
+            gamma_module(G, A, action)
+        except ValidationError as err:
+            with pytest.raises(ValidationError) as got:
+                build_extension(M, zero_cochain(M))
+            assert str(got.value) == str(err)
+        else:
+            assert build_extension(M, zero_cochain(M)).group.order == (
+                G.order * A.order())
 
 
 class TestExtractCocycle:

@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discred.abgroup import AbHom, FGAbelianGroup
-from discred.cohomology import (Cochain, cochain_sum, cohomology_group,
-                                differential, gamma_module, is_cocycle)
+from discred.cohomology import (Cochain, GammaModule, cochain_sum,
+                                cohomology_group, differential, gamma_module,
+                                is_cocycle)
 from discred.errors import ValidationError
 from discred.exactlin import IntMatrix, modular_echelon
 from discred.grouptable import cyclic, direct_product, from_generators
@@ -189,3 +190,52 @@ def test_witness_of_non_normalized_coboundary(data):
         w = cohomology_group(M, p).coboundary_witness(db)
         assert w is not None
         assert differential(M, w) == db
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_is_cocycle_agrees_with_differential(data):
+    """``is_cocycle`` reads dc by coordinates and stops at the first
+    nonzero one; it says what the values of ``differential`` say, in
+    degrees 0, 1 and 2, on cocycles (class representatives plus
+    coboundaries), on them with one value moved, and on random
+    cochains."""
+    M = _modules()[data.draw(st.integers(0, len(_modules()) - 1))]
+    A = M.coeff
+    p = data.draw(st.sampled_from([0, 1, 2]))
+    kind = data.draw(st.sampled_from(["random", "cocycle", "perturbed"]))
+    if kind == "random" or p == 0:
+        c = _cochain(M, p, data.draw)
+    else:
+        H = cohomology_group(M, p)
+        coords = tuple(data.draw(st.integers(0, f - 1))
+                       for f in H.group.invariant_factors)
+        b = _cochain(M, p - 1, data.draw, nonzero_at_identity=True)
+        c = cochain_sum(A, [(1, H.class_representative(coords)),
+                            (1, differential(M, b))])
+        if kind == "perturbed":
+            values = c.as_dict()
+            tup = data.draw(st.sampled_from(sorted(values)))
+            values[tup] = A.add(values[tup], (1,) + (0,) * (A.ncoords - 1))
+            c = Cochain.from_map(p, values)
+    want = all(not any(v) for _, v in differential(M, c).values)
+    assert is_cocycle(M, c) == want
+    if kind == "cocycle" and p:
+        assert want
+
+
+@pytest.mark.parametrize("values,cocycle", [
+    ({0: (0, 0), 1: (0, 1)}, True),     # 2 c(1) = 0 in the Z/2 coordinate
+    ({0: (0, 0), 1: (0, 3)}, True),     # the same, unreduced
+    ({0: (0, 0), 1: (1, 0)}, False),    # 2 c(1) != 0 in the free one
+    ({0: (1, 0), 1: (1, 0)}, False),    # c(1) != 0 at the identity
+])
+def test_is_cocycle_with_a_free_coordinate(values, cocycle):
+    """A free coordinate of dc is compared exactly, a torsion one modulo
+    its factor: 1-cochains on C2 with values in Z + Z/2 and the trivial
+    action, for which the 1-cocycles are the homomorphisms."""
+    A = FGAbelianGroup(1, (2,))
+    M = GammaModule(cyclic(2), A, (AbHom.identity(A),) * 2)
+    c = Cochain.from_map(1, {(g,): v for g, v in values.items()})
+    dc = differential(M, c)
+    assert is_cocycle(M, c) == cocycle == all(not any(v) for _, v in dc.values)

@@ -22,6 +22,7 @@ from discred.grouptable import from_generators
 from discred.relations import RelationModule
 
 from test_normalized import _modules
+from unit_pivot_reference import reference_unit_pivot_kernel
 
 MODULI = (1, 2, 3, 4, 6, 8, 9, 12, 30, 36)
 
@@ -161,6 +162,40 @@ def test_pivots_in_markowitz_order_on_s4(q):
     problem = (rel.cocycle_rows(q), rel.dim, q)
     kernel = unit_pivot_kernel(*problem)
     assert [p for p, _ in kernel.pivots] == _scan_order(*problem)
+
+
+def _same_as_reference(rows, n, q):
+    """``unit_pivot_kernel`` against the routine it replaced
+    (``unit_pivot_reference``): the same pivots, expressions, free
+    columns and core."""
+    assert unit_pivot_kernel(rows, n, q) == reference_unit_pivot_kernel(
+        rows, n, q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=_sparse_problems())
+def test_same_kernel_as_reference(problem):
+    _same_as_reference(*problem)
+
+
+@pytest.mark.parametrize("q", [2, 4, 6])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_same_kernel_as_reference_on_s4(q, degree):
+    S4 = from_generators(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
+    rel = RelationModule(trivial_module(S4, FGAbelianGroup(0, (q,))), degree)
+    _same_as_reference(rel.cocycle_rows(q), rel.dim, q)
+
+
+def test_same_kernel_as_reference_on_random_sparse_rows():
+    """Wider inputs than the Hypothesis rows: up to 30 rows over 20
+    columns, composite moduli, with fill-in."""
+    rng = random.Random(11)
+    for _ in range(300):
+        q, n = rng.choice((4, 6, 12, 30, 36)), rng.randint(1, 20)
+        rows = [[(j, rng.randint(-q, q)) for j in
+                 rng.sample(range(n), rng.randint(1, min(n, 5)))]
+                for _ in range(rng.randint(1, 30))]
+        _same_as_reference(rows, n, q)
 
 
 def test_core_goes_to_the_dense_kernel():
