@@ -1,17 +1,17 @@
 """Group cohomology H^p(Gamma, A), p <= 2, A finite.
 
-A cochain, as the public ``Cochain``, is a total map Gamma^p -> A.
-Every degree is computed on one complex, A -> A^S -> Hom_Gamma(R, A),
-from the relation module R of the Cayley graph of (Gamma, S)
-(``relations.RelationModule``): t, |S| t and (n|S| - n + 1) t unknowns
-in degrees 0, 1, 2 instead of (n-1)^p t.  Bar cochains stay the API;
-``relations`` reads each once, by position (``read_cochain``), and
-alone knows their normalized layout (Brown, Cohomology of Groups, GTM
-87, I.5).  This module does the lattice work: congruence kernels,
-cokernels with modulus relations, coboundary witnesses on them and the
-triangular basis of the normalized bar coboundaries that canonical
-representatives reduce against.  The full bar ``differential``, on the
-same reader, is the public checker.
+A cochain, the public ``Cochain``, is a total map Gamma^p -> A that
+owns its one layout, the n^p values in product order.  Every degree is
+computed on one complex, A -> A^S -> Hom_Gamma(R, A), from the relation
+module R of the Cayley graph of (Gamma, S) (``relations.RelationModule``):
+t, |S| t and (n|S| - n + 1) t unknowns in degrees 0, 1, 2 instead of
+(n-1)^p t.  Bar cochains stay the API; ``relations`` reads each once
+(``read_cochain``) and alone knows their normalized layout (Brown,
+Cohomology of Groups, GTM 87, I.5).  This module does the lattice work:
+congruence kernels, cokernels with modulus relations, coboundary
+witnesses on them and the triangular basis of the normalized bar
+coboundaries that canonical representatives reduce against.  The full
+bar ``differential``, on the same reader, is the public checker.
 
 Classes travel up the torsion tower and into ``classify`` as coordinate
 vectors; a ``Cochain`` is built only when a caller asks for one
@@ -33,8 +33,8 @@ from .exactlin import (IntMatrix, cokernel_presentation,
                        modular_echelon, smith_normal_form, unit_pivot_kernel)
 from .grouptable import FiniteGroup, first_failing_pair
 from .record import Record
-from .relations import (RelationModule, cochain_pairs, columns_vanish,
-                        read_cochain, reduce_columns, require_within_budget)
+from .relations import (RelationModule, columns_vanish, read_cochain,
+                        reduce_columns, require_within_budget)
 
 
 class GammaModule(Record):
@@ -83,16 +83,37 @@ def trivial_module(gamma: FiniteGroup, coeff: FGAbelianGroup) -> GammaModule:
 
 
 class Cochain(Record):
-    """Total map Gamma^degree -> coefficient group, values keyed by
-    tuples of gamma element indices."""
+    """Total map Gamma^p -> coefficient group, p = ``degree``: its n^p
+    values in product order, (x_0, .., x_(p-1)) at sum_j x_j n^(p-1-j).
+    The library reads ``entries``; the keyed view is for the API."""
 
     degree: int
-    values: tuple  # sorted tuple of (gamma_tuple, coeff_element) pairs
+    entries: tuple  # coefficient elements, in product order
 
     @classmethod
     def from_map(cls, degree, mapping):
-        return cls(degree, tuple(sorted((tuple(k), tuple(v))
-                                        for k, v in mapping.items())))
+        """The cochain of a map keyed by p-tuples of indices below n, the
+        largest given plus 1; ValidationError on another key or at the
+        first tuple, in product order, without a value."""
+        for key in mapping:
+            if not (isinstance(key, tuple) and len(key) == degree
+                    and all(isinstance(x, int) and x >= 0 for x in key)):
+                raise ValidationError(f"cochain key {key!r} is not a "
+                                      f"{degree}-tuple of non-negative ints")
+        n = max((max(key, default=0) + 1 for key in mapping), default=0)
+        keys = itertools.product(range(n), repeat=degree)
+        try:
+            return cls(degree, tuple(tuple(mapping[key]) for key in keys))
+        except KeyError as e:
+            raise ValidationError(
+                f"cochain is not total: missing {e.args[0]}") from None
+
+    @cached_property
+    def values(self):
+        """The sorted (tuple, value) pairs, built on first read."""
+        p = self.degree
+        n = round(len(self.entries) ** (1 / p)) if p else 0
+        return tuple(zip(itertools.product(range(n), repeat=p), self.entries))
 
     def as_dict(self):
         return dict(self.values)
@@ -132,7 +153,7 @@ def differential(M: GammaModule, c: Cochain) -> Cochain:
     + (-1)^(p+1) c(.., x_(p-1)) on raw integers, reduced once.  The
     public checker: it shares only the reader with the engine."""
     p = c.degree + 1
-    return Cochain(p, cochain_pairs(M.gamma, p, reduce_columns(
+    return Cochain(p, tuple(reduce_columns(
         M.coeff, list(_bar_columns(M, c)), M.gamma.order ** p)))
 
 
@@ -345,22 +366,21 @@ def cochain_sum(coeff: FGAbelianGroup, terms) -> Cochain:
     terms = list(terms)
     if not terms:
         raise ValidationError("empty cochain sum")
-    degree = terms[0][1].degree
-    out = {k: coeff.zero() for k, _ in terms[0][1].values}
+    degree, count = terms[0][1].degree, len(terms[0][1].entries)
+    out = [coeff.zero()] * count
     for mult, c in terms:
         if c.degree != degree:
             raise ValidationError("cochain degree mismatch in sum")
-        if {k for k, _ in c.values} != out.keys():
+        if len(c.entries) != count:
             raise ValidationError("cochains in a sum differ in their tuples")
-        for k, v in c.values:
-            out[k] = coeff.add(out[k], coeff.scale(mult, v))
-    return Cochain.from_map(degree, out)
+        out = [coeff.add(x, coeff.scale(mult, v))
+               for x, v in zip(out, c.entries)]
+    return Cochain(degree, tuple(out))
 
 
 def push_cochain(inc: AbHom, c: Cochain) -> Cochain:
     """Apply a coefficient homomorphism to every value of a cochain."""
-    return Cochain.from_map(c.degree,
-                            {tup: inc.apply(val) for tup, val in c.values})
+    return Cochain(c.degree, tuple(map(inc.apply, c.entries)))
 
 
 class StabilizedH2(Record):

@@ -12,10 +12,11 @@ reaches a Smith form.
 Pivoting is deterministic: the smallest nonzero absolute value wins, ties
 broken by lowest (row, col) index, so decompositions are reproducible.
 
-Matrices are built once.  ``IntMatrix(rows, cols, entries)`` (and
-``from_rows``) copies the entries into tuples and checks the shape: that
-is for data from callers.  A matrix the package makes from row tuples it
-built itself with the shape it declares (a product, a transpose, the
+Matrices are built once.  ``IntMatrix(rows, cols, entries)`` and
+``from_rows`` copy the entries into tuples once and check the shape
+(``from_rows`` then wraps its own copy with ``_of``): that is for data
+from callers.  A matrix the package makes from row tuples it built
+itself with the shape it declares (a product, a transpose, the
 identity, a Smith form's D and transforms, a kernel basis, an action on
 a torsion subgroup) is wrapped with ``IntMatrix._of``, which skips both.
 """
@@ -62,12 +63,16 @@ class IntMatrix(Record):
 
     @classmethod
     def from_rows(cls, rows, cols=None):
-        rows = [tuple(r) for r in rows]
+        """The matrix on ``rows`` (each copied into a tuple once), of
+        ``cols`` columns, the length of the first row by default."""
+        rows = tuple(tuple(r) for r in rows)
         if cols is None:
             if not rows:
                 raise ValidationError("cols is required for a 0-row matrix")
             cols = len(rows[0])
-        return cls(len(rows), cols, tuple(rows))
+        if any(len(r) != cols for r in rows):
+            raise ValidationError("matrix entries do not match declared shape")
+        return cls._of(len(rows), cols, rows)
 
     @classmethod
     def identity(cls, n):

@@ -28,12 +28,11 @@ from .abgroup import (DiagonalizableGroup, FGAbelianGroup, stable_level,
 from .cohomology import (Cochain, CohomologyGroup, GammaModule,
                          cohomology_group, gamma_module, stabilized_h2)
 from .errors import BudgetExceededError, InternalCheckError, ValidationError
-from .grouptable import (FiniteGroup, check_action, first_failing_pair,
-                         hom_check, is_normal, quotient, semidirect_product,
-                         twisted_rows, validate_table)
+from .grouptable import (FiniteGroup, check_action, composes,
+                         first_failing_pair, hom_check, is_normal, quotient,
+                         semidirect_product, twisted_rows, validate_table)
 from .record import Record
-from .relations import (RelationModule, cochain_pairs, read_cochain,
-                        require_within_budget)
+from .relations import RelationModule, read_cochain, require_within_budget
 
 
 def cocycle_witness(M: GammaModule, c: Cochain):
@@ -91,8 +90,7 @@ def build_extension(M: GammaModule, c: Cochain) -> ExtensionModel:
     # module built directly may hold a map that is none
     if acted[ident] != list(range(len(elems))):
         raise ValidationError("action of the identity is not the identity")
-    bad = first_failing_pair(M.gamma, list(map(tuple, acted)),
-                             lambda a, b, ab: tuple([a[k] for k in b]) == ab)
+    bad = first_failing_pair(M.gamma, list(map(tuple, acted)), composes)
     if bad is not None:
         raise ValidationError(f"action is not a homomorphism at pair {bad}")
     table = twisted_rows(add, M.gamma.table, acted, cval)
@@ -118,28 +116,31 @@ def build_extension(M: GammaModule, c: Cochain) -> ExtensionModel:
 def extract_cocycle(M: GammaModule, E: FiniteGroup, embed, project,
                     section) -> Cochain:
     """The 2-cocycle of a section: c(g1, g2) = s(g1) s(g2) s(g1 g2)^{-1},
-    read back through the embedding of A."""
+    read back through the embedding of A.  ValidationError when the
+    section is not total, has an index outside E or does not split."""
     elems = M.coeff.elements()
     back = {e: elems[p] for p, e in enumerate(embed)}
     n = M.gamma.order
     if len(section) != n:
         raise ValidationError("section is not total on gamma")
+    if any(not 0 <= x < E.order for x in section):
+        raise ValidationError("section has an index outside E")
     for g in range(n):
         if project[section[g]] != g:
             raise ValidationError(f"section does not split the projection at {g}")
     table = E.table
     # s(g)^{-1} for each g
     inv_sec = [E.inverse[x] for x in section]
-    out = {}
+    out = []    # in product order: g1, then g2
     for g1, g_row in enumerate(M.gamma.table):
         s1_row = table[section[g1]]
-        for g2, g12 in enumerate(g_row):
-            prod = table[s1_row[section[g2]]][inv_sec[g12]]
+        for g12, s2 in zip(g_row, section):
+            prod = table[s1_row[s2]][inv_sec[g12]]
             if prod not in back:
                 raise ValidationError(
                     "section defect leaves the embedded coefficient group")
-            out[(g1, g2)] = back[prod]
-    return Cochain.from_map(2, out)
+            out.append(back[prod])
+    return Cochain(2, tuple(out))
 
 
 def extensions_equivalent(M: GammaModule, c1: Cochain, c2: Cochain,
@@ -152,10 +153,9 @@ def extensions_equivalent(M: GammaModule, c1: Cochain, c2: Cochain,
         H = cohomology_group(M, 2)
     elif H.module != M or H.degree != 2:
         raise ValidationError("H is not H^2 of the module M")
-    diff = [[x - y for x, y in zip(u, v)] for u, v in
-            zip(read_cochain(M, 2, c1), read_cochain(M, 2, c2))]
-    return H.coboundary_witness(
-        Cochain(2, cochain_pairs(M.gamma, 2, diff)))
+    diff = tuple(tuple(x - y for x, y in zip(u, v)) for u, v in
+                 zip(read_cochain(M, 2, c1), read_cochain(M, 2, c2)))
+    return H.coboundary_witness(Cochain(2, diff))
 
 
 class PushoutChecks(Record):
@@ -240,6 +240,8 @@ def pushout(G: FiniteGroup, z_embed, act, model: ExtensionModel) -> PushoutModel
     elems = M.coeff.elements()
     if len(z_embed) != len(elems) or len(set(z_embed)) != len(elems):
         raise ValidationError("central embedding is not injective/total")
+    if any(not 0 <= z < G.order for z in z_embed):
+        raise ValidationError("z_embed has an index outside G")
     acted, add = M.index_tables
     for zx, row in zip(z_embed, add):
         zx_row = G.table[zx]
@@ -322,7 +324,8 @@ def quotient_mod_center(G: FiniteGroup, z_embed, act, push: PushoutModel):
     come in the order of the pairs (gZ, gamma).  When the check fails
     the result is None, or a ValidationError when Z is not normal in E,
     as ``quotient`` of E by Z would raise.  A G other than the pushout's
-    connected group raises ValidationError before any work.
+    connected group, an index of z_embed outside G and an act[g] that is
+    no permutation of G raise ValidationError before any work.
     """
     connected = push.connected
     if G.order != connected.order:
@@ -331,13 +334,16 @@ def quotient_mod_center(G: FiniteGroup, z_embed, act, push: PushoutModel):
     if G is not connected and G.table != connected.table:
         raise ValidationError("G is not the pushout's connected group: "
                               "their tables differ")
+    if any(not 0 <= z < G.order for z in z_embed):
+        raise ValidationError("z_embed has an index outside G")
     gamma = push.gamma
     n = gamma.order
     if len(act) != n:
         raise ValidationError(
             f"act has {len(act)} maps, need one per gamma element ({n})")
+    elements = list(range(G.order))
     for g, a in enumerate(act):
-        if len(a) != G.order:
+        if sorted(a) != elements:
             raise ValidationError(f"act[{g}] is not an automorphism")
     Gq, gcoset = quotient(G, frozenset(z_embed))
     # the action descends to G/Z

@@ -354,6 +354,11 @@ def first_failing_pair(G: FiniteGroup, images, agrees):
     return None
 
 
+def composes(a, b, ab):
+    """Whether the index maps a, b and ab satisfy a o b = ab."""
+    return tuple([a[x] for x in b]) == ab
+
+
 def subgroup_closure(G: FiniteGroup, seed):
     """Element set of the subgroup generated by ``seed`` (in a finite
     group, the closure of the identity under right multiplication)."""
@@ -467,10 +472,11 @@ def check_action(N: FiniteGroup, H: FiniteGroup, act):
 
     Each distinct map in ``act`` is checked once (``hom_check``, so N
     must be a group), then act(1) = id, then act(h s) = act(h) act(s)
-    for every h and every s in ``H.generators``: with act(1) = id,
-    induction on the length of a word in S makes h -> act(h) a
-    homomorphism H -> Aut(N), which needs H to be a group.  A rejected
-    map is named by the first h that carries it.
+    for every h and every s in ``H.generators``, once per distinct
+    triple of maps (``first_failing_pair``): with act(1) = id, induction
+    on the length of a word in S makes h -> act(h) a homomorphism
+    H -> Aut(N), which needs H to be a group.  A rejected map is named
+    by the first h that carries it.
     """
     act = tuple(tuple(a) for a in act)
     elements = tuple(range(N.order))
@@ -483,11 +489,8 @@ def check_action(N: FiniteGroup, H: FiniteGroup, act):
             checked.add(a)
     if act[H.identity] != elements:
         raise ValidationError("act at the identity is not the identity map")
-    for s in H.generators:
-        a_s = act[s]
-        for a1, h1_row in zip(act, H.table):
-            if tuple([a1[x] for x in a_s]) != act[h1_row[s]]:
-                raise ValidationError("act is not a homomorphism")
+    if first_failing_pair(H, act, composes) is not None:
+        raise ValidationError("act is not a homomorphism")
     return act
 
 

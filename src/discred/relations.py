@@ -13,8 +13,9 @@ are shared by every module, degree and tower level over Gamma.
 ``cohomology`` does the lattice work; this module supplies the
 matrices and owns the bar cochains that the API speaks (Brown,
 Cohomology of Groups, GTM 87, section I.5).  A total p-cochain has one
-layout, its n^p values in product order, read once and checked by
-``read_cochain``; its normalized bar coordinates are the values at
+layout, that of ``cohomology.Cochain``: its n^p values in product order
+(``entries``), read once and checked by ``read_cochain`` and written
+here as such a list; its normalized bar coordinates are the values at
 ``bar_positions``.  On that layout: the conversions to and from the
 complex, the bar coboundary columns that canonical representatives
 reduce against, Light's test for 2-cocycles and the tree lift of
@@ -188,13 +189,15 @@ class RelationModule:
     def _reduce_bar(self, vec):
         return [v % q for v, q in zip(vec, self.bar_mods)]
 
-    def _spread(self, vec):
-        """The values by position of the total p-cochain with normalized
-        bar coordinates ``vec``: its blocks there, zero elsewhere."""
+    def to_cochain(self, vec):
+        """The values, in product order as ``Cochain.entries`` keeps
+        them, of the total p-cochain with normalized bar coordinates
+        ``vec``: its blocks there, zero elsewhere.  ``vec`` is taken as
+        it is; ``to_bar`` and ``echelon_reduce`` give reduced ones."""
         out = [(0,) * self.t] * self.module.gamma.order ** self.p
         for i, block in zip(self.bar_positions, zip(*[iter(vec)] * self.t)):
             out[i] = block
-        return out
+        return tuple(out)
 
     def from_cochain(self, c):
         """(vec, shift): the normalized bar coordinates of c - d(const
@@ -214,13 +217,6 @@ class RelationModule:
         blocks = [values[i] for i in self.bar_positions]
         normalized = sum(map(any, values)) == sum(map(any, blocks))
         return ([x for v in blocks for x in v] if normalized else None), shift
-
-    def to_cochain(self, vec):
-        """The (tuple, value) pairs, in product order as ``Cochain`` keeps
-        them, of the total p-cochain with normalized bar coordinates
-        ``vec``."""
-        return cochain_pairs(self.module.gamma, self.p,
-                             self._spread(tuple(self._reduce_bar(vec))))
 
     def _light_witness(self, c):
         """The first (g, s, h), in the order g, s in S, h, at which the
@@ -267,7 +263,7 @@ class RelationModule:
                 return None
             return self._reduce_bar(vec)
         table, n = self.module.gamma.table, self.module.gamma.order
-        c = self._spread(vec)
+        c = self.to_cochain(vec)
         if self.p == 1:
             for x, fx in enumerate(c):
                 for s in self.gens:
@@ -367,34 +363,33 @@ class RelationModule:
         if self.p == 1:
             b = [sol[:t]]
         else:
-            cv, n = self._spread(vec), gamma.order
+            cv, n = self.to_cochain(vec), gamma.order
             tree = self._tree_sums(lambda x, si: [
                 u - w for u, w in zip(self._act(x, sol[si * t:(si + 1) * t]),
                                       cv[x * n + self.gens[si]])])
             b = [tree[g] for g in range(n)]
         mods = self.module.coeff.invariant_factors
-        return cochain_pairs(gamma, self.p - 1, [
-            tuple((x + y) % q for x, y, q in zip(v, shift, mods)) for v in b])
+        return tuple(tuple((x + y) % q for x, y, q in zip(v, shift, mods))
+                     for v in b)
 
 
 def read_cochain(M, p, c):
     """The one reader of the cochains the API takes: the values of the
-    total p-cochain c over M in product order, (x_0, .., x_(p-1)) at
-    position sum_j x_j n^(p-1-j), each reduced once.  ValidationError
-    unless c has degree p, a value at every tuple of Gamma^p (naming the
-    first missing), no other tuple and t coordinates in every value."""
+    total p-cochain c over M, its ``entries`` in product order, each
+    reduced once.  ValidationError unless c has degree p, n^p values
+    (a short list names the first tuple of Gamma^p it has no value at)
+    and t coordinates in every value."""
     if c.degree != p:
         raise ValidationError("cochain degree mismatch")
-    given = dict(c.values)
-    try:
-        values = [given.pop(tup) for tup in
-                  itertools.product(range(M.gamma.order), repeat=p)]
-    except KeyError as e:
-        raise ValidationError(
-            f"cochain is not total: missing {e.args[0]}") from None
-    if given:
-        raise ValidationError(
-            f"cochain tuple {next(iter(given))} is not in Gamma^{p}")
+    values, size = c.entries, M.gamma.order ** p
+    if len(values) < size:
+        given = {key for key, _ in c.values}
+        missing = next(key for key in itertools.product(
+            range(M.gamma.order), repeat=p) if key not in given)
+        raise ValidationError(f"cochain is not total: missing {missing}")
+    if len(values) > size:
+        raise ValidationError(f"cochain has {len(values)} values, "
+                              f"Gamma^{p} has {size} tuples")
     t = M.coeff.ncoords
     if any(len(v) != t for v in values):
         raise ValidationError("coordinate length mismatch")
@@ -421,15 +416,6 @@ def columns_vanish(coeff, cols):
 def _moduli(coeff):
     """One modulus per coordinate of coeff, 0 for a free one."""
     return [0] * coeff.free_rank + list(coeff.invariant_factors)
-
-
-def cochain_pairs(gamma, p, values):
-    """The (tuple, value) pairs, as ``Cochain`` keeps them, of the total
-    p-cochain over ``gamma`` with ``values`` in product order."""
-    # the tuples first: pairs made with fresh ones stay tracked by the
-    # garbage collector, which then walks them all at every collection
-    return tuple(zip(list(itertools.product(range(gamma.order), repeat=p)),
-                     values))
 
 
 def require_within_budget(gamma: FiniteGroup, t: int, p: int, budget: int,

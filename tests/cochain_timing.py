@@ -77,7 +77,7 @@ def main():
     gen = cohomology_group(s5, 2).generators[0]
     print(f"S5 H^2 and its generators: {time.perf_counter() - t0:.2f} s")
     secs, dc = best(repeat, lambda: differential(s5, gen))
-    assert all(not any(v) for _, v in dc.values)
+    assert all(not any(v) for v in dc.entries)
     print(f"S5 differential of a generator: {secs:.2f} s")
 
     t0 = time.perf_counter()
@@ -92,7 +92,7 @@ def main():
 
     n, table = M.gamma.order, M.gamma.table
     b = [(g * g + 3 * g) % 2 for g in range(n)]
-    db = Cochain(2, tuple(((g, h), ((b[h] - b[table[g][h]] + b[g]) % 2,))
+    db = Cochain(2, tuple(((b[h] - b[table[g][h]] + b[g]) % 2,)
                           for g in range(n) for h in range(n)))
     secs, w = best(repeat, lambda: H.coboundary_witness(db))
     assert w is not None

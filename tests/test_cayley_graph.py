@@ -139,7 +139,7 @@ def test_fast_paths_match_reference(data):
     assert rel.from_bar(moved) == ref.from_bar(moved)
     if p == 2:
         for v in (vec, bar, moved):
-            assert (rel._light_witness(rel._spread(v))
+            assert (rel._light_witness(rel.to_cochain(v))
                     == ref._light_witness(ref._bar_value(v)))
         c = _cochain(M, 2, data.draw)
         d = {k: M.coeff.reduce(v) for k, v in c.values}

@@ -1,15 +1,18 @@
-"""One cochain layout: a total p-cochain is read once, by position, through
-one checked reader (``relations.read_cochain``), and the library's
-readers must agree with the dict-based ones they replaced:
+"""One cochain layout: a total p-cochain is its values in product order
+(``Cochain.entries``), read once, by position, through one checked
+reader (``relations.read_cochain``), and the library's readers must
+agree with the dict-based ones they replaced:
 ``bar_reference.reference_differential`` and the ``_total``,
 ``from_cochain``, ``to_cochain`` and ``cocycle_witness`` of
 ``relations_reference.ReferenceRelationModule``.  The cochains drawn
-here are unreduced, sometimes given as lists, sometimes in shuffled key
-order, mostly not normalized and mostly no cocycles; vectors, witnesses
-and errors must be the same.  Then the malformed inputs on which the old
-readers disagreed (a bare KeyError in one, a missing value read as zero
-in another), and ``cohomology._span`` on one elimination against the
-kernel-then-cokernel version kept in ``tower_reference``."""
+here are unreduced, sometimes given as lists, sometimes built from a
+map in shuffled key order, mostly not normalized and mostly no
+cocycles; vectors, witnesses and errors must be the same.  Then the
+malformed inputs on which the old readers disagreed (a bare KeyError in
+one, a missing value read as zero in another), the keyed view of
+``Cochain`` (``values``, ``as_dict``, ``from_map``) against the pairs
+the layout replaced, and ``cohomology._span`` on one elimination
+against the kernel-then-cokernel version kept in ``tower_reference``."""
 
 import itertools
 
@@ -32,11 +35,30 @@ from tower_reference import reference_span
 from test_normalized import _modules
 
 
-def _raw_cochain(M, p, draw):
-    """A total p-cochain of M with values drawn below and above their
-    moduli, some given as lists, the pairs sometimes shuffled; with
-    ``cocycle`` drawn, a class representative plus the coboundary of a
-    drawn (p-1)-cochain, added without reduction."""
+def _pairs(gamma, p, entries):
+    """The (tuple, value) pairs of the total p-cochain over ``gamma``
+    with ``entries`` in product order, as ``Cochain`` stored them before
+    it held ``entries`` (the library's ``relations.cochain_pairs``)."""
+    return tuple(zip(list(itertools.product(range(gamma.order), repeat=p)),
+                     entries))
+
+
+class _Pairs:
+    """A cochain as the dict-based readers took it: its pairs as given,
+    with no check, so that a tuple may be missing."""
+
+    def __init__(self, degree, pairs):
+        self.degree, self.values = degree, tuple(pairs)
+
+    def as_dict(self):
+        return dict(self.values)
+
+
+def _raw_pairs(M, p, draw):
+    """The pairs of a total p-cochain of M with values drawn below and
+    above their moduli, some given as lists; with ``cocycle`` drawn, a
+    class representative plus the coboundary of a drawn (p-1)-cochain,
+    added without reduction."""
     A, G = M.coeff, M.gamma
     keys = list(itertools.product(G.elements(), repeat=p))
     values = [[draw(st.integers(-2 * f, 2 * f)) for f in A.invariant_factors]
@@ -46,15 +68,22 @@ def _raw_cochain(M, p, draw):
         rep = H.class_representative(tuple(
             draw(st.integers(0, f - 1)) for f in H.group.invariant_factors))
         db = reference_differential(M, Cochain(p - 1, tuple(
-            (k, [draw(st.integers(-3, 3)) for _ in A.invariant_factors])
-            for k in itertools.product(G.elements(), repeat=p - 1))))
+            [draw(st.integers(-3, 3)) for _ in A.invariant_factors]
+            for _ in range(G.order ** (p - 1)))))
         values = [[x + y for x, y in zip(u, v)]
-                  for (_, u), (_, v) in zip(rep.values, db.values)]
-    pairs = [(k, v if draw(st.booleans()) else tuple(v))
-             for k, v in zip(keys, values)]
+                  for u, v in zip(rep.entries, db.entries)]
+    return [(k, v if draw(st.booleans()) else tuple(v))
+            for k, v in zip(keys, values)]
+
+
+def _raw_cochain(M, p, draw):
+    """The cochain of ``_raw_pairs``: its values as given, lists
+    included, or built by ``from_map`` from the pairs in shuffled
+    order."""
+    pairs = _raw_pairs(M, p, draw)
     if draw(st.booleans()):
-        pairs = draw(st.permutations(pairs))
-    return Cochain(p, tuple(pairs))
+        return Cochain.from_map(p, dict(draw(st.permutations(pairs))))
+    return Cochain(p, tuple(v for _, v in pairs))
 
 
 def _module_and_degree(draw):
@@ -93,7 +122,8 @@ def test_readers_match_dict_reference(data):
     c = _raw_cochain(M, p, data.draw)
     assert rel.from_cochain(c) == ref.from_cochain(c)
     vec = [data.draw(st.integers(-q, 2 * q)) for q in rel.bar_mods]
-    assert rel.to_cochain(vec) == ref.to_cochain(vec)
+    assert Cochain(p, rel.to_cochain(rel._reduce_bar(vec))).values \
+        == ref.to_cochain(vec)
     if p == 2:
         assert rel.cocycle_witness(c) == ref.cocycle_witness(c)
 
@@ -101,19 +131,22 @@ def test_readers_match_dict_reference(data):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_malformed_cochains_fail_as_the_reference_does(data):
-    """A value missing, or one with a coordinate too few: every reader
-    raises what the reference's ``from_cochain`` raises.  The dict
-    ``differential`` raised a bare KeyError on a missing value, which the
-    reader replaces with the same ValidationError."""
+    """A value missing, or one with a coordinate too few: building the
+    cochain with ``from_map`` and reading it raises what the reference's
+    ``from_cochain`` raises on the pairs.  The dict ``differential``
+    raised a bare KeyError on a missing value, which ``from_map`` or the
+    reader replaces with the same ValidationError: a map without its
+    last tuple of degree 1 is a shorter cochain, which the reader
+    rejects."""
     M, p = _module_and_degree(data.draw)
-    pairs = list(_raw_cochain(M, p, data.draw).values)
+    pairs = _raw_pairs(M, p, data.draw)
     i = data.draw(st.integers(0, len(pairs) - 1))
     if data.draw(st.booleans()):
         del pairs[i]
     else:
         pairs[i] = (pairs[i][0], tuple(pairs[i][1])[1:])
-    c = Cochain(p, tuple(pairs))
-    expected = _outcome(ReferenceRelationModule(M, p).from_cochain, c)
+    expected = _outcome(ReferenceRelationModule(M, p).from_cochain,
+                        _Pairs(p, pairs))
     assert expected[0] is ValidationError
     rel = RelationModule(M, p)
     readers = [rel.from_cochain, lambda c: differential(M, c),
@@ -121,46 +154,50 @@ def test_malformed_cochains_fail_as_the_reference_does(data):
     if p == 2:
         readers.append(rel.cocycle_witness)
     for read in readers:
-        assert _outcome(read, c) == expected
+        assert _outcome(lambda: read(Cochain.from_map(p, dict(pairs)))) \
+            == expected
 
 
 def _c2_z2():
     return trivial_module(cyclic(2), FGAbelianGroup(0, (2,)))
 
 
-def _c2_cochain(drop=(), extra=()):
-    """The 2-cochain of C2 on Z/2 that is 1 at (1, 1), without the
-    tuples ``drop`` and with the tuples ``extra`` set to 0."""
+def _c2_cochain(extra=()):
+    """The 2-cochain of C2 on Z/2 that is 1 at (1, 1), with the tuples
+    ``extra`` set to 0."""
     values = {k: (int(k == (1, 1)),) for k in itertools.product(range(2),
                                                                 repeat=2)}
-    for k in drop:
-        del values[k]
     values.update((k, (0,)) for k in extra)
     return Cochain.from_map(2, values)
 
 
+# the values of ``_c2_cochain()`` without the one at (1, 1), and a
+# 2-cochain of C3, with five values more than Gamma^2 of C2 has tuples
+_SHORT = Cochain(2, ((0,), (0,), (0,)))
+_LONG = Cochain.from_map(2, {k: (0,) for k in itertools.product(range(3),
+                                                                 repeat=2)})
+
+
 def test_differential_names_the_missing_tuple():
-    M, c = _c2_z2(), _c2_cochain(drop=[(1, 1)])
+    M = _c2_z2()
     for check in (differential, is_cocycle):
         with pytest.raises(ValidationError,
                            match=r"^cochain is not total: missing \(1, 1\)$"):
-            check(M, c)
+            check(M, _SHORT)
 
 
 @pytest.mark.parametrize("c1, c2, message", [
-    (_c2_cochain(), _c2_cochain(drop=[(1, 1)]),
-     r"not total: missing \(1, 1\)"),
-    (_c2_cochain(drop=[(0, 1)]), _c2_cochain(),
-     r"not total: missing \(0, 1\)"),
-    (_c2_cochain(), _c2_cochain(extra=[(2, 2)]), r"\(2, 2\) is not in Gamma"),
-    (_c2_cochain(extra=[(2, 2)]), _c2_cochain(), r"\(2, 2\) is not in Gamma"),
+    (_c2_cochain(), _SHORT, r"^cochain is not total: missing \(1, 1\)$"),
+    (_SHORT, _c2_cochain(), r"^cochain is not total: missing \(1, 1\)$"),
+    (_c2_cochain(), _LONG, r"^cochain has 9 values, Gamma\^2 has 4 tuples$"),
+    (_LONG, _c2_cochain(), r"^cochain has 9 values, Gamma\^2 has 4 tuples$"),
 ], ids=["c2_lacks_a_value", "c1_lacks_a_value", "c2_outside_gamma",
         "c1_outside_gamma"])
 def test_extensions_equivalent_reads_both_cochains(c1, c2, message):
-    """Through ``cochain_sum`` the parent read c1's keys only: it took a
-    missing c2(1, 1) for 0 and answered with a witness, raised a bare
-    KeyError on a key missing from c1 or one outside Gamma^2 in c2, and
-    ignored one outside Gamma^2 in c1."""
+    """Through ``cochain_sum`` the parent of the one reader read c1's
+    keys only: it took a missing c2(1, 1) for 0 and answered with a
+    witness, raised a bare KeyError on a key missing from c1 or one
+    outside Gamma^2 in c2, and ignored one outside Gamma^2 in c1."""
     with pytest.raises(ValidationError, match=message):
         extensions_equivalent(_c2_z2(), c1, c2)
 
@@ -174,21 +211,82 @@ def test_extensions_equivalent_on_total_cochains():
 
 def test_cochain_sum_rejects_terms_on_other_tuples():
     A = FGAbelianGroup(0, (2,))
-    with pytest.raises(ValidationError, match="differ in their tuples"):
-        cochain_sum(A, [(1, _c2_cochain()), (1, _c2_cochain(drop=[(1, 1)]))])
-    with pytest.raises(ValidationError, match="differ in their tuples"):
-        cochain_sum(A, [(1, _c2_cochain()), (1, _c2_cochain(extra=[(2, 2)]))])
+    for other in (_SHORT, _LONG):
+        with pytest.raises(ValidationError, match="differ in their tuples"):
+            cochain_sum(A, [(1, _c2_cochain()), (1, other)])
 
 
 def test_reader_checks_degree_and_value_length():
     M = _c2_z2()
     with pytest.raises(ValidationError, match="degree mismatch"):
         read_cochain(M, 1, _c2_cochain())
-    bad = Cochain(1, (((0,), (0,)), ((1,), (1, 0))))
+    bad = Cochain.from_map(1, {(0,): (0,), (1,): (1, 0)})
     with pytest.raises(ValidationError, match="coordinate length mismatch"):
         read_cochain(M, 1, bad)
-    assert read_cochain(M, 1, Cochain(1, (((1,), [3]), ((0,), (-2,))))) == [
-        (0,), (1,)]
+    assert read_cochain(M, 1, Cochain(1, ((-2,), [3]))) == [(0,), (1,)]
+
+
+@pytest.mark.parametrize("entries, message", [
+    ((), r"^cochain is not total: missing \(0, 0\)$"),
+    (((0,),) * 3, r"^cochain is not total: missing \(1, 1\)$"),
+    (((0,),) * 5, r"^cochain has 5 values, Gamma\^2 has 4 tuples$"),
+    (((0,),) * 9, r"^cochain has 9 values, Gamma\^2 has 4 tuples$"),
+], ids=["empty", "short", "one_long", "c3_long"])
+def test_reader_rejects_short_and_long_lists(entries, message):
+    """A short list names the first tuple of Gamma^2 it has no value at;
+    a long one is named by its length."""
+    with pytest.raises(ValidationError, match=message):
+        read_cochain(_c2_z2(), 2, Cochain(2, entries))
+
+
+@pytest.mark.parametrize("p, mapping, message", [
+    (2, {(0, 0): (0,), (0, 1): (0,), (1, 0): (0,), (1, 1): (1,),
+         (2, 2): (0,)}, r"^cochain is not total: missing \(0, 2\)$"),
+    (2, {(0, 0): (0,), (0, 1): (0,), (1, 0): (0,)},
+     r"^cochain is not total: missing \(1, 1\)$"),
+    (0, {}, r"^cochain is not total: missing \(\)$"),
+    (2, {(0, 0, 0): (0,)}, r"^cochain key \(0, 0, 0\) is not a 2-tuple "
+     r"of non-negative ints$"),
+    (2, {(0, -1): (0,)}, r"^cochain key \(0, -1\) is not a 2-tuple"),
+    (1, {0: (0,)}, r"^cochain key 0 is not a 1-tuple"),
+    (1, {("a",): (0,)}, r"^cochain key \('a',\) is not a 1-tuple"),
+], ids=["c2_with_2_2", "c2_without_1_1", "degree_0_empty", "long_key",
+        "negative_index", "not_a_tuple", "not_an_int"])
+def test_from_map_rejects_bad_keys_and_gaps(p, mapping, message):
+    """n is one more than the largest index given, so the C2 cochain
+    with an extra (2, 2) is a C3 cochain without (0, 2)."""
+    with pytest.raises(ValidationError, match=message):
+        Cochain.from_map(p, mapping)
+
+
+def _library_cochain(M, p, draw):
+    """A generator, canonical representative or differential of the
+    library, or a witness, on M in degree p."""
+    H = cohomology_group(M, p)
+    coords = tuple(draw(st.integers(0, f - 1))
+                   for f in H.group.invariant_factors)
+    made = [H.class_representative(coords), *H.generators]
+    made.append(differential(M, made[0]))
+    if p:
+        made.append(H.coboundary_witness(
+            differential(M, _raw_cochain(M, p - 1, draw))))
+    return draw(st.sampled_from(made))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_keyed_view_is_the_old_pairs(data):
+    """``values`` are the pairs the layout replaced, and ``from_map``
+    of ``as_dict`` gives the cochain back, on cochains the library made
+    and on drawn ones."""
+    M, p = _module_and_degree(data.draw)
+    if data.draw(st.booleans()):
+        c = _library_cochain(M, p, data.draw)
+    else:
+        c = Cochain(p, tuple(tuple(v) for _, v in _raw_pairs(
+            M, p, data.draw)))
+    assert c.values == _pairs(M.gamma, c.degree, c.entries)
+    assert Cochain.from_map(c.degree, c.as_dict()) == c
 
 
 def test_s5_generators_are_cocycles():
@@ -240,3 +338,25 @@ def test_span_matches_two_elimination_reference(data):
         == _subgroup(coords, factors)
     assert [_order(g, factors) for g in gens] == list(
         struct.invariant_factors)
+
+
+def test_no_pairs_on_generators_and_coordinates(monkeypatch):
+    """``generators`` and ``coordinates_of`` read and write ``entries``
+    only: no ``values`` pairs are built (the keyed view is counted)."""
+    calls = []
+    pairs = Cochain.values.func
+
+    def counted(c):
+        calls.append(c.degree)
+        return pairs(c)
+    monkeypatch.setattr(Cochain, "values", property(counted))
+    s3 = from_generators(3, [(1, 0, 2), (1, 2, 0)])
+    for M in (trivial_module(s3, FGAbelianGroup(0, (2, 2))),
+              trivial_module(cyclic(4), FGAbelianGroup(0, (4,)))):
+        H = cohomology_group(M, 2)
+        gens = H.generators
+        for i, g in enumerate(gens):
+            assert H.coordinates_of(g) == tuple(
+                int(i == j) for j in range(len(gens)))
+    assert calls == []
+    assert gens[0].as_dict() and calls == [2]

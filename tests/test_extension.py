@@ -110,23 +110,26 @@ class TestBuild:
 
     def test_non_total_cochain_named_by_the_reader(self):
         """A C2 cochain without (1, 1) gets the message every other
-        cochain reader gives; a non-total cochain of degree 3 is named
-        for its degree first."""
+        cochain reader gives: from ``from_map`` on a map without it, from
+        the reader on a short list of values; a non-total cochain of
+        degree 3 is named for its degree first."""
         M = c2_z2_module()
         vals = nontrivial_c2_cocycle().as_dict()
         del vals[(1, 1)]
-        c = Cochain.from_map(2, vals)
+        with pytest.raises(ValidationError,
+                           match=r"^cochain is not total: missing \(1, 1\)$"):
+            Cochain.from_map(2, vals)
+        c = Cochain(2, nontrivial_c2_cocycle().entries[:3])
         with pytest.raises(ValidationError,
                            match=r"^cochain is not total: missing \(1, 1\)$"):
             build_extension(M, c)
         with pytest.raises(ValidationError,
                            match="^expected a degree-2 cochain$"):
-            build_extension(M, Cochain(3, c.values))
+            build_extension(M, Cochain(3, c.entries))
 
     def test_list_and_unreduced_values_accepted(self):
         M = c2_z2_module()
-        given = Cochain(2, (((0, 0), [0]), ((0, 1), (2,)), ((1, 0), [-2]),
-                            ((1, 1), (3,))))
+        given = Cochain(2, ([0], (2,), [-2], (3,)))
         model = build_extension(M, given)
         assert model.group == build_extension(
             M, nontrivial_c2_cocycle()).group
@@ -215,6 +218,17 @@ class TestExtractCocycle:
             extract_cocycle(M, model.group, model.embed, model.project,
                             (model.section[0], model.section[0]))
 
+    @pytest.mark.parametrize("last", [-1, 99])
+    def test_section_index_outside_e_named(self, last):
+        """A section index outside E is named: -1 used to be read as
+        E's last element (3 over C2), 99 to raise a bare IndexError."""
+        M = c2_z2_module()
+        model = build_extension(M, nontrivial_c2_cocycle())
+        with pytest.raises(ValidationError,
+                           match="^section has an index outside E$"):
+            extract_cocycle(M, model.group, model.embed, model.project,
+                            (model.section[0], last))
+
 
 class TestEquivalence:
     def test_cohomologous_iff_equivalent(self):
@@ -270,6 +284,32 @@ class TestPushout:
         assert push.checks.antidiagonal_is_normal
         assert push.checks.kernel_is_antidiagonal
         assert push.checks.order == push.checks.expected_order == 8
+
+    @pytest.mark.parametrize("z", [(0, 99), (0, -2)])
+    def test_z_index_outside_g_named(self, z):
+        """By ``pushout`` and ``quotient_mod_center``: (0, 99) used to
+        raise a bare IndexError in both; -2 would be read as G's
+        element 2."""
+        G, z_ok, act, _, model = sl2_like_setup(1)
+        with pytest.raises(ValidationError,
+                           match="^z_embed has an index outside G$"):
+            pushout(G, z, act, model)
+        push = pushout(G, z_ok, act, model)
+        with pytest.raises(ValidationError,
+                           match="^z_embed has an index outside G$"):
+            quotient_mod_center(G, z, act, push)
+
+    @pytest.mark.parametrize("last", [-1, 99])
+    def test_quotient_act_index_outside_g_named(self, last):
+        """act[1] = (0, 1, 2, -1) over C4 used to be read as (0, 1, 2, 3)
+        and give the natural isomorphism; with 99 it raised a bare
+        IndexError."""
+        G, z, act, _, model = sl2_like_setup(1)
+        push = pushout(G, z, act, model)
+        bad = (act[0], (0, 1, 2, last))
+        with pytest.raises(ValidationError,
+                           match=r"^act\[1\] is not an automorphism$"):
+            quotient_mod_center(G, z, bad, push)
 
     def test_split_vs_nonsplit_differ(self):
         # with G = A the pushout is E~ itself, so the two classes are

@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 
 from discred import grouptable
 from discred.errors import BudgetExceededError, ValidationError
-from discred.grouptable import (closure, compose, cyclic, direct_product,
-                                find_isomorphism, from_generators, hom_check,
-                                is_normal, is_subgroup, quotient,
-                                semidirect_product, subgroup_closure,
-                                validate_table)
+from discred.grouptable import (check_action, closure, compose, cyclic,
+                                direct_product, find_isomorphism,
+                                from_generators, hom_check, is_normal,
+                                is_subgroup, quotient, semidirect_product,
+                                subgroup_closure, validate_table)
 
 
 def s3():
@@ -718,6 +718,29 @@ def test_semidirect_product_matches_reference(case):
     N, H, act = case
     assert _outcome(semidirect_product, N, H, act) == \
         _outcome(reference_semidirect_product, N, H, act)
+
+
+def test_check_action_composes_each_distinct_triple_once(monkeypatch):
+    """act(h) act(s) = act(hs) is checked through ``first_failing_pair``:
+    a map repeated over H is composed once per distinct triple, and a
+    failure keeps its message."""
+    calls = []
+    inner = grouptable.composes
+
+    def counted(a, b, ab):
+        calls.append((a, b, ab))
+        return inner(a, b, ab)
+    monkeypatch.setattr(grouptable, "composes", counted)
+    ident = tuple(range(5))
+    flip = (0, 4, 3, 2, 1)
+    assert check_action(cyclic(5), cyclic(12), [ident] * 12) == (ident,) * 12
+    assert len(calls) == 1
+    calls.clear()
+    alternating = [ident if h % 2 == 0 else flip for h in range(12)]
+    check_action(cyclic(5), cyclic(12), alternating)
+    assert len(calls) == len(set(calls)) == 2
+    with pytest.raises(ValidationError, match="^act is not a homomorphism$"):
+        check_action(cyclic(5), cyclic(3), [ident, flip, flip])
 
 
 def test_semidirect_rows_share_index_objects():
