@@ -38,11 +38,29 @@ from .relations import (RelationModule, columns_vanish, read_cochain,
 
 
 class GammaModule(Record):
-    """Finite abelian coefficient group with an action of a finite group."""
+    """Finite abelian group with an action of a finite group, checked
+    when built to be a homomorphism into Aut(coeff).  With the identity
+    acting trivially it is one when x.(s.a) = (xs).a for all x and all s
+    in S = ``gamma.generators``: every y is a word in S, and if
+    x.(w.a) = (xw).a for all x then x.((ws).a) = x.(w.(s.a)) =
+    (xw).(s.a) = (xws).a, by induction on the length of y."""
 
     gamma: FiniteGroup
     coeff: FGAbelianGroup
     action: tuple  # AbHom automorphism of coeff, one per gamma element
+
+    def __post_init__(self):
+        if not self.coeff.is_finite:
+            raise ValidationError("coefficient group must be finite")
+        action = tuple(self.action)
+        object.__setattr__(self, "action", action)
+        if len(action) != self.gamma.order:
+            raise ValidationError("need one action map per gamma element")
+        if not action[self.gamma.identity].is_identity_of(self.coeff):
+            raise ValidationError("action of the identity is not the identity")
+        bad = first_failing_pair(self.gamma, action, AbHom.composite_equals)
+        if bad is not None:
+            raise ValidationError(f"action is not a homomorphism at pair {bad}")
 
     def act(self, g, x):
         return self.action[g].apply(x)
@@ -59,22 +77,7 @@ class GammaModule(Record):
 
 
 def gamma_module(gamma: FiniteGroup, coeff: FGAbelianGroup, action) -> GammaModule:
-    """Validated constructor: the action must be a homomorphism into
-    Aut(coeff).  With the identity acting trivially it is one when
-    x.(s.a) = (xs).a for all x and all s in the generating set S of
-    ``gamma.generators``: every y is a word in S, and if x.(w.a) = (xw).a
-    for all x then x.((ws).a) = x.(w.(s.a)) = (xw).(s.a) = (xws).a, by
-    induction on the length of y."""
-    if not coeff.is_finite:
-        raise ValidationError("coefficient group must be finite")
-    action = tuple(action)
-    if len(action) != gamma.order:
-        raise ValidationError("need one action map per gamma element")
-    if not action[gamma.identity].is_identity_of(coeff):
-        raise ValidationError("action of the identity is not the identity")
-    bad = first_failing_pair(gamma, action, AbHom.composite_equals)
-    if bad is not None:
-        raise ValidationError(f"action is not a homomorphism at pair {bad}")
+    """The ``GammaModule``; its constructor checks the action."""
     return GammaModule(gamma, coeff, action)
 
 
@@ -119,8 +122,11 @@ class Cochain(Record):
         return dict(self.values)
 
     def is_normalized(self, identity=0):
-        return all(all(v == 0 for v in val)
-                   for key, val in self.values if identity in key)
+        """Whether c is 0 at the tuples containing ``identity``."""
+        p, entries = self.degree, self.entries
+        n = round(len(entries) ** (1 / p)) if p else 0
+        return all(not any(v) for i, v in enumerate(entries)
+                   if any(i // n ** j % n == identity for j in range(p)))
 
 
 def _bar_columns(M: GammaModule, c: Cochain):
@@ -168,9 +174,7 @@ class CohomologyGroup:
     ``boundary`` on the core coordinates of the cocycles ``kernel``, 0
     without a kernel.
     The ``budget`` of ``cohomology_group`` also bounds the dense
-    canonical basis (``_echelon``) before ``normalize``,
-    ``class_representative`` or ``classes`` builds it; ``classify``
-    checks it before ``stabilized_h2`` picks canonical generators."""
+    canonical basis, where ``_echelon`` builds it."""
 
     def __init__(self, module, degree, relations, kernel, boundary, budget):
         self.module, self.degree, self._rel = module, degree, relations
@@ -242,15 +246,13 @@ class CohomologyGroup:
     @cached_property
     def _echelon(self):
         """Triangular basis of the lattice of the coboundaries of
-        normalized (p-1)-cochains and the modulus relations."""
-        return modular_echelon(self._rel.bar_coboundaries(),
-                               self._rel.bar_mods)
-
-    def _require_canonical_budget(self):
-        """BudgetExceededError when ``_echelon`` would have more dense
-        cells than the budget, checked before any cochain is converted."""
+        normalized (p-1)-cochains and the modulus relations;
+        BudgetExceededError first when it would have more dense cells
+        than the budget."""
         require_within_budget(self.module.gamma, self._rel.t, self.degree,
                               self._budget, canonical=True)
+        return modular_echelon(self._rel.bar_coboundaries(),
+                               self._rel.bar_mods)
 
     def _class_vector(self, coords):
         """Unreduced combination of the generator vectors (of which
@@ -266,12 +268,10 @@ class CohomologyGroup:
         key = tuple(c % f for c, f in
                     zip(coords, self.group.invariant_factors))
         if key not in self._canonical:
-            if any(key):
-                vec = self._rel.to_bar(self._class_vector(key))
-            else:
-                vec = [0] * len(self._rel.bar_mods)
-            self._canonical[key] = tuple(echelon_reduce(
-                self._echelon, vec, self._rel.bar_mods))
+            echelon, mods = self._echelon, self._rel.bar_mods   # gate first
+            vec = (self._rel.to_bar(self._class_vector(key)) if any(key)
+                   else [0] * len(mods))
+            self._canonical[key] = tuple(echelon_reduce(echelon, vec, mods))
         return self._canonical[key]
 
     def normalize(self, c: Cochain) -> Cochain:
@@ -279,7 +279,6 @@ class CohomologyGroup:
         ``c``: the lexicographically smallest normalized cocycle in it
         (flat entries in [0, q)), by greedy reduction against
         ``_echelon``; ValidationError on other cochains."""
-        self._require_canonical_budget()
         vec = echelon_reduce(self._echelon, self._normalized(c)[0],
                              self._rel.bar_mods)
         return Cochain(self.degree, self._rel.to_cochain(vec))
@@ -287,7 +286,6 @@ class CohomologyGroup:
     def class_representative(self, coords) -> Cochain:
         """The lexicographically smallest normalized cocycle in the class
         with the given coordinates."""
-        self._require_canonical_budget()
         return Cochain(self.degree,
                        self._rel.to_cochain(self._canonical_class(coords)))
 
@@ -323,8 +321,7 @@ def cohomology_group(M: GammaModule, p: int, budget: int = 2_000_000) -> Cohomol
     columns' q_f e_f.  A cocycle with core coordinates 0 is 0 mod Q, so
     a witness a of phi = d_(p-1) a (mod mods) heads a solution lambda of
     boundary^T lambda = coordinates(phi).  ``budget`` caps what
-    ``require_within_budget`` bounds, here and for the canonical
-    representatives of the group.
+    ``require_within_budget`` bounds, here and in ``_echelon``.
     """
     if p not in (0, 1, 2):
         raise ValidationError("cohomology supported only in degrees 0..2")

@@ -28,9 +28,9 @@ from .abgroup import (DiagonalizableGroup, FGAbelianGroup, stable_level,
 from .cohomology import (Cochain, CohomologyGroup, GammaModule,
                          cohomology_group, gamma_module, stabilized_h2)
 from .errors import BudgetExceededError, InternalCheckError, ValidationError
-from .grouptable import (FiniteGroup, check_action, composes,
-                         first_failing_pair, hom_check, is_normal, quotient,
-                         semidirect_product, twisted_rows, validate_table)
+from .grouptable import (FiniteGroup, check_action, hom_check, is_normal,
+                         quotient, semidirect_product, twisted_rows,
+                         validate_table)
 from .record import Record
 from .relations import RelationModule, read_cochain, require_within_budget
 
@@ -63,9 +63,9 @@ def build_extension(M: GammaModule, c: Cochain) -> ExtensionModel:
     (a1, g1)(a2, g2) = (a1 + g1.a2 + c(g1, g2), g1 g2).  Raises with the
     failing triple when c is not a cocycle (the table check: the law's
     associator is dc) and rejects non-normalized cochains, whose law has
-    no identity at (0, 1), and actions that are not homomorphisms, with
-    the message of ``gamma_module``.  The values are read by
-    ``read_cochain``, so unreduced values and lists are accepted.
+    no identity at (0, 1); M checked its action when it was built.  The
+    values are read by ``read_cochain``, so unreduced values and lists
+    are accepted.
     """
     if c.degree != 2:
         raise ValidationError("expected a degree-2 cochain")
@@ -86,13 +86,6 @@ def build_extension(M: GammaModule, c: Cochain) -> ExtensionModel:
 
     # positions in elems: of g.a, of a sum, and of c(g1, g2)
     acted, add = M.index_tables
-    # the action as ``gamma_module`` checks it, on the index maps: a
-    # module built directly may hold a map that is none
-    if acted[ident] != list(range(len(elems))):
-        raise ValidationError("action of the identity is not the identity")
-    bad = first_failing_pair(M.gamma, list(map(tuple, acted)), composes)
-    if bad is not None:
-        raise ValidationError(f"action is not a homomorphism at pair {bad}")
     table = twisted_rows(add, M.gamma.table, acted, cval)
     order = len(table)
     try:
@@ -117,10 +110,15 @@ def extract_cocycle(M: GammaModule, E: FiniteGroup, embed, project,
                     section) -> Cochain:
     """The 2-cocycle of a section: c(g1, g2) = s(g1) s(g2) s(g1 g2)^{-1},
     read back through the embedding of A.  ValidationError when the
-    section is not total, has an index outside E or does not split."""
+    projection or the section is not total or has an index outside
+    Gamma or E, or when the section does not split."""
     elems = M.coeff.elements()
     back = {e: elems[p] for p, e in enumerate(embed)}
     n = M.gamma.order
+    if len(project) != E.order:
+        raise ValidationError("project is not total on E")
+    if any(not 0 <= x < n for x in project):
+        raise ValidationError("project has an index outside gamma")
     if len(section) != n:
         raise ValidationError("section is not total on gamma")
     if any(not 0 <= x < E.order for x in section):

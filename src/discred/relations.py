@@ -382,10 +382,9 @@ def read_cochain(M, p, c):
     if c.degree != p:
         raise ValidationError("cochain degree mismatch")
     values, size = c.entries, M.gamma.order ** p
-    if len(values) < size:
-        given = {key for key, _ in c.values}
-        missing = next(key for key in itertools.product(
-            range(M.gamma.order), repeat=p) if key not in given)
+    if len(values) < size:      # the tuple at position len(values)
+        n, i = M.gamma.order, len(values)
+        missing = tuple(i // n ** (p - 1 - j) % n for j in range(p))
         raise ValidationError(f"cochain is not total: missing {missing}")
     if len(values) > size:
         raise ValidationError(f"cochain has {len(values)} values, "
@@ -397,25 +396,19 @@ def read_cochain(M, p, c):
 
 
 def reduce_columns(coeff, cols, count):
-    """The ``count`` values of coeff with coordinates ``cols``, one
-    sequence of numbers per coordinate, as tuples reduced the way
-    ``coeff.reduce`` reduces them: the free coordinates stay."""
-    return list(zip(*[[x % q for x in col] if q else col
-                      for col, q in zip(cols, _moduli(coeff))])) or (
-        [()] * count)
+    """The ``count`` values of the finite group coeff with coordinates
+    ``cols``, one sequence of numbers per coordinate, as tuples reduced
+    the way ``coeff.reduce`` reduces them."""
+    return list(zip(*[[x % q for x in col] for col, q in zip(
+        cols, coeff.invariant_factors)])) or [()] * count
 
 
 def columns_vanish(coeff, cols):
-    """Whether every value of coeff with coordinates ``cols`` (as for
-    ``reduce_columns``) is 0, the columns read one at a time up to the
-    first that is not."""
-    return not any(any(map(q.__rmod__, col) if q else col)
-                   for col, q in zip(cols, _moduli(coeff)))
-
-
-def _moduli(coeff):
-    """One modulus per coordinate of coeff, 0 for a free one."""
-    return [0] * coeff.free_rank + list(coeff.invariant_factors)
+    """Whether every value of the finite group coeff with coordinates
+    ``cols`` (as for ``reduce_columns``) is 0, the columns read one at a
+    time up to the first that is not."""
+    return not any(any(map(q.__rmod__, col))
+                   for col, q in zip(cols, coeff.invariant_factors))
 
 
 def require_within_budget(gamma: FiniteGroup, t: int, p: int, budget: int,

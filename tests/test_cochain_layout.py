@@ -15,6 +15,7 @@ the layout replaced, and ``cohomology._span`` on one elimination
 against the kernel-then-cokernel version kept in ``tower_reference``."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,7 @@ from bar_reference import normalized_tuples, reference_differential
 from relations_reference import ReferenceRelationModule
 from tower_reference import reference_span
 
-from test_normalized import _modules
+from test_normalized import _cochain, _modules
 
 
 def _pairs(gamma, p, entries):
@@ -239,6 +240,21 @@ def test_reader_rejects_short_and_long_lists(entries, message):
         read_cochain(_c2_z2(), 2, Cochain(2, entries))
 
 
+@pytest.mark.parametrize("n, count, missing", [
+    (3, 5, "(1, 2)"), (4, 2, "(0, 2)"), (4, 6, "(1, 2)"), (4, 10, "(2, 2)"),
+], ids=["c3_5", "c4_2", "c4_6", "c4_10"])
+def test_reader_names_the_tuple_at_the_first_missing_position(n, count,
+                                                              missing):
+    """The first tuple without a value is the one at position
+    ``len(entries)``, its base-n digits.  The reader used to take n from
+    the length of the list, too small for a short one, and named a
+    tuple that has a value."""
+    M = trivial_module(cyclic(n), FGAbelianGroup(0, (2,)))
+    with pytest.raises(ValidationError, match=re.escape(
+            f"cochain is not total: missing {missing}") + "$"):
+        read_cochain(M, 2, Cochain(2, ((0,),) * count))
+
+
 @pytest.mark.parametrize("p, mapping, message", [
     (2, {(0, 0): (0,), (0, 1): (0,), (1, 0): (0,), (1, 1): (1,),
          (2, 2): (0,)}, r"^cochain is not total: missing \(0, 2\)$"),
@@ -257,6 +273,26 @@ def test_from_map_rejects_bad_keys_and_gaps(p, mapping, message):
     with an extra (2, 2) is a C3 cochain without (0, 2)."""
     with pytest.raises(ValidationError, match=message):
         Cochain.from_map(p, mapping)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_is_normalized_reads_positions(data):
+    """``Cochain.is_normalized`` reads ``entries`` by position: the
+    verdict of the pairs it read before, on cochains of the
+    ``test_normalized`` modules that are 0 at the tuples containing the
+    element asked about or drawn freely, and no pairs cached."""
+    M = data.draw(st.sampled_from(_modules()))
+    p = data.draw(st.sampled_from([0, 1, 2, 3]))
+    identity = data.draw(st.sampled_from(M.gamma.elements()))
+    c = _cochain(M, p, data.draw)
+    if data.draw(st.booleans()):
+        c = Cochain(p, tuple((0,) * len(v) if identity in key else v
+                             for key, v in _pairs(M.gamma, p, c.entries)))
+    want = all(all(v == 0 for v in val) for key, val in
+               _pairs(M.gamma, p, c.entries) if identity in key)
+    assert c.is_normalized(identity) == want
+    assert "values" not in c.__dict__
 
 
 def _library_cochain(M, p, draw):

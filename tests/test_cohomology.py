@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from discred import exactlin
 from discred.abgroup import (AbHom, DiagonalizableGroup, FGAbelianGroup,
                              torsion_at)
-from discred.cohomology import (Cochain, cochain_sum, cohomology_group,
-                                differential, eckmann_check, gamma_module,
-                                is_cocycle, push_cochain, stabilized_h2,
-                                trivial_module)
+from discred.cohomology import (Cochain, GammaModule, cochain_sum,
+                                cohomology_group, differential,
+                                eckmann_check, gamma_module, is_cocycle,
+                                push_cochain, stabilized_h2, trivial_module)
 from discred.errors import BudgetExceededError, ValidationError
 from discred.exactlin import IntMatrix
 from discred.grouptable import cyclic, direct_product, from_generators
@@ -42,6 +42,18 @@ class TestGammaModule:
         with pytest.raises(ValidationError):
             gamma_module(c2, a, (inv, inv))
 
+    def test_coefficients_must_be_finite(self):
+        """A free coordinate is refused however the module is built, so
+        the cochain layers reduce every coordinate by its factor."""
+        A = FGAbelianGroup(1, (2,))
+        for build in (lambda: GammaModule(cyclic(2), A,
+                                          (AbHom.identity(A),) * 2),
+                      lambda: gamma_module(cyclic(2), A,
+                                           (AbHom.identity(A),) * 2),
+                      lambda: trivial_module(cyclic(2), A)):
+            with pytest.raises(ValidationError,
+                               match="^coefficient group must be finite$"):
+                build()
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

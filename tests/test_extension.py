@@ -23,7 +23,7 @@ from discred.grouptable import (cyclic, direct_product, find_isomorphism,
 from bar_reference import reference_cocycle_witness
 from pushout_reference import reference_pushout
 from test_acceptance import _pushout_instances
-from test_cohomology import repeated_actions
+from test_cohomology import _first_failing_pair, repeated_actions
 from test_normalized import _cochain, _modules
 
 
@@ -148,41 +148,43 @@ class TestBuild:
 
 
 class TestActionCheck:
-    """A ``GammaModule`` built directly, not by ``gamma_module``, may
-    carry a map that is no action: ``build_extension`` rejects it with
-    ``gamma_module``'s message before it builds a table."""
+    """A ``GammaModule`` checks its action when it is built, so a map
+    that is no action never reaches ``build_extension``, which holds no
+    copy of the check."""
 
     def test_non_homomorphic_action(self):
         a = Z(3)
         neg = AbHom(a, a, IntMatrix.from_rows([[-1]]))
-        M = GammaModule(cyclic(3), a, (AbHom.identity(a), neg, neg))
         with pytest.raises(ValidationError, match=r"^action is not a "
                                                   r"homomorphism at pair "
                                                   r"\(1, 1\)$"):
-            build_extension(M, zero_cochain(M))
+            GammaModule(cyclic(3), a, (AbHom.identity(a), neg, neg))
 
     def test_identity_must_act_trivially(self):
         a = Z(3)
         neg = AbHom(a, a, IntMatrix.from_rows([[-1]]))
-        M = GammaModule(cyclic(2), a, (neg, AbHom.identity(a)))
         with pytest.raises(ValidationError, match="^action of the identity "
                                                   "is not the identity$"):
-            build_extension(M, zero_cochain(M))
+            GammaModule(cyclic(2), a, (neg, AbHom.identity(a)))
 
     @settings(max_examples=150, deadline=None)
     @given(repeated_actions())
     def test_same_verdict_as_gamma_module(self, case):
+        """Built directly or by ``gamma_module``, a module is rejected at
+        the first pair that fails when the pairs are checked one by one,
+        and an accepted one extends."""
         G, A, action = case
-        M = GammaModule(G, A, tuple(action))
-        try:
-            gamma_module(G, A, action)
-        except ValidationError as err:
-            with pytest.raises(ValidationError) as got:
-                build_extension(M, zero_cochain(M))
-            assert str(got.value) == str(err)
-        else:
-            assert build_extension(M, zero_cochain(M)).group.order == (
-                G.order * A.order())
+        want = _first_failing_pair(G, action)
+        for build in (GammaModule, gamma_module):
+            if want is None:
+                M = build(G, A, action)
+                assert build_extension(M, zero_cochain(M)).group.order == (
+                    G.order * A.order())
+            else:
+                with pytest.raises(ValidationError) as err:
+                    build(G, A, action)
+                assert str(err.value) == (f"action is not a homomorphism "
+                                          f"at pair ({want[0]}, {want[1]})")
 
 
 class TestExtractCocycle:
@@ -228,6 +230,26 @@ class TestExtractCocycle:
                            match="^section has an index outside E$"):
             extract_cocycle(M, model.group, model.embed, model.project,
                             (model.section[0], last))
+
+
+    def test_short_project_named(self):
+        """A projection shorter than E used to pass unread."""
+        M = c2_z2_module()
+        model = build_extension(M, nontrivial_c2_cocycle())
+        with pytest.raises(ValidationError,
+                           match="^project is not total on E$"):
+            extract_cocycle(M, model.group, model.embed, model.project[:2],
+                            model.section)
+
+    def test_project_index_outside_gamma_named(self):
+        """A projection index outside Gamma off the section used to pass
+        unread."""
+        M = c2_z2_module()
+        model = build_extension(M, nontrivial_c2_cocycle())
+        with pytest.raises(ValidationError,
+                           match="^project has an index outside gamma$"):
+            extract_cocycle(M, model.group, model.embed, (0, 1, 0, 7),
+                            model.section)
 
 
 class TestEquivalence:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discred import standard
+from discred import cohomology, standard
 from discred.abgroup import (AbHom, DiagonalizableGroup, FGAbelianGroup,
                              torsion_at)
 from discred.autbrd import ad_from_generator_images, trivial_ad
@@ -203,14 +203,45 @@ SHAPIRO = {
 }
 
 
+# the canonical basis of S4 on its 3 pairings: ((24 - 1)^2 * 3)^2 cells
+S4_PAIRINGS_CELLS = 1587 ** 2
+
+
 @pytest.mark.parametrize("label", sorted(SHAPIRO))
 def test_permutation_torus_gives_schur_multiplier(label):
     degree, gens, act, multiplier = SHAPIRO[label]
     gamma, mats = _permutation_torus(degree, gens, act)
     Zg, module_at = _torus_tower(gamma, mats)
-    res = stabilized_h2(gamma, Zg, module_at)
+    res = stabilized_h2(gamma, Zg, module_at, budget=S4_PAIRINGS_CELLS)
     assert res.group.invariant_factors == multiplier
     assert res.k_used == 2
+
+
+def test_stabilized_h2_gates_the_canonical_basis(monkeypatch):
+    """Called directly, ``stabilized_h2`` meets the canonical-form gate
+    where the basis is built: S4 on its 3 pairings at the default
+    budget, or one cell short of the basis, raises before any
+    ``modular_echelon`` runs; a budget of exactly its cells lets one run."""
+    calls = []
+    inner = cohomology.modular_echelon
+
+    def modular_echelon(*args):
+        calls.append(args)
+        return inner(*args)
+    monkeypatch.setattr(cohomology, "modular_echelon", modular_echelon)
+    degree, gens, act, _ = SHAPIRO["S4 on its 3 pairings, Delta = D8"]
+    gamma, mats = _permutation_torus(degree, gens, act)
+    Zg, module_at = _torus_tower(gamma, mats)
+    with pytest.raises(BudgetExceededError, match=r"^canonical form size "
+                       r"1587x1587 exceeds budget 2000000$"):
+        stabilized_h2(gamma, Zg, module_at)
+    assert calls == []
+    with pytest.raises(BudgetExceededError, match=r"^canonical form size "
+                       r"1587x1587 exceeds budget 2518568$"):
+        stabilized_h2(gamma, Zg, module_at, budget=S4_PAIRINGS_CELLS - 1)
+    assert calls == []
+    stabilized_h2(gamma, Zg, module_at, budget=S4_PAIRINGS_CELLS)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("case,calls", [("SL2/C2", 1), ("GL2-swap", 2)])
