@@ -29,8 +29,7 @@ from .cohomology import (Cochain, CohomologyGroup, GammaModule,
                          cohomology_group, gamma_module, stabilized_h2)
 from .errors import BudgetExceededError, InternalCheckError, ValidationError
 from .grouptable import (FiniteGroup, check_action, hom_check, is_normal,
-                         quotient, semidirect_product, twisted_rows,
-                         validate_table)
+                         quotient, semidirect_product, twisted_rows)
 from .record import Record
 from .relations import RelationModule, read_cochain, require_within_budget
 
@@ -60,12 +59,16 @@ class ExtensionModel(Record):
 def build_extension(M: GammaModule, c: Cochain) -> ExtensionModel:
     """Group law on A x Gamma from a normalized 2-cocycle.
 
-    (a1, g1)(a2, g2) = (a1 + g1.a2 + c(g1, g2), g1 g2).  Raises with the
-    failing triple when c is not a cocycle (the table check: the law's
-    associator is dc) and rejects non-normalized cochains, whose law has
-    no identity at (0, 1); M checked its action when it was built.  The
-    values are read by ``read_cochain``, so unreduced values and lists
-    are accepted.
+    (a1, g1)(a2, g2) = (a1 + g1.a2 + c(g1, g2), g1 g2).  Rejects
+    non-normalized cochains, then non-cocycles with the failing triple of
+    ``cocycle_witness``; M checked its action when it was built.  Values
+    are read by ``read_cochain``, so unreduced values and lists are
+    accepted.  The ``twisted_rows`` table needs no check: c normalized
+    makes (0, 1) a two-sided identity, the associator of the law is
+    dc(g1, g2, g3) in the first coordinate, and (a, g) has the right
+    inverse (-g^{-1}.(a + c(g, g^{-1})), g^{-1}); a finite monoid whose
+    elements all have right inverses is a group, so each row's ``index``
+    of the identity is its inverse.
     """
     if c.degree != 2:
         raise ValidationError("expected a degree-2 cochain")
@@ -80,27 +83,21 @@ def build_extension(M: GammaModule, c: Cochain) -> ExtensionModel:
             row[ident] != zero for row in cval):
         raise ValidationError("cochain is not normalized: c vanishes on "
                               "neither all (1, g) nor all (g, 1)")
-
-    def idx(a, g):
-        return pos[a] * n + g
+    w = cocycle_witness(M, c)
+    if w is not None:
+        raise ValidationError(
+            f"not a 2-cocycle, so the twisted law is not associative; "
+            f"witness triple {w}")
 
     # positions in elems: of g.a, of a sum, and of c(g1, g2)
     acted, add = M.index_tables
     table = twisted_rows(add, M.gamma.table, acted, cval)
     order = len(table)
-    try:
-        group = validate_table(table, identity=idx(A.zero(), ident))
-    except ValidationError:
-        w = cocycle_witness(M, c)
-        if w is None:
-            raise InternalCheckError(
-                "the twisted law of a 2-cocycle is not a group")
-        raise ValidationError(
-            f"not a 2-cocycle, so the twisted law is not associative; "
-            f"witness triple {w}")
-    embed = tuple(idx(e, ident) for e in elems)
+    e = zero * n + ident
+    group = FiniteGroup(order, table, e, tuple(row.index(e) for row in table))
+    embed = tuple(p * n + ident for p in range(len(elems)))
     project = tuple(i % n for i in range(order))
-    section = tuple(idx(A.zero(), g) for g in range(n))
+    section = tuple(zero * n + g for g in range(n))
     if not hom_check(project, group, M.gamma):
         raise InternalCheckError("projection of the model is not a homomorphism")
     return ExtensionModel(M, c, group, embed, project, section)
@@ -110,10 +107,17 @@ def extract_cocycle(M: GammaModule, E: FiniteGroup, embed, project,
                     section) -> Cochain:
     """The 2-cocycle of a section: c(g1, g2) = s(g1) s(g2) s(g1 g2)^{-1},
     read back through the embedding of A.  ValidationError when the
-    projection or the section is not total or has an index outside
-    Gamma or E, or when the section does not split."""
+    embedding, the projection or the section is not total or has an
+    index outside E or Gamma, when the embedding is not injective, or
+    when the section does not split."""
     elems = M.coeff.elements()
+    if len(embed) != len(elems):
+        raise ValidationError("embed is not total on the coefficient group")
+    if any(not 0 <= x < E.order for x in embed):
+        raise ValidationError("embed has an index outside E")
     back = {e: elems[p] for p, e in enumerate(embed)}
+    if len(back) != len(elems):
+        raise ValidationError("embed is not injective")
     n = M.gamma.order
     if len(project) != E.order:
         raise ValidationError("project is not total on E")
@@ -218,10 +222,10 @@ def pushout(G: FiniteGroup, z_embed, act, model: ExtensionModel) -> PushoutModel
     second is g1 act[h1](g2) act[h1 h2](g3) z(h1.c(h2, h3)) z(c(h1, h2 h3));
     z(c(h1, h2)) is central, so the first is
     g1 act[h1](g2) act[h1 h2](g3) z(c(h1, h2)) z(c(h1 h2, h3)); z is a
-    homomorphism and c a cocycle (the model's table passed
-    ``validate_table``), so the two agree, and (1, 1) is the identity as
-    c is normalized.  Each fact is checked here or when the model was
-    built; ``quotient`` likewise builds its table unchecked.
+    homomorphism and c a cocycle (``build_extension`` checked c), so
+    the two agree, and (1, 1) is the identity as c is normalized.  Each
+    fact is checked here or when the model was built; ``quotient``
+    likewise builds its table unchecked.
 
     The quotient map phi(g, (a, h)) = (g z(a), h) is computed
     arithmetically and checked to be a homomorphism G x| E~ -> E on the

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from operator import add
+from operator import add, itemgetter
 
 from .errors import BudgetExceededError, ValidationError
 from .grouptable import FiniteGroup
@@ -378,21 +378,45 @@ def read_cochain(M, p, c):
     total p-cochain c over M, its ``entries`` in product order, each
     reduced once.  ValidationError unless c has degree p, n^p values
     (a short list names the first tuple of Gamma^p it has no value at)
-    and t coordinates in every value."""
+    and in every value a tuple or list of t ints, bools excluded (the
+    first value that is not one is named by its tuple)."""
     if c.degree != p:
         raise ValidationError("cochain degree mismatch")
-    values, size = c.entries, M.gamma.order ** p
-    if len(values) < size:      # the tuple at position len(values)
-        n, i = M.gamma.order, len(values)
-        missing = tuple(i // n ** (p - 1 - j) % n for j in range(p))
-        raise ValidationError(f"cochain is not total: missing {missing}")
+    values, n = c.entries, M.gamma.order
+    size = n ** p
+    if len(values) < size:
+        raise ValidationError(
+            f"cochain is not total: missing {_tuple_at(len(values), n, p)}")
     if len(values) > size:
         raise ValidationError(f"cochain has {len(values)} values, "
                               f"Gamma^{p} has {size} tuples")
+    if not set(map(type, values)) <= {tuple, list}:
+        _reject_first(values, n, p, lambda v: isinstance(v, (tuple, list)),
+                      "is not a tuple or list")
     t = M.coeff.ncoords
-    if any(len(v) != t for v in values):
+    if set(map(len, values)) != {t}:
         raise ValidationError("coordinate length mismatch")
-    return reduce_columns(M.coeff, zip(*values), len(values))
+    cols = [list(map(itemgetter(j), values)) for j in range(t)]
+    if any(not set(map(type, col)) <= {int} for col in cols):
+        _reject_first(values, n, p, lambda v: all(
+            isinstance(x, int) and not isinstance(x, bool) for x in v),
+            "has a coordinate that is not an int")
+    return reduce_columns(M.coeff, cols, len(values))
+
+
+def _tuple_at(i, n, p):
+    """The tuple of Gamma^p at position i of the product order."""
+    return tuple(i // n ** (p - 1 - j) % n for j in range(p))
+
+
+def _reject_first(values, n, p, ok, what):
+    """ValidationError naming the first value that fails ``ok``, if any:
+    the fast checks of ``read_cochain`` also stop at int and sequence
+    subclasses, which pass."""
+    i = next((i for i, v in enumerate(values) if not ok(v)), None)
+    if i is not None:
+        raise ValidationError(f"cochain value {values[i]!r} at "
+                              f"{_tuple_at(i, n, p)} {what}")
 
 
 def reduce_columns(coeff, cols, count):

@@ -15,7 +15,7 @@ from discred.grouptable import (GROUP_CAP, FiniteGroup, closure, compose,
                                 is_subgroup, subgroup_closure, validate_table)
 
 
-def reference_validate_table(table, identity=None):
+def reference_validate_table(table):
     n = len(table)
     table = tuple(tuple(row) for row in table)
     if any(len(row) != n for row in table):
@@ -24,14 +24,10 @@ def reference_validate_table(table, identity=None):
         raise ValidationError("table entry out of range")
     elements = tuple(range(n))
     column = tuple(zip(*table))
+    identity = next((e for e in range(n)
+                     if table[e] == elements and column[e] == elements), None)
     if identity is None:
-        identity = next((e for e in range(n)
-                         if table[e] == elements and column[e] == elements),
-                        None)
-        if identity is None:
-            raise ValidationError("table has no identity element")
-    elif table[identity] != elements or column[identity] != elements:
-        raise ValidationError(f"element {identity} is not an identity")
+        raise ValidationError("table has no identity element")
     inverse = []
     for x, row in enumerate(table):
         y = next((y for y, xy in enumerate(row)
@@ -97,7 +93,7 @@ def reference_quotient(G: FiniteGroup, normal_subset):
     m = len(reps)
     table = tuple(tuple(coset_of[G.mul(reps[i], reps[j])] for j in range(m))
                   for i in range(m))
-    q = validate_table(table, identity=coset_of[G.identity])
+    q = validate_table(table)
     return q, tuple(coset_of)
 
 

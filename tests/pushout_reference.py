@@ -118,7 +118,7 @@ def reference_build_extension(M: GammaModule, c: Cochain) -> ExtensionModel:
     table = twisted_rows(add, M.gamma.table, acted, cval)
     order = len(table)
     try:
-        group = validate_table(table, identity=idx(A.zero(), ident))
+        group = validate_table(table)
     except ValidationError:
         w = cocycle_witness(M, c)
         if w is None:

@@ -26,7 +26,8 @@ from discred.cohomology import (Cochain, _span, cochain_sum,
                                 cohomology_group, differential, is_cocycle,
                                 trivial_module)
 from discred.errors import ValidationError
-from discred.extension import extensions_equivalent
+from discred.extension import (build_extension, cocycle_witness,
+                               extensions_equivalent)
 from discred.grouptable import cyclic, from_generators
 from discred.relations import RelationModule, read_cochain
 from bar_reference import normalized_tuples, reference_differential
@@ -253,6 +254,36 @@ def test_reader_names_the_tuple_at_the_first_missing_position(n, count,
     with pytest.raises(ValidationError, match=re.escape(
             f"cochain is not total: missing {missing}") + "$"):
         read_cochain(M, 2, Cochain(2, ((0,),) * count))
+
+
+_READERS = {
+    "differential": differential,
+    "is_cocycle": is_cocycle,
+    "cocycle_witness": cocycle_witness,
+    "build_extension": build_extension,
+    "coordinates_of": lambda M, c: cohomology_group(M, 2).coordinates_of(c),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+@pytest.mark.parametrize("value, fault", [
+    ((0.5,), "has a coordinate that is not an int"),
+    ((True,), "has a coordinate that is not an int"),
+    (("1",), "has a coordinate that is not an int"),
+    ((None,), "has a coordinate that is not an int"),
+    (1, "is not a tuple or list"),
+], ids=["float", "bool", "str", "none", "bare_int"])
+def test_reader_names_the_first_value_that_is_no_tuple_of_ints(value, fault,
+                                                               reader):
+    """Each value is a tuple or list of ints, bools excluded, as the CLI
+    reads integers.  The reader used to pass a float through to the
+    result, read True as 1 and raise a bare TypeError on a str, None or
+    bare int."""
+    M = trivial_module(cyclic(2), FGAbelianGroup(0, (2,)))
+    c = Cochain(2, ((0,), (0,), (0,), value))
+    with pytest.raises(ValidationError, match=re.escape(
+            f"cochain value {value!r} at (1, 1) {fault}") + "$"):
+        _READERS[reader](M, c)
 
 
 @pytest.mark.parametrize("p, mapping, message", [

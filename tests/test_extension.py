@@ -251,6 +251,24 @@ class TestExtractCocycle:
             extract_cocycle(M, model.group, model.embed, (0, 1, 0, 7),
                             model.section)
 
+    @pytest.mark.parametrize("embed, message", [
+        ((0, 2, 1), "embed is not total on the coefficient group"),
+        ((0,), "embed is not total on the coefficient group"),
+        ((0, 9), "embed has an index outside E"),
+        ((0, 0), "embed is not injective"),
+    ], ids=["long", "short", "outside", "not_injective"])
+    def test_bad_embed_named(self, embed, message):
+        """On the C2 model (embed (0, 2)) a long embed used to raise a bare
+        IndexError, and a short, out-of-range or non-injective one to
+        blame the section ("section defect leaves the embedded
+        coefficient group")."""
+        M = c2_z2_module()
+        model = build_extension(M, nontrivial_c2_cocycle())
+        assert model.embed == (0, 2)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            extract_cocycle(M, model.group, embed, model.project,
+                            model.section)
+
 
 class TestEquivalence:
     def test_cohomologous_iff_equivalent(self):
@@ -528,20 +546,24 @@ class TestOnceOnly:
 
     @settings(max_examples=80, deadline=None)
     @given(_normalized_cochains())
-    def test_table_check_is_the_cocycle_check(self, case):
+    def test_cocycle_check_is_the_only_check(self, case):
+        """``build_extension`` decides associativity by one
+        ``cocycle_witness`` call and checks no table: ``validate_table``
+        never runs, and a non-cocycle's message ends with the witness."""
         M, c = case
         w = cocycle_witness(M, c)
-        calls = []
+        witness_calls, table_calls = [], []
         with pytest.MonkeyPatch.context() as mp:
-            counted(mp, extension, "cocycle_witness", calls)
+            counted(mp, extension, "cocycle_witness", witness_calls)
+            counted(mp, grouptable, "validate_table", table_calls)
             if w is None:
                 build_extension(M, c)
-                assert calls == []
             else:
                 with pytest.raises(ValidationError) as err:
                     build_extension(M, c)
                 assert str(err.value).endswith(f"witness triple {w}")
-                assert len(calls) == 1
+        assert len(witness_calls) == 1
+        assert table_calls == []
 
     @pytest.mark.parametrize("cls", [0, 1])
     def test_pushout_builds_on_g_times_gamma(self, monkeypatch, cls):

@@ -171,6 +171,51 @@ def test_detects_unread_public_names():
         "gl1", "Dropped"]
 
 
+def callers(sources, name):
+    """``module.function`` for each module-level function or class of
+    ``sources`` (module name -> source) that calls ``name``, by name or
+    as an attribute; a nested function or a method counts as its
+    enclosing definition, and a call outside any as ``module``."""
+    def calls(node):
+        return any(isinstance(n, ast.Call) and name in (
+            getattr(n.func, "id", None), getattr(n.func, "attr", None))
+            for n in ast.walk(node))
+    out = []
+    for module, source in sorted(sources.items()):
+        for node in ast.parse(source).body:
+            if calls(node):
+                out.append(f"{module}.{node.name}" if isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                           ast.ClassDef)) else module)
+    return sorted(set(out))
+
+
+def test_validate_table_checks_only_tables_from_outside():
+    """The tables built in the package come with a proof; only the CLI's
+    ``gamma.type: "table"`` goes through ``validate_table``."""
+    sources = {}
+    for name in MODULES + ["__init__.py"]:
+        with open(os.path.join(SRC, name)) as fh:
+            sources[name[:-3]] = fh.read()
+    assert callers(sources, "validate_table") == ["cli._parse_gamma"]
+
+
+def test_detects_callers():
+    sources = {"cli": ("def _parse_gamma(g):\n"
+                       "    return validate_table(g)\n"
+                       "def _parse_ad(a):\n"
+                       "    return a\n"),
+               "extension": ("class Model:\n"
+                             "    def build(self, t):\n"
+                             "        def inner():\n"
+                             "            return grouptable.validate_table(t)\n"
+                             "        return inner()\n"
+                             "validate_table(())\n"
+                             "check = validate_table\n")}
+    assert callers(sources, "validate_table") == [
+        "cli._parse_gamma", "extension", "extension.Model"]
+
+
 def module_constant(path, name):
     """The literal value a module assigns to ``name``, read from its
     source without importing it."""
