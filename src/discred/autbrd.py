@@ -19,7 +19,7 @@ from .abgroup import AbHom, torsion_at
 from .errors import InternalCheckError, ValidationError
 from .exactlin import IntMatrix, inverse_unimodular, smith_normal_form
 from .grouptable import FiniteGroup, first_failing_pair
-from .record import Record
+from .record import Record, field
 from .rootdatum import (BasedRootDatum, CenterData, cartan_pairing,
                         simple_matrix)
 
@@ -190,14 +190,22 @@ def induced_center_action(cd: CenterData, T: BRDAutomorphism, n: int) -> AbHom:
 
 class AdHom(Record):
     """Homomorphism from a finite group into the distinguished
-    automorphisms, one image per group element."""
+    automorphisms, one image per group element.
+
+    ``checked_against`` is the based datum on which every image is known
+    to be a distinguished automorphism, or None.  The constructors below
+    set it to the datum they checked their images on, and
+    ``validate_ad`` then skips its per-image check for that datum only.
+    An ad built by hand leaves it None and has every image checked."""
     gamma: FiniteGroup
     images: tuple  # BRDAutomorphism per element index
+    checked_against: BasedRootDatum | None = field(default=None,
+                                                   compare=False)
 
 
 def trivial_ad(based: BasedRootDatum, gamma: FiniteGroup) -> AdHom:
     ident = BRDAutomorphism.identity(based)
-    return AdHom(gamma, tuple(ident for _ in range(gamma.order)))
+    return AdHom(gamma, tuple(ident for _ in range(gamma.order)), based)
 
 
 def ad_from_generator_images(based: BasedRootDatum, gamma: FiniteGroup,
@@ -216,7 +224,7 @@ def ad_from_generator_images(based: BasedRootDatum, gamma: FiniteGroup,
     images = [BRDAutomorphism.identity(based)]
     for parent, gi in gamma.closure_tree[1:]:
         images.append(images[parent].compose(gens[gi]))
-    return AdHom(gamma, tuple(images))
+    return AdHom(gamma, tuple(images), based)
 
 
 def ad_from_element_images(based: BasedRootDatum, gamma: FiniteGroup,
@@ -226,7 +234,7 @@ def ad_from_element_images(based: BasedRootDatum, gamma: FiniteGroup,
     images = tuple(brd_automorphism(based,
                                     IntMatrix.from_rows(m, cols=based.datum.rank))
                    for m in matrices)
-    return AdHom(gamma, images)
+    return AdHom(gamma, images, based)
 
 
 def validate_ad(based: BasedRootDatum, ad: AdHom):
@@ -240,17 +248,30 @@ def validate_ad(based: BasedRootDatum, ad: AdHom):
     Ad(1) = 1 it holds for all x and y by induction on the length of
     y.  Each distinct image matrix is checked once, and so is each
     distinct triple of them (``first_failing_pair``); a rejected one is
-    named by the first element, or the first pair, that carries it."""
+    named by the first element, or the first pair, that carries it.
+
+    The images of an ad with ``checked_against == based`` are not
+    checked again one by one: its constructor checked them on this
+    datum.  Each image of ``ad_from_element_images``, and each generator
+    image of ``ad_from_generator_images``, passed ``brd_automorphism``;
+    ``trivial_ad``'s images are the identity.  The other images of
+    ``ad_from_generator_images`` are products of generator images, and a
+    product of distinguished automorphisms is one: T1 T2 is unimodular
+    and permutes the simple roots, and (T1 T2)^t = T2^t T1^t carries
+    the coroot of T1 T2(alpha) to the coroot of T2(alpha), and that to
+    the coroot of alpha.  The identity and homomorphism checks, which
+    read how the images fit ``gamma``, always run."""
     gamma = ad.gamma
     if len(ad.images) != gamma.order:
         return "images are not total on gamma"
-    checked = set()
-    for i, im in enumerate(ad.images):
-        if im.matrix not in checked:
-            chk = is_brd_automorphism(based, im.matrix)
-            if not chk.ok:
-                return f"image of element {i} fails: {chk.witness}"
-            checked.add(im.matrix)
+    if ad.checked_against != based:
+        checked = set()
+        for i, im in enumerate(ad.images):
+            if im.matrix not in checked:
+                chk = is_brd_automorphism(based, im.matrix)
+                if not chk.ok:
+                    return f"image of element {i} fails: {chk.witness}"
+                checked.add(im.matrix)
     ident = ad.images[gamma.identity].matrix
     if ident.entries != IntMatrix.identity(based.datum.rank).entries:
         return "image of the identity is not the identity matrix"

@@ -15,6 +15,9 @@ import argparse
 import json
 import sys
 from functools import cache
+from itertools import product
+from json.encoder import encode_basestring_ascii as _quote
+from operator import add
 
 from .abgroup import DiagonalizableGroup
 from .autbrd import (AdHom, ad_from_element_images, ad_from_generator_images,
@@ -29,15 +32,21 @@ SCHEMA_VERSION = 1
 
 
 def load_problem(path):
-    """Parse and validate a problem file; raises ValidationError on any
-    malformed input."""
+    """Parse and validate a problem file, read as UTF-8 whatever the
+    locale; raises ValidationError on any malformed input, also on text
+    that is not UTF-8, nesting deeper than the parser's recursion limit
+    and integers longer than Python's int-conversion limit."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as e:
         raise ValidationError(f"cannot read problem file: {e}")
     except json.JSONDecodeError as e:
-        raise ValidationError(f"problem file is not valid JSON: {e}")
+        raise ValidationError(f"problem file {path} is not valid JSON: {e}")
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"problem file {path} is not UTF-8: {e}")
+    except (RecursionError, ValueError) as e:
+        raise ValidationError(f"problem file {path} cannot be parsed: {e}")
     if not isinstance(data, dict):
         raise ValidationError("problem file must contain a JSON object")
     if data.get("schema") != SCHEMA_VERSION:
@@ -161,6 +170,8 @@ def _diag_json(Z: DiagonalizableGroup):
 
 
 def _cochain_json(c):
+    """The pairs of a cochain as lists, for the text format; the JSON
+    writer writes a cochain from its entries."""
     return [[list(k), list(v)] for k, v in c.values]
 
 
@@ -176,15 +187,142 @@ def _classification_json(cls):
             {"coordinates": list(d.coordinates),
              "is_split": d.is_split,
              "torsion_level": d.torsion_level,
-             "cocycle": _cochain_json(d.cocycle)}
+             "cocycle": d.cocycle}
             for d in cls.descriptors
         ],
     }
 
 
+_INFINITY = float("inf")
+
+
+def _float_text(x):
+    """A float as ``json.dumps`` writes it."""
+    if x != x:
+        return "NaN"
+    if x == _INFINITY:
+        return "Infinity"
+    if x == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+class _ValueTexts(dict):
+    """The JSON text of each coefficient element, a tuple of ints, as a
+    list whose brackets stand at ``indent``; made on first use."""
+
+    def __init__(self, indent):
+        super().__init__()
+        self.open = "[\n" + indent + "  "
+        self.sep = ",\n" + indent + "  "
+        self.close = "\n" + indent + "]"
+
+    def __missing__(self, v):
+        text = self[v] = (self.open + self.sep.join(map(int.__repr__, v))
+                          + self.close) if v else "[]"
+        return text
+
+
+def _cochain_blocks(p, n, indent):
+    """For a cochain of degree p on a group of order n written as a list
+    at ``indent``: the text before each entry's value (the brackets and
+    indentation around it and its key), the text after the last value,
+    and the value texts."""
+    inner, key = indent + "  ", indent + "    "
+    sep = ",\n" + key + "  "
+    keys = [("[\n" + key + "  " + sep.join(map(str, k)) + "\n" + key + "]")
+            if p else "[]" for k in product(range(n), repeat=p)]
+    pre = ["[\n" + inner + "[\n" + key + keys[0] + ",\n" + key]
+    pre += ["\n" + inner + "],\n" + inner + "[\n" + key + k + ",\n" + key
+            for k in keys[1:]]
+    return pre, "\n" + inner + "]\n" + indent + "]", _ValueTexts(key)
+
+
+def report_text(report):
+    """``json.dumps(report, indent=2, sort_keys=True)``, byte for byte,
+    where a ``Cochain`` stands for the list of its [key, value] pairs.
+
+    Dicts, lists, str, int, bool, None and floats are written as json
+    writes them (a problem's ``name`` is echoed and may be any JSON
+    value).  A cochain is written from its entries in product order:
+    the text around each value, keys and indentation included, is made
+    once per (degree, group order, indent) in a report, and so is each
+    distinct value's text."""
+    out = []
+    write = out.append
+    blocks = {}     # (degree, group order, indent) -> _cochain_blocks
+
+    def put(v, indent):
+        if isinstance(v, str):
+            write(_quote(v))
+        elif v is None:
+            write("null")
+        elif v is True:
+            write("true")
+        elif v is False:
+            write("false")
+        elif isinstance(v, int):
+            write(int.__repr__(v))
+        elif isinstance(v, float):
+            write(_float_text(v))
+        elif isinstance(v, list):
+            if not v:
+                write("[]")
+                return
+            inner = indent + "  "
+            sep = "[\n" + inner
+            for item in v:
+                write(sep)
+                put(item, inner)
+                sep = ",\n" + inner
+            write("\n" + indent + "]")
+        elif isinstance(v, dict):
+            if not v:
+                write("{}")
+                return
+            inner = indent + "  "
+            sep = "{\n" + inner
+            for k, item in sorted(v.items()):
+                write(sep + _quote(k) + ": ")
+                put(item, inner)
+                sep = ",\n" + inner
+            write("\n" + indent + "}")
+        else:
+            # only classify reports hold cochains, and it has loaded the
+            # engine; the other commands never import it
+            from .cohomology import Cochain
+            if not isinstance(v, Cochain):
+                raise TypeError(f"Object of type {type(v).__name__} "
+                                f"is not JSON serializable")
+            entries, p = v.entries, v.degree
+            if not entries:
+                write("[]")
+                return
+            n = round(len(entries) ** (1 / p)) if p else 0
+            key = (p, n, indent)
+            if key not in blocks:
+                blocks[key] = _cochain_blocks(p, n, indent)
+            pre, tail, texts = blocks[key]
+            write("".join(map(add, pre, map(texts.__getitem__, entries))))
+            write(tail)
+
+    put(report, "")
+    return "".join(out)
+
+
 def emit(report, fmt, text_lines):
+    """Print a command's result: ``report`` through ``report_text`` for
+    ``--format json``, else the text lines.  The problem's ``name`` is
+    echoed as given; a value that the parser accepted but that nests
+    deeper than the writer's recursion can go is invalid input."""
     if fmt == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        try:
+            text = report_text(report)
+        except RecursionError:
+            raise ValidationError("the report nests deeper than the "
+                                  "recursion limit (the problem's name is "
+                                  "echoed as given)") from None
+        print(text)
     else:
         for line in text_lines:
             print(line)

@@ -98,7 +98,7 @@ class IntMatrix(Record):
         """Matrix-vector product (column-vector convention)."""
         if len(vec) != self.cols:
             raise ValidationError("vector length does not match column count")
-        return tuple(sum(a * b for a, b in zip(r, vec)) for r in self.entries)
+        return tuple(sum(map(mul, r, vec)) for r in self.entries)
 
     def transpose(self):
         ent = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols

@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import re
+import sys
 
 import pytest
 
@@ -124,15 +125,56 @@ class TestAdHom:
         assert validate_ad(based, ad) is None
 
     def test_each_distinct_image_checked_once(self, monkeypatch, capsys):
-        """A trivial ad over C2 has one distinct image matrix, so it is
-        checked once, where each element's image took its own check."""
+        """A trivial ad over C2 is not checked image by image at all:
+        ``trivial_ad`` records the datum its identity images are
+        distinguished automorphisms of, and ``check`` validates the ad
+        against that datum.  (Its one distinct image matrix was checked
+        once before ``checked_against`` existed.)"""
         calls = []
         inner = autbrd.is_brd_automorphism
         monkeypatch.setattr(autbrd, "is_brd_automorphism",
                             lambda *a: calls.append(a) or inner(*a))
         assert main(["check", "--input",
                      _problem("sl2_z2_trivial.json")]) == 0
-        assert len(calls) == 1
+        assert len(calls) == 0
+
+    def test_trust_holds_only_for_the_checked_datum(self):
+        """The SL3 flip passed its constructor's check on SL3; validated
+        against GL2 it is checked again, and element 1 is named."""
+        ad = ad_from_generator_images(standard.sl3(), cyclic(2),
+                                      [[[0, 1], [1, 0]]])
+        assert ad.checked_against == standard.sl3()
+        assert ad == AdHom(ad.gamma, ad.images)     # an uncompared field
+        assert validate_ad(standard.sl3(), ad) is None
+        msg = validate_ad(standard.gl2(), ad)
+        assert msg is not None and msg.startswith("image of element 1 fails")
+
+    @pytest.mark.parametrize("command", ["check", "classify"])
+    @pytest.mark.parametrize("name", sorted(
+        f for f in os.listdir(os.path.join(os.path.dirname(__file__),
+                                           os.pardir, "src", "discred",
+                                           "problems"))
+        if f.endswith(".json")))
+    def test_bundled_images_checked_only_by_constructors(
+            self, monkeypatch, capsys, command, name):
+        """``check`` and ``classify`` check each image once, in the
+        constructor that built the ad, never again in ``validate_ad``."""
+        callers = []
+        inner = autbrd.is_brd_automorphism
+
+        def spy(*args):
+            frame, names = sys._getframe(1), set()
+            while frame is not None:
+                names.add(frame.f_code.co_name)
+                frame = frame.f_back
+            callers.append(names)
+            return inner(*args)
+        monkeypatch.setattr(autbrd, "is_brd_automorphism", spy)
+        assert main([command, "--input", _problem(name)]) == 0
+        constructors = {"ad_from_generator_images", "ad_from_element_images"}
+        for names in callers:
+            assert "validate_ad" not in names
+            assert names & constructors
 
     def test_shared_bad_image_named_by_first_element(self, monkeypatch):
         """Elements 1 and 2 of C3 carry one non-unimodular matrix: it is

@@ -53,6 +53,48 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--input", "/nonexistent.json")
         assert code == 1
 
+    @pytest.mark.parametrize("content", [
+        b'{"schema": 1, "name": "\xff\xfe"}',
+        b"[" * 100000 + b"]" * 100000,
+        b'{"schema": 1, "name": ' + b"1" * 5000 + b"}",
+    ], ids=["not_utf8", "too_deep", "int_too_long"])
+    def test_unparsable_file_exits_1(self, tmp_path, content):
+        """Bytes that are not UTF-8, nesting past the parser's recursion
+        limit and an integer past the int-conversion limit each exit 1
+        naming the file, from a fresh interpreter whose stderr would
+        show a traceback."""
+        p = tmp_path / "unparsable.json"
+        p.write_bytes(content)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [q for q in [os.environ.get("PYTHONPATH")] if q]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "discred.cli", "check", "--input", str(p)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert str(p) in proc.stderr
+
+    @pytest.mark.parametrize("name", [
+        1.5, float("nan"), float("-inf"), -0.0, 2 ** 70,
+        {"b": [1, {"a": None}, []], "a": {}, "\u00e9\n": "\u2028"},
+    ], ids=["float", "nan", "minus_inf", "minus_zero", "wide_int", "nested"])
+    def test_any_json_name_is_echoed(self, capsys, tmp_path, name):
+        """The name is echoed as given, written as json writes it."""
+        with open(problem("sl2_z2_trivial.json")) as fh:
+            data = json.load(fh)
+        data["name"] = name
+        p = tmp_path / "named.json"
+        p.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "check", "--input", str(p),
+                           "--format", "json")
+        assert code == 0
+        with open(os.path.join(os.path.dirname(__file__), "golden", "check",
+                               "sl2_z2_trivial.json")) as fh:
+            want = json.load(fh)
+        want["problem"] = name
+        assert out == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
     def test_invalid_datum(self, capsys, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({
