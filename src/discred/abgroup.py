@@ -17,7 +17,7 @@ from math import gcd, prod
 from operator import mul
 
 from .errors import ValidationError
-from .exactlin import IntMatrix, cokernel_presentation
+from .exactlin import IntMatrix
 from .record import Record
 
 
@@ -97,26 +97,6 @@ class FGAbelianGroup(Record):
         return " + ".join(parts) if parts else "0"
 
 
-def from_factor_list(free_rank, factors):
-    """Canonical group from an arbitrary list of cyclic orders (>= 1)."""
-    factors = list(factors)
-    if any(f < 1 for f in factors):
-        raise ValidationError("cyclic orders must be >= 1")
-    rel = IntMatrix.from_rows(
-        [[factors[i] if j == i else 0 for j in range(len(factors))]
-         for i in range(len(factors))],
-        cols=len(factors)) if factors else IntMatrix.from_rows([], cols=0)
-    pres = cokernel_presentation(rel) if factors else None
-    chain = pres.invariant_factors if pres else ()
-    return FGAbelianGroup(free_rank, chain)
-
-
-def direct_sum(A: FGAbelianGroup, B: FGAbelianGroup) -> FGAbelianGroup:
-    """Direct sum, re-normalized to a divisibility chain via SNF."""
-    g = from_factor_list(0, list(A.invariant_factors) + list(B.invariant_factors))
-    return FGAbelianGroup(A.free_rank + B.free_rank, g.invariant_factors)
-
-
 def _same_reduced_rows(target: FGAbelianGroup, A, B) -> bool:
     """Whether A and B, the row tuples of two matrices of one shape into
     ``target``, have equal columns once reduced in ``target``: the images
@@ -164,15 +144,10 @@ class AbHom(Record):
             raise ValidationError("hom composition mismatch")
         return AbHom(other.source, self.target, self.matrix @ other.matrix)
 
-    def equal_as_map(self, other: "AbHom") -> bool:
-        return (self.source.same_structure(other.source)
-                and self.target.same_structure(other.target)
-                and _same_reduced_rows(self.target, self.matrix.entries,
-                                       other.matrix.entries))
-
     def composite_equals(self, other: "AbHom", h: "AbHom") -> bool:
-        """Whether self after other equals h as a map: ``compose`` then
-        ``equal_as_map``, on the rows of the product alone."""
+        """Whether self after other equals h as a map, with the same
+        source and target: the images of the generators agree once
+        reduced in the target, read on the rows of the product alone."""
         if not other.target.same_structure(self.source):
             raise ValidationError("hom composition mismatch")
         if not (other.source.same_structure(h.source)
@@ -185,8 +160,8 @@ class AbHom(Record):
                                for r in self.matrix.entries), h.matrix.entries)
 
     def is_identity_of(self, G: FGAbelianGroup) -> bool:
-        """Whether this is the identity map of G: ``equal_as_map`` with
-        ``identity(G)``, on the rows alone."""
+        """Whether this is the identity map of G: source and target G,
+        and each generator sent to itself once reduced in G."""
         return (self.source.same_structure(G) and self.target.same_structure(G)
                 and _same_reduced_rows(G, self.matrix.entries,
                                        IntMatrix.identity(G.ncoords).entries))

@@ -49,9 +49,11 @@ def load_problem(path):
         raise ValidationError(f"problem file {path} cannot be parsed: {e}")
     if not isinstance(data, dict):
         raise ValidationError("problem file must contain a JSON object")
-    if data.get("schema") != SCHEMA_VERSION:
+    schema = data.get("schema")
+    # the int 1 only: true and 1.0 compare equal to it, but are not it
+    if type(schema) is not int or schema != SCHEMA_VERSION:
         raise ValidationError(
-            f"unsupported schema version {data.get('schema')!r}; "
+            f"unsupported schema version {schema!r}; "
             f"expected {SCHEMA_VERSION}")
     return data
 

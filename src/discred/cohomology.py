@@ -225,9 +225,6 @@ class CohomologyGroup:
         y = self._pres.to_presented.apply(x)
         return tuple(y[i] % m for i, m in enumerate(self._pres.moduli) if m > 1)
 
-    def is_coboundary(self, c: Cochain) -> bool:
-        return all(v == 0 for v in self.coordinates_of(c))
-
     def coboundary_witness(self, c: Cochain):
         """A (p-1)-cochain b with db = c, or None when c is not a
         coboundary, solved in the core coordinates of the cocycles
@@ -359,7 +356,8 @@ def eckmann_check(M: GammaModule, p: int, H: CohomologyGroup = None) -> bool:
 
 
 def cochain_sum(coeff: FGAbelianGroup, terms) -> Cochain:
-    """Sum of (multiplier, cochain) terms with values in ``coeff``."""
+    """Sum of (multiplier, cochain) terms with values in ``coeff``; no caller
+    in the package, kept while the benchmark's tracer wraps it by name."""
     terms = list(terms)
     if not terms:
         raise ValidationError("empty cochain sum")
@@ -376,7 +374,8 @@ def cochain_sum(coeff: FGAbelianGroup, terms) -> Cochain:
 
 
 def push_cochain(inc: AbHom, c: Cochain) -> Cochain:
-    """Apply a coefficient homomorphism to every value of a cochain."""
+    """Apply a coefficient homomorphism to every value of a cochain; no caller
+    in the package, kept while the benchmark's tracer wraps it by name."""
     return Cochain(c.degree, tuple(map(inc.apply, c.entries)))
 
 

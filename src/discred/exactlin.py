@@ -362,7 +362,8 @@ def solve_integer(A: IntMatrix, b):
 
 
 def kernel_basis(A: IntMatrix):
-    """Basis (list of integer vectors) of the lattice {x : A @ x = 0}."""
+    """Basis (list of integer vectors) of the lattice {x : A @ x = 0}; no
+    caller in the package, kept while the benchmark's tracer wraps it."""
     snf = smith_normal_form(A, keep=("V",))
     diag = snf.diagonal
     basis = []
@@ -648,7 +649,8 @@ def _xgcd(a, b):
 
 
 def column_lattice_basis(A: IntMatrix):
-    """Basis vectors of the lattice spanned by the columns of A."""
+    """Basis vectors of the lattice spanned by the columns of A; no caller
+    in the package, kept while the benchmark's tracer wraps it by name."""
     snf = smith_normal_form(A, keep=("U_inv",))
     return [tuple(d * x for x in snf.U_inv.col(i))
             for i, d in enumerate(snf.diagonal) if d != 0]

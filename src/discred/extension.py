@@ -177,7 +177,9 @@ class PushoutModel(Record):
     G x Gamma: (g, gamma) at index g * |Gamma| + gamma.
 
     ``coset_of`` maps G x| E~ (index g * |E~| + e) onto E; the table of
-    G x| E~ itself is built only when ``semidirect`` is read.
+    G x| E~ itself is built only when ``semidirect`` is read.  Nothing in
+    the package reads ``coset_of`` or ``antidiagonal``: they are the
+    construction's record, which the tests check against a reference.
     """
 
     group: FiniteGroup
@@ -195,7 +197,8 @@ class PushoutModel(Record):
     @cached_property
     def semidirect(self) -> FiniteGroup:
         """G x| E~ with E~ acting through its projection to Gamma, the
-        domain of ``coset_of``."""
+        domain of ``coset_of``.  Nothing in the package reads it; the
+        benchmark's tracer sizes each pushout by its order."""
         model = self.extension
         return semidirect_product(self.connected, model.group,
                                   [self.act[h] for h in model.project])

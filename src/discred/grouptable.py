@@ -67,10 +67,6 @@ class FiniteGroup(Record):
     def elements(self):
         return range(self.order)
 
-    def is_abelian(self):
-        return all(self.table[i][j] == self.table[j][i]
-                   for i in range(self.order) for j in range(i))
-
 
 def validate_table(table):
     """Check a multiplication table from outside and return the
@@ -356,13 +352,6 @@ def composes(a, b, ab):
     return tuple([a[x] for x in b]) == ab
 
 
-def subgroup_closure(G: FiniteGroup, seed):
-    """Element set of the subgroup generated by ``seed`` (in a finite
-    group, the closure of the identity under right multiplication)."""
-    elems, _, _ = closure(G.identity, tuple(seed), G.mul, G.order, "subgroup")
-    return frozenset(elems)
-
-
 def generating_set(G: FiniteGroup):
     """Greedy generating set: each element not yet in the span of the
     earlier ones, in index order.  The span is the closure of the
@@ -455,12 +444,6 @@ def twisted_rows(n_table, h_table, act, c):
               for h1_row, c_h1 in zip(h_table, c)]
     return tuple([tuple(chain.from_iterable([blk[x1_row[x]] for x in a1]))
                   for x1_row in n_table for a1, blk in zip(act, blocks)])
-
-
-def direct_product(A: FiniteGroup, B: FiniteGroup):
-    """A x B with element (a, b) at index a * |B| + b: the semidirect
-    product through identity maps."""
-    return semidirect_product(A, B, [tuple(range(A.order))] * B.order)
 
 
 def check_action(N: FiniteGroup, H: FiniteGroup, act):

@@ -14,8 +14,7 @@ from operator import mul
 
 from .abgroup import DiagonalizableGroup, FGAbelianGroup
 from .errors import InternalCheckError, ValidationError
-from .exactlin import (IntMatrix, cokernel_presentation, column_lattice_basis,
-                       kernel_basis, smith_normal_form)
+from .exactlin import IntMatrix, cokernel_presentation, smith_normal_form
 from .grouptable import permutation_closure
 from .record import Record, field
 
@@ -123,25 +122,14 @@ class WeylGroup(Record):
     """W as permutations of the root indices, in BFS order from the
     identity: ``permutations[i][j]`` is the index of w_i(root j).  W acts
     faithfully on the roots of a valid datum (it fixes the coroot-
-    orthogonal part of X^* pointwise), so this numbers the elements
-    exactly as the matrices on X^* would."""
+    orthogonal part of X^* pointwise), so the permutations are W; no
+    caller needs its matrices on X^*."""
     rank: int
     permutations: tuple
-    tree: tuple         # grouptable.closure's (parent, generator) per element
-    generators: tuple   # the simple reflections as matrices on X^*
 
     @property
     def order(self):
         return len(self.permutations)
-
-    @cached_property
-    def elements(self):
-        """All elements as matrices on X^*, in the same order; built on
-        first use along the closure tree."""
-        mats = [IntMatrix.identity(self.rank)]
-        for parent, g in self.tree[1:]:
-            mats.append(mats[parent] @ self.generators[g])
-        return tuple(mats)
 
 
 class DynkinDiagram(Record):
@@ -259,18 +247,6 @@ def express_in_simple(based: BasedRootDatum):
     return [snf.solve(b) for b in based.datum.roots]
 
 
-def reflection(datum: RootDatum, root_index: int) -> IntMatrix:
-    """s_beta on X^*: lambda -> lambda - <beta^v, lambda> beta."""
-    if not 0 <= root_index < datum.nroots:
-        raise ValidationError("root index out of range")
-    b = datum.roots[root_index]
-    bv = datum.coroots[root_index]
-    n = datum.rank
-    return IntMatrix._of(n, n, tuple(tuple(int(i == j) - b[i] * bv[j]
-                                           for j in range(n))
-                                     for i in range(n)))
-
-
 def weyl_generate(based: BasedRootDatum) -> WeylGroup:
     """Closure of the simple reflections, deterministic element order.
     Raises ValidationError with ``validate_based``'s message for an
@@ -283,10 +259,8 @@ def weyl_generate(based: BasedRootDatum) -> WeylGroup:
         a, av = datum.roots[k], datum.coroots[k]
         perms.append(tuple(index[_reflect(b, datum.pairing(av, b), a)]
                            for b in datum.roots))
-    elems, _, tree = permutation_closure(datum.nroots, perms, WEYL_CAP,
-                                         "Weyl")
-    return WeylGroup(datum.rank, tuple(elems), tuple(tree),
-                     tuple(reflection(datum, k) for k in based.simple_indices))
+    elems, _, _ = permutation_closure(datum.nroots, perms, WEYL_CAP, "Weyl")
+    return WeylGroup(datum.rank, tuple(elems))
 
 
 def _positive_indices(based: BasedRootDatum):
@@ -301,19 +275,10 @@ def _positive_indices(based: BasedRootDatum):
     return pos
 
 
-def positive_roots(based: BasedRootDatum):
-    """The positive system R+ determined by the base."""
-    return tuple(based.datum.roots[j] for j in _positive_indices(based))
-
-
 class PositiveSystem(Record):
     roots: tuple       # sorted tuple of root vectors
     weyl: WeylGroup
     index: int         # of the w carrying the base system onto this one
-
-    @property
-    def weyl_element(self) -> IntMatrix:
-        return self.weyl.elements[self.index]
 
 
 def positive_systems(weyl: WeylGroup, based: BasedRootDatum):
@@ -397,36 +362,3 @@ def center(datum: RootDatum) -> DiagonalizableGroup:
     """Z(G) as a diagonalizable group: m torus factors plus the finite
     part read off the SNF of the root relations."""
     return center_data(datum).group
-
-
-class AlmostProduct(Record):
-    sublattice_1: tuple   # basis of X^*(H/Z(G)) = the root lattice ZR
-    sublattice_2: tuple   # basis of {lambda : <alpha^v, lambda> = 0 for all alpha}
-    index: int
-
-
-def almost_product_check(datum: RootDatum) -> AlmostProduct:
-    """The finite-index sublattice ZR x (coroot-perp) of X^*; raises when
-    the direct sum does not have finite index (invalid datum)."""
-    rank = datum.rank
-    if datum.nroots:
-        root_cols = IntMatrix._of(rank, datum.nroots,
-                                  tuple(tuple(r[i] for r in datum.roots)
-                                        for i in range(rank)))
-        basis1 = column_lattice_basis(root_cols)
-        coroot_rows = IntMatrix.from_rows(list(datum.coroots), cols=rank)
-        basis2 = kernel_basis(coroot_rows)
-    else:
-        basis1 = []
-        basis2 = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    combined = basis1 + basis2
-    if len(combined) != rank:
-        raise ValidationError(
-            f"rank mismatch: ZR has rank {len(basis1)} and the coroot-perp "
-            f"lattice rank {len(basis2)}, sum != {rank}")
-    M = IntMatrix._of(rank, rank, tuple(tuple(v[i] for v in combined)
-                                        for i in range(rank)))
-    d = M.det()
-    if d == 0:
-        raise ValidationError("sublattices do not span a finite-index subgroup")
-    return AlmostProduct(tuple(basis1), tuple(basis2), abs(d))

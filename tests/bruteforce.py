@@ -19,7 +19,8 @@ import itertools
 
 from discred.abgroup import FGAbelianGroup
 from discred.cohomology import GammaModule
-from discred.grouptable import FiniteGroup, subgroup_closure
+from discred.grouptable import FiniteGroup
+from grouptable_reference import subgroup_closure
 
 
 def _generating_set(G: FiniteGroup):

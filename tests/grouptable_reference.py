@@ -8,11 +8,33 @@ entry by entry, ``from_generators`` closing and tabulating with one
 for its range and every row for a two-sided inverse in Python, and
 ``generating_set`` closing its span afresh after each generator.  Kept as
 the reference that ``discred.grouptable`` must match verdict for
-verdict, message for message and table for table."""
+verdict, message for message and table for table.
+
+Also the group helpers that the tests use as tools and the package does
+not need: ``direct_product``, ``subgroup_closure`` and ``is_abelian``."""
 
 from discred.errors import ValidationError
 from discred.grouptable import (GROUP_CAP, FiniteGroup, closure, compose,
-                                is_subgroup, subgroup_closure, validate_table)
+                                is_subgroup, semidirect_product,
+                                validate_table)
+
+
+def direct_product(A: FiniteGroup, B: FiniteGroup):
+    """A x B with element (a, b) at index a * |B| + b: the semidirect
+    product through identity maps."""
+    return semidirect_product(A, B, [tuple(range(A.order))] * B.order)
+
+
+def subgroup_closure(G: FiniteGroup, seed):
+    """Element set of the subgroup generated by ``seed`` (in a finite
+    group, the closure of the identity under right multiplication)."""
+    elems, _, _ = closure(G.identity, tuple(seed), G.mul, G.order, "subgroup")
+    return frozenset(elems)
+
+
+def is_abelian(G: FiniteGroup):
+    return all(G.table[i][j] == G.table[j][i]
+               for i in range(G.order) for j in range(i))
 
 
 def reference_validate_table(table):

@@ -2,11 +2,25 @@
 by the sorted ranks of its root indices: every image is built as a
 sorted tuple of root vectors and keyed by it.  Kept as the reference
 that ``positive_systems`` must match system for system, index for index
-and error for error."""
+and error for error.
+
+Also ``reflection``, the reflection matrices that the tests use as
+tools: the package acts on root indices and builds none."""
 
 from discred.errors import InternalCheckError
-from discred.rootdatum import (PositiveSystem, _positive_indices,
+from discred.exactlin import IntMatrix
+from discred.rootdatum import (PositiveSystem, RootDatum, _positive_indices,
                                require_valid_based)
+
+
+def reflection(datum: RootDatum, root_index: int) -> IntMatrix:
+    """s_beta on X^*: lambda -> lambda - <beta^v, lambda> beta."""
+    b = datum.roots[root_index]
+    bv = datum.coroots[root_index]
+    n = datum.rank
+    return IntMatrix(n, n, tuple(tuple(int(i == j) - b[i] * bv[j]
+                                       for j in range(n))
+                                 for i in range(n)))
 
 
 def reference_positive_systems(weyl, based):

@@ -5,10 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discred.abgroup import (AbHom, DiagonalizableGroup, FGAbelianGroup,
-                             direct_sum, from_factor_list, torsion_at,
-                             torsion_inclusion)
+                             torsion_at, torsion_inclusion)
 from discred.errors import ValidationError
-from discred.exactlin import IntMatrix
+from discred.exactlin import IntMatrix, cokernel_presentation
 
 
 class TestStructure:
@@ -19,19 +18,18 @@ class TestStructure:
             FGAbelianGroup(0, (1, 2))
 
     def test_canonicalization(self):
-        g = from_factor_list(0, [2, 3])
-        assert g.invariant_factors == (6,)
-        g = from_factor_list(0, [2, 2, 4])
-        assert g.invariant_factors == (2, 2, 4)
-        g = from_factor_list(0, [6, 4])
-        assert g.invariant_factors == (2, 12)
-        g = from_factor_list(1, [1, 1])
-        assert g.free_rank == 1 and g.invariant_factors == ()
-
-    def test_direct_sum(self):
-        a = FGAbelianGroup(0, (2,))
-        b = FGAbelianGroup(0, (3,))
-        assert direct_sum(a, b).invariant_factors == (6,)
+        """A sum of cyclic groups, presented by its diagonal relations,
+        gets its divisibility chain, as ``center_data`` reads Z(G)."""
+        def chain(orders):
+            rel = IntMatrix.from_rows(
+                [[f if j == i else 0 for j in range(len(orders))]
+                 for i, f in enumerate(orders)], cols=len(orders))
+            return FGAbelianGroup(0, cokernel_presentation(rel)
+                                  .invariant_factors).invariant_factors
+        assert chain([2, 3]) == (6,)
+        assert chain([2, 2, 4]) == (2, 2, 4)
+        assert chain([6, 4]) == (2, 12)
+        assert chain([1, 1]) == ()
 
     def test_order_exponent(self):
         g = FGAbelianGroup(0, (2, 4))
@@ -77,15 +75,16 @@ class TestHom:
         assert g.compose(f).apply((1,)) == (0,)
 
     def test_equal_as_map(self):
+        """3 and -1 are one map of Z/4: a after the identity is b."""
         z4 = FGAbelianGroup(0, (4,))
         a = AbHom(z4, z4, IntMatrix.from_rows([[3]]))
         b = AbHom(z4, z4, IntMatrix.from_rows([[-1]]))
-        assert a.equal_as_map(b)
+        assert a.composite_equals(AbHom.identity(z4), b)
 
 
 def _unit_vector_equal(f, g):
-    """``AbHom.equal_as_map`` as it was: apply both maps to every unit
-    vector of the source."""
+    """Whether f and g are one map: same source and target, and the
+    same image of every unit vector of the source."""
     if not (f.source.same_structure(g.source)
             and f.target.same_structure(g.target)):
         return False
@@ -147,17 +146,19 @@ def _variants(draw, f):
 
 
 class TestColumnComparison:
-    """``equal_as_map`` and ``composite_equals`` compare the reduced
-    columns of the matrices; the unit-vector apply they replaced is the
+    """``composite_equals`` and ``is_identity_of`` compare the reduced
+    columns of the matrices; applying the maps to unit vectors is the
     oracle."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_equal_as_map(self, data):
+        """f after the identity is g exactly when f and g are one map."""
         f = data.draw(_homs())
         g = data.draw(_variants(f))
-        assert f.equal_as_map(g) == _unit_vector_equal(f, g)
-        assert f.equal_as_map(f)
+        one = AbHom.identity(f.source)
+        assert f.composite_equals(one, g) == _unit_vector_equal(f, g)
+        assert f.composite_equals(one, f)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -174,7 +175,7 @@ class TestColumnComparison:
     @given(st.data())
     def test_composite_equals_is_compose_then_equal_as_map(self, data):
         """On the product rows alone, ``composite_equals`` says what
-        ``compose`` then ``equal_as_map`` says: free ranks, maps of any
+        ``compose`` then the unit-vector oracle says: free ranks, maps of any
         shape (0 coordinates too), h a variant of the composite or any
         hom at all, and the composition mismatch raised by both."""
         f, g = data.draw(_homs()), data.draw(_homs())
@@ -186,21 +187,21 @@ class TestColumnComparison:
             g = data.draw(_homs(target=f.source))
         fg = f.compose(g)
         h = data.draw(st.one_of(_variants(fg), _homs()))
-        assert f.composite_equals(g, h) == fg.equal_as_map(h)
+        assert f.composite_equals(g, h) == _unit_vector_equal(fg, h)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_is_identity_of(self, data):
         G = data.draw(st.sampled_from(_GROUPS))
         f = data.draw(st.one_of(_variants(AbHom.identity(G)), _homs()))
-        assert f.is_identity_of(G) == f.equal_as_map(AbHom.identity(G))
+        assert f.is_identity_of(G) == _unit_vector_equal(f,
+                                                         AbHom.identity(G))
         assert AbHom.identity(G).is_identity_of(G)
 
     def test_mismatched_structures(self):
         z2, z4 = FGAbelianGroup(0, (2,)), FGAbelianGroup(0, (4,))
         f = AbHom(z4, z4, IntMatrix.from_rows([[1]]))
         g = AbHom(z2, z4, IntMatrix.from_rows([[2]]))
-        assert not f.equal_as_map(g)
         assert not _unit_vector_equal(f, g)
         with pytest.raises(ValidationError, match="composition mismatch"):
             g.composite_equals(g, f)
@@ -233,6 +234,5 @@ class TestDiagonalizable:
     def test_torsion_inclusion_compatible(self):
         z = DiagonalizableGroup(2, FGAbelianGroup(0, (2, 12)))
         one_step = torsion_inclusion(z, 2, 4)
-        two_step = torsion_inclusion(z, 4, 8).compose(one_step)
         direct = torsion_inclusion(z, 2, 8)
-        assert two_step.equal_as_map(direct)
+        assert torsion_inclusion(z, 4, 8).composite_equals(one_step, direct)

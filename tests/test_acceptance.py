@@ -18,12 +18,12 @@ from discred.errors import ValidationError
 from discred.exactlin import IntMatrix
 from discred.extension import (build_extension, classify, cocycle_witness,
                                extract_cocycle, pushout, quotient_mod_center)
-from discred.grouptable import (cyclic, direct_product, find_isomorphism,
-                                from_generators)
+from discred.grouptable import cyclic, from_generators
 from discred.rootdatum import center, positive_systems, weyl_generate
 
 import acceptance_log
 from bruteforce import h2_by_enumeration, structure_from_class_orders
+from grouptable_reference import direct_product
 
 
 def verdict(num, ok, text):
@@ -57,8 +57,15 @@ def test_criterion_02_positive_systems_bijection():
         W = weyl_generate(based)
         systems = positive_systems(W, based)
         ok = ok and len(systems) == W.order
-        ok = ok and len({s.weyl_element.entries for s in systems}) == W.order
+        ok = ok and sorted(s.index for s in systems) == list(range(W.order))
         ok = ok and len({s.roots for s in systems}) == W.order
+        # each w carries R+, the system of the identity, onto its system
+        roots = based.datum.roots
+        pos = [roots.index(b) for s in systems if s.index == 0
+               for b in s.roots]
+        ok = ok and all(tuple(sorted(roots[W.permutations[s.index][j]]
+                                     for j in pos)) == s.roots
+                        for s in systems)
     verdict(2, ok, "positive systems biject with Weyl elements, each "
                    "reached by a unique w")
 

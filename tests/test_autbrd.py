@@ -85,7 +85,7 @@ class TestInducedCenterAction:
         cd = center_data(standard.sl3().datum)
         ident = BRDAutomorphism.identity(standard.sl3())
         act = induced_center_action(cd, ident, 3)
-        assert act.equal_as_map(AbHom.identity(torsion_at(cd.group, 3)))
+        assert act.is_identity_of(torsion_at(cd.group, 3))
 
     def test_sl3_flip_inverts(self):
         cd = center_data(standard.sl3().datum)
@@ -99,8 +99,8 @@ class TestInducedCenterAction:
         T = brd_automorphism(standard.gl2(),
                              IntMatrix.from_rows([[0, -1], [-1, 0]]))
         act = induced_center_action(cd, T, 8)
-        assert act.compose(act).equal_as_map(
-            AbHom.identity(torsion_at(cd.group, 8)))
+        assert act.composite_equals(act,
+                                    AbHom.identity(torsion_at(cd.group, 8)))
 
     @pytest.mark.parametrize("builder", [standard.gl2, standard.sl3,
                                          standard.sl2, standard.d4_adjoint,

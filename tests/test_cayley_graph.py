@@ -21,8 +21,9 @@ from discred.abgroup import FGAbelianGroup
 from discred.cli import main
 from discred.cohomology import cohomology_group, trivial_module
 from discred.extension import classify
-from discred.grouptable import cyclic, direct_product, from_generators
+from discred.grouptable import cyclic, from_generators
 from discred.relations import RelationModule
+from grouptable_reference import direct_product
 from relations_reference import ReferenceRelationModule
 
 from test_normalized import _cochain, _modules

@@ -43,6 +43,19 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--input", str(p))
         assert code == 1 and "schema" in err
 
+    @pytest.mark.parametrize("schema", [True, 1.0])
+    def test_schema_equal_to_1_but_not_the_int(self, capsys, tmp_path,
+                                               schema):
+        """JSON ``true`` and ``1.0`` compare equal to 1 in Python; they
+        are rejected, not read as schema 1."""
+        with open(problem("sl2_z2_trivial.json")) as fh:
+            data = json.load(fh)
+        p = tmp_path / "p.json"
+        p.write_text(json.dumps({**data, "schema": schema}))
+        code, _, err = run(capsys, "check", "--input", str(p))
+        assert code == 1
+        assert f"unsupported schema version {schema!r}" in err
+
     def test_not_json(self, capsys, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("not json")

@@ -16,11 +16,11 @@ from discred.extension import (DisconnectedGroupDescriptor, build_extension,
                                classify, cocycle_witness,
                                extensions_equivalent, extract_cocycle,
                                pushout, quotient_mod_center)
-from discred.grouptable import (cyclic, direct_product, find_isomorphism,
-                                from_generators, quotient, semidirect_product,
-                                validate_table)
+from discred.grouptable import (cyclic, find_isomorphism, from_generators,
+                                quotient, semidirect_product, validate_table)
 
 from bar_reference import reference_cocycle_witness
+from grouptable_reference import direct_product, is_abelian
 from pushout_reference import reference_pushout
 from test_acceptance import _pushout_instances
 from test_cohomology import _first_failing_pair, repeated_actions
@@ -741,7 +741,7 @@ def _sign(gamma, g):
     """-1 at g under the sign character of a cyclic group of even order
     or of S3 (transpositions); +1 otherwise.  Not a character of every
     group (D8, for one)."""
-    if not gamma.is_abelian():
+    if not is_abelian(gamma):
         return -1 if gamma.element_order(g) == 2 else 1
     return -1 if gamma.order % 2 == 0 and g % 2 else 1
 
@@ -918,7 +918,7 @@ class TestRowWiseBuilders:
             H = N
             act = [tuple(N.mul(N.mul(h, x), N.inv(h)) for x in range(N.order))
                    for h in range(N.order)]
-        elif kind == "sign" and N.is_abelian() and all(
+        elif kind == "sign" and is_abelian(N) and all(
                 _sign(H, H.mul(x, y)) == _sign(H, x) * _sign(H, y)
                 for x in range(H.order) for y in range(H.order)):
             act = [tuple(N.inv(x) if _sign(H, h) < 0 else x

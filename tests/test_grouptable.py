@@ -3,23 +3,23 @@ from functools import cache
 from itertools import product
 
 import pytest
-from grouptable_reference import (reference_direct_product,
+from grouptable_reference import (direct_product, is_abelian,
+                                  reference_direct_product,
                                   reference_from_generators,
                                   reference_generating_set,
                                   reference_hom_check, reference_is_normal,
                                   reference_quotient,
                                   reference_semidirect_product,
-                                  reference_validate_table)
+                                  reference_validate_table, subgroup_closure)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discred import grouptable
 from discred.errors import BudgetExceededError, ValidationError
 from discred.grouptable import (check_action, closure, compose, cyclic,
-                                direct_product, find_isomorphism,
-                                from_generators, hom_check, is_normal,
-                                is_subgroup, quotient, semidirect_product,
-                                subgroup_closure, validate_table)
+                                find_isomorphism, from_generators, hom_check,
+                                is_normal, is_subgroup, quotient,
+                                semidirect_product, validate_table)
 
 
 def s3():
@@ -54,7 +54,7 @@ class TestGenerators:
     def test_s3(self):
         g = s3()
         assert g.order == 6
-        assert not g.is_abelian()
+        assert not is_abelian(g)
         assert sorted(g.element_order(x) for x in g.elements()) == \
             [1, 2, 2, 2, 3, 3]
 
@@ -243,7 +243,7 @@ class TestSubgroupsQuotients:
 class TestProducts:
     def test_direct(self):
         k4 = direct_product(cyclic(2), cyclic(2))
-        assert k4.order == 4 and k4.is_abelian()
+        assert k4.order == 4 and is_abelian(k4)
         assert all(k4.element_order(x) <= 2 for x in k4.elements())
 
     def test_semidirect_s3(self):
@@ -740,8 +740,9 @@ def test_semidirect_rows_share_index_objects():
 @pytest.mark.parametrize("a,b", list(product(range(len(_SMALL_GROUPS)),
                                              repeat=2)))
 def test_direct_product_matches_reference(a, b):
-    """The direct product through identity maps is the per-entry (a, b)
-    table, identity and inverses included."""
+    """``semidirect_product`` through identity maps (the tests'
+    ``direct_product``) is the per-entry (a, b) table, identity and
+    inverses included."""
     A, B = _SMALL_GROUPS[a], _SMALL_GROUPS[b]
     assert _outcome(direct_product, A, B) == \
         _outcome(reference_direct_product, A, B)

@@ -1,6 +1,8 @@
 """Source hygiene: no module imports a name it never uses, every
-private helper is read somewhere in the package, every public function
-and class is read somewhere in the project, and every function the
+private helper is read somewhere in the package, every public function,
+class, method and property is read somewhere in the package or the
+benchmark (the tests do not count: a helper only they read is deleted)
+or listed in ``ALLOWED`` with its reason, and every function the
 benchmark's tracer wraps exists.
 
 ``discred/__init__.py`` imports nothing from the package: it re-exports
@@ -87,16 +89,17 @@ def unread_private_helpers(sources):
 
 
 def _sources(directory):
-    out = []
+    """Module name -> source, for each ``.py`` file of ``directory``."""
+    out = {}
     for name in sorted(os.listdir(directory)):
         if name.endswith(".py"):
             with open(os.path.join(directory, name)) as fh:
-                out.append(fh.read())
+                out[name[:-3]] = fh.read()
     return out
 
 
 def test_no_unread_private_helpers():
-    assert unread_private_helpers(_sources(SRC)) == []
+    assert unread_private_helpers(_sources(SRC).values()) == []
 
 
 def test_detects_unread_private_helpers():
@@ -117,39 +120,76 @@ def test_detects_unread_private_helpers():
 
 
 def public_definitions(tree):
-    """Names of the module-level public functions and classes of an
-    AST."""
-    return [node.name for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))
-            and not node.name.startswith("_")]
+    """Names of the public module-level functions and classes of an AST,
+    and ``Class.name`` for the public methods and properties of each of
+    its classes, private ones included (argparse calls
+    ``_Parser.error``)."""
+    def public(node, kinds):
+        return isinstance(node, kinds) and not node.name.startswith("_")
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    names = [node.name for node in tree.body
+             if public(node, functions + (ast.ClassDef,))]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            names += [f"{cls.name}.{node.name}" for node in cls.body
+                      if public(node, functions)]
+    return names
 
 
-def unread_public_names(sources, readers, exports):
-    """Public module-level functions and classes of ``sources`` that no
-    expression in ``readers`` reads and that ``exports`` does not
-    re-export."""
+def public_name_faults(sources, readers, exports, allowed):
+    """What breaks the rule that every public definition is read.
+
+    ``sources`` maps module name -> source; a definition is named
+    ``module.name`` or ``module.Class.name``, and is read when an
+    expression in ``readers`` reads its last part, by name or as an
+    attribute, or when ``exports`` names it.  Returns the definitions
+    that are neither read nor ``allowed``, then the ``allowed`` entries
+    that are read anyway or name no definition, each with its fault."""
     read = set(exports)
     for source in readers:
         read |= read_names(ast.parse(source))
-    return [name for source in sources
-            for name in public_definitions(ast.parse(source))
-            if name not in read]
+    defined = [f"{module}.{name}" for module, source in sources.items()
+               for name in public_definitions(ast.parse(source))]
+    faults = [f"unread: {name}" for name in defined
+              if name.rsplit(".", 1)[-1] not in read and name not in allowed]
+    for name in allowed:
+        if name not in defined:
+            faults.append(f"allowed, but defines nothing: {name}")
+        elif name.rsplit(".", 1)[-1] in read:
+            faults.append(f"allowed, but read: {name}")
+    return faults
+
+
+# public definitions that nothing in src/ or perfbench/ reads, each kept
+# for a reason the package's code cannot show
+_EXAMPLE = "a classic example; README: discred.standard has the examples"
+ALLOWED = {
+    "standard.pgl2": _EXAMPLE,
+    "standard.pgl3": _EXAMPLE,
+    "standard.a1xa1_adjoint": _EXAMPLE,
+    "standard.g2": _EXAMPLE,
+    "standard.d4_adjoint": _EXAMPLE,
+    "cli._Parser.error": "argparse calls it to report a bad command line",
+}
 
 
 def test_no_unread_public_names():
-    """Every public function and class of the package is read somewhere
-    in src/, tests/ or perfbench/, re-exported by ``__init__``, or named
-    by the tracer, which reads its targets by name.  That every entry of
-    the re-export table resolves is checked in tests/test_imports.py."""
+    """Every public function, class, method and property of the package
+    is read somewhere in src/ or perfbench/, re-exported by
+    ``__init__``, named by the tracer, which reads its targets by name,
+    or listed in ``ALLOWED`` with its reason.  A test is not a caller:
+    a helper only the tests read is deleted, and a test that needs it
+    keeps its own copy.  That every entry of the re-export table
+    resolves is checked in tests/test_imports.py."""
     package = _sources(SRC)
-    readers = (package + _sources(os.path.dirname(__file__))
-               + _sources(os.path.join(ROOT, "perfbench")))
+    readers = [*package.values(),
+               *_sources(os.path.join(ROOT, "perfbench")).values()]
     exports = [name for names in package_exports().values()
                for name in names]
     exports += [part for _, _, attr, _ in tracer_targets()
                 for part in attr.split(".")]
-    assert unread_public_names(package, readers, exports) == []
+    assert all(ALLOWED.values())
+    assert public_name_faults(package, readers, exports, ALLOWED) == []
 
 
 def test_detects_unread_public_names():
@@ -159,16 +199,42 @@ def test_detects_unread_public_names():
               "    return rank\n"
               "def sl2():\n"
               "    pass\n"
+              "def pgl2():\n"
+              "    pass\n"
               "class Kept:\n"
               "    def stale(self):\n"
+              "        pass\n"
+              "    def _private(self):\n"
+              "        pass\n"
+              "class _Parser:\n"
+              "    def error(self):\n"
               "        pass\n"
               "class Dropped:\n"
               "    pass\n"
               "def _private():\n"
               "    pass\n")
-    test = "from discred import standard\nstandard.Kept().stale()\n"
-    assert unread_public_names([module], [module, test], ["sl2"]) == [
-        "gl1", "Dropped"]
+    sources = {"standard": module}
+    readers = [module, "from . import standard\nstandard.Kept()\n"]
+    # a method that no reader reads is flagged, whatever a test reads
+    assert public_name_faults(sources, readers, ["sl2"], {}) == [
+        "unread: standard.gl1", "unread: standard.pgl2",
+        "unread: standard.Dropped", "unread: standard.Kept.stale",
+        "unread: standard._Parser.error"]
+    # a name that the benchmark reads is read
+    bench = "from discred import standard\nstandard.Kept().stale()\n"
+    allowed = {"standard.gl1": "example", "standard.pgl2": "example",
+               "standard.Dropped": "API",
+               "standard._Parser.error": "argparse"}
+    readers.append(bench)
+    assert public_name_faults(sources, readers, ["sl2"], allowed) == []
+    # an allowance for a name that is read, or that names nothing, fails
+    stale = {**allowed, "standard.torus": "example", "standard.sl2": "API",
+             "standard.Kept.stale": "API", "standard.gone": "example"}
+    assert public_name_faults(sources, readers, ["sl2"], stale) == [
+        "allowed, but read: standard.torus",
+        "allowed, but read: standard.sl2",
+        "allowed, but read: standard.Kept.stale",
+        "allowed, but defines nothing: standard.gone"]
 
 
 def callers(sources, name):
@@ -193,11 +259,7 @@ def callers(sources, name):
 def test_validate_table_checks_only_tables_from_outside():
     """The tables built in the package come with a proof; only the CLI's
     ``gamma.type: "table"`` goes through ``validate_table``."""
-    sources = {}
-    for name in MODULES + ["__init__.py"]:
-        with open(os.path.join(SRC, name)) as fh:
-            sources[name[:-3]] = fh.read()
-    assert callers(sources, "validate_table") == ["cli._parse_gamma"]
+    assert callers(_sources(SRC), "validate_table") == ["cli._parse_gamma"]
 
 
 def test_detects_callers():

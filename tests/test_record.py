@@ -33,8 +33,8 @@ from discred.exactlin import (IntMatrix, cokernel_presentation,
 from discred.extension import center_modules, classify, pushout
 from discred.grouptable import cyclic
 from discred.record import FrozenInstanceError, Record
-from discred.rootdatum import (almost_product_check, center_data, dynkin,
-                               positive_systems, weyl_generate)
+from discred.rootdatum import (center_data, dynkin, positive_systems,
+                               weyl_generate)
 
 from test_extension import sl2_like_setup
 
@@ -122,8 +122,7 @@ def samples():
     """{class name: distinct records}, made by a small run of each
     layer: SL3 under the C2 flip and SL2 classified, Weyl groups,
     positive systems, Dynkin diagrams, diagram automorphisms, an
-    automorphism check that fails, the almost-product lattice of GL2,
-    H^2 with its classes, the lattice routines and pushouts."""
+    automorphism check that fails, H^2 with its classes, the lattice routines and pushouts."""
     sl3, sl2, gl2 = standard.sl3(), standard.sl2(), standard.gl2()
     gamma = cyclic(2)
     flip = IntMatrix.from_rows([[0, 1], [1, 0]])
@@ -138,7 +137,7 @@ def samples():
              dynkin(gl2), diagram_automorphisms(sl3),
              is_brd_automorphism(sl3, flip),
              is_brd_automorphism(sl3, IntMatrix.from_rows([[2, 0], [0, 1]])),
-             almost_product_check(gl2.datum), center_data(gl2.datum),
+             center_data(gl2.datum),
              smith_normal_form(A), smith_normal_form(A, keep=()),
              congruence_kernel_basis(A, 4), cokernel_presentation(A),
              unit_pivot_kernel([[(0, 1), (1, 2)], [(1, 3), (2, 1)]], 3, 4),
@@ -166,7 +165,7 @@ def values(r):
 
 
 def test_every_record_class_has_samples():
-    assert len(CLASSES) == 29
+    assert len(CLASSES) == 28
     assert sorted(set(CLASSES) - set(samples())) == []
 
 

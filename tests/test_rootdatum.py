@@ -14,13 +14,12 @@ from discred.errors import (BudgetExceededError, InternalCheckError,
 from discred.exactlin import IntMatrix
 from discred.grouptable import closure, compose
 from discred.cli import _parse_based, load_problem, main
-from rootdatum_reference import reference_positive_systems
+from rootdatum_reference import reference_positive_systems, reflection
 from validate_reference import reference_defect, reference_validate
 
-from discred.rootdatum import (BasedRootDatum, RootDatum, almost_product_check,
-                               center, dynkin, express_in_simple,
-                               positive_roots, positive_systems, reflection,
-                               validate, validate_based, weyl_generate)
+from discred.rootdatum import (BasedRootDatum, RootDatum, center, dynkin,
+                               express_in_simple, positive_systems, validate,
+                               validate_based, weyl_generate)
 
 ALL_DATA = {
     "sl2": standard.sl2,
@@ -231,13 +230,21 @@ class TestPositiveSystems:
         based = ALL_DATA[name]()
         W = weyl_generate(based)
         systems = positive_systems(W, based)
-        assert len(systems) == W.order
-        # the attached Weyl elements are pairwise distinct
-        assert len({s.weyl_element.entries for s in systems}) == W.order
+        # w -> w.R+ is a bijection: each Weyl element is attached once,
+        # and carries R+, the system of the identity, onto its system
+        assert sorted(s.index for s in systems) == list(range(W.order))
+        roots = based.datum.roots
+        base = next(s for s in systems if s.index == 0)
+        pos = [roots.index(b) for b in base.roots]
+        for s in systems:
+            w = W.permutations[s.index]
+            assert tuple(sorted(roots[w[j]] for j in pos)) == s.roots
 
     def test_half_of_roots(self):
         based = standard.g2()
-        assert len(positive_roots(based)) == based.datum.nroots // 2
+        systems = positive_systems(weyl_generate(based), based)
+        base = next(s for s in systems if s.index == 0)
+        assert len(base.roots) == based.datum.nroots // 2
 
 
 def _d5_adjoint():
@@ -271,7 +278,9 @@ def matrix_weyl(based):
 def matrix_positive_systems(based, elems):
     """``positive_systems`` as it was, on matrices: (roots, entries of
     the Weyl element) for each image of R+."""
-    base_pos = positive_roots(based)
+    base_pos = [b for b, c in zip(based.datum.roots,
+                                  express_in_simple(based))
+                if all(x >= 0 for x in c)]
     systems = {}
     for w in elems:
         img = tuple(sorted(w.apply(b) for b in base_pos))
@@ -290,13 +299,12 @@ class TestPermutationWeyl:
         roots = based.datum.roots
         W = weyl_generate(based)
         elems = matrix_weyl(based)
-        assert [w.entries for w in W.elements] == [w.entries for w in elems]
         assert W.order == len(elems)
         for perm, w in zip(W.permutations, elems):
             assert tuple(roots[j] for j in perm) == tuple(
                 w.apply(b) for b in roots)
         systems = positive_systems(W, based)
-        assert [(s.roots, s.weyl_element.entries) for s in systems] == \
+        assert [(s.roots, elems[s.index].entries) for s in systems] == \
             matrix_positive_systems(based, elems)
 
     def test_orders_beyond_bundled(self):
@@ -320,8 +328,8 @@ class TestPermutationWeyl:
 
 class TestGetterWeyl:
     """``weyl_generate`` closes W through one itemgetter per simple
-    reflection; the permutations and the tree are those of the closure
-    under ``compose``."""
+    reflection; the permutations are those of the closure under
+    ``compose``."""
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_DATA))
     def test_against_compose_closure(self, name):
@@ -332,11 +340,9 @@ class TestGetterWeyl:
         for k in based.simple_indices:
             s = reflection(datum, k)
             perms.append(tuple(index[s.apply(b)] for b in datum.roots))
-        elems, _, tree = closure(tuple(range(datum.nroots)), perms, compose,
-                                 rootdatum.WEYL_CAP, "Weyl")
-        W = weyl_generate(based)
-        assert W.permutations == tuple(elems)
-        assert W.tree == tuple(tree)
+        elems, _, _ = closure(tuple(range(datum.nroots)), perms, compose,
+                              rootdatum.WEYL_CAP, "Weyl")
+        assert weyl_generate(based).permutations == tuple(elems)
 
 
 _SIMPLE_FACTORS = ["sl2", "pgl2", "gl2", "sl3", "pgl3", "b2", "g2"]
@@ -601,21 +607,6 @@ class TestCenter:
         assert center(standard.torus(2).datum).describe() == "C* x C*"
 
 
-class TestAlmostProduct:
-    def test_gl2(self):
-        ap = almost_product_check(standard.gl2().datum)
-        assert ap.index == 2
-        assert len(ap.sublattice_1) == 1 and len(ap.sublattice_2) == 1
-
-    def test_semisimple(self):
-        ap = almost_product_check(standard.sl3().datum)
-        assert len(ap.sublattice_2) == 0 and ap.index >= 1
-
-    def test_torus(self):
-        ap = almost_product_check(standard.torus(2).datum)
-        assert ap.index == 1 and len(ap.sublattice_2) == 2
-
-
 PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "src",
                         "discred", "problems")
 
@@ -661,9 +652,8 @@ class TestRankKeyedPositiveSystems:
         both versions raise the same InternalCheckError."""
         based = ALL_DATA[name]()
         W = weyl_generate(based)
-        twice = rootdatum.WeylGroup(
-            W.rank, W.permutations + W.permutations[-1:], W.tree,
-            W.generators)
+        twice = rootdatum.WeylGroup(W.rank,
+                                    W.permutations + W.permutations[-1:])
         msg = ("two Weyl elements map the base system to the same positive "
                "system (simple transitivity fails)")
         for fn in (positive_systems, reference_positive_systems):
