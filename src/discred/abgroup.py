@@ -1,9 +1,13 @@
-"""Finitely generated abelian groups and diagonalizable groups.
+"""Finite abelian groups and diagonalizable groups.
 
-A group is kept in canonical form: a free rank plus a divisibility chain
-of invariant factors, so isomorphism testing is structural equality.
-Elements are coordinate vectors (free coordinates first, then one
-coordinate per invariant factor, reduced mod that factor).
+A finite abelian group is kept in canonical form: its divisibility
+chain of invariant factors, so isomorphism testing is structural
+equality.  Elements are coordinate vectors, one coordinate per
+invariant factor, reduced mod that factor.  Every abelian group the
+package builds is finite: the torus of a diagonalizable group is kept
+apart as its rank, and only its finite n-torsion becomes a group.
+``FGAbelianGroup`` refuses a free rank other than 0 when it is built,
+so no other layer checks finiteness.
 
 The torus C* is never represented by complex numbers: a diagonalizable
 group stores only the torus rank m and the finite part, and all actual
@@ -22,10 +26,19 @@ from .record import Record
 
 
 class FGAbelianGroup(Record):
+    """The finite abelian group sum_i Z/f_i.  ``free_rank`` is always 0:
+    the constructor raises ValidationError on any other value, so the
+    group is finite wherever it is read.  The field stays because
+    reports write it and callers pass it."""
+
     free_rank: int
     invariant_factors: tuple  # each > 1, f_i | f_{i+1}
 
     def __post_init__(self):
+        if self.free_rank != 0:
+            raise ValidationError(
+                f"free_rank must be 0, not {self.free_rank!r}: "
+                f"the abelian groups here are finite")
         f = tuple(self.invariant_factors)
         object.__setattr__(self, "invariant_factors", f)
         if any(x <= 1 for x in f):
@@ -36,29 +49,18 @@ class FGAbelianGroup(Record):
 
     @property
     def ncoords(self):
-        return self.free_rank + len(self.invariant_factors)
-
-    @property
-    def is_finite(self):
-        return self.free_rank == 0
+        return len(self.invariant_factors)
 
     def order(self):
-        if not self.is_finite:
-            raise ValidationError("infinite group has no order")
         return prod(self.invariant_factors)
 
     def exponent(self):
-        if not self.is_finite:
-            raise ValidationError("infinite group has no exponent")
         return self.invariant_factors[-1] if self.invariant_factors else 1
 
     def reduce(self, vec):
         if len(vec) != self.ncoords:
             raise ValidationError("coordinate length mismatch")
-        free = tuple(vec[: self.free_rank])
-        tors = tuple(v % f for v, f in
-                     zip(vec[self.free_rank:], self.invariant_factors))
-        return free + tors
+        return tuple(v % f for v, f in zip(vec, self.invariant_factors))
 
     def zero(self):
         return (0,) * self.ncoords
@@ -66,52 +68,31 @@ class FGAbelianGroup(Record):
     def add(self, x, y):
         return self.reduce(tuple(a + b for a, b in zip(x, y)))
 
-    def sub(self, x, y):
-        return self.reduce(tuple(a - b for a, b in zip(x, y)))
-
     def scale(self, n, x):
         return self.reduce(tuple(n * a for a in x))
 
     def elements(self):
-        """All elements, lexicographic in coordinates (finite groups only)."""
-        if not self.is_finite:
-            raise ValidationError("cannot enumerate an infinite group")
-        return [t for t in itertools.product(*(range(f) for f in self.invariant_factors))]
-
-    def element_order(self, x):
-        x = self.reduce(x)
-        if any(x[: self.free_rank]):
-            raise ValidationError("element has infinite order")
-        n = 1
-        for v, f in zip(x[self.free_rank:], self.invariant_factors):
-            if v:
-                n = n * (f // gcd(f, v)) // gcd(n, f // gcd(f, v))
-        return n
-
-    def same_structure(self, other):
-        return (self.free_rank == other.free_rank
-                and self.invariant_factors == other.invariant_factors)
+        """All elements, lexicographic in coordinates."""
+        return list(itertools.product(
+            *(range(f) for f in self.invariant_factors)))
 
     def describe(self):
-        parts = ["Z"] * self.free_rank + [f"Z/{f}" for f in self.invariant_factors]
-        return " + ".join(parts) if parts else "0"
+        return " + ".join(f"Z/{f}" for f in self.invariant_factors) or "0"
 
 
 def _same_reduced_rows(target: FGAbelianGroup, A, B) -> bool:
     """Whether A and B, the row tuples of two matrices of one shape into
     ``target``, have equal columns once reduced in ``target``: the images
     of the source generators, so the two maps agree.  Compared row by
-    row: free rows exactly, a torsion row modulo its invariant factor."""
-    f = target.free_rank
-    return (A[:f] == B[:f]
-            and all(not any((a - b) % q for a, b in zip(ra, rb))
-                    for ra, rb, q in zip(A[f:], B[f:],
-                                         target.invariant_factors)))
+    row, each modulo its invariant factor."""
+    return all(not any((a - b) % q for a, b in zip(ra, rb))
+               for ra, rb, q in zip(A, B, target.invariant_factors))
 
 
 class AbHom(Record):
-    """Homomorphism between f.g. abelian groups, as an integer matrix on
-    the chosen generators (column-vector convention)."""
+    """Homomorphism between finite abelian groups, as an integer matrix
+    on the chosen generators (column-vector convention); both groups are
+    finite because ``FGAbelianGroup`` is."""
 
     source: FGAbelianGroup
     target: FGAbelianGroup
@@ -121,37 +102,24 @@ class AbHom(Record):
         M = self.matrix
         if M.rows != self.target.ncoords or M.cols != self.source.ncoords:
             raise ValidationError("hom matrix shape mismatch")
-        # Well-definedness: each relation f_i * e_i of the source must land
+        # Well-definedness: each relation f_j * e_j of the source must land
         # in the relation lattice of the target.
-        sf = self.source.free_rank
-        tf = self.target.free_rank
         for j, f in enumerate(self.source.invariant_factors):
-            col = M.col(sf + j)
-            for i in range(tf):
-                if f * col[i] != 0:
-                    raise ValidationError("hom not well-defined on torsion generator")
-            for i, g in enumerate(self.target.invariant_factors):
-                if (f * col[tf + i]) % g:
+            for x, g in zip(M.col(j), self.target.invariant_factors):
+                if (f * x) % g:
                     raise ValidationError("hom not well-defined on torsion generator")
 
     def apply(self, x):
         x = self.source.reduce(x)
         return self.target.reduce(self.matrix.apply(x))
 
-    def compose(self, other: "AbHom") -> "AbHom":
-        """self after other."""
-        if not other.target.same_structure(self.source):
-            raise ValidationError("hom composition mismatch")
-        return AbHom(other.source, self.target, self.matrix @ other.matrix)
-
     def composite_equals(self, other: "AbHom", h: "AbHom") -> bool:
         """Whether self after other equals h as a map, with the same
         source and target: the images of the generators agree once
         reduced in the target, read on the rows of the product alone."""
-        if not other.target.same_structure(self.source):
+        if other.target != self.source:
             raise ValidationError("hom composition mismatch")
-        if not (other.source.same_structure(h.source)
-                and self.target.same_structure(h.target)):
+        if not (other.source == h.source and self.target == h.target):
             return False
         B = other.matrix
         cols = tuple(zip(*B.entries)) if B.rows else ((),) * B.cols
@@ -162,7 +130,7 @@ class AbHom(Record):
     def is_identity_of(self, G: FGAbelianGroup) -> bool:
         """Whether this is the identity map of G: source and target G,
         and each generator sent to itself once reduced in G."""
-        return (self.source.same_structure(G) and self.target.same_structure(G)
+        return (self.source == G and self.target == G
                 and _same_reduced_rows(G, self.matrix.entries,
                                        IntMatrix.identity(G.ncoords).entries))
 
@@ -176,10 +144,6 @@ class DiagonalizableGroup(Record):
 
     torus_rank: int
     finite_part: FGAbelianGroup
-
-    def __post_init__(self):
-        if not self.finite_part.is_finite:
-            raise ValidationError("finite part must be finite")
 
     def describe(self):
         parts = ["C*"] * self.torus_rank

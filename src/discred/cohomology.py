@@ -38,20 +38,19 @@ from .relations import (RelationModule, columns_vanish, read_cochain,
 
 
 class GammaModule(Record):
-    """Finite abelian group with an action of a finite group, checked
-    when built to be a homomorphism into Aut(coeff).  With the identity
-    acting trivially it is one when x.(s.a) = (xs).a for all x and all s
-    in S = ``gamma.generators``: every y is a word in S, and if
-    x.(w.a) = (xw).a for all x then x.((ws).a) = x.(w.(s.a)) =
-    (xw).(s.a) = (xws).a, by induction on the length of y."""
+    """Finite abelian group (every ``FGAbelianGroup`` is) with an action
+    of a finite group, checked when built to be a homomorphism into
+    Aut(coeff).  With the identity acting trivially it is one when
+    x.(s.a) = (xs).a for all x and all s in S = ``gamma.generators``:
+    every y is a word in S, and if x.(w.a) = (xw).a for all x then
+    x.((ws).a) = x.(w.(s.a)) = (xw).(s.a) = (xws).a, by induction on
+    the length of y."""
 
     gamma: FiniteGroup
     coeff: FGAbelianGroup
     action: tuple  # AbHom automorphism of coeff, one per gamma element
 
     def __post_init__(self):
-        if not self.coeff.is_finite:
-            raise ValidationError("coefficient group must be finite")
         action = tuple(self.action)
         object.__setattr__(self, "action", action)
         if len(action) != self.gamma.order:
@@ -475,6 +474,13 @@ def _canonical_basis(H, struct, gens):
     return tuple(reversed(chosen))
 
 
+def tower_length(Z: DiagonalizableGroup, n: int, max_k: int) -> int:
+    """How many levels ``stabilized_h2`` lists in ``tower_orders`` for
+    |Gamma| = n: 1 when n = 1, else max(max_k, k_used), k_used =
+    ``stable_level(Z, n)``."""
+    return 1 if n == 1 else max(max_k, stable_level(Z, n))
+
+
 def stabilized_h2(gamma: FiniteGroup, Z: DiagonalizableGroup, module_at,
                   max_k: int = 4, budget: int = 2_000_000) -> StabilizedH2:
     """H^2(Gamma, Z) from the torsion tower Z[n^k], n = |Gamma|, at a
@@ -511,15 +517,15 @@ def stabilized_h2(gamma: FiniteGroup, Z: DiagonalizableGroup, module_at,
     level 2 is 0, while H^2 = Z/2 is the image of level 2 in level 3.
     """
     n = gamma.order
+    top = tower_length(Z, n, max_k)
     if n == 1:
         M = module_at(1)
         H = cohomology_group(M, 2, budget=budget)
-        return StabilizedH2(H.group, 1, (), M, H, (H.order(),))
+        return StabilizedH2(H.group, 1, (), M, H, (H.order(),) * top)
 
     k_used = stable_level(Z, n)
     # every level from ``built`` on has the order of level ``built``:
     # one module without a torus, (c) with one
-    top = max(max_k, k_used)
     built = k_used if Z.torus_rank else k_used - 1
     Hs = [cohomology_group(module_at(n ** k), 2, budget)
           for k in range(1, built + 1)]

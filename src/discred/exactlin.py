@@ -156,10 +156,6 @@ class SmithDecomposition(Record):
     def rank(self):
         return sum(1 for d in self.diagonal if d != 0)
 
-    @property
-    def invariant_factors(self):
-        return tuple(d for d in self.diagonal if d != 0)
-
     def solve(self, b):
         """One integer solution x of A @ x = b for the decomposed A, or
         None when none exists; needs U and V kept."""

@@ -23,10 +23,10 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .abgroup import (DiagonalizableGroup, FGAbelianGroup, stable_level,
-                      torsion_at)
+from .abgroup import DiagonalizableGroup, FGAbelianGroup, torsion_at
 from .cohomology import (Cochain, CohomologyGroup, GammaModule,
-                         cohomology_group, gamma_module, stabilized_h2)
+                         cohomology_group, gamma_module, stabilized_h2,
+                         tower_length)
 from .errors import BudgetExceededError, InternalCheckError, ValidationError
 from .grouptable import (FiniteGroup, check_action, hom_check, is_normal,
                          quotient, semidirect_product, twisted_rows)
@@ -41,7 +41,7 @@ def cocycle_witness(M: GammaModule, c: Cochain):
     ValidationError when c is not total."""
     if c.degree != 2:
         raise ValidationError("expected a degree-2 cochain")
-    return RelationModule(M, 2).cocycle_witness(c)
+    return RelationModule(M, 2).cocycle_witness(read_cochain(M, 2, c))
 
 
 class ExtensionModel(Record):
@@ -62,13 +62,14 @@ def build_extension(M: GammaModule, c: Cochain) -> ExtensionModel:
     (a1, g1)(a2, g2) = (a1 + g1.a2 + c(g1, g2), g1 g2).  Rejects
     non-normalized cochains, then non-cocycles with the failing triple of
     ``cocycle_witness``; M checked its action when it was built.  Values
-    are read by ``read_cochain``, so unreduced values and lists are
-    accepted.  The ``twisted_rows`` table needs no check: c normalized
-    makes (0, 1) a two-sided identity, the associator of the law is
-    dc(g1, g2, g3) in the first coordinate, and (a, g) has the right
-    inverse (-g^{-1}.(a + c(g, g^{-1})), g^{-1}); a finite monoid whose
-    elements all have right inverses is a group, so each row's ``index``
-    of the identity is its inverse.
+    are read once, by ``read_cochain``, so unreduced values and lists are
+    accepted, and Light's test runs on the values read.  The
+    ``twisted_rows`` table needs no check: c normalized makes (0, 1) a
+    two-sided identity, the associator of the law is dc(g1, g2, g3) in
+    the first coordinate, and (a, g) has the right inverse
+    (-g^{-1}.(a + c(g, g^{-1})), g^{-1}); a finite monoid whose elements
+    all have right inverses is a group, so each row's ``index`` of the
+    identity is its inverse.
     """
     if c.degree != 2:
         raise ValidationError("expected a degree-2 cochain")
@@ -76,14 +77,15 @@ def build_extension(M: GammaModule, c: Cochain) -> ExtensionModel:
     elems = A.elements()
     pos = {e: i for i, e in enumerate(elems)}
     n = M.gamma.order
-    vals = [pos[v] for v in read_cochain(M, 2, c)]
+    values = read_cochain(M, 2, c)
+    vals = [pos[v] for v in values]
     cval = [vals[g * n:(g + 1) * n] for g in range(n)]
     ident, zero = M.gamma.identity, pos[A.zero()]
     if any(p != zero for p in cval[ident]) or any(
             row[ident] != zero for row in cval):
         raise ValidationError("cochain is not normalized: c vanishes on "
                               "neither all (1, g) nor all (g, 1)")
-    w = cocycle_witness(M, c)
+    w = RelationModule(M, 2).cocycle_witness(values)
     if w is not None:
         raise ValidationError(
             f"not a 2-cocycle, so the twisted law is not associative; "
@@ -450,9 +452,8 @@ def classify(based: BasedRootDatum, ad: AdHom, max_k: int = 4,
     # the coefficient rank is the same at every tower level n^k, k >= 1
     require_within_budget(gamma, torsion_at(Z, gamma.order).ncoords, 2,
                           budget, canonical=True)
-    # the report lists one order per level 1 to max(max_k, k_used)
-    levels = (1 if gamma.order == 1 else
-              max(max_k, stable_level(Z, gamma.order)))
+    # the report lists one order per level of the tower
+    levels = tower_length(Z, gamma.order, max_k)
     if levels > budget:
         raise BudgetExceededError(
             f"tower_orders length {levels} exceeds budget {budget}")

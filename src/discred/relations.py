@@ -218,9 +218,10 @@ class RelationModule:
         normalized = sum(map(any, values)) == sum(map(any, blocks))
         return ([x for v in blocks for x in v] if normalized else None), shift
 
-    def _light_witness(self, c):
-        """The first (g, s, h), in the order g, s in S, h, at which the
-        total 2-cochain c, its values by position, fails g.c(s, h)
+    def cocycle_witness(self, c):
+        """Light's test: the first (g, s, h), in the order g, s in S, h,
+        at which the total 2-cochain c, its values by position (as
+        ``read_cochain`` gives them), fails g.c(s, h)
         - c(gs, h) + c(g, sh) - c(g, s) = 0, or None.  These triples imply
         the rest, normalized or not (Light's test): they say that each
         (a, s) associates in the middle of the law
@@ -244,12 +245,6 @@ class RelationModule:
                     return g, s, next(h for h, f in enumerate(fails) if f)
         return None
 
-    def cocycle_witness(self, c):
-        """Light's test on the total 2-cochain c: None when it is a
-        cocycle, else the first failing triple (g, s, h) with s in S;
-        ValidationError when ``read_cochain`` rejects c."""
-        return self._light_witness(read_cochain(self.module, 2, c))
-
     def from_bar(self, vec):
         """The cochain in C^p of the normalized bar p-cocycle ``vec``, or
         None when ``vec`` is no cocycle.  In degree 1 the conditions
@@ -271,7 +266,7 @@ class RelationModule:
                            zip(fx, self._act(x, c[s]), c[table[x][s]], mods)):
                         return None
             return [v % q for s in self.gens for v, q in zip(c[s], mods)]
-        if self._light_witness(c) is not None:
+        if self.cocycle_witness(c) is not None:
             return None
         beta = self._tree_sums(lambda x, si: c[x * n + self.gens[si]])
         out = []

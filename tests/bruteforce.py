@@ -20,6 +20,7 @@ import itertools
 from discred.abgroup import FGAbelianGroup
 from discred.cohomology import GammaModule
 from discred.grouptable import FiniteGroup
+from abgroup_reference import element_order, sub
 from grouptable_reference import subgroup_closure
 
 
@@ -91,7 +92,7 @@ def normalized_cocycles(M: GammaModule):
                     continue
                 yd, sy, syd = (y, d), (s, y), (s, G.mul(y, d))
                 if yd in c and sy in c and syd in c:
-                    c[key] = A.add(A.sub(M.act(s, c[yd]), c[sy]), c[syd])
+                    c[key] = A.add(sub(A, M.act(s, c[yd]), c[sy]), c[syd])
                     new.append(key)
                     changed = True
         for key in new:
@@ -143,8 +144,8 @@ def normalized_coboundaries(M: GammaModule):
         db = {}
         for g1 in G.elements():
             for g2 in G.elements():
-                db[(g1, g2)] = A.sub(A.add(M.act(g1, b[g2]), b[g1]),
-                                     b[G.mul(g1, g2)])
+                db[(g1, g2)] = sub(A, A.add(M.act(g1, b[g2]), b[g1]),
+                                   b[G.mul(g1, g2)])
         out.add(_flat(M, db))
     return out
 
@@ -203,7 +204,7 @@ def structure_from_class_orders(order, class_orders):
     element-order multiset (small cases)."""
     for factors in _abelian_structures(order):
         G = FGAbelianGroup(0, factors)
-        if sorted(G.element_order(x) for x in G.elements()) == class_orders:
+        if sorted(element_order(G, x) for x in G.elements()) == class_orders:
             return factors
     raise AssertionError("no abelian group matches the class orders")
 

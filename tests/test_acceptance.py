@@ -8,12 +8,10 @@ import sys
 from discred import standard
 from discred.abgroup import (AbHom, DiagonalizableGroup, FGAbelianGroup,
                              torsion_at)
-from discred.autbrd import (ad_from_generator_images, diagram_automorphisms,
-                            trivial_ad)
+from discred.autbrd import diagram_automorphisms, trivial_ad
 from discred.cli import main as cli_main
-from discred.cohomology import (Cochain, cohomology_group, differential,
-                                eckmann_check, gamma_module, stabilized_h2,
-                                trivial_module)
+from discred.cohomology import (Cochain, cohomology_group, eckmann_check,
+                                gamma_module, stabilized_h2, trivial_module)
 from discred.errors import ValidationError
 from discred.exactlin import IntMatrix
 from discred.extension import (build_extension, classify, cocycle_witness,

@@ -22,7 +22,7 @@ from discred.cli import main
 from discred.cohomology import cohomology_group, trivial_module
 from discred.extension import classify
 from discred.grouptable import cyclic, from_generators
-from discred.relations import RelationModule
+from discred.relations import RelationModule, read_cochain
 from grouptable_reference import direct_product
 from relations_reference import ReferenceRelationModule
 
@@ -140,9 +140,9 @@ def test_fast_paths_match_reference(data):
     assert rel.from_bar(moved) == ref.from_bar(moved)
     if p == 2:
         for v in (vec, bar, moved):
-            assert (rel._light_witness(rel.to_cochain(v))
+            assert (rel.cocycle_witness(rel.to_cochain(v))
                     == ref._light_witness(ref._bar_value(v)))
         c = _cochain(M, 2, data.draw)
         d = {k: M.coeff.reduce(v) for k, v in c.values}
-        assert rel.cocycle_witness(c) == ref._light_witness(
-            lambda x, y: d[x, y])
+        assert rel.cocycle_witness(read_cochain(M, 2, c)) \
+            == ref._light_witness(lambda x, y: d[x, y])

@@ -104,7 +104,7 @@ class TestSmith:
 
     def test_known_chain(self):
         snf = smith_normal_form(mat([[2, 0], [0, 3]]))
-        assert snf.invariant_factors == (1, 6)
+        assert snf.diagonal == (1, 6)
 
     def test_deterministic(self):
         rows = [[4, 6, 2], [6, 3, 9]]

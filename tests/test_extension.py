@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discred import extension, grouptable, standard
+from discred import extension, grouptable, relations, standard
 from discred.abgroup import AbHom, DiagonalizableGroup, FGAbelianGroup
 from discred.autbrd import ad_from_generator_images, trivial_ad
 from discred.cohomology import (Cochain, GammaModule, cochain_sum,
@@ -19,6 +19,7 @@ from discred.extension import (DisconnectedGroupDescriptor, build_extension,
 from discred.grouptable import (cyclic, find_isomorphism, from_generators,
                                 quotient, semidirect_product, validate_table)
 
+from abgroup_reference import sub
 from bar_reference import reference_cocycle_witness
 from grouptable_reference import direct_product, is_abelian
 from pushout_reference import reference_pushout
@@ -547,14 +548,19 @@ class TestOnceOnly:
     @settings(max_examples=80, deadline=None)
     @given(_normalized_cochains())
     def test_cocycle_check_is_the_only_check(self, case):
-        """``build_extension`` decides associativity by one
-        ``cocycle_witness`` call and checks no table: ``validate_table``
-        never runs, and a non-cocycle's message ends with the witness."""
+        """``build_extension`` reads the cochain once and decides
+        associativity by one run of Light's test on the values read
+        (``RelationModule.cocycle_witness``), and checks no table:
+        ``validate_table`` never runs, and a non-cocycle's message ends
+        with the witness that ``cocycle_witness`` gives."""
         M, c = case
         w = cocycle_witness(M, c)
-        witness_calls, table_calls = [], []
+        witness_calls, read_calls, table_calls = [], [], []
         with pytest.MonkeyPatch.context() as mp:
-            counted(mp, extension, "cocycle_witness", witness_calls)
+            counted(mp, relations.RelationModule, "cocycle_witness",
+                    witness_calls)
+            counted(mp, extension, "read_cochain", read_calls)
+            counted(mp, relations, "read_cochain", read_calls)
             counted(mp, grouptable, "validate_table", table_calls)
             if w is None:
                 build_extension(M, c)
@@ -562,7 +568,7 @@ class TestOnceOnly:
                 with pytest.raises(ValidationError) as err:
                     build_extension(M, c)
                 assert str(err.value).endswith(f"witness triple {w}")
-        assert len(witness_calls) == 1
+        assert len(witness_calls) == len(read_calls) == 1
         assert table_calls == []
 
     @pytest.mark.parametrize("cls", [0, 1])
@@ -778,8 +784,8 @@ def _moved(M, c, b):
     """The cocycle c + db for the 1-cochain given as the list b."""
     A, gamma = M.coeff, M.gamma
     return Cochain.from_map(2, {
-        (g1, g2): A.add(v, A.add(A.sub(M.act(g1, b[g2]),
-                                       b[gamma.mul(g1, g2)]), b[g1]))
+        (g1, g2): A.add(v, A.add(sub(A, M.act(g1, b[g2]),
+                                     b[gamma.mul(g1, g2)]), b[g1]))
         for (g1, g2), v in c.as_dict().items()})
 
 
@@ -898,8 +904,8 @@ class TestRowWiseBuilders:
         q = M.coeff.invariant_factors[0]
         b = [(0,)] + [(data.draw(st.integers(0, q - 1)),)
                       for _ in range(gamma.order - 1)]
-        db = {(g1, g2): M.coeff.add(M.coeff.sub(M.act(g1, b[g2]),
-                                                b[gamma.mul(g1, g2)]), b[g1])
+        db = {(g1, g2): M.coeff.add(sub(M.coeff, M.act(g1, b[g2]),
+                                        b[gamma.mul(g1, g2)]), b[g1])
               for g1 in range(gamma.order) for g2 in range(gamma.order)}
         c = Cochain.from_map(2, {k: M.coeff.add(v, db[k])
                                  for k, v in c.items()})

@@ -1,9 +1,11 @@
-"""Source hygiene: no module imports a name it never uses, every
-private helper is read somewhere in the package, every public function,
-class, method and property is read somewhere in the package or the
-benchmark (the tests do not count: a helper only they read is deleted)
-or listed in ``ALLOWED`` with its reason, and every function the
-benchmark's tracer wraps exists.
+"""Source hygiene: no module of the package, the tests or the benchmark
+imports a name it never uses, every private helper is read somewhere in
+the package, every public function, class, method and property is read
+somewhere in the package or the benchmark (the tests do not count: a
+helper only they read is deleted) or listed in ``ALLOWED`` with its
+reason, and every function the benchmark's tracer wraps exists.  A
+method whose name another definition shares is read only through the
+callers ``SHARED`` names for it.
 
 ``discred/__init__.py`` imports nothing from the package: it re-exports
 lazily from its ``_EXPORTS`` table, so that file is exempt from the
@@ -21,6 +23,14 @@ ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
 MODULES = sorted(f for f in os.listdir(SRC)
                  if f.endswith(".py") and f != "__init__.py")
+# every module the unused-import check reads: the package's by file
+# name, the tests' and the benchmark's by directory and file name
+SCANNED = [pytest.param(os.path.join(SRC, f), id=f) for f in MODULES] + [
+    pytest.param(os.path.join(ROOT, d, f), id=f"{d}/{f}")
+    for d in ("tests", "perfbench")
+    for f in sorted(os.listdir(os.path.join(ROOT, d))) if f.endswith(".py")]
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = FUNCTIONS + (ast.ClassDef,)
 
 
 def unused_imports(source):
@@ -36,9 +46,9 @@ def unused_imports(source):
     return [name for name in imported if name not in used]
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_no_unused_imports(module):
-    with open(os.path.join(SRC, module)) as fh:
+@pytest.mark.parametrize("path", SCANNED)
+def test_no_unused_imports(path):
+    with open(path) as fh:
         assert unused_imports(fh.read()) == []
 
 
@@ -126,37 +136,115 @@ def public_definitions(tree):
     ``_Parser.error``)."""
     def public(node, kinds):
         return isinstance(node, kinds) and not node.name.startswith("_")
-    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
-    names = [node.name for node in tree.body
-             if public(node, functions + (ast.ClassDef,))]
+    names = [node.name for node in tree.body if public(node, DEFINITIONS)]
     for cls in tree.body:
         if isinstance(cls, ast.ClassDef):
             names += [f"{cls.name}.{node.name}" for node in cls.body
-                      if public(node, functions)]
+                      if public(node, FUNCTIONS)]
     return names
 
 
-def public_name_faults(sources, readers, exports, allowed):
+def defined_names(tree):
+    """The bare names an AST defines, each class's once: its module-level
+    functions and classes, and for each class its methods, its fields
+    (the names its body assigns) and the attributes its methods assign
+    on ``self``."""
+    names = [node.name for node in tree.body if isinstance(node, DEFINITIONS)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            own = {n.attr for n in ast.walk(cls)
+                   if isinstance(n, ast.Attribute)
+                   and isinstance(n.ctx, ast.Store)
+                   and getattr(n.value, "id", None) == "self"}
+            for node in cls.body:
+                if isinstance(node, FUNCTIONS):
+                    own.add(node.name)
+                elif isinstance(node, ast.AnnAssign):
+                    own.add(getattr(node.target, "id", None))
+                elif isinstance(node, ast.Assign):
+                    own |= {getattr(t, "id", None) for t in node.targets}
+            names += own - {None}
+    return names
+
+
+def read_attributes(tree):
+    """Every name an expression of the AST reads as an attribute."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+
+
+def function_node(trees, name):
+    """The function ``module.name`` or method ``module.Class.name`` of
+    ``trees`` (module name -> AST), or None."""
+    for module, tree in trees.items():
+        if not name.startswith(module + "."):
+            continue
+        node, body = None, tree.body
+        for part in name[len(module) + 1:].split("."):
+            node = next((n for n in body if isinstance(n, DEFINITIONS)
+                         and n.name == part), None)
+            if node is None:
+                break
+            body = node.body
+        if isinstance(node, FUNCTIONS):
+            return node
+    return None
+
+
+def public_name_faults(sources, readers, exports, allowed, shared):
     """What breaks the rule that every public definition is read.
 
     ``sources`` maps module name -> source; a definition is named
-    ``module.name`` or ``module.Class.name``, and is read when an
-    expression in ``readers`` reads its last part, by name or as an
-    attribute, or when ``exports`` names it.  Returns the definitions
-    that are neither read nor ``allowed``, then the ``allowed`` entries
-    that are read anyway or name no definition, each with its fault."""
-    read = set(exports)
-    for source in readers:
-        read |= read_names(ast.parse(source))
+    ``module.name`` or ``module.Class.name``.  ``readers`` maps module
+    name -> source for every module that counts as a reader.  A
+    definition is read when ``exports`` names it; else a module-level
+    one when a reader reads its name, by name or as an attribute, and a
+    method or property when a reader reads its name as an attribute.
+    When some other definition of the readers (a function, class,
+    method or field) has the method's name, such reads do not tell the
+    two apart: the method is read only when ``shared`` maps it to the
+    reader's function or method, ``module.name`` or
+    ``module.Class.name``, that reads it.  Returns the definitions that
+    are neither read nor ``allowed``, then the ``allowed`` entries that
+    are read anyway or name no definition, then the ``shared`` entries
+    that name no definition, whose name no longer collides, or whose
+    caller is gone or no longer reads the name, each with its fault."""
+    trees = {module: ast.parse(source) for module, source in readers.items()}
+    read, attributes, count = set(), set(), {}
+    for tree in trees.values():
+        read |= read_names(tree)
+        attributes |= read_attributes(tree)
+        for name in defined_names(tree):
+            count[name] = count.get(name, 0) + 1
     defined = [f"{module}.{name}" for module, source in sources.items()
                for name in public_definitions(ast.parse(source))]
+
+    def is_read(name):
+        bare = name.rsplit(".", 1)[-1]
+        if name in exports:
+            return True
+        if name.count(".") == 1:
+            return bare in read
+        return name in shared if count.get(bare, 0) > 1 else bare in attributes
+
     faults = [f"unread: {name}" for name in defined
-              if name.rsplit(".", 1)[-1] not in read and name not in allowed]
+              if not is_read(name) and name not in allowed]
     for name in allowed:
         if name not in defined:
             faults.append(f"allowed, but defines nothing: {name}")
-        elif name.rsplit(".", 1)[-1] in read:
+        elif is_read(name):
             faults.append(f"allowed, but read: {name}")
+    for name, caller in shared.items():
+        bare = name.rsplit(".", 1)[-1]
+        node = function_node(trees, caller)
+        if name not in defined:
+            faults.append(f"shared, but defines nothing: {name}")
+        elif count.get(bare, 0) < 2:
+            faults.append(f"shared, but nothing else is named {bare}: {name}")
+        elif node is None:
+            faults.append(f"shared, but {caller} is gone: {name}")
+        elif bare not in read_attributes(node):
+            faults.append(f"shared, but {caller} does not read it: {name}")
     return faults
 
 
@@ -170,26 +258,70 @@ ALLOWED = {
     "standard.g2": _EXAMPLE,
     "standard.d4_adjoint": _EXAMPLE,
     "cli._Parser.error": "argparse calls it to report a bad command line",
+    "cohomology.CohomologyGroup.generators":
+        "the public way to the generator cocycles of H^p (README); "
+        "tests/cochain_timing.py times it",
 }
+
+# public methods and properties whose name some other function, class,
+# method or field shares, each with a function of src/ or perfbench/
+# that reads it
+SHARED = {
+    "abgroup.FGAbelianGroup.order": "cohomology.cohomology_group",
+    "abgroup.FGAbelianGroup.elements": "extension.build_extension",
+    "abgroup.FGAbelianGroup.describe": "cli._group_json",
+    "abgroup.AbHom.apply": "cohomology.GammaModule.act",
+    "abgroup.AbHom.identity": "cohomology.trivial_module",
+    "abgroup.DiagonalizableGroup.describe": "cli.cmd_center",
+    "autbrd.BRDAutomorphism.compose": "autbrd.ad_from_generator_images",
+    "autbrd.BRDAutomorphism.identity": "autbrd.trivial_ad",
+    "cohomology.GammaModule.act": "cohomology.GammaModule.index_tables",
+    "cohomology.CohomologyGroup.order": "cohomology.stabilized_h2",
+    "cohomology.CohomologyGroup.coboundary_witness":
+        "extension.extensions_equivalent",
+    "exactlin.IntMatrix.identity": "abgroup.AbHom.identity",
+    "exactlin.SmithDecomposition.rank": "rootdatum.BasedRootDatum.defect",
+    "exactlin.CongruenceKernel.coordinates":
+        "exactlin.UnitPivotKernel.coordinates",
+    "exactlin.CongruenceKernel.unit_coordinates":
+        "exactlin.UnitPivotKernel.unit_coordinates",
+    "exactlin.UnitPivotKernel.coordinates": "cohomology.cohomology_group",
+    "exactlin.UnitPivotKernel.unit_coordinates": "cohomology.cohomology_group",
+    "grouptable.FiniteGroup.generators": "grouptable.FiniteGroup.cayley_graph",
+    "grouptable.FiniteGroup.elements": "cohomology.GammaModule.index_tables",
+    "relations.RelationModule.cocycle_witness": "extension.cocycle_witness",
+    "relations.RelationModule.coboundary_witness":
+        "cohomology.CohomologyGroup.coboundary_witness",
+    "rootdatum.WeylGroup.order": "cli.cmd_weyl",
+}
+
+
+def _readers():
+    """Module name -> source for every reader: the package's modules by
+    name, the benchmark's as ``perfbench.name``."""
+    bench = _sources(os.path.join(ROOT, "perfbench"))
+    return {**_sources(SRC),
+            **{f"perfbench.{name}": source for name, source in bench.items()}}
 
 
 def test_no_unread_public_names():
     """Every public function, class, method and property of the package
-    is read somewhere in src/ or perfbench/, re-exported by
-    ``__init__``, named by the tracer, which reads its targets by name,
-    or listed in ``ALLOWED`` with its reason.  A test is not a caller:
-    a helper only the tests read is deleted, and a test that needs it
-    keeps its own copy.  That every entry of the re-export table
-    resolves is checked in tests/test_imports.py."""
-    package = _sources(SRC)
-    readers = [*package.values(),
-               *_sources(os.path.join(ROOT, "perfbench")).values()]
-    exports = [name for names in package_exports().values()
-               for name in names]
-    exports += [part for _, _, attr, _ in tracer_targets()
-                for part in attr.split(".")]
-    assert all(ALLOWED.values())
-    assert public_name_faults(package, readers, exports, ALLOWED) == []
+    is read somewhere in src/ or perfbench/ (through a ``SHARED`` caller
+    when its name is shared), re-exported by ``__init__``, named by the
+    tracer, which reads its targets by name, or listed in ``ALLOWED``
+    with its reason.  A test is not a caller: a helper only the tests
+    read is deleted, and a test that needs it keeps its own copy.  That
+    every entry of the re-export table resolves is checked in
+    tests/test_imports.py."""
+    exports = [f"{module}.{name}" for module, names in
+               package_exports().items() for name in names]
+    for _, module, attr, _ in tracer_targets():
+        parts = attr.split(".")
+        exports += [".".join([module, *parts[:i + 1]])
+                    for i in range(len(parts))]
+    assert all(ALLOWED.values()) and all(SHARED.values())
+    assert public_name_faults(_sources(SRC), _readers(), exports, ALLOWED,
+                              SHARED) == []
 
 
 def test_detects_unread_public_names():
@@ -214,9 +346,11 @@ def test_detects_unread_public_names():
               "def _private():\n"
               "    pass\n")
     sources = {"standard": module}
-    readers = [module, "from . import standard\nstandard.Kept()\n"]
+    readers = {"standard": module,
+               "cli": "from . import standard\nstandard.Kept()\n"}
+    exports = ["standard.sl2"]
     # a method that no reader reads is flagged, whatever a test reads
-    assert public_name_faults(sources, readers, ["sl2"], {}) == [
+    assert public_name_faults(sources, readers, exports, {}, {}) == [
         "unread: standard.gl1", "unread: standard.pgl2",
         "unread: standard.Dropped", "unread: standard.Kept.stale",
         "unread: standard._Parser.error"]
@@ -225,16 +359,75 @@ def test_detects_unread_public_names():
     allowed = {"standard.gl1": "example", "standard.pgl2": "example",
                "standard.Dropped": "API",
                "standard._Parser.error": "argparse"}
-    readers.append(bench)
-    assert public_name_faults(sources, readers, ["sl2"], allowed) == []
+    readers["perfbench.workloads"] = bench
+    assert public_name_faults(sources, readers, exports, allowed, {}) == []
     # an allowance for a name that is read, or that names nothing, fails
     stale = {**allowed, "standard.torus": "example", "standard.sl2": "API",
              "standard.Kept.stale": "API", "standard.gone": "example"}
-    assert public_name_faults(sources, readers, ["sl2"], stale) == [
+    assert public_name_faults(sources, readers, exports, stale, {}) == [
         "allowed, but read: standard.torus",
         "allowed, but read: standard.sl2",
         "allowed, but read: standard.Kept.stale",
         "allowed, but defines nothing: standard.gone"]
+    # a method is read as an attribute, not as a bare name
+    readers["perfbench.workloads"] = "stale = 1\nprint(stale)\n"
+    assert public_name_faults(sources, readers, exports, allowed, {}) == [
+        "unread: standard.Kept.stale"]
+
+
+def test_detects_shared_method_names():
+    """Two classes with a method ``apply``, a third with a field
+    ``order``: a read of ``.apply`` or ``.order`` tells no method apart,
+    so each such method is flagged until ``SHARED`` names a caller that
+    reads it, and a ``SHARED`` entry goes stale when its method or
+    caller is gone, the caller stops reading the name or the name stops
+    colliding."""
+    module = ("class Hom:\n"
+              "    def apply(self, x):\n"
+              "        return x\n"
+              "    def order(self):\n"
+              "        return 1\n"
+              "class Matrix:\n"
+              "    def apply(self, x):\n"
+              "        return x\n"
+              "    def transpose(self):\n"
+              "        return self\n"
+              "class Table:\n"
+              "    order: int\n")
+    caller = ("def tables():\n"
+              "    return Hom(), Matrix(), Table()\n"
+              "def act(h, x):\n"
+              "    return h.apply(x)\n"
+              "class Module:\n"
+              "    def size(self):\n"
+              "        return self.table.order + self.hom.order()\n"
+              "    def flip(self, m):\n"
+              "        return m.transpose()\n")
+    sources = {"abgroup": module}
+    readers = {"abgroup": module, "cohomology": caller}
+    assert public_name_faults(sources, readers, [], {}, {}) == [
+        "unread: abgroup.Hom.apply", "unread: abgroup.Hom.order",
+        "unread: abgroup.Matrix.apply"]
+    shared = {"abgroup.Hom.apply": "cohomology.act",
+              "abgroup.Matrix.apply": "cohomology.act",
+              "abgroup.Hom.order": "cohomology.Module.size"}
+    assert public_name_faults(sources, readers, [], {}, shared) == []
+    # an exported method needs no caller
+    assert public_name_faults(sources, readers, ["abgroup.Matrix.apply"],
+                              {}, {"abgroup.Hom.apply": "cohomology.act",
+                                   "abgroup.Hom.order":
+                                   "cohomology.Module.size"}) == []
+    stale = {**shared, "abgroup.Hom.gone": "cohomology.act",
+             "abgroup.Matrix.transpose": "cohomology.Module.flip",
+             "abgroup.Hom.order": "cohomology.Module.flip",
+             "abgroup.Matrix.apply": "cohomology.Module.gone"}
+    assert public_name_faults(sources, readers, [], {}, stale) == [
+        "shared, but cohomology.Module.gone is gone: abgroup.Matrix.apply",
+        "shared, but cohomology.Module.flip does not read it: "
+        "abgroup.Hom.order",
+        "shared, but defines nothing: abgroup.Hom.gone",
+        "shared, but nothing else is named transpose: "
+        "abgroup.Matrix.transpose"]
 
 
 def callers(sources, name):

@@ -18,6 +18,7 @@ from discred.cohomology import (Cochain, cochain_sum, cohomology_group,
 from discred.errors import ValidationError
 from discred.exactlin import IntMatrix, modular_echelon
 from discred.grouptable import cyclic, from_generators
+from abgroup_reference import compose
 from grouptable_reference import direct_product
 
 
@@ -41,7 +42,7 @@ def _automorphisms(A):
 def _power(alpha, e):
     out = AbHom.identity(alpha.source)
     for _ in range(e):
-        out = out.compose(alpha)
+        out = compose(out, alpha)
     return out
 
 
