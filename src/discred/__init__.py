@@ -44,8 +44,7 @@ _EXPORTS = {
                    "validate_table"),
     "relations": (),      # exported as a module only
     "rootdatum": ("BasedRootDatum", "RootDatum", "center", "dynkin",
-                  "positive_systems", "validate", "validate_based",
-                  "weyl_generate"),
+                  "positive_systems", "validate_based", "weyl_generate"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

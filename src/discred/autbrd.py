@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 
 from .abgroup import AbHom, torsion_at
 from .errors import InternalCheckError, ValidationError
@@ -57,8 +57,12 @@ def is_brd_automorphism(based: BasedRootDatum, T: IntMatrix) -> BrdCheck:
     rank = based.datum.rank
     if T.rows != rank or T.cols != rank:
         raise ValidationError("automorphism matrix has wrong shape")
-    if not T.is_unimodular():
-        return BrdCheck(False, f"matrix is not unimodular (det {T.det()})", None)
+    # unimodular exactly when every Smith invariant is 1; their product
+    # is |det T|
+    diagonal = smith_normal_form(T, keep=()).diagonal
+    if any(d != 1 for d in diagonal):
+        return BrdCheck(False, f"matrix is not unimodular "
+                               f"(|det| {prod(diagonal)})", None)
     simple = list(based.simple_roots)
     perm = []
     for p, a in enumerate(simple):

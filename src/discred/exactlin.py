@@ -104,34 +104,6 @@ class IntMatrix(Record):
         ent = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
         return IntMatrix._of(self.cols, self.rows, ent)
 
-    def det(self):
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValidationError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(r) for r in self.entries]
-        sign, prev = 1, 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k]:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
-    def is_unimodular(self):
-        return self.rows == self.cols and self.det() in (1, -1)
-
 
 class SmithDecomposition(Record):
     """U @ A @ V == D with U, V unimodular and D diagonal nonnegative,

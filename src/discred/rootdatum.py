@@ -4,12 +4,17 @@ A root datum is the combinatorial stand-in for a connected reductive
 group: two dual lattices (character and cocharacter, both Z^rank with
 the dot product as pairing) plus matching lists of roots and coroots.
 Degenerate data with no roots are legal and model tori.
+
+Every based datum, given by simple roots or by explicit roots, is
+checked by one closure: its simple roots and coroots closed under the
+simple reflections (``close_simple``) must give exactly its (root,
+coroot) pairs.  The data this accepts are the reduced ones, those of
+connected reductive groups.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
 from operator import mul
 
 from .abgroup import DiagonalizableGroup, FGAbelianGroup
@@ -20,6 +25,9 @@ from .record import Record, field
 
 # Largest Weyl group that ``weyl_generate`` enumerates.
 WEYL_CAP = 100000
+# Largest root system that ``close_simple`` closes from simple data
+# alone before calling the input a runaway.
+ROOT_CAP = 10000
 
 
 class RootDatum(Record):
@@ -42,10 +50,10 @@ class RootDatum(Record):
 class BasedRootDatum(Record):
     datum: RootDatum
     simple_indices: tuple
-    # the roots' coefficients in the simple roots as ``from_simple``'s
-    # closure found them (None for explicit roots); not compared.  A
-    # datum that carries them is trusted to be closed: ``defect`` skips
-    # ``validate`` for it
+    # the roots' coefficients in the simple roots, recorded by
+    # ``standard.from_simple``, whose closure built the datum, so that
+    # ``simple_coefficients`` does not run the same closure again; not
+    # compared
     closure_coefficients: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -60,58 +68,64 @@ class BasedRootDatum(Record):
         return tuple(self.datum.coroots[i] for i in self.simple_indices)
 
     @cached_property
-    def simple_smith(self):
-        """The Smith form of ``simple_matrix``, kept with the datum: it
-        decides independence in ``defect`` and solves for coefficients
-        (``express_in_simple``).  A datum with ``closure_coefficients``
-        reads its coefficients off the closure and only the rank here,
-        so its form keeps no transform."""
-        keep = () if self.closure_coefficients is not None else ("U", "V")
-        return smith_normal_form(simple_matrix(self), keep=keep)
-
-    @cached_property
     def simple_coefficients(self):
-        """The roots' coefficients in the simple roots: the closure's
-        record when there is one, else ``express_in_simple``, computed on
-        first use and kept with the datum.  Read only once ``defect`` has
-        found the simple roots independent, so the two agree."""
+        """The roots' coefficients in the simple roots as ``close_simple``
+        finds them, computed on first use and kept with the datum: the
+        closure of the simple data, which must give exactly the datum's
+        (root, coroot) pairs, else ValidationError.  A datum that
+        ``from_simple`` built is that closure and keeps its record.  Read
+        only once ``defect`` has found the simple roots independent, so
+        the coefficients are unique."""
         if self.closure_coefficients is not None:
             return self.closure_coefficients
-        return express_in_simple(self)
+        roots = self.datum.roots
+        _, coeffs = close_simple(self.simple_roots, self.simple_coroots,
+                                 dict(zip(roots, self.datum.coroots)))
+        return tuple(tuple(coeffs[b]) for b in roots)
 
     @cached_property
     def defect(self):
         """``validate_based``'s verdict, computed on first use and kept
-        with the datum.
+        with the datum: None, or a message naming the first failure.
 
-        A datum that ``standard.from_simple`` closed (it carries
-        ``closure_coefficients``) satisfies every axiom of ``validate``
-        except, possibly, distinct roots: its closure transported each
-        coroot consistently along every edge, so <c(r), r> = 2 and the
-        reflections and coreflections at every root are conjugates
-        w s_j w^{-1} and w^{-t} s_j^v w^t of simple ones, which permute
-        the closed sets R and R^v (the proof is ``from_simple``'s).  Its
-        non-simple roots are distinct keys of the closure, none of them
-        simple, so only a repeated simple root is left to find, with
-        ``validate``'s message.  Explicit roots take the full
-        ``validate``."""
-        if self.closure_coefficients is None:
-            msg = validate(self.datum)
-        else:
-            msg = _repeated_simple_root(self.simple_roots)
-        if msg is not None:
-            return msg
+        One check for every datum.  After the shape of the pairs,
+        distinct roots, <coroot, root> = 2, the simple indices and the
+        independence of the simple roots (the rank of one Smith form of
+        them), the closure of the simple data under the simple
+        reflections must be the datum (``simple_coefficients``): then it
+        is a root datum (``close_simple``).  Last, every root must be a
+        nonnegative or nonpositive combination of the simple roots, so
+        that they are a base.  A reduced based root datum passes, as
+        each of its roots is a Weyl conjugate of a simple root with the
+        transported coroot (Springer, Linear Algebraic Groups, 7.4); a
+        non-reduced one, such as BC_1, fails at a root the simple
+        reflections never reach, and no reductive group has it."""
+        datum, rank = self.datum, self.datum.rank
+        if len(datum.roots) != len(datum.coroots):
+            return "roots and coroots are not bijective (length mismatch)"
+        seen = set()
+        for k, (b, bv) in enumerate(zip(datum.roots, datum.coroots)):
+            if len(b) != rank or len(bv) != rank:
+                return f"root/coroot {k} has wrong length for rank {rank}"
+            if b in seen:
+                return f"duplicate root {b}"
+            seen.add(b)
+            m = sum(map(mul, bv, b))
+            if m != 2:
+                return (f"pairing <coroot, root> != 2 for pair {k}: "
+                        f"<{bv}, {b}> = {m}")
         idx = self.simple_indices
-        if len(set(idx)) != len(idx) or any(i < 0 or i >= self.datum.nroots
+        if len(set(idx)) != len(idx) or any(i < 0 or i >= datum.nroots
                                             for i in idx):
             return "simple_indices is not a subset of the root indices"
-        # linear independence: the simple-root matrix has full column rank
-        if idx and self.simple_smith.rank < len(idx):
+        if idx and smith_normal_form(simple_matrix(self),
+                                     keep=()).rank < len(idx):
             return "simple roots are linearly dependent"
-        for b, coeffs in zip(self.datum.roots, self.simple_coefficients):
-            if coeffs is None:
-                return (f"root {b} is not an integer combination of the "
-                        f"simple roots")
+        try:
+            coefficients = self.simple_coefficients
+        except ValidationError as e:
+            return str(e)
+        for b, coeffs in zip(datum.roots, coefficients):
             if not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):
                 return (f"root {b} is neither positive nor negative "
                         f"(coeffs {coeffs})")
@@ -138,81 +152,84 @@ class DynkinDiagram(Record):
                       # positions i, j index into ``vertices``
 
 
-def validate(datum: RootDatum):
-    """None when every root-datum axiom holds, else a message naming the
-    first violated axiom and a witness."""
-    if len(datum.roots) != len(datum.coroots):
-        return "roots and coroots are not bijective (length mismatch)"
-    seen = set()
-    for k, (b, bv) in enumerate(zip(datum.roots, datum.coroots)):
-        if len(b) != datum.rank or len(bv) != datum.rank:
-            return f"root/coroot {k} has wrong length for rank {datum.rank}"
-        if b in seen:
-            return f"duplicate root {b}"
-        seen.add(b)
-        if datum.pairing(bv, b) != 2:
-            return (f"pairing <coroot, root> != 2 for pair {k}: "
-                    f"<{bv}, {b}> = {datum.pairing(bv, b)}")
-    # pairing[k][j] = <coroot k, root j>: row k serves the reflection at
-    # root k, column k the coreflection; a zero pairing fixes the vector.
-    # Row k sums x times coordinate column i of the roots over the
-    # nonzero coordinates x = coroot k [i]; every coroot has one, as its
-    # pairing with its root is 2.
-    root_columns = list(zip(*datum.roots))
-    pairing = []
-    for bv in datum.coroots:
-        row = None
-        for x, column in zip(bv, root_columns):
-            if x:
-                row = ([x * y for y in column] if row is None else
-                       [p + x * y for p, y in zip(row, column)])
-        pairing.append(row)
-    # Membership by exact linear keys: balanced base-B digits with
-    # B > 2 max|coordinate| (1 + max|pairing|) number every root, coroot
-    # and image v - m a below injectively, and key(v - m a) is
-    # key(v) - m key(a); an image is built only for a failure message.
-    bound = max(map(abs, chain.from_iterable(datum.roots + datum.coroots)),
-                default=0)
-    top = max(map(abs, chain.from_iterable(pairing)), default=0)
-    base = 2 * bound * (1 + top) + 1
-    powers = [base ** i for i in range(datum.rank)]
-    root_keys = [sum(map(mul, b, powers)) for b in datum.roots]
-    coroot_keys = [sum(map(mul, bv, powers)) for bv in datum.coroots]
-    root_set, coroot_set = set(root_keys), set(coroot_keys)
-    columns = list(zip(*pairing))
-    for k, (ka, kav) in enumerate(zip(root_keys, coroot_keys)):
-        row, col = pairing[k], columns[k]
-        if not root_set.issuperset([kb - m * ka
-                                    for kb, m in zip(root_keys, row)]):
-            j = next(j for j, m in enumerate(row)
-                     if root_keys[j] - m * ka not in root_set)
-            b, a = datum.roots[j], datum.roots[k]
-            return (f"reflection at root {k} does not permute the "
-                    f"roots (image of {b} is {_reflect(b, row[j], a)})")
-        if not coroot_set.issuperset([kbv - m * kav
-                                      for kbv, m in zip(coroot_keys, col)]):
-            j = next(j for j, m in enumerate(col)
-                     if coroot_keys[j] - m * kav not in coroot_set)
-            bv, av = datum.coroots[j], datum.coroots[k]
-            return (f"coreflection at root {k} does not permute the "
-                    f"coroots (image of {bv} is {_reflect(bv, col[j], av)})")
-    return None
+def close_simple(simple_roots, simple_coroots, listed=None):
+    """The closure of simple roots and coroots under the simple
+    reflections: dicts root -> coroot and root -> its coefficients in the
+    simple roots.
 
+    Each root keeps the coefficients it was found with: simple root i
+    starts at e_i, and s_i r = r - <alpha_i^v, r> alpha_i lowers
+    coefficient i by that pairing.
 
-def _repeated_simple_root(simple_roots):
-    """``validate``'s "duplicate root" message for the first simple root
-    equal to an earlier one, else None."""
-    seen = set()
-    for b in simple_roots:
-        if b in seen:
-            return f"duplicate root {b}"
-        seen.add(b)
-    return None
+    The closure is also the check of the root-datum axioms, given
+    <alpha_i^v, alpha_i> = 2.  Every edge (r, c) -> (s_i r, s_i^v c) is
+    visited once, and a root reached again must carry the same coroot,
+    so every root is w alpha_j with coroot w^{-t} alpha_j^v, w a product
+    of the s_i (s_i^v is the transpose of the involution s_i).  The
+    pairing is W-invariant, so <c(r), r> = <alpha_j^v, alpha_j> = 2;
+    s_r = w s_j w^{-1} permutes R and s_r^v = w^{-t} s_j^v w^t permutes
+    R^v, as R is closed under every s_i and R^v under every s_i^v
+    (Springer, Linear Algebraic Groups, 7.4).  When <alpha_i^v, r> = 0,
+    s_i r = r and the transported coroot c - <c, alpha_i> alpha_i^v is c
+    exactly when <c, alpha_i> = 0, so only that pairing is computed.
+
+    With ``listed``, a datum's map root -> coroot, the closure must give
+    exactly its pairs: it stops at the first root it reaches that
+    ``listed`` does not hold with the transported coroot, so it reaches
+    at most one root more than ``listed`` holds, and then names a listed
+    root it never reached.  Without ``listed`` it stops at ``ROOT_CAP``
+    roots.  Raises ValidationError at the first failure.
+    """
+    simple = list(enumerate(zip(simple_roots, simple_coroots)))
+    pairs = dict(zip(simple_roots, simple_coroots))
+    coeffs = {r: [int(i == j) for j in range(len(simple))]
+              for i, r in enumerate(simple_roots)}
+    frontier = list(pairs)
+    while frontier:
+        nxt = []
+        for r in frontier:
+            c, k = pairs[r], coeffs[r]
+            for i, (a, av) in simple:
+                n = sum(map(mul, av, r))
+                m = sum(map(mul, c, a))
+                if not n:
+                    if m:
+                        raise ValidationError(
+                            "inconsistent coroot transport during closure")
+                    continue
+                r2 = tuple([x - n * y for x, y in zip(r, a)])
+                c2 = tuple([x - m * y for x, y in zip(c, av)])
+                if r2 in pairs:
+                    if pairs[r2] != c2:
+                        raise ValidationError(
+                            "inconsistent coroot transport during closure")
+                    continue
+                if listed is None:
+                    if len(pairs) >= ROOT_CAP:
+                        raise ValidationError("root system closure runaway")
+                elif r2 not in listed:
+                    raise ValidationError(
+                        f"the reflection at simple root {a} takes root {r} "
+                        f"to {r2}, which is not a root")
+                elif listed[r2] != c2:
+                    raise ValidationError(
+                        f"the reflection at simple root {a} takes root {r} "
+                        f"to {r2} with coroot {c2}, not {listed[r2]}")
+                pairs[r2] = c2
+                coeffs[r2] = k2 = k.copy()
+                k2[i] -= n
+                nxt.append(r2)
+        frontier = nxt
+    if listed is not None and len(pairs) < len(listed):
+        missing = next(b for b in listed if b not in pairs)
+        raise ValidationError(f"root {missing} is not reached by the simple "
+                              f"reflections")
+    return pairs, coeffs
 
 
 def _reflect(v, m, a):
-    """v - m a, the image of v under the reflection (or, with a coroot
-    for a, the coreflection) at a when m = <a^v, v>."""
+    """v - m a, the image of v under the reflection at a when
+    m = <a^v, v>."""
     return tuple(x - m * y for x, y in zip(v, a))
 
 
@@ -236,17 +253,6 @@ def simple_matrix(based: BasedRootDatum) -> IntMatrix:
                          tuple(tuple(c[i] for c in cols) for i in range(rank)))
 
 
-def express_in_simple(based: BasedRootDatum):
-    """Integer coefficients of each root in the simple roots (None for a
-    root outside their span), from the datum's one Smith form of the
-    simple-root matrix; a datum whose closure recorded them keeps no
-    transforms there, so solving on one takes a Smith form of its own."""
-    snf = based.simple_smith
-    if snf.U is None:
-        snf = smith_normal_form(simple_matrix(based))
-    return [snf.solve(b) for b in based.datum.roots]
-
-
 def weyl_generate(based: BasedRootDatum) -> WeylGroup:
     """Closure of the simple reflections, deterministic element order.
     Raises ValidationError with ``validate_based``'s message for an
@@ -265,14 +271,8 @@ def weyl_generate(based: BasedRootDatum) -> WeylGroup:
 
 def _positive_indices(based: BasedRootDatum):
     """Indices of the roots in the positive system R+ of the base."""
-    pos = []
-    for j, coeffs in enumerate(based.simple_coefficients):
-        if coeffs is None:
-            raise ValidationError(f"root {based.datum.roots[j]} not in the "
-                                  f"simple-root lattice")
-        if all(c >= 0 for c in coeffs) and any(c > 0 for c in coeffs):
-            pos.append(j)
-    return pos
+    return [j for j, coeffs in enumerate(based.simple_coefficients)
+            if all(c >= 0 for c in coeffs) and any(c > 0 for c in coeffs)]
 
 
 class PositiveSystem(Record):

@@ -189,11 +189,11 @@ class TestAdHom:
         monkeypatch.setattr(autbrd, "is_brd_automorphism",
                             lambda *a: calls.append(a) or inner(*a))
         assert validate_ad(based, AdHom(gamma, tuple(images))) == (
-            "image of element 1 fails: matrix is not unimodular (det 2)")
+            "image of element 1 fails: matrix is not unimodular (|det| 2)")
         assert len(calls) == 2
         good = BRDAutomorphism.identity(based)
         assert validate_ad(based, AdHom(gamma, (good, good, bad))) == (
-            "image of element 2 fails: matrix is not unimodular (det 2)")
+            "image of element 2 fails: matrix is not unimodular (|det| 2)")
 
     def test_flip_under_z2(self):
         based = standard.sl3()
@@ -343,16 +343,19 @@ class TestInverseOncePerElement:
     def test_d4_triality_classify_smith_forms(self, monkeypatch, capsys):
         """D4 adjoint has a trivial center, so its tower levels have no
         coordinates and no ad image is inverted; the based datum is
-        validated once on one Smith form of its simple roots, and the
-        center's cokernel keeps the inverse of its transform from its own
-        Smith form: 2 Smith forms in all, where a second Smith form for
-        the independence check took 3, inverting the six images once each
-        took 9, inverting at each of the four levels took 30, validating
-        twice took 12 and inverting the cokernel transform afterwards
-        took 10."""
+        validated once on one Smith form of its simple roots, each of the
+        two generator images is found unimodular by one Smith form of its
+        matrix, and the center's cokernel keeps the inverse of its
+        transform from its own Smith form: 4 Smith forms in all (2 before
+        the images' unimodularity was read off a Smith form rather than a
+        determinant), where a second Smith form for the independence
+        check took one more, inverting the six images once each took 7
+        more, inverting at each of the four levels took 28 more,
+        validating twice took 10 more and inverting the cokernel
+        transform afterwards took 8 more."""
         counts = _classify_counts(monkeypatch, capsys,
                                   _problem("d4_adjoint_s3.json"))
-        assert counts == {"smith_normal_form": 2, "inverse_unimodular": 0}
+        assert counts == {"smith_normal_form": 4, "inverse_unimodular": 0}
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_center_tower_inverts_each_distinct_image_once(
@@ -369,7 +372,8 @@ class TestInverseOncePerElement:
         levels 3 and 4 list the order of level 2: 8 Smith forms over C2
         and 9 over C4, where computing all four levels took 13 and 14
         (with the image's two below), and the dense kernel of d_2 one
-        more at every level.  The stable group is the one image of level
+        more at every level.  The one generator image is found unimodular
+        by one more Smith form of its matrix: 9 and 10 in all.  The stable group is the one image of level
         1 in level 2, one Smith form: the congruence kernel of its span,
         where a kernel and then a cokernel took two.  The comparison loop
         that picked the level also formed the images of level 1 in 3, 2
@@ -380,7 +384,7 @@ class TestInverseOncePerElement:
         path = tmp_path / "gl2_swap.json"
         path.write_text(json.dumps(data))
         counts = _classify_counts(monkeypatch, capsys, str(path))
-        assert counts == {"smith_normal_form": {2: 8, 4: 9}[n],
+        assert counts == {"smith_normal_form": {2: 9, 4: 10}[n],
                           "inverse_unimodular": 2}
 
 

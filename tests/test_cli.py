@@ -507,7 +507,8 @@ class TestOnceOnly:
     @staticmethod
     def _classify_checks(capsys, monkeypatch, path):
         counts = {}
-        _count(monkeypatch, counts, rootdatum, "validate")
+        _count(monkeypatch, counts, rootdatum, "close_simple")
+        _count(monkeypatch, counts, standard, "close_simple")
         _count(monkeypatch, counts, autbrd, "validate_ad")
         code, out, _ = run(capsys, "classify", "--input", path,
                            "--format", "json")
@@ -515,49 +516,50 @@ class TestOnceOnly:
         with open(os.path.join(os.path.dirname(__file__), "golden",
                                "d4_adjoint_s3.json")) as fh:
             assert out == fh.read()
-        return counts
+        return counts["close_simple"], counts["validate_ad"]
 
     def test_classify_validates_datum_and_ad_once(self, capsys, monkeypatch):
-        """Simple roots: the closure of ``from_simple`` is the check of
-        the root-datum axioms, so ``validate`` never runs."""
+        """Simple roots: the closure that builds the datum is the check of
+        the root-datum axioms, so the check closes nothing again."""
         counts = self._classify_checks(capsys, monkeypatch,
                                        problem("d4_adjoint_s3.json"))
-        assert counts == {"validate": 0, "validate_ad": 1}
+        assert counts == (1, 1)
 
     def test_classify_validates_explicit_roots_once(
             self, capsys, monkeypatch, tmp_path):
-        """Explicit roots have no closure behind them: ``validate`` runs
-        once, and the report is the same."""
+        """Explicit roots: the check closes their simple data once, and
+        the report is the same."""
         counts = self._classify_checks(capsys, monkeypatch,
                                        _d4_roots_problem(tmp_path))
-        assert counts == {"validate": 1, "validate_ad": 1}
+        assert counts == (1, 1)
 
     @staticmethod
     def _weyl_counts(capsys, monkeypatch, path):
         counts = {}
         _count(monkeypatch, counts, exactlin, "smith_normal_form")
         _count(monkeypatch, counts, rootdatum, "smith_normal_form")
-        _count(monkeypatch, counts, rootdatum, "express_in_simple")
+        _count(monkeypatch, counts, rootdatum, "close_simple")
+        _count(monkeypatch, counts, standard, "close_simple")
         code, out, _ = run(capsys, "weyl", "--input", path)
         assert code == 0 and "|W| = 192" in out
         return counts
 
     def test_weyl_expresses_roots_once(self, capsys, monkeypatch):
-        """A datum given by simple roots keeps the coefficients its root
-        closure found, so its verdict and R+ take no solve and one Smith
-        form, whose rank decides independence; solving for every root
-        took one ``express_in_simple``, a kernel basis a second Smith
-        form and solving again for R+ a third."""
+        """A datum given by simple roots keeps the coefficients the
+        closure that built it found, so its verdict and R+ close nothing
+        again and take one Smith form, whose rank decides independence;
+        solving for every root took one more Smith form, a kernel basis
+        another and solving again for R+ a third."""
         counts = self._weyl_counts(capsys, monkeypatch,
                                    problem("d4_adjoint_s3.json"))
-        assert counts == {"smith_normal_form": 1, "express_in_simple": 0}
+        assert counts == {"smith_normal_form": 1, "close_simple": 1}
 
     def test_explicit_roots_solve_once(self, capsys, monkeypatch, tmp_path):
-        """Explicit roots have no closure record: the verdict and R+
-        share one ``express_in_simple`` on the one Smith form."""
+        """Explicit roots: the verdict and R+ share one closure of the
+        simple data and the one Smith form, which solves nothing."""
         counts = self._weyl_counts(capsys, monkeypatch,
                                    _d4_roots_problem(tmp_path))
-        assert counts == {"smith_normal_form": 1, "express_in_simple": 1}
+        assert counts == {"smith_normal_form": 1, "close_simple": 1}
 
     @pytest.mark.parametrize("name,calls", [
         ("sl2_z2_trivial.json", 1), ("gl2_z2_swap.json", 2)])

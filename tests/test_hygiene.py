@@ -4,8 +4,8 @@ the package, every public function, class, method and property is read
 somewhere in the package or the benchmark (the tests do not count: a
 helper only they read is deleted) or listed in ``ALLOWED`` with its
 reason, and every function the benchmark's tracer wraps exists.  A
-method whose name another definition shares is read only through the
-callers ``SHARED`` names for it.
+method whose name another definition, or a method of a builtin type,
+shares is read only through the callers ``SHARED`` names for it.
 
 ``discred/__init__.py`` imports nothing from the package: it re-exports
 lazily from its ``_EXPORTS`` table, so that file is exempt from the
@@ -191,6 +191,13 @@ def function_node(trees, name):
     return None
 
 
+# the builtin types whose methods a reader may call on a value of the
+# package, and the public names of those methods
+BUILTIN_TYPES = (dict, list, set, frozenset, tuple, str, int, float, bytes)
+BUILTIN_METHODS = {name for t in BUILTIN_TYPES for name in dir(t)
+                   if not name.startswith("_")}
+
+
 def public_name_faults(sources, readers, exports, allowed, shared):
     """What breaks the rule that every public definition is read.
 
@@ -201,16 +208,18 @@ def public_name_faults(sources, readers, exports, allowed, shared):
     one when a reader reads its name, by name or as an attribute, and a
     method or property when a reader reads its name as an attribute.
     When some other definition of the readers (a function, class,
-    method or field) has the method's name, such reads do not tell the
-    two apart: the method is read only when ``shared`` maps it to the
-    reader's function or method, ``module.name`` or
+    method or field) or a method of a builtin container type
+    (``BUILTIN_TYPES``) has the method's name, such reads do not tell
+    the two apart: the method is read only when ``shared`` maps it to
+    the reader's function or method, ``module.name`` or
     ``module.Class.name``, that reads it.  Returns the definitions that
     are neither read nor ``allowed``, then the ``allowed`` entries that
     are read anyway or name no definition, then the ``shared`` entries
     that name no definition, whose name no longer collides, or whose
     caller is gone or no longer reads the name, each with its fault."""
     trees = {module: ast.parse(source) for module, source in readers.items()}
-    read, attributes, count = set(), set(), {}
+    read, attributes = set(), set()
+    count = dict.fromkeys(BUILTIN_METHODS, 1)
     for tree in trees.values():
         read |= read_names(tree)
         attributes |= read_attributes(tree)
@@ -258,15 +267,13 @@ ALLOWED = {
     "standard.g2": _EXAMPLE,
     "standard.d4_adjoint": _EXAMPLE,
     "cli._Parser.error": "argparse calls it to report a bad command line",
-    "cohomology.CohomologyGroup.generators":
-        "the public way to the generator cocycles of H^p (README); "
-        "tests/cochain_timing.py times it",
 }
 
 # public methods and properties whose name some other function, class,
-# method or field shares, each with a function of src/ or perfbench/
-# that reads it
+# method or field, or a builtin type's method, shares, each with a
+# function of src/ or perfbench/ that reads it
 SHARED = {
+    "abgroup.FGAbelianGroup.add": "cohomology.GammaModule.index_tables",
     "abgroup.FGAbelianGroup.order": "cohomology.cohomology_group",
     "abgroup.FGAbelianGroup.elements": "extension.build_extension",
     "abgroup.FGAbelianGroup.describe": "cli._group_json",
@@ -276,6 +283,9 @@ SHARED = {
     "autbrd.BRDAutomorphism.compose": "autbrd.ad_from_generator_images",
     "autbrd.BRDAutomorphism.identity": "autbrd.trivial_ad",
     "cohomology.GammaModule.act": "cohomology.GammaModule.index_tables",
+    "cohomology.Cochain.values": "cli._cochain_json",
+    "cohomology.CohomologyGroup.generators":
+        "perfbench.workloads.H2Ladder.summarize",
     "cohomology.CohomologyGroup.order": "cohomology.stabilized_h2",
     "cohomology.CohomologyGroup.coboundary_witness":
         "extension.extensions_equivalent",
@@ -428,6 +438,35 @@ def test_detects_shared_method_names():
         "shared, but defines nothing: abgroup.Hom.gone",
         "shared, but nothing else is named transpose: "
         "abgroup.Matrix.transpose"]
+
+
+def test_detects_methods_named_like_builtin_ones():
+    """A method named like a method of a builtin container type: a read
+    of ``.add`` or ``.values`` may be ``set.add`` or ``dict.values``, so
+    the method is flagged until ``SHARED`` names a caller that reads it,
+    and such an entry is not stale while no definition shares the name."""
+    module = ("class Group:\n"
+              "    def add(self, x, y):\n"
+              "        return x + y\n"
+              "class Cochain:\n"
+              "    def values(self):\n"
+              "        return ()\n")
+    caller = ("def tables():\n"
+              "    return Group(), Cochain()\n"
+              "def seen(items):\n"
+              "    out = set()\n"
+              "    for x in items:\n"
+              "        out.add(x)\n"
+              "    return out\n"
+              "def table(G, c):\n"
+              "    return G.add(1, 2), list(c.values())\n")
+    sources = {"abgroup": module}
+    readers = {"abgroup": module, "cohomology": caller}
+    assert public_name_faults(sources, readers, [], {}, {}) == [
+        "unread: abgroup.Group.add", "unread: abgroup.Cochain.values"]
+    shared = {"abgroup.Group.add": "cohomology.table",
+              "abgroup.Cochain.values": "cohomology.table"}
+    assert public_name_faults(sources, readers, [], {}, shared) == []
 
 
 def callers(sources, name):

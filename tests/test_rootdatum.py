@@ -15,11 +15,12 @@ from discred.exactlin import IntMatrix
 from discred.grouptable import closure, compose
 from discred.cli import _parse_based, load_problem, main
 from rootdatum_reference import reference_positive_systems, reflection
-from validate_reference import reference_defect, reference_validate
+from validate_reference import (reference_coefficients, reference_defect,
+                                reference_validate)
 
 from discred.rootdatum import (BasedRootDatum, RootDatum, center, dynkin,
-                               express_in_simple, positive_systems, validate,
-                               validate_based, weyl_generate)
+                               positive_systems, validate_based,
+                               weyl_generate)
 
 ALL_DATA = {
     "sl2": standard.sl2,
@@ -34,41 +35,76 @@ ALL_DATA = {
 }
 
 
+def explicit(based):
+    """The based datum with its roots given explicitly: no record of the
+    closure that built it."""
+    return BasedRootDatum(based.datum, based.simple_indices)
+
+
+def _reduced(datum):
+    """No root is twice another."""
+    roots = set(datum.roots)
+    return not any(tuple(2 * x for x in b) in roots for b in roots)
+
+
 class TestValidation:
     @pytest.mark.parametrize("name", sorted(ALL_DATA))
     def test_standard_data_valid(self, name):
         based = ALL_DATA[name]()
-        assert validate(based.datum) is None
         assert validate_based(based) is None
+        assert validate_based(explicit(based)) is None
 
     def test_torus_valid(self):
         assert validate_based(standard.torus(3)) is None
 
     def test_bad_pairing(self):
         d = RootDatum(1, ((2,),), ((2,),))
-        msg = validate(d)
-        assert msg is not None and "2" in msg
+        assert validate_based(BasedRootDatum(d, (0,))) == (
+            "pairing <coroot, root> != 2 for pair 0: <(2,), (2,)> = 4")
 
     def test_duplicate_root(self):
         d = RootDatum(1, ((2,), (2,)), ((1,), (1,)))
-        assert "duplicate" in validate(d)
+        assert validate_based(BasedRootDatum(d, (0,))) == (
+            "duplicate root (2,)")
 
     def test_reflection_not_permuting(self):
-        # roots {2e, 3e} cannot be a root system in rank 1
+        # roots {2e, 4e} cannot be a root system in rank 1
         d = RootDatum(1, ((2,), (-2,), (4,)), ((1,), (-1,), (0,)))
-        assert validate(d) is not None
+        assert validate_based(BasedRootDatum(d, (0,))) is not None
 
     def test_based_dependence(self):
         d = standard.gl2().datum
         # both roots of GL2 as "simple" roots: +/- pair is dependent
         based = BasedRootDatum(d, (0, 1))
-        assert validate_based(based) is not None
+        assert validate_based(based) == "simple roots are linearly dependent"
+
+
+@st.composite
+def _perturbed(draw):
+    """A standard datum with its standard simple indices and one root or
+    coroot entry changed, or one root (with its coroot) dropped."""
+    based = ALL_DATA[draw(st.sampled_from(sorted(ALL_DATA)))]()
+    datum = based.datum
+    roots, coroots = list(datum.roots), list(datum.coroots)
+    k = draw(st.integers(0, len(roots) - 1))
+    kind = draw(st.sampled_from(["root", "coroot", "drop"]))
+    if kind == "drop":
+        del roots[k], coroots[k]
+    else:
+        vecs = roots if kind == "root" else coroots
+        i = draw(st.integers(0, datum.rank - 1))
+        v = list(vecs[k])
+        v[i] += draw(st.integers(-3, 3).filter(bool))
+        vecs[k] = tuple(v)
+    return BasedRootDatum(RootDatum(datum.rank, roots, coroots),
+                          based.simple_indices)
 
 
 def matrix_validate(datum):
-    """``validate`` as it was with reflection matrices: the reflection at
+    """The root-datum axioms with reflection matrices: the reflection at
     each root and its transpose, the coreflection, applied to every root
-    and coroot.  The reference for the tuple formula."""
+    and coroot.  An oracle that shares no code with the tuple formula
+    s(v) = v - <a^v, v> a."""
     if len(datum.roots) != len(datum.coroots):
         return "roots and coroots are not bijective (length mismatch)"
     seen = set()
@@ -95,48 +131,36 @@ def matrix_validate(datum):
     return None
 
 
-@st.composite
-def _perturbed(draw):
-    """A standard datum with one root or coroot entry changed, or one
-    root (with its coroot) dropped."""
-    datum = ALL_DATA[draw(st.sampled_from(sorted(ALL_DATA)))]().datum
-    roots, coroots = list(datum.roots), list(datum.coroots)
-    k = draw(st.integers(0, len(roots) - 1))
-    kind = draw(st.sampled_from(["root", "coroot", "drop"]))
-    if kind == "drop":
-        del roots[k], coroots[k]
-    else:
-        vecs = roots if kind == "root" else coroots
-        i = draw(st.integers(0, datum.rank - 1))
-        v = list(vecs[k])
-        v[i] += draw(st.integers(-3, 3).filter(bool))
-        vecs[k] = tuple(v)
-    return RootDatum(datum.rank, roots, coroots)
-
-
 class TestReflectionFormula:
-    """The tuple formula s(v) = v - <a^v, v> a in ``validate`` against the
-    reflection-matrix loop it replaced."""
+    """The tuple formula s(v) = v - <a^v, v> a in the closure that checks
+    explicit data, against the full check with the axioms checked by
+    reflection matrices (``matrix_validate``): the same verdict on every
+    reduced datum, and a rejection of every non-reduced one."""
 
     @pytest.mark.parametrize("name", sorted(ALL_DATA))
     def test_standard_data(self, name):
-        datum = ALL_DATA[name]().datum
-        assert validate(datum) is None
-        assert matrix_validate(datum) is None
+        based = explicit(ALL_DATA[name]())
+        assert based.defect is None
+        assert matrix_validate(based.datum) is None
 
     @settings(max_examples=300, deadline=None)
     @given(_perturbed())
-    def test_perturbed_data(self, datum):
-        assert validate(datum) == matrix_validate(datum)
+    def test_perturbed_data(self, based):
+        want = reference_defect(based, matrix_validate)
+        if _reduced(based.datum):
+            assert (based.defect is None) == (want is None)
+        else:
+            assert based.defect is not None
 
 
 @st.composite
 def _base_changed(draw):
-    """A standard datum moved by a random unimodular T: roots to T b,
-    coroots to T^{-t} b^v (pairings unchanged), as a product of
-    elementary matrices; then, when ``corrupt`` is drawn, perturbed as in
-    ``_perturbed``."""
-    datum = ALL_DATA[draw(st.sampled_from(sorted(ALL_DATA)))]().datum
+    """A standard datum with its standard simple indices, moved by a
+    random unimodular T: roots to T b, coroots to T^{-t} b^v (pairings
+    unchanged), as a product of elementary matrices; then, when
+    ``corrupt`` is drawn, perturbed as in ``_perturbed``."""
+    based = ALL_DATA[draw(st.sampled_from(sorted(ALL_DATA)))]()
+    datum = based.datum
     roots = [list(b) for b in datum.roots]
     coroots = [list(bv) for bv in datum.coroots]
     n = datum.rank
@@ -161,40 +185,139 @@ def _base_changed(draw):
             vecs = roots if kind == "root" else coroots
             vecs[k][draw(st.integers(0, n - 1))] += draw(
                 st.integers(-3, 3).filter(bool))
-    return RootDatum(n, roots, coroots)
+    return BasedRootDatum(RootDatum(n, roots, coroots), based.simple_indices)
+
+
+def _check_exit(tmp_path_factory, based):
+    """(exit code, stderr) of ``discred check`` on the based datum given
+    by explicit roots."""
+    datum = based.datum
+    path = tmp_path_factory.mktemp("explicit") / "problem.json"
+    path.write_text(json.dumps({
+        "schema": 1, "gamma": {"type": "cyclic", "n": 1},
+        "datum": {"rank": datum.rank, "roots": datum.roots,
+                  "coroots": datum.coroots,
+                  "simple_indices": based.simple_indices}}))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["check", "--input", str(path)])
+    return code, err.getvalue()
 
 
 class TestValidateKeys:
-    """``validate`` finds reflected roots and coroots by their linear
-    keys; the tuple-building routine it replaced (``validate_reference``)
-    must give the same verdict and message."""
+    """Explicit roots are checked by the closure of their simple data,
+    where ``rootdatum.validate`` looked up reflected roots and coroots by
+    linear keys.  Against the full check it replaced
+    (``validate_reference``): the same verdict on every reduced datum,
+    and a rejection of every non-reduced one, which the full check may
+    accept.  ``discred check`` exits with that verdict and prints its
+    message."""
+
+    @staticmethod
+    def _agree(tmp_path_factory, based):
+        got, want = based.defect, reference_defect(based)
+        if _reduced(based.datum):
+            assert (got is None) == (want is None)
+        else:
+            assert got is not None
+        assert _check_exit(tmp_path_factory, based) == (
+            (0, "") if got is None else (1, f"error: {got}\n"))
 
     @pytest.mark.parametrize("name", sorted(ALL_DATA))
     def test_standard_data(self, name):
-        datum = ALL_DATA[name]().datum
-        assert validate(datum) is None
-        assert reference_validate(datum) is None
+        based = explicit(ALL_DATA[name]())
+        assert based.defect is None and reference_defect(based) is None
 
     @settings(max_examples=300, deadline=None)
-    @given(_base_changed())
-    def test_base_changed_data(self, datum):
-        assert validate(datum) == reference_validate(datum)
+    @given(based=_base_changed())
+    def test_base_changed_data(self, tmp_path_factory, based):
+        self._agree(tmp_path_factory, based)
 
-    @settings(max_examples=200, deadline=None)
-    @given(_perturbed())
-    def test_perturbed_data(self, datum):
-        assert validate(datum) == reference_validate(datum)
+    @settings(max_examples=300, deadline=None)
+    @given(based=_perturbed())
+    def test_perturbed_data(self, tmp_path_factory, based):
+        self._agree(tmp_path_factory, based)
 
     def test_image_beyond_the_coordinates(self):
-        """The image (-3, 1) of (1, 1) leaves the coordinate range of the
-        roots; with a key base of 2 max|coordinate| + 1 = 5 its key
-        -3 + 5 would be the key of the root (2, 0), so the base must also
-        cover the pairing factor."""
+        """The image (-3, 1) of (1, 1) left the coordinate range of the
+        roots, where a key base of 2 max|coordinate| + 1 = 5 made its key
+        that of the root (2, 0).  The closure of (2, 0) never reaches
+        (1, 1)."""
         d = RootDatum(2, ((2, 0), (-2, 0), (1, 1)),
                       ((1, 1), (-1, -1), (2, 0)))
-        assert validate(d) == reference_validate(d) == (
+        assert reference_validate(d) == (
             "reflection at root 0 does not permute the roots "
             "(image of (1, 1) is (-3, 1))")
+        assert BasedRootDatum(d, (0,)).defect == (
+            "root (1, 1) is not reached by the simple reflections")
+
+    @pytest.mark.parametrize("simple,missing", [(0, (2,)), (2, (1,))])
+    def test_bc1_rejected(self, tmp_path_factory, simple, missing):
+        """BC_1 (roots +-e, +-2e) is not reduced: from either simple root
+        the simple reflection never reaches the other pair, and ``check``
+        exits 1 naming it.  The full check accepts it with e simple."""
+        based = BasedRootDatum(RootDatum(1, [(1,), (-1,), (2,), (-2,)],
+                                         [(2,), (-2,), (1,), (-1,)]),
+                               (simple,))
+        msg = f"root {missing} is not reached by the simple reflections"
+        assert based.defect == msg
+        assert (reference_defect(based) is None) == (simple == 0)
+        assert _check_exit(tmp_path_factory, based) == (1, f"error: {msg}\n")
+
+    def test_closure_work_is_bounded_by_the_datum(self, monkeypatch):
+        """Affine A1 simple data (Cartan matrix [[2, -2], [-2, 2]]) close
+        to infinitely many roots, so ``from_simple`` runs to
+        ``ROOT_CAP``.  Explicit data listing a few of those roots are
+        rejected at the first root the closure reaches that they do not
+        list: at most one root more than they list, counted as the new
+        roots the closure looks up in the datum."""
+        simple, cosimple = [(1, 0), (0, 1)], [(2, -2), (-2, 2)]
+        with pytest.raises(ValidationError,
+                           match="^root system closure runaway$"):
+            standard.from_simple(2, simple, cosimple)
+        looked_up = []
+
+        class Listed(dict):
+            def __contains__(self, root):
+                looked_up.append(root)
+                return super().__contains__(root)
+
+        inner = rootdatum.close_simple
+        monkeypatch.setattr(rootdatum, "close_simple",
+                            lambda r, c, listed: inner(r, c, Listed(listed)))
+        # s_1 alpha_2 = 2 alpha_1 + alpha_2, s_2 alpha_1 = alpha_1 + 2 alpha_2
+        roots = [(1, 0), (0, 1), (-1, 0), (0, -1), (2, 1), (1, 2),
+                 (-2, -1), (-1, -2)]
+        coroots = [(2, -2), (-2, 2), (-2, 2), (2, -2), (2, -2), (-2, 2),
+                   (-2, 2), (2, -2)]
+        for n in range(2, len(roots) + 1, 2):
+            looked_up.clear()
+            based = BasedRootDatum(RootDatum(2, roots[:n], coroots[:n]),
+                                   (0, 1))
+            assert "which is not a root" in based.defect
+            # the simple roots and the roots looked up: at most n + 1
+            assert len(set(looked_up)) == len(looked_up) <= n - 1
+            assert [b for b in looked_up if b not in roots[:n]] == \
+                looked_up[-1:]
+
+    def test_named_messages(self):
+        """The closure names the reflection that leaves the datum: to a
+        vector the datum does not list, or to a root listed with another
+        coroot than the transported one."""
+        b2 = standard.b2()
+        roots, coroots = list(b2.datum.roots), list(b2.datum.coroots)
+        assert roots[-1] == coroots[-1] == (1, 1)
+        short = BasedRootDatum(RootDatum(2, roots[:-1], coroots[:-1]),
+                               (0, 1))
+        assert short.defect == (
+            "the reflection at simple root (0, 1) takes root (1, -1) to "
+            "(1, 1), which is not a root")
+        coroots[-1] = (2, 0)     # pairs to 2 with (1, 1) too
+        wrong = BasedRootDatum(RootDatum(2, roots, coroots), (0, 1))
+        assert wrong.defect == (
+            "the reflection at simple root (0, 1) takes root (1, -1) to "
+            "(1, 1) with coroot (1, 1), not (2, 0)")
+        assert reference_defect(short) and reference_defect(wrong)
 
 
 class TestWeyl:
@@ -278,9 +401,9 @@ def matrix_weyl(based):
 def matrix_positive_systems(based, elems):
     """``positive_systems`` as it was, on matrices: (roots, entries of
     the Weyl element) for each image of R+."""
-    base_pos = [b for b, c in zip(based.datum.roots,
-                                  express_in_simple(based))
-                if all(x >= 0 for x in c)]
+    simple = based.simple_roots
+    base_pos = [b for b in based.datum.roots
+                if all(x >= 0 for x in reference_coefficients(simple, b))]
     systems = {}
     for w in elems:
         img = tuple(sorted(w.apply(b) for b in base_pos))
@@ -380,50 +503,66 @@ def _simple_products(draw):
 
 class TestRecordedCoefficients:
     """``from_simple`` records each root's coefficients in the simple
-    roots as its closure finds the root; they are the ones
-    ``express_in_simple`` solves for."""
+    roots as its closure finds the root.  A datum given by explicit roots
+    has no record and closes its simple data once to find the same
+    coefficients, and both equal the coefficients solved over Q
+    (``reference_coefficients``)."""
+
+    @staticmethod
+    def _same_coefficients(based):
+        assert validate_based(based) is None
+        assert based.closure_coefficients is not None
+        same = explicit(based)
+        assert same == based and same.closure_coefficients is None
+        assert validate_based(same) is None
+        assert same.simple_coefficients == based.closure_coefficients == \
+            tuple(reference_coefficients(based.simple_roots, b)
+                  for b in based.datum.roots)
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_DATA))
     def test_standard_data(self, name):
-        based = REFERENCE_DATA[name]()
-        assert validate_based(based) is None
-        assert based.closure_coefficients is not None
-        assert list(based.simple_coefficients) == express_in_simple(based)
-
-    def test_explicit_roots_are_solved(self):
-        based = standard.b2()
-        explicit = BasedRootDatum(based.datum, based.simple_indices)
-        assert explicit == based and explicit.closure_coefficients is None
-        assert explicit.simple_coefficients == express_in_simple(based) == \
-            list(based.simple_coefficients)
-
-    def test_simple_smith_keeps_transforms_only_to_solve(self, monkeypatch):
-        """The D4 of ``from_simple`` reads only the rank of its Smith
-        form and keeps no transform; the same D4 given by explicit roots
-        keeps U and V, which ``express_in_simple`` solves with."""
-        keeps = []
-        inner = rootdatum.smith_normal_form
-
-        def recording(A, keep=("U", "V")):
-            keeps.append(keep)
-            return inner(A, keep=keep)
-        monkeypatch.setattr(rootdatum, "smith_normal_form", recording)
-        closed = standard.d4_adjoint()
-        explicit = BasedRootDatum(closed.datum, closed.simple_indices)
-        for based in (closed, explicit):
-            assert validate_based(based) is None
-        assert keeps == [(), ("U", "V")]
-        assert closed.simple_smith.U is None and closed.simple_smith.V is None
-        assert closed.simple_smith.rank == explicit.simple_smith.rank == 4
-        assert list(closed.simple_coefficients) == \
-            explicit.simple_coefficients
+        self._same_coefficients(REFERENCE_DATA[name]())
 
     @settings(max_examples=150, deadline=None)
     @given(_simple_products())
     def test_products_under_base_change(self, case):
-        based = standard.from_simple(*case)
-        assert validate_based(based) is None
-        assert list(based.simple_coefficients) == express_in_simple(based)
+        self._same_coefficients(standard.from_simple(*case))
+
+    def test_explicit_roots_are_solved(self, monkeypatch):
+        """An explicit datum's coefficients come from its own closure,
+        with no Smith form of the simple roots to solve on."""
+        based = standard.b2()
+        same = explicit(based)
+        monkeypatch.setattr(rootdatum, "smith_normal_form", None)
+        assert same.simple_coefficients == based.closure_coefficients
+
+    def test_simple_smith_keeps_transforms_only_to_solve(self, monkeypatch):
+        """Nothing is solved on the Smith form of the simple roots, so it
+        keeps no transform.  D4 by simple roots closes once, in
+        ``from_simple``; the same D4 by explicit roots closes once, in
+        its check, and no more for R+.  Each takes one Smith form of its
+        simple roots, for their rank."""
+        counts = {"close_simple": 0, "keeps": []}
+        close, smith = rootdatum.close_simple, rootdatum.smith_normal_form
+
+        def closing(*args):
+            counts["close_simple"] += 1
+            return close(*args)
+
+        def recording(A, keep=("U", "V")):
+            counts["keeps"].append(keep)
+            return smith(A, keep=keep)
+        for module in (rootdatum, standard):
+            monkeypatch.setattr(module, "close_simple", closing)
+        monkeypatch.setattr(rootdatum, "smith_normal_form", recording)
+        closed = standard.d4_adjoint()
+        assert counts == {"close_simple": 1, "keeps": []}
+        assert validate_based(closed) is None
+        assert counts == {"close_simple": 1, "keeps": [()]}
+        same = explicit(closed)
+        assert validate_based(same) is None
+        assert positive_systems(weyl_generate(same), same)
+        assert counts == {"close_simple": 2, "keeps": [(), ()]}
 
     def test_dependent_simple_roots_rejected(self):
         """A2 with alpha_1 + alpha_2 as a third simple root closes to the
@@ -432,10 +571,11 @@ class TestRecordedCoefficients:
         before any coefficient is read."""
         based = standard.from_simple(2, [(2, -1), (-1, 2), (1, 1)],
                                      [(1, 0), (0, 1), (1, 1)])
-        assert validate(based.datum) is None
+        assert reference_validate(based.datum) is None
         assert any(min(k) < 0 < max(k) for k in based.closure_coefficients)
         msg = "simple roots are linearly dependent"
         assert validate_based(based) == msg
+        assert validate_based(explicit(based)) == msg
         with pytest.raises(ValidationError, match=f"^{msg}$"):
             weyl_generate(based)
 
@@ -505,10 +645,10 @@ def _closure_verdict(case):
 
 
 class TestClosureVerdict:
-    """A datum closed by ``from_simple`` skips ``validate``: its verdict
-    is only the distinctness of the simple roots, then the rank and sign
-    checks.  It must equal the verdict of the full check
-    (``reference_defect``) whenever ``from_simple`` returns."""
+    """A datum closed by ``from_simple`` keeps its closure's record, so
+    its check closes nothing again.  Its verdict must equal the verdict
+    and message of the full check (``reference_defect``) whenever
+    ``from_simple`` returns."""
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_DATA))
     def test_standard_data(self, name):
@@ -553,7 +693,7 @@ class TestClosureVerdict:
         closure; each keeps the message of the full check."""
         based = standard.from_simple(rank, roots, coroots)
         assert based.defect == reference_defect(based) == msg
-        assert validate(based.datum) == (
+        assert reference_validate(based.datum) == (
             msg if msg.startswith("duplicate") else None)
 
     @pytest.mark.parametrize("roots,coroots", [
